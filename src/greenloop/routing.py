@@ -8,6 +8,10 @@ complete collection loops. Exploration is epsilon-greedy with a linear
 anneal; all randomness comes from one seeded generator, so training is
 deterministic.
 
+The table is a plain dict keyed by (current, visited, action) tuples,
+which hash in C. Training computes every leg's emissions and each node's
+reachable bins once per graph, so the episode loop does no edge lookups.
+
 Every non-depot node is treated as requiring service. The tabular table
 caps at 16 bins; larger cities are split into districts upstream.
 """
@@ -86,27 +90,18 @@ class CollectionGraph:
         return (a, b) in self.edges or (b, a) in self.edges
 
 
-@dataclass(frozen=True)
-class RouteState:
-    """Current node plus a visited bitmask over the sorted bin order."""
-
-    current: str
-    visited: int = 0
-
-
 @dataclass
 class QTable:
-    """State-action values; absent keys read as 0."""
+    """State-action values keyed by (current node, visited bitmask, action).
 
-    values: dict[tuple[RouteState, str], float] = field(default_factory=dict)
+    The bitmask sets bit i once the i-th bin in sorted id order has been
+    serviced. Absent keys read as 0.
+    """
 
-    def get(self, state: RouteState, action: str) -> float:
-        return self.values.get((state, action), 0.0)
+    values: dict[tuple[str, int, str], float] = field(default_factory=dict)
 
-    def max_over(self, state: RouteState, actions: list[str]) -> float:
-        if not actions:
-            return 0.0
-        return max(self.values.get((state, a), 0.0) for a in actions)
+    def get(self, current: str, visited: int, action: str) -> float:
+        return self.values.get((current, visited, action), 0.0)
 
 
 @dataclass(frozen=True)
@@ -134,49 +129,40 @@ def leg_emissions(g: CollectionGraph, a: str, b: str) -> float:
     return e.distance_km * e.emission_rate_kg_per_km
 
 
-def q_update(
-    q: QTable,
-    s: RouteState,
-    a: str,
-    r: float,
-    s_next: RouteState,
-    cfg: RLConfig,
-    next_actions: list[str] | None = None,
-) -> QTable:
-    """One temporal-difference step; returns a new table, input untouched.
+def _legs(g: CollectionGraph) -> dict[tuple[str, str], float]:
+    """Emissions of every ordered leg the graph allows.
 
-    next_actions lists the moves available from s_next; an empty list (or
-    a terminal all-visited state) zeroes the bootstrap term.
+    A listed (a, b) edge takes precedence over the mirror of a listed
+    (b, a), as in CollectionGraph.edge: the two may carry different
+    emission rates.
     """
-    updated = dict(q.values)
-    _q_update_inplace(updated, s, a, r, s_next, cfg, next_actions or [])
-    return QTable(values=updated)
+    legs: dict[tuple[str, str], float] = {}
+    for (a, b), e in g.edges.items():
+        emissions = e.distance_km * e.emission_rate_kg_per_km
+        legs[(a, b)] = emissions
+        legs.setdefault((b, a), emissions)
+    return legs
 
 
-def _q_update_inplace(
-    values: dict,
-    s: RouteState,
-    a: str,
-    r: float,
-    s_next: RouteState,
-    cfg: RLConfig,
-    next_actions: list[str],
+def _adjacency(
+    g: CollectionGraph, bins: tuple[str, ...], legs: Mapping[tuple[str, str], float]
+) -> dict[str, tuple[tuple[str, int], ...]]:
+    """Per node, the (bin, visited bit) pairs it has a leg to, in bin order."""
+    bits = [(b, 1 << i) for i, b in enumerate(bins)]
+    return {
+        node: tuple((b, bit) for b, bit in bits if (node, b) in legs)
+        for node in (g.depot, *bins)
+    }
+
+
+def _check_reachable(
+    depot: str, bins: tuple[str, ...], adjacency: Mapping[str, tuple[tuple[str, int], ...]]
 ) -> None:
-    best_next = 0.0
-    if next_actions:
-        best_next = max(values.get((s_next, nb), 0.0) for nb in next_actions)
-    old = values.get((s, a), 0.0)
-    values[(s, a)] = old + cfg.learning_rate * (r + cfg.discount * best_next - old)
-
-
-def _check_reachable(g: CollectionGraph, bins: tuple[str, ...]) -> None:
-    frontier = [g.depot]
-    seen = {g.depot}
-    relevant = set(bins) | {g.depot}
+    frontier = [depot]
+    seen = {depot}
     while frontier:
-        node = frontier.pop()
-        for other in relevant:
-            if other not in seen and g.has_edge(node, other):
+        for other, _ in adjacency[frontier.pop()]:
+            if other not in seen:
                 seen.add(other)
                 frontier.append(other)
     missing = [b for b in bins if b not in seen]
@@ -199,15 +185,19 @@ def train_routing(
         )
     if not bins:
         return QTable(values=dict(initial.values)) if initial is not None else QTable()
-    _check_reachable(g, bins)
+    depot = g.depot
+    legs = _legs(g)
+    adjacency = _adjacency(g, bins, legs)
+    _check_reachable(depot, bins, adjacency)
 
     bit = {b: 1 << i for i, b in enumerate(bins)}
     full = (1 << len(bins)) - 1
     rng = np.random.default_rng(cfg.rng_seed)
-    values: dict[tuple[RouteState, str], float] = (
+    values: dict[tuple[str, int, str], float] = (
         dict(initial.values) if initial is not None else {}
     )
-    depot = g.depot
+    lr, discount = cfg.learning_rate, cfg.discount
+    first_candidates = [b for b, _ in adjacency[depot]]
 
     for episode in range(cfg.episodes):
         if cfg.episodes > 1:
@@ -216,45 +206,46 @@ def train_routing(
             frac = 0.0
         epsilon = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * frac
 
-        state = RouteState(depot, 0)
+        current, visited = depot, 0
+        candidates = first_candidates
         trajectory = []
-        while state.visited != full:
-            candidates = [
-                b for b in bins
-                if not state.visited & bit[b] and g.has_edge(state.current, b)
-            ]
+        while visited != full:
             if not candidates:
-                raise DisconnectedGraph(
-                    f"no unvisited bin reachable from {state.current!r}"
-                )
+                raise DisconnectedGraph(f"no unvisited bin reachable from {current!r}")
             if rng.random() < epsilon:
                 action = candidates[int(rng.integers(len(candidates)))]
             else:
                 action = candidates[0]
-                best = values.get((state, action), 0.0)
+                best = values.get((current, visited, action), 0.0)
                 for b in candidates[1:]:
-                    v = values.get((state, b), 0.0)
+                    v = values.get((current, visited, b), 0.0)
                     if v > best:
                         best = v
                         action = b
-            reward = -leg_emissions(g, state.current, action)
-            next_visited = state.visited | bit[action]
-            next_state = RouteState(action, next_visited)
+            reward = -legs[(current, action)]
+            next_visited = visited | bit[action]
             if next_visited == full:
                 # Forced return leg: charge it on the closing action.
-                reward -= leg_emissions(g, action, depot)
-                next_actions: list[str] = []
+                if (action, depot) not in legs:
+                    raise MissingEdge(f"no edge between {action!r} and {depot!r}")
+                reward -= legs[(action, depot)]
+                next_candidates = []
             else:
-                next_actions = [
-                    b for b in bins
-                    if not next_visited & bit[b] and g.has_edge(action, b)
+                next_candidates = [
+                    b for b, mask in adjacency[action] if not next_visited & mask
                 ]
-            trajectory.append((state, action, reward, next_state, next_actions))
-            state = next_state
+            trajectory.append((current, visited, action, reward, next_visited, next_candidates))
+            current, visited, candidates = action, next_visited, next_candidates
         # Apply the updates newest-first so the forced return leg reaches
-        # the early decisions within a single episode.
-        for s, a, r, s_next, s_next_actions in reversed(trajectory):
-            _q_update_inplace(values, s, a, r, s_next, cfg, s_next_actions)
+        # the early decisions within a single episode. An empty candidate
+        # list (the all-visited state) zeroes the bootstrap term.
+        for s_current, s_visited, a, r, n_visited, n_candidates in reversed(trajectory):
+            best_next = 0.0
+            if n_candidates:
+                best_next = max(values.get((a, n_visited, nb), 0.0) for nb in n_candidates)
+            key = (s_current, s_visited, a)
+            old = values.get(key, 0.0)
+            values[key] = old + lr * (r + discount * best_next - old)
 
     return QTable(values=values)
 
@@ -265,26 +256,23 @@ def greedy_route(q: QTable, g: CollectionGraph) -> tuple[str, ...]:
     depot = g.depot
     if not bins:
         return (depot, depot)
-    bit = {b: 1 << i for i, b in enumerate(bins)}
+    adjacency = _adjacency(g, bins, _legs(g))
     full = (1 << len(bins)) - 1
     route = [depot]
-    state = RouteState(depot, 0)
-    while state.visited != full:
-        candidates = [
-            b for b in bins
-            if not state.visited & bit[b] and g.has_edge(state.current, b)
-        ]
+    current, visited = depot, 0
+    while visited != full:
+        candidates = [(b, mask) for b, mask in adjacency[current] if not visited & mask]
         if not candidates:
-            raise DisconnectedGraph(f"no unvisited bin reachable from {state.current!r}")
-        action = candidates[0]
-        best = q.get(state, action)
-        for b in candidates[1:]:
-            v = q.get(state, b)
+            raise DisconnectedGraph(f"no unvisited bin reachable from {current!r}")
+        action, action_mask = candidates[0]
+        best = q.get(current, visited, action)
+        for b, mask in candidates[1:]:
+            v = q.get(current, visited, b)
             if v > best:
                 best = v
-                action = b
+                action, action_mask = b, mask
         route.append(action)
-        state = RouteState(action, state.visited | bit[action])
+        current, visited = action, visited | action_mask
     route.append(depot)
     return tuple(route)
 
@@ -317,17 +305,15 @@ def brute_force_route(g: CollectionGraph) -> tuple[tuple[str, ...], float]:
 
 def qtable_to_dict(q: QTable, version: int = 1) -> dict:
     entries = [
-        {"current": s.current, "visited": s.visited, "action": a, "value": v}
-        for (s, a), v in sorted(
-            q.values.items(), key=lambda kv: (kv[0][0].current, kv[0][0].visited, kv[0][1])
-        )
+        {"current": current, "visited": visited, "action": action, "value": v}
+        for (current, visited, action), v in sorted(q.values.items())
     ]
     return {"version": version, "entries": entries}
 
 
 def qtable_from_dict(doc: Mapping) -> QTable:
     values = {
-        (RouteState(e["current"], int(e["visited"])), e["action"]): float(e["value"])
+        (e["current"], int(e["visited"]), e["action"]): float(e["value"])
         for e in doc["entries"]
     }
     return QTable(values=values)

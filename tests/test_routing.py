@@ -1,4 +1,5 @@
-"""Routing trainer tests, anchored by an exhaustive-permutation oracle."""
+"""Routing trainer tests, anchored by an exhaustive-permutation oracle and
+by the RouteState-keyed reference trainer in reference_routing."""
 
 import itertools
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_routing as reference
 from greenloop.errors import DisconnectedGraph, MissingEdge, StateSpaceTooLarge
 from greenloop.routing import (
     BinNode,
@@ -14,10 +16,8 @@ from greenloop.routing import (
     EdgeAttrs,
     QTable,
     RLConfig,
-    RouteState,
     brute_force_route,
     greedy_route,
-    q_update,
     qtable_from_dict,
     qtable_to_dict,
     route_emissions,
@@ -105,55 +105,76 @@ class TestGraphValidation:
         assert g.edge("depot", "n1").distance_km == 2.0
 
 
+# One bin, 2 km at 0.8 kg/km: the only action pays 1.6 out and 1.6 back.
+ONE_BIN = complete_graph({("depot", "n1"): 2}, rate=0.8)
+
+# Two bins in a triangle: depot -1- n1 -2- n2 -3- depot. With exploration
+# off, a tie at the depot goes to n1, so a table that does not rank n2 above
+# n1 there walks depot, n1, n2, depot with rewards -1 and -(2 + 3).
+TWO_BIN = complete_graph(
+    {("depot", "n1"): 1, ("n1", "n2"): 2, ("n2", "depot"): 3}, rate=1.0
+)
+
+
+def td_config(learning_rate, discount, episodes=1):
+    return RLConfig(
+        learning_rate=learning_rate, discount=discount,
+        epsilon_start=0.0, epsilon_end=0.0, episodes=episodes,
+    )
+
+
 class TestQUpdate:
+    """Temporal-difference arithmetic, computed by hand on tiny graphs."""
+
     def test_full_overwrite(self):
         # alpha 1, gamma 0: new value is exactly the reward
-        cfg = RLConfig(learning_rate=1.0, discount=0.0)
-        s, a = RouteState("depot", 0), "n1"
-        q = q_update(QTable(), s, a, 5.0, RouteState("n1", 1), cfg)
-        assert q.get(s, a) == 5.0
+        q = train_routing(ONE_BIN, td_config(1.0, 0.0))
+        assert q.values == {("depot", 0, "n1"): -3.2}
 
     def test_zero_rate_rejected(self):
         with pytest.raises(ValueError):
             RLConfig(learning_rate=0.0)
 
     def test_tiny_rate_leaves_table_nearly_unchanged(self):
-        cfg = RLConfig(learning_rate=1e-12, discount=0.5)
-        s, a = RouteState("depot", 0), "n1"
-        start = QTable({(s, a): 2.0})
-        q = q_update(start, s, a, -7.0, RouteState("n1", 1), cfg)
-        assert q.get(s, a) == pytest.approx(2.0, abs=1e-10)
+        start = QTable({("depot", 0, "n1"): 2.0})
+        q = train_routing(ONE_BIN, td_config(1e-12, 0.5), initial=start)
+        assert q.get("depot", 0, "n1") == pytest.approx(2.0, abs=1e-10)
 
     def test_direct_substitution(self):
-        # Q = 1 + 0.5 * (1 + 0.9 * 2 - 1) = 1.9
-        cfg = RLConfig(learning_rate=0.5, discount=0.9)
-        s, a = RouteState("depot", 0), "n1"
-        s_next = RouteState("n1", 1)
-        q0 = QTable({(s, a): 1.0, (s_next, "n2"): 2.0, (s_next, "n3"): 0.5})
-        q1 = q_update(q0, s, a, 1.0, s_next, cfg, next_actions=["n2", "n3"])
-        assert q1.get(s, a) == pytest.approx(1.9)
+        # Newest first: n1 -> n2 closes the loop, 2 + 0.5 * (-5 - 2) = -1.5;
+        # then depot -> n1 bootstraps from it, 1 + 0.5 * (-1 + 0.9 * -1.5 - 1).
+        start = QTable({("depot", 0, "n1"): 1.0, ("n1", 1, "n2"): 2.0})
+        q = train_routing(TWO_BIN, td_config(0.5, 0.9), initial=start)
+        assert q.get("n1", 0b01, "n2") == -1.5
+        assert q.get("depot", 0, "n1") == pytest.approx(-0.675)
+
+    def test_second_episode_bootstraps_from_first(self):
+        # The -100 keeps both episodes on depot, n1, n2, depot.
+        # episode 1: -2.5 and 0.5 * (-1 + 0.9 * -2.5) = -1.625
+        # episode 2: -2.5 + 0.5 * (-5 + 2.5) = -3.75
+        #            -1.625 + 0.5 * (-1 + 0.9 * -3.75 + 1.625) = -3.0
+        start = QTable({("depot", 0, "n2"): -100.0})
+        q = train_routing(TWO_BIN, td_config(0.5, 0.9, episodes=2), initial=start)
+        assert q.get("n1", 0b01, "n2") == -3.75
+        assert q.get("depot", 0, "n1") == pytest.approx(-3.0)
 
     def test_terminal_next_state_uses_zero_bootstrap(self):
-        cfg = RLConfig(learning_rate=1.0, discount=0.9)
-        s, a = RouteState("n2", 0b01), "n3"
-        q0 = QTable({(RouteState("n3", 0b11), "n2"): 50.0})
-        q1 = q_update(q0, s, a, -4.0, RouteState("n3", 0b11), cfg, next_actions=[])
-        assert q1.get(s, a) == -4.0
+        # An entry at the all-visited state must not leak into the closing step.
+        start = QTable({("n2", 0b11, "n1"): 50.0})
+        q = train_routing(TWO_BIN, td_config(1.0, 0.9), initial=start)
+        assert q.get("n1", 0b01, "n2") == -5.0
+        assert q.get("depot", 0, "n1") == pytest.approx(-1.0 + 0.9 * -5.0)
 
     def test_input_table_untouched(self):
-        cfg = RLConfig()
-        s, a = RouteState("depot", 0), "n1"
-        q0 = QTable({(s, a): 1.0})
-        q_update(q0, s, a, -3.0, RouteState("n1", 1), cfg)
-        assert q0.get(s, a) == 1.0
+        start = QTable({("depot", 0, "n1"): 1.0})
+        q = train_routing(ONE_BIN, RLConfig(episodes=2), initial=start)
+        assert start.values == {("depot", 0, "n1"): 1.0}
+        assert q.get("depot", 0, "n1") != 1.0
 
     def test_other_entries_untouched(self):
-        cfg = RLConfig(learning_rate=1.0, discount=0.0)
-        s, a = RouteState("depot", 0), "n1"
-        other = (RouteState("n9", 7), "n2")
-        q0 = QTable({other: -2.5})
-        q1 = q_update(q0, s, a, 1.0, RouteState("n1", 1), cfg)
-        assert q1.values[other] == -2.5
+        other = ("n9", 7, "n2")
+        q = train_routing(ONE_BIN, td_config(1.0, 0.0), initial=QTable({other: -2.5}))
+        assert q.values == {other: -2.5, ("depot", 0, "n1"): -3.2}
 
 
 class TestRouteEmissions:
@@ -308,3 +329,88 @@ class TestPersistence:
         a = qtable_to_dict(q)
         b = qtable_to_dict(QTable(dict(reversed(list(q.values.items())))))
         assert a == b
+
+
+@st.composite
+def sparse_graphs(draw):
+    """1-7 bins; each node pair gets no edge, one direction, or both.
+
+    Both directions share a distance but may differ in emission rate, so
+    the (a, b)-before-(b, a) precedence of CollectionGraph.edge matters.
+    Distances may be 0, which makes -0.0 rewards.
+    """
+    n_bins = draw(st.integers(1, 7))
+    names = ["depot"] + [f"b{i}" for i in range(n_bins)]
+    nodes = tuple(BinNode(nm, 0.5, is_depot=(nm == "depot")) for nm in names)
+    rates = st.floats(0.0, 2.0)
+    edges = {}
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            kind = draw(st.sampled_from(["none", "ab", "ba", "both"]))
+            if kind == "none":
+                continue
+            km = float(draw(st.integers(0, 9)))
+            pairs = {"ab": [(a, b)], "ba": [(b, a)], "both": [(a, b), (b, a)]}[kind]
+            if draw(st.booleans()):
+                pairs.reverse()
+            for pair in pairs:
+                edges[pair] = EdgeAttrs(km, draw(rates))
+    return CollectionGraph(nodes=nodes, edges=edges)
+
+
+def outcome(fn, *args):
+    """The result, or the routing error raised, as a comparable value."""
+    try:
+        return fn(*args)
+    except (DisconnectedGraph, MissingEdge) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestReferenceEquivalence:
+    """The tuple-keyed trainer reproduces the RouteState-keyed reference."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(g=sparse_graphs(), data=st.data())
+    def test_matches_reference_trainer(self, g, data):
+        epsilon_start = data.draw(st.floats(0.0, 1.0))
+        cfg = RLConfig(
+            learning_rate=data.draw(st.sampled_from([0.1, 0.5, 1.0])),
+            discount=data.draw(st.sampled_from([0.0, 0.95])),
+            epsilon_start=epsilon_start,
+            epsilon_end=epsilon_start * data.draw(st.floats(0.0, 1.0)),
+            episodes=data.draw(st.integers(1, 40)),
+            rng_seed=data.draw(st.integers(0, 2**32 - 1)),
+        )
+        full = (1 << len(g.bin_ids())) - 1
+        initial = data.draw(st.none() | st.dictionaries(
+            st.tuples(
+                st.sampled_from([n.id for n in g.nodes]),
+                st.integers(0, full),
+                st.sampled_from(g.bin_ids()),
+            ),
+            st.floats(-50.0, 0.0),
+            max_size=20,
+        ))
+        warm = None if initial is None else QTable(dict(initial))
+
+        got = outcome(train_routing, g, cfg, warm)
+        want = outcome(
+            reference.train_routing, g, cfg,
+            None if initial is None else reference.from_tuple_keys(initial),
+        )
+        if isinstance(want, dict):
+            assert isinstance(got, QTable)
+            # repr keeps insertion order and the sign of zero in view
+            assert repr(list(got.values.items())) == repr(
+                list(reference.to_tuple_keys(want).items())
+            )
+            table = got.values
+        else:
+            assert got == want
+            table = initial or {}
+        if warm is not None:
+            assert warm.values == initial
+
+        assert outcome(greedy_route, QTable(table), g) == outcome(
+            reference.greedy_route, reference.from_tuple_keys(table), g
+        )
