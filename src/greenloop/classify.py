@@ -133,7 +133,10 @@ def _loss_and_grad(
     probs = exp / exp.sum(axis=1, keepdims=True)
     eps = 1e-300
     loss = -np.mean(np.log(probs[np.arange(n), y_idx] + eps))
-    loss += l2_penalty * float(np.sum(weights * weights))
+    # Diverging weights overflow to inf here; the caller's isfinite check
+    # turns that into NonFiniteLoss, so the overflow warning adds nothing.
+    with np.errstate(over="ignore"):
+        loss += l2_penalty * float(np.sum(weights * weights))
 
     delta = probs
     delta[np.arange(n), y_idx] -= 1.0
