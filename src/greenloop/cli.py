@@ -37,6 +37,7 @@ from .errors import (
 )
 from .pipeline import compare_runs, run_full
 from .report import (
+    REQUIRED_METRIC_KEYS,
     comparison_csv,
     comparison_markdown,
     measured_metrics,
@@ -134,6 +135,10 @@ def _load_manifest(path_str: str) -> tuple[dict, Path]:
         raise ManifestUnreadable(f"manifest not readable: {p} ({exc})") from exc
     if not isinstance(doc, dict) or "metrics" not in doc or "mode" not in doc:
         raise ManifestUnreadable(f"manifest missing required keys: {p}")
+    metrics = doc["metrics"] if isinstance(doc["metrics"], dict) else {}
+    missing = [k for k in REQUIRED_METRIC_KEYS if k not in metrics]
+    if missing:
+        raise ManifestUnreadable(f"manifest metrics missing {', '.join(missing)}: {p}")
     return doc, p.parent
 
 

@@ -61,6 +61,18 @@ def run_result_to_dict(r: RunResult) -> dict:
     return doc
 
 
+# The metrics keys run_result_from_dict cannot do without.
+REQUIRED_METRIC_KEYS = (
+    "mode",
+    "seed",
+    "recovery",
+    "process_energy_kwh",
+    "pipeline_energy",
+    "co2_kg",
+    "waste_reduction_fraction",
+)
+
+
 def run_result_from_dict(doc: Mapping) -> RunResult:
     return RunResult(
         mode=doc["mode"],

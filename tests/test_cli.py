@@ -109,6 +109,21 @@ class TestCompare:
         assert code == 3
         assert "manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "metrics", [{}, [], {"mode": "baseline", "seed": 0, "recovery": {}}]
+    )
+    def test_incomplete_metrics_exit_3(self, tmp_path, capsys, metrics):
+        path = tmp_path / "manifest.json"
+        path.write_text(
+            json.dumps({"version": 1, "mode": "baseline", "metrics": metrics}), "utf-8"
+        )
+        code = main(
+            ["compare", "--baseline", str(path), "--framework", str(path),
+             "--out", str(tmp_path / "cmp")]
+        )
+        assert code == 3
+        assert "metrics" in capsys.readouterr().err
+
     def test_mode_mismatch_exit_10(self, tmp_path, capsys):
         f = run_battery(tmp_path, "framework")
         code = main(
