@@ -3,7 +3,7 @@
 Each criterion prints (and registers for the terminal summary) a single
 line of the form "criterion NN: PASS - detail". Oracle suites are seeded
 and self-contained; table numbers come from the bundled fixtures. Golden
-digests of the waste framework artifacts pin their bytes on top.
+digests of the artifacts of every bundled fixture pin their bytes on top.
 """
 
 import hashlib
@@ -458,18 +458,48 @@ def test_criterion_10_feedback_round(waste_runs, waste_feedback):
     )
 
 
-# sha256 of the waste framework artifacts at the fixture seed, and of the
-# route tables after one default feedback round. numpy does not promise the
-# same Generator streams across releases (NEP 19), so the digests hold only
-# under the numpy version they were taken with. Change them only together
-# with a deliberate change of the outputs.
+# sha256 of the artifacts of a CLI run of each bundled fixture in the mode
+# it is named for, at the fixture seed, and of the route tables after one
+# default feedback round. numpy does not promise the same Generator streams
+# across releases (NEP 19), so the digests hold only under the numpy
+# version they were taken with. Change them only together with a
+# deliberate change of the outputs.
 GOLDEN_NUMPY = "2.4.6"
+GOLDEN_RUNS = (
+    ("waste_framework.json", "framework",
+     ("scenario.json", "metrics.json", "routes.json", "qtables.json", "classifier.json")),
+    ("waste_baseline.json", "baseline", ("metrics.json",)),
+    ("battery_baseline.json", "baseline", ("scenario.json", "metrics.json")),
+    ("battery_framework.json", "framework", ("scenario.json", "metrics.json")),
+    ("alloc_small.json", "framework", ("metrics.json", "allocation.json")),
+)
 GOLDEN_DIGESTS = {
-    "metrics.json": "0928336e461e56c929172f771279a67db03f54f6f6b8ee6fa5e9fa0b53d91fe5",
-    "routes.json": "2974318d7df400da1546a69812cf511afe4b3a6d0513881e38112adb60bdc4d3",
-    "qtables.json": "2e6ac796f05a112a3c153692883215c79899440b3d06e5e39cddf3faebd56c9c",
-    "classifier.json": "0bdbed036b829b1b395d807a080bc4ebb6832986e5ba7319c2ec0220c21260e9",
-    "feedback qtables.json": "e1f0d616569c905ff75397678088c533380cddb801e9fe9d8c73186b883b04e8",
+    "waste_framework.json framework scenario.json":
+        "92b160b1212e28fd212bf378db37f63b14f8d516e3e2edcf17ee28d8f4d95c05",
+    "waste_framework.json framework metrics.json":
+        "0928336e461e56c929172f771279a67db03f54f6f6b8ee6fa5e9fa0b53d91fe5",
+    "waste_framework.json framework routes.json":
+        "2974318d7df400da1546a69812cf511afe4b3a6d0513881e38112adb60bdc4d3",
+    "waste_framework.json framework qtables.json":
+        "2e6ac796f05a112a3c153692883215c79899440b3d06e5e39cddf3faebd56c9c",
+    "waste_framework.json framework classifier.json":
+        "0bdbed036b829b1b395d807a080bc4ebb6832986e5ba7319c2ec0220c21260e9",
+    "waste_baseline.json baseline metrics.json":
+        "6378ead810f112bb440f7bdde1eeaf00bbf00010a53a199dd147080808a3129a",
+    "battery_baseline.json baseline scenario.json":
+        "9e8d92acffe45ab8032bed0195ff37c6d9238e5dff6344ddbfbdd681b307eb25",
+    "battery_baseline.json baseline metrics.json":
+        "ade8aa4db6289ce3e682aef751fcf0595a6fae8f2c8d89c8cc830bcab29a590b",
+    "battery_framework.json framework scenario.json":
+        "820c36f145b0f36eb00783d8d7a8cc75168c8f4dc87f9efff5d463386c2ac9d3",
+    "battery_framework.json framework metrics.json":
+        "1a27291c7af1bfdd6cceb328af12c4fcc86a5a6b7de8f649550ef5873ac120bd",
+    "alloc_small.json framework metrics.json":
+        "b33b55c079011fa2821f5c89e71fb96ccf5839eb2544a3a23a761516614ab9c6",
+    "alloc_small.json framework allocation.json":
+        "25561c9f53966cf439af6b0bb2314ae8d543f3fc1e99ec70e531c953eaacc4ce",
+    "feedback qtables.json":
+        "e1f0d616569c905ff75397678088c533380cddb801e9fe9d8c73186b883b04e8",
 }
 
 
@@ -479,15 +509,17 @@ def test_golden_digests(tmp_path, waste_feedback):
             f"digests pinned under numpy {GOLDEN_NUMPY}, running {np.__version__}; "
             "Generator streams may differ across numpy releases (NEP 19)"
         )
-    assert main(
-        ["run", "--scenario", "waste_framework.json", "--mode", "framework",
-         "--out", str(tmp_path)]
-    ) == 0
-    (run_dir,) = [p.parent for p in tmp_path.glob("*/manifest.json")]
-    got = {
-        name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-        for name in ("metrics.json", "routes.json", "qtables.json", "classifier.json")
-    }
+    got = {}
+    for fixture, mode, names in GOLDEN_RUNS:
+        out = tmp_path / f"{fixture}-{mode}"
+        assert main(
+            ["run", "--scenario", fixture, "--mode", mode, "--out", str(out)]
+        ) == 0
+        (run_dir,) = [p.parent for p in out.glob("*/manifest.json")]
+        for name in names:
+            got[f"{fixture} {mode} {name}"] = hashlib.sha256(
+                (run_dir / name).read_bytes()
+            ).hexdigest()
     updated, _ = waste_feedback
     v = updated.version
     tables = {"version": v, "tables": [qtable_to_dict(q, v) for q in updated.district_qtables]}
