@@ -3,18 +3,155 @@
 All persisted artifacts go through canonical_dumps so identical inputs
 produce identical bytes: sorted keys, fixed separators, repr-exact floats,
 trailing newline.
+
+The bytes are defined by the standard library call
+``json.dumps(obj, sort_keys=True, indent=1, ensure_ascii=False) + "\\n"``.
+With an indent, that call never reaches the C encoder: it walks a chain
+of Python generators and joins one small string per token, which is
+slow and memory-hungry on large documents such as the route tables.
+canonical_dumps writes the same text another way:
+
+- The fast path dispatches on the exact type of each value. Dicts with
+  ``str`` keys, lists and tuples are written recursively into one list
+  of strings; ``str``, ``int``, ``float``, ``bool`` and ``None`` are
+  encoded by the same functions the standard library uses.
+- The record path writes a list of plain dicts that share one key set and
+  hold only such scalars in one step: one ``%`` template of the sorted,
+  escaped keys per row, filled from column-wise encoded cells.
+- Anything else (non-``str`` keys, subclasses such as ``numpy.float64``
+  or ``IntEnum``, other containers, a reference cycle) sends the whole
+  document to the standard library call, which stays the oracle: its
+  output and its errors are what the caller gets.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any
 
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_SPECIALS.get(text, text)
+
+
+_SCALARS = {
+    str: encode_basestring,
+    int: int.__repr__,
+    float: _encode_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+class _Unsupported(Exception):
+    """The fast path cannot write this value; the standard library will."""
+
+
+def _records(items: list, inner: str) -> str | None:
+    """Text of the items of a list of flat dicts sharing one key set.
+
+    None when the items are not all plain dicts with the first one's str
+    keys and scalar values only.
+    """
+    first = items[0]
+    if any(type(row) is not dict for row in items) or any(
+        type(k) is not str for k in first
+    ):
+        return None
+    keys = sorted(first)
+    width = len(first)
+    if any(len(row) != width for row in items):
+        return None
+    columns = []
+    try:
+        for k in keys:
+            column = [row[k] for row in items]
+            types = set(map(type, column))
+            if len(types) == 1:
+                (kind,) = types
+                encode = _SCALARS.get(kind)
+                if encode is None:
+                    return None
+                if kind is float:
+                    cells = list(map(float.__repr__, column))
+                    if not _FLOAT_SPECIALS.keys().isdisjoint(cells):
+                        cells = list(map(_encode_float, column))
+                else:
+                    cells = list(map(encode, column))
+            elif types <= _SCALARS.keys():
+                cells = [_SCALARS[type(v)](v) for v in column]
+            else:
+                return None
+            columns.append(cells)
+    except KeyError:
+        return None
+    if not keys:
+        return ("," + inner).join(["{}"] * len(items))
+    field = inner + " "
+    template = (
+        "{"
+        + field
+        + ("," + field).join(
+            encode_basestring(k).replace("%", "%%") + ": %s" for k in keys
+        )
+        + inner
+        + "}"
+    )
+    return ("," + inner).join([template % row for row in zip(*columns)])
+
+
+def _write(obj: Any, out: list[str], indent: str) -> None:
+    """Append the text of obj to out; indent is its line break and margin."""
+    kind = type(obj)
+    encode = _SCALARS.get(kind)
+    if encode is not None:
+        out.append(encode(obj))
+        return
+    inner = indent + " "
+    if kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        if any(type(k) is not str for k in obj):
+            raise _Unsupported
+        sep = "{" + inner
+        for k in sorted(obj):
+            out.append(sep + encode_basestring(k) + ": ")
+            _write(obj[k], out, inner)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        text = _records(obj, inner) if type(obj[0]) is dict else None
+        if text is not None:
+            out.append("[" + inner + text + indent + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "]")
+    else:
+        raise _Unsupported
+
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1, ensure_ascii=False) + "\n"
+    out: list[str] = []
+    try:
+        _write(obj, out, "\n")
+    except (_Unsupported, RecursionError):
+        return json.dumps(obj, sort_keys=True, indent=1, ensure_ascii=False) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def write_json(path: Path | str, obj: Any) -> None:
