@@ -35,9 +35,8 @@ from .errors import (
     TwinError,
     ValidationError,
 )
-from .pipeline import compare_runs, run_full
+from .pipeline import RunResult, compare_runs, run_full
 from .report import (
-    REQUIRED_METRIC_KEYS,
     comparison_csv,
     comparison_markdown,
     measured_metrics,
@@ -123,23 +122,31 @@ def _resolve_scenario(path_str: str):
     return parse_scenario(_read_scenario_doc(path_str))
 
 
-def _load_manifest(path_str: str) -> tuple[dict, Path]:
-    p = Path(path_str)
-    if p.is_dir():
-        p = p / "manifest.json"
-    if not p.is_file():
-        raise ManifestUnreadable(f"manifest not found: {p}")
+def _read_manifest(p: Path) -> tuple[dict, RunResult]:
+    """A manifest document and the run its metrics record.
+
+    Anything short of a complete run raises ManifestUnreadable.
+    """
     try:
         doc = read_json(p)
     except (OSError, json.JSONDecodeError) as exc:
         raise ManifestUnreadable(f"manifest not readable: {p} ({exc})") from exc
     if not isinstance(doc, dict) or "metrics" not in doc or "mode" not in doc:
         raise ManifestUnreadable(f"manifest missing required keys: {p}")
-    metrics = doc["metrics"] if isinstance(doc["metrics"], dict) else {}
-    missing = [k for k in REQUIRED_METRIC_KEYS if k not in metrics]
-    if missing:
-        raise ManifestUnreadable(f"manifest metrics missing {', '.join(missing)}: {p}")
-    return doc, p.parent
+    try:
+        result = run_result_from_dict(doc["metrics"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ManifestUnreadable(f"manifest metrics unreadable: {p} ({exc!r})") from exc
+    return doc, result
+
+
+def _load_manifest(path_str: str) -> RunResult:
+    p = Path(path_str)
+    if p.is_dir():
+        p = p / "manifest.json"
+    if not p.is_file():
+        raise ManifestUnreadable(f"manifest not found: {p}")
+    return _read_manifest(p)[1]
 
 
 def _load_expectations(arg: str, baseline, framework):
@@ -239,10 +246,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    b_doc, _ = _load_manifest(args.baseline)
-    f_doc, _ = _load_manifest(args.framework)
-    rb = run_result_from_dict(b_doc["metrics"])
-    rf = run_result_from_dict(f_doc["metrics"])
+    rb = _load_manifest(args.baseline)
+    rf = _load_manifest(args.framework)
     expectations = _load_expectations(args.expectations, rb, rf)
     report = compare_runs(rb, rf, expectations)
     md = comparison_markdown(report, expectations)
@@ -257,11 +262,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_chart(args) -> int:
-    b_doc, _ = _load_manifest(args.baseline)
-    f_doc, _ = _load_manifest(args.framework)
     report = compare_runs(
-        run_result_from_dict(b_doc["metrics"]),
-        run_result_from_dict(f_doc["metrics"]),
+        _load_manifest(args.baseline), _load_manifest(args.framework)
     )
     svg = chart_from_report(report, args.kind)
     out_path = (
@@ -277,10 +279,10 @@ def _latest_manifest(out_dir: Path, mode: str) -> tuple[dict, Path] | None:
     best = None
     for path in sorted(out_dir.glob("*/manifest.json")):
         try:
-            doc = read_json(path)
-        except (OSError, json.JSONDecodeError):
+            doc, _ = _read_manifest(path)
+        except ManifestUnreadable:
             continue
-        if not isinstance(doc, dict) or doc.get("mode") != mode:
+        if doc["mode"] != mode:
             continue
         key = (doc.get("created_at", ""), doc.get("run_id", ""))
         if best is None or key > best[0]:

@@ -27,6 +27,18 @@ def run_battery(tmp_path, mode):
     return latest[-1].parent
 
 
+# A metrics document run_result_from_dict accepts.
+METRICS = {
+    "mode": "baseline",
+    "seed": 0,
+    "recovery": {},
+    "process_energy_kwh": 1.0,
+    "pipeline_energy": {"total_kwh": 0.0, "stages": []},
+    "co2_kg": 1.0,
+    "waste_reduction_fraction": 0.0,
+}
+
+
 class TestRun:
     def test_writes_manifest_and_artifacts(self, tmp_path, capsys):
         run_dir = run_battery(tmp_path, "baseline")
@@ -110,7 +122,15 @@ class TestCompare:
         assert "manifest" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "metrics", [{}, [], {"mode": "baseline", "seed": 0, "recovery": {}}]
+        "metrics",
+        [
+            {},
+            [],
+            {"mode": "baseline", "seed": 0, "recovery": {}},
+            {**METRICS, "pipeline_energy": {}},
+            {**METRICS, "pipeline_energy": {"total_kwh": 0.0, "stages": [{}]}},
+            {**METRICS, "recovery": 5},
+        ],
     )
     def test_incomplete_metrics_exit_3(self, tmp_path, capsys, metrics):
         path = tmp_path / "manifest.json"
@@ -164,6 +184,19 @@ class TestChart:
                      "--kind", "comparison", "--out", str(out)]) == 0
         assert (out / "chart_comparison.svg").is_file()
 
+    def test_nested_broken_metrics_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        metrics = {**METRICS, "pipeline_energy": {}}
+        path.write_text(
+            json.dumps({"version": 1, "mode": "baseline", "metrics": metrics}), "utf-8"
+        )
+        code = main(
+            ["chart", "--baseline", str(path), "--framework", str(path),
+             "--out", str(tmp_path / "charts")]
+        )
+        assert code == 3
+        assert "metrics" in capsys.readouterr().err
+
     def test_missing_metric_exit_11(self, tmp_path, capsys):
         out = tmp_path / "out"
         main(["run", "--scenario", "alloc_small.json", "--mode", "baseline",
@@ -203,6 +236,29 @@ class TestTable3:
         assert "| Energy intensity (GJ/tonne) | 5.5 | 4.0 | 3.6 | 3.6 |" in text
         assert "| CO2 emission reduction (%) | — | 25 | 28 | 26.67 |" in text
         assert "| Material recovery rate (%) | 60 | 80 | 88 | 88.11 |" in text
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            {"mode": "framework"},
+            {"mode": "framework", "artifacts": {"scenario": "scenario.json"},
+             "metrics": {}},
+        ],
+    )
+    def test_broken_newer_manifest_skipped(self, tmp_path, capsys, manifest):
+        run_battery(tmp_path, "baseline")
+        good = run_battery(tmp_path, "framework")
+        broken = tmp_path / "out" / "broken"
+        broken.mkdir()
+        (broken / "scenario.json").write_bytes((good / "scenario.json").read_bytes())
+        (broken / "manifest.json").write_text(
+            json.dumps({**manifest, "created_at": "9999-12-31T00:00:00+00:00"}),
+            "utf-8",
+        )
+        capsys.readouterr()
+        assert main(["table3", "--out", str(tmp_path / "out")]) == 0
+        text = capsys.readouterr().out
+        assert "| Energy intensity (GJ/tonne) | 5.5 | 4.0 | 3.6 | 3.6 |" in text
 
 
 class TestValidateCalibrate:
