@@ -48,6 +48,7 @@ from .routing import qtable_to_dict
 from .scenario import (
     load_scenario,
     parse_scenario,
+    read_scenario,
     save_scenario,
     scenario_to_dict,
     validate_scenario,
@@ -97,29 +98,16 @@ def _exit_code_for(exc: Exception) -> int:
     return 1
 
 
-def _read_scenario_doc(path_str: str) -> dict:
-    """Decode a scenario document from disk or the bundled fixtures."""
-    p = Path(path_str)
+def _scenario_path(name: str) -> Path:
+    """The scenario file `name`, else the bundled fixture of that name."""
+    p = Path(name)
     if p.exists():
-        try:
-            return json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"invalid JSON: {exc.msg}", locus=f"{p}:{exc.lineno}:{exc.colno}"
-            ) from exc
-    if "/" not in path_str:
-        bundled = _FIXTURES / path_str
+        return p
+    if "/" not in name:
+        bundled = _FIXTURES / name
         if bundled.is_file():
-            return json.loads(bundled.read_text(encoding="utf-8"))
-    raise FileNotFoundError(f"scenario file not found: {path_str}")
-
-
-def _resolve_scenario(path_str: str):
-    """Load and validate a scenario, falling back to the bundled fixtures."""
-    p = Path(path_str)
-    if p.exists():
-        return load_scenario(p)
-    return parse_scenario(_read_scenario_doc(path_str))
+            return bundled
+    raise FileNotFoundError(f"scenario file not found: {name}")
 
 
 def _read_manifest(p: Path) -> tuple[dict, RunResult]:
@@ -183,7 +171,7 @@ def _timestamp() -> str:
 
 
 def cmd_run(args) -> int:
-    s = _resolve_scenario(args.scenario)
+    s = load_scenario(_scenario_path(args.scenario))
     seed = args.seed if args.seed is not None else s.rng_seed
     s = dataclasses.replace(s, rng_seed=seed)
     result, artifacts = run_full(s, args.mode)
@@ -319,7 +307,7 @@ def cmd_table3(args) -> int:
 
 def cmd_validate(args) -> int:
     # bypass load_scenario's fail-fast so every finding gets listed
-    s = parse_scenario(_read_scenario_doc(args.scenario))
+    s = read_scenario(_scenario_path(args.scenario))
     diagnostics = validate_scenario(s)
     for d in diagnostics:
         print(d)
@@ -331,7 +319,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    s = _resolve_scenario(args.scenario)
+    s = load_scenario(_scenario_path(args.scenario))
     if s.facility is None or not s.targets:
         raise ValidationError(
             "calibration needs a scenario with a facility and recovery targets"

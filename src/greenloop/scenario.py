@@ -375,8 +375,8 @@ def parse_scenario(doc: Mapping) -> ScenarioSpec:
     )
 
 
-def load_scenario(path: str | Path) -> ScenarioSpec:
-    """Read, parse, and validate a scenario file."""
+def read_scenario(path: str | Path) -> ScenarioSpec:
+    """Read and parse a scenario file, leaving its values unvalidated."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -388,7 +388,12 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
         raise ParseError(
             f"invalid JSON: {exc.msg}", locus=f"{p}:{exc.lineno}:{exc.colno}"
         ) from exc
-    spec = parse_scenario(doc)
+    return parse_scenario(doc)
+
+
+def load_scenario(path: str | Path) -> ScenarioSpec:
+    """Read, parse, and validate a scenario file."""
+    spec = read_scenario(path)
     diagnostics = validate_scenario(spec)
     if diagnostics:
         first = diagnostics[0]

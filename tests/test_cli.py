@@ -1,9 +1,11 @@
 """CLI tests: subcommands, exit codes, persistence, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from greenloop import cli
 from greenloop.cli import main
 from greenloop.serialize import read_json
 
@@ -285,6 +287,39 @@ class TestValidateCalibrate:
         out = capsys.readouterr().out
         assert "fractions sum > 1" in out
         assert "problem" in out
+
+    @pytest.fixture
+    def bad_fixtures(self, tmp_path, monkeypatch):
+        """Bundled fixtures replaced by an invalid and an undecodable one."""
+        doc = json.loads(
+            (cli._FIXTURES / "battery_framework.json").read_text("utf-8")
+        )
+        doc["materials"][0]["composition"] = {"cobalt": 0.6, "nickel": 0.6}
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "invalid.json").write_text(json.dumps(doc), "utf-8")
+        (fixtures / "undecodable.json").write_text("{not json", "utf-8")
+        monkeypatch.setattr(cli, "_FIXTURES", fixtures)
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize("command", ["run", "calibrate", "validate"])
+    @pytest.mark.parametrize("name", ["invalid.json", "undecodable.json"])
+    def test_bundled_fixture_validated(self, bad_fixtures, capsys, command, name):
+        argv = [command, "--scenario", name, "--out", "out"]
+        if command == "run":
+            argv += ["--mode", "framework"]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        if name == "invalid.json":
+            assert "fractions sum > 1" in captured.out + captured.err
+        else:
+            assert "invalid JSON" in captured.err
+        assert not (Path("out") / "calibrated_scenario.json").exists()
+        assert not list(Path("out").glob("*/manifest.json"))
+
+    def test_working_directory_file_before_fixture(self, bad_fixtures, capsys):
+        Path("invalid.json").write_text(json.dumps({"rng_seed": 3}), "utf-8")
+        assert main(["validate", "--scenario", "invalid.json"]) == 0
 
     def test_calibrate_writes_scenario(self, tmp_path, capsys):
         out = tmp_path / "cal"
