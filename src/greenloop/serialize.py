@@ -56,12 +56,14 @@ class _Unsupported(Exception):
 def _records(items: list, inner: str) -> str | None:
     """Text of the items of a list of flat dicts sharing one key set.
 
-    None when the items are not all plain dicts with the first one's str
-    keys and scalar values only.
+    None when the items are not all plain dicts with the first one's
+    nonempty set of str keys and scalar values only.
     """
     first = items[0]
-    if any(type(row) is not dict for row in items) or any(
-        type(k) is not str for k in first
+    if (
+        not first
+        or any(type(row) is not dict for row in items)
+        or any(type(k) is not str for k in first)
     ):
         return None
     keys = sorted(first)
@@ -91,8 +93,6 @@ def _records(items: list, inner: str) -> str | None:
             columns.append(cells)
     except KeyError:
         return None
-    if not keys:
-        return ("," + inner).join(["{}"] * len(items))
     field = inner + " "
     template = (
         "{"
