@@ -1,5 +1,7 @@
 """Shared pytest wiring: collect acceptance one-liners for the summary."""
 
+pytest_plugins = ["pytester"]
+
 ACCEPTANCE_LINES: list[str] = []
 
 
