@@ -61,17 +61,37 @@ def run_result_to_dict(r: RunResult) -> dict:
     return doc
 
 
+def _number(name: str, value):
+    """A numeric metric value as stored; bools and non-numbers raise TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"metric {name!r} must be a number, got {value!r}")
+    return value
+
+
+def _optional_number(name: str, value):
+    return None if value is None else _number(name, value)
+
+
 def run_result_from_dict(doc: Mapping) -> RunResult:
+    """The run a metrics document records; a non-numeric metric raises TypeError."""
     return RunResult(
         mode=doc["mode"],
         seed=doc["seed"],
-        recovery=dict(doc["recovery"]),
-        process_energy_kwh=doc["process_energy_kwh"],
+        recovery={
+            el: _number(f"recovery.{el}", v) for el, v in dict(doc["recovery"]).items()
+        },
+        process_energy_kwh=_number("process_energy_kwh", doc["process_energy_kwh"]),
         pipeline_energy=ledger_from_dict(doc["pipeline_energy"]),
-        co2_kg=doc["co2_kg"],
-        classification_accuracy=doc.get("classification_accuracy"),
-        transport_emissions_kg=doc.get("transport_emissions_kg"),
-        waste_reduction_fraction=doc["waste_reduction_fraction"],
+        co2_kg=_number("co2_kg", doc["co2_kg"]),
+        classification_accuracy=_optional_number(
+            "classification_accuracy", doc.get("classification_accuracy")
+        ),
+        transport_emissions_kg=_optional_number(
+            "transport_emissions_kg", doc.get("transport_emissions_kg")
+        ),
+        waste_reduction_fraction=_number(
+            "waste_reduction_fraction", doc["waste_reduction_fraction"]
+        ),
         timings={},
     )
 

@@ -132,6 +132,10 @@ class TestCompare:
             {**METRICS, "pipeline_energy": {}},
             {**METRICS, "pipeline_energy": {"total_kwh": 0.0, "stages": [{}]}},
             {**METRICS, "recovery": 5},
+            {**METRICS, "process_energy_kwh": "x"},
+            {**METRICS, "co2_kg": True},
+            {**METRICS, "recovery": {"cobalt": "0.9"}},
+            {**METRICS, "transport_emissions_kg": [1.0]},
         ],
     )
     def test_incomplete_metrics_exit_3(self, tmp_path, capsys, metrics):
