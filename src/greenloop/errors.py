@@ -90,6 +90,10 @@ class NoGraph(TwinError):
     """Bin simulation requested on a scenario without a collection graph."""
 
 
+class StepBudgetExceeded(TwinError):
+    """A facility run would take more throughput-sized steps than the twin allows."""
+
+
 # --- classifier ----------------------------------------------------------------
 
 class ClassifierError(GreenloopError):

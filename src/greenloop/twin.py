@@ -26,13 +26,17 @@ import numpy as np
 
 from .carbon import ActivityLedger
 from .classify import FEATURES, WASTE_CATEGORIES
-from .errors import NoGraph
+from .errors import NoGraph, StepBudgetExceeded
 
 if TYPE_CHECKING:
     from .scenario import ScenarioSpec
 
 ELEMENTS = ("cobalt", "lithium", "nickel", "other")
 JITTER_AMPLITUDE = 0.05
+# Most throughput-sized chunks one facility run may take. Every step keeps a
+# TraceStep per station, so the budget bounds time and memory alike; the
+# bundled battery fixtures take 30.
+MAX_FACILITY_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -195,7 +199,11 @@ def _element_masses(material, rng) -> dict[str, float]:
 
 
 def simulate_recycling(s: "ScenarioSpec", f: FacilityModel) -> SimulationTrace:
-    """Run battery-cell materials through the station pipeline."""
+    """Run battery-cell materials through the station pipeline.
+
+    Raises StepBudgetExceeded, before simulating, when the cells need more
+    than MAX_FACILITY_STEPS chunks of the facility's throughput.
+    """
     rng = np.random.default_rng([s.rng_seed, 1])
     cells = [m for m in s.materials if m.category == "battery-cell"]
 
@@ -205,6 +213,12 @@ def simulate_recycling(s: "ScenarioSpec", f: FacilityModel) -> SimulationTrace:
         for el in ELEMENTS:
             totals[el] += masses[el]
     total_kg = sum(totals.values())
+    chunks = total_kg / f.throughput_kg_per_step
+    if chunks > MAX_FACILITY_STEPS:
+        raise StepBudgetExceeded(
+            f"{total_kg:g} kg at {f.throughput_kg_per_step:g} kg per step needs "
+            f"{chunks:.3g} steps, over the budget of {MAX_FACILITY_STEPS:,}"
+        )
 
     steps: list[TraceStep] = []
     recovered_totals = {el: 0.0 for el in ELEMENTS}

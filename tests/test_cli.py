@@ -71,6 +71,22 @@ class TestRun:
         assert "missing.json" in err
         assert err.count("\n") == 1
 
+    def test_facility_step_budget_exit_10(self, tmp_path, capsys):
+        doc = json.loads(
+            (cli._FIXTURES / "battery_framework.json").read_text("utf-8")
+        )
+        doc["facility"]["throughput_kg_per_step"] = 1e-9
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(
+            ["run", "--scenario", str(path), "--mode", "framework",
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 10
+        err = capsys.readouterr().err
+        assert "stage 'simulate' failed" in err
+        assert "budget" in err
+
     def test_bad_mode_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["run", "--scenario", "alloc_small.json", "--mode", "warp"])

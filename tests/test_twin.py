@@ -1,6 +1,7 @@
 """Facility and bin simulator tests: conservation, limits, determinism."""
 
 import dataclasses
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenloop.classify import FEATURES
-from greenloop.errors import NoGraph
-from greenloop.scenario import MaterialSpec, ScenarioSpec, parse_scenario
+from greenloop import twin
+from greenloop.errors import NoGraph, StepBudgetExceeded
+from greenloop.scenario import MaterialSpec, ScenarioSpec, load_scenario, parse_scenario
 from greenloop.twin import (
     DEFAULT_WASTE_STREAM,
     ELEMENTS,
@@ -84,6 +86,33 @@ class TestFacilityInvariants:
     def test_nonpositive_throughput(self):
         with pytest.raises(ValueError, match="throughput"):
             FacilityModel(stations=(), throughput_kg_per_step=0.0)
+
+
+class TestStepBudget:
+    """20 cells of 15 kg: 300 kg, so 100 kg per step takes exactly 3 steps."""
+
+    def test_budget_reached_exactly_runs(self, monkeypatch):
+        monkeypatch.setattr(twin, "MAX_FACILITY_STEPS", 3)
+        trace = simulate_recycling(battery_scenario(), one_station_facility())
+        assert len(trace.steps) == 3
+
+    def test_one_step_over_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(twin, "MAX_FACILITY_STEPS", 2)
+        with pytest.raises(StepBudgetExceeded, match="budget of 2"):
+            simulate_recycling(battery_scenario(), one_station_facility())
+
+    def test_tiny_throughput_fails_before_simulating(self):
+        # 15 t at 1e-9 kg per step would be 1.5e13 steps.
+        s = battery_scenario(1000)
+        with pytest.raises(StepBudgetExceeded, match="1.5e\\+13 steps"):
+            simulate_recycling(s, one_station_facility(throughput=1e-9))
+
+    def test_bundled_fixtures_within_budget(self):
+        for name in ("battery_baseline.json", "battery_framework.json"):
+            s = load_scenario(str(resources.files("greenloop") / "fixtures" / name))
+            cells_kg = sum(m.mass_kg for m in s.materials if m.category == "battery-cell")
+            steps = cells_kg / s.facility.throughput_kg_per_step
+            assert 1000 * steps < twin.MAX_FACILITY_STEPS
 
 
 class TestSimulateRecycling:
