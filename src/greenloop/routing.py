@@ -8,9 +8,18 @@ complete collection loops. Exploration is epsilon-greedy with a linear
 anneal; all randomness comes from one seeded generator, so training is
 deterministic.
 
+That generator is numpy's PCG64 `Generator` stream, replayed in Python
+(`_Draws`) from raw 64-bit outputs drawn in bulk: the episode loop makes
+one scalar draw per step, and a `Generator` method call costs far more
+than the arithmetic that turns a raw output into the same value. NEP 19
+promises no stream stability across numpy versions, so a differential
+test against `Generator.random` and `Generator.integers` guards the
+replay on whichever numpy is installed.
+
 The table is a plain dict keyed by (current, visited, action) tuples,
 which hash in C. Training computes every leg's emissions and each node's
-reachable bins once per graph, so the episode loop does no edge lookups.
+reachable bins once per graph, so the episode loop does no edge lookups,
+and builds each state's action keys once, on its first visit.
 
 Every non-depot node is treated as requiring service. The tabular table
 caps at 16 bins; larger cities are split into districts upstream.
@@ -18,8 +27,8 @@ caps at 16 bins; larger cities are split into districts upstream.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from itertools import chain, permutations, repeat
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -27,6 +36,8 @@ import numpy as np
 from .errors import DisconnectedGraph, MissingEdge, StateSpaceTooLarge
 
 MAX_TABULAR_BINS = 16
+_RAW_CHUNK = 4096
+_TWO_TO_MINUS_53 = 1.0 / 9007199254740992.0
 
 
 @dataclass(frozen=True)
@@ -170,6 +181,46 @@ def _check_reachable(
         raise DisconnectedGraph(f"bins unreachable from depot: {missing}")
 
 
+class _Draws:
+    """numpy's Generator.random() and .integers(k) for 1 <= k <= 2**32,
+    replayed from the raw 64-bit outputs of the same seeded PCG64.
+
+    random() is the top 53 bits of one output. integers(k) is Lemire's
+    multiply-shift on a 32-bit value: the low half of a fresh output, whose
+    high half is kept for the next 32-bit draw (64-bit draws leave it in
+    place), with rejection below (2**32 - k) % k. integers(1) draws nothing.
+    """
+
+    def __init__(self, seed: int):
+        bits = np.random.default_rng(seed).bit_generator
+        self._next64 = chain.from_iterable(
+            iter(lambda: bits.random_raw(_RAW_CHUNK).tolist(), None)
+        ).__next__
+        self._half: int | None = None
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * _TWO_TO_MINUS_53
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is None:
+            u = self._next64()
+            self._half = u >> 32
+            return u & 0xFFFFFFFF
+        self._half = None
+        return half
+
+    def integers(self, k: int) -> int:
+        if k == 1:
+            return 0
+        m = self._next32() * k
+        if m & 0xFFFFFFFF < k:
+            threshold = (0x100000000 - k) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * k
+        return m >> 32
+
+
 def train_routing(
     g: CollectionGraph, cfg: RLConfig, initial: QTable | None = None
 ) -> QTable:
@@ -192,12 +243,18 @@ def train_routing(
 
     bit = {b: 1 << i for i, b in enumerate(bins)}
     full = (1 << len(bins)) - 1
-    rng = np.random.default_rng(cfg.rng_seed)
+    draws = _Draws(cfg.rng_seed)
+    random, integers = draws.random, draws.integers
     values: dict[tuple[str, int, str], float] = (
         dict(initial.values) if initial is not None else {}
     )
+    get = values.get
     lr, discount = cfg.learning_rate, cfg.discount
-    first_candidates = [b for b, _ in adjacency[depot]]
+    # The open action keys of each (node, visited) state, built on first
+    # visit; these tuples are the keys stored in `values`.
+    state_keys: dict[tuple[str, int], list[tuple[str, int, str]]] = {}
+    first_keys = [(depot, 0, b) for b, _ in adjacency[depot]]
+    no_keys: list[tuple[str, int, str]] = []
 
     for episode in range(cfg.episodes):
         if cfg.episodes > 1:
@@ -207,21 +264,18 @@ def train_routing(
         epsilon = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * frac
 
         current, visited = depot, 0
-        candidates = first_candidates
+        keys = first_keys
         trajectory = []
         while visited != full:
-            if not candidates:
+            if not keys:
                 raise DisconnectedGraph(f"no unvisited bin reachable from {current!r}")
-            if rng.random() < epsilon:
-                action = candidates[int(rng.integers(len(candidates)))]
+            if random() < epsilon:
+                key = keys[integers(len(keys))]
             else:
-                action = candidates[0]
-                best = values.get((current, visited, action), 0.0)
-                for b in candidates[1:]:
-                    v = values.get((current, visited, b), 0.0)
-                    if v > best:
-                        best = v
-                        action = b
+                # index(max) keeps the first maximum, as a `>` scan would.
+                vals = list(map(get, keys, repeat(0.0)))
+                key = keys[vals.index(max(vals))]
+            action = key[2]
             reward = -legs[(current, action)]
             next_visited = visited | bit[action]
             if next_visited == full:
@@ -229,22 +283,25 @@ def train_routing(
                 if (action, depot) not in legs:
                     raise MissingEdge(f"no edge between {action!r} and {depot!r}")
                 reward -= legs[(action, depot)]
-                next_candidates = []
+                next_keys = no_keys
             else:
-                next_candidates = [
-                    b for b, mask in adjacency[action] if not next_visited & mask
-                ]
-            trajectory.append((current, visited, action, reward, next_visited, next_candidates))
-            current, visited, candidates = action, next_visited, next_candidates
+                next_keys = state_keys.get((action, next_visited))
+                if next_keys is None:
+                    next_keys = state_keys[(action, next_visited)] = [
+                        (action, next_visited, b)
+                        for b, mask in adjacency[action]
+                        if not next_visited & mask
+                    ]
+            trajectory.append((key, reward, next_keys))
+            current, visited, keys = action, next_visited, next_keys
         # Apply the updates newest-first so the forced return leg reaches
-        # the early decisions within a single episode. An empty candidate
-        # list (the all-visited state) zeroes the bootstrap term.
-        for s_current, s_visited, a, r, n_visited, n_candidates in reversed(trajectory):
+        # the early decisions within a single episode. An empty key list
+        # (the all-visited state) zeroes the bootstrap term.
+        for key, r, n_keys in reversed(trajectory):
             best_next = 0.0
-            if n_candidates:
-                best_next = max(values.get((a, n_visited, nb), 0.0) for nb in n_candidates)
-            key = (s_current, s_visited, a)
-            old = values.get(key, 0.0)
+            if n_keys:
+                best_next = max(map(get, n_keys, repeat(0.0)))
+            old = get(key, 0.0)
             values[key] = old + lr * (r + discount * best_next - old)
 
     return QTable(values=values)
@@ -291,7 +348,7 @@ def brute_force_route(g: CollectionGraph) -> tuple[tuple[str, ...], float]:
     depot = g.depot
     best_route = (depot, depot)
     best_cost = 0.0 if not bins else float("inf")
-    for perm in itertools.permutations(bins):
+    for perm in permutations(bins):
         route = (depot, *perm, depot)
         try:
             cost = route_emissions(g, route)

@@ -16,6 +16,7 @@ from greenloop.routing import (
     EdgeAttrs,
     QTable,
     RLConfig,
+    _Draws,
     brute_force_route,
     greedy_route,
     qtable_from_dict,
@@ -364,6 +365,38 @@ def outcome(fn, *args):
         return fn(*args)
     except (DisconnectedGraph, MissingEdge) as exc:
         return type(exc).__name__, str(exc)
+
+
+# A call is None for random() or k for integers(k). Lemire's rejection only
+# fires often when k is above 2**31; k == 1 must consume no draw.
+draw_calls = st.lists(
+    st.none() | st.just(1) | st.integers(2, 16) | st.integers(2**31, 2**32 - 1),
+    max_size=60,
+)
+
+
+class TestDrawsReplay:
+    """_Draws returns what numpy's Generator returns for the same calls."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(seed=st.integers(0, 2**64 - 1), calls=draw_calls)
+    def test_matches_numpy_generator(self, seed, calls):
+        rng = np.random.default_rng(seed)
+        draws = _Draws(seed)
+        for k in calls:
+            if k is None:
+                assert draws.random() == rng.random()
+            else:
+                assert draws.integers(k) == int(rng.integers(k))
+        # the streams are still aligned after the last call
+        assert draws.random() == rng.random()
+
+    def test_refills_past_one_chunk(self):
+        rng = np.random.default_rng(3)
+        draws = _Draws(3)
+        got = [(draws.random(), draws.integers(5), draws.integers(7)) for _ in range(5000)]
+        want = [(rng.random(), int(rng.integers(5)), int(rng.integers(7))) for _ in range(5000)]
+        assert got == want
 
 
 class TestReferenceEquivalence:
