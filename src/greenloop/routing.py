@@ -182,10 +182,11 @@ def _check_reachable(
 
 
 class _Draws:
-    """numpy's Generator.random() and .integers(k) for 1 <= k <= 2**32,
-    replayed from the raw 64-bit outputs of the same seeded PCG64.
+    """numpy's Generator.random() and .integers(k) replayed from raw draws.
 
-    random() is the top 53 bits of one output. integers(k) is Lemire's
+    The values equal those of np.random.default_rng(seed) making the same
+    calls, for 1 <= k <= 2**32, computed from the raw 64-bit outputs of its
+    PCG64. random() is the top 53 bits of one output. integers(k) is Lemire's
     multiply-shift on a 32-bit value: the low half of a fresh output, whose
     high half is kept for the next 32-bit draw (64-bit draws leave it in
     place), with rejection below (2**32 - k) % k. integers(1) draws nothing.
