@@ -236,15 +236,6 @@ def predict_record(model: SoftmaxModel, raw: Mapping[str, float]) -> tuple[str, 
     return predict(model, featurize(raw, model.norm_stats))
 
 
-def evaluate_accuracy(
-    model: SoftmaxModel, data: Sequence[tuple[np.ndarray, str]]
-) -> float:
-    if not data:
-        raise EmptyDataset("no evaluation data")
-    correct = sum(1 for vec, label in data if predict(model, vec)[0] == label)
-    return correct / len(data)
-
-
 def evaluate_accuracy_records(
     model: SoftmaxModel, records: Sequence[tuple[Mapping[str, float], str]]
 ) -> float:

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import datetime
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -46,6 +47,7 @@ from .report import (
 )
 from .routing import qtable_to_dict
 from .scenario import (
+    is_rng_seed,
     load_scenario,
     parse_scenario,
     read_scenario,
@@ -142,7 +144,9 @@ def _load_expectations(arg: str, baseline, framework):
 
     "auto" picks the bundled battery or waste reference table by the shape
     of the runs: element recovery means the battery study, transport
-    emissions the waste study. Anything else is a file path.
+    emissions the waste study. Anything else is a file path whose object
+    maps metric keys to {"form": "pp"|"relative", "value": number}; any
+    other shape raises ManifestUnreadable.
     """
     if arg == "none":
         return None
@@ -161,9 +165,23 @@ def _load_expectations(arg: str, baseline, framework):
             (_FIXTURES / f"expectations_{arg}.json").read_text(encoding="utf-8")
         )
     try:
-        return read_json(arg)
+        doc = read_json(arg)
     except (OSError, json.JSONDecodeError) as exc:
         raise ManifestUnreadable(f"expectations not readable: {arg} ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ManifestUnreadable(f"expectations {arg}: must map metric keys to entries")
+    for metric, entry in doc.items():
+        if not isinstance(entry, dict) or entry.get("form") not in ("pp", "relative"):
+            raise ManifestUnreadable(
+                f"expectations {arg}: {metric!r} needs a 'form' of 'pp' or 'relative'"
+            )
+        value = entry.get("value")
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (numeric and math.isfinite(value)):
+            raise ManifestUnreadable(
+                f"expectations {arg}: {metric!r} needs a finite numeric 'value'"
+            )
+    return doc
 
 
 def _timestamp() -> str:
@@ -339,13 +357,20 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A --seed value, held to the range a scenario's rng_seed must lie in."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
+    if not is_rng_seed(seed):
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the scenario rng seed")
-    common.add_argument("--out", default="out", help="output directory (default: out)")
-    common.add_argument(
-        "--format", choices=("md", "csv"), default="md", help="stdout table format"
-    )
+    with_out = argparse.ArgumentParser(add_help=False)
+    with_out.add_argument("--out", default="out", help="output directory (default: out)")
 
     parser = argparse.ArgumentParser(
         prog="greenloop",
@@ -356,12 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"greenloop {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", parents=[common], help="execute one pipeline run")
+    p = sub.add_parser("run", parents=[with_out], help="execute one pipeline run")
     p.add_argument("--scenario", required=True, help="scenario file or bundled fixture name")
     p.add_argument("--mode", required=True, choices=("baseline", "framework"))
+    p.add_argument("--seed", type=_seed, default=None, help="override the scenario rng seed")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("compare", parents=[common], help="compare two persisted runs")
+    p = sub.add_parser("compare", parents=[with_out], help="compare two persisted runs")
     p.add_argument("--baseline", required=True, help="baseline manifest file or run dir")
     p.add_argument("--framework", required=True, help="framework manifest file or run dir")
     p.add_argument(
@@ -370,9 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH|auto|battery|waste|none",
         help="reference deltas to annotate against (default: auto)",
     )
+    p.add_argument("--format", choices=("md", "csv"), default="md", help="stdout table format")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("chart", parents=[common], help="render an SVG bar chart")
+    p = sub.add_parser("chart", parents=[with_out], help="render an SVG bar chart")
     p.add_argument("--baseline", required=True, help="baseline manifest file or run dir")
     p.add_argument("--framework", required=True, help="framework manifest file or run dir")
     p.add_argument("--kind", choices=CHART_KINDS, default="recovery")
@@ -380,16 +407,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chart)
 
     p = sub.add_parser(
-        "table3", parents=[common], help="render the method-comparison table"
+        "table3", parents=[with_out], help="render the method-comparison table"
     )
     p.set_defaults(func=cmd_table3)
 
-    p = sub.add_parser("validate", parents=[common], help="lint a scenario file")
+    p = sub.add_parser("validate", help="lint a scenario file")
     p.add_argument("--scenario", required=True, help="scenario file or bundled fixture name")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser(
-        "calibrate", parents=[common], help="tune facility efficiencies to targets"
+        "calibrate", parents=[with_out], help="tune facility efficiencies to targets"
     )
     p.add_argument("--scenario", required=True, help="scenario file or bundled fixture name")
     p.add_argument("--tol", type=float, default=0.005, help="target tolerance")

@@ -9,6 +9,7 @@ separate quantity from the facility process energy the digital twin reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -40,24 +41,36 @@ class EnergyLedger:
     total_kwh: float = 0.0
 
 
+# Processor-seconds and megabytes moved per workload unit of each pipeline
+# stage: deterministic stand-ins for wall-clock measurement, so the ledger is
+# byte-stable across hosts.
+UNIT_COSTS = {
+    "preprocess": (0.0002, 0.002),
+    "simulate": (0.0005, 0.001),
+    "optimize": (0.002, 0.0005),
+    "route": (0.00005, 0.00001),
+    "carbon": (0.0001, 0.0005),
+    "metrics": (0.001, 0.01),
+}
+
+
 @dataclass(frozen=True)
 class UsagePlan:
     """Energy model plus fixed per-stage usage, for machine-independent runs.
 
-    When a scenario carries a plan, pipeline stages report these synthetic
-    costs instead of wall-clock measurements, keeping metrics byte-stable
-    across hosts. Stages absent from the plan report zero usage.
+    A stage named in stage_costs reports that usage; any other stage reports
+    its UNIT_COSTS times the workload it handled.
     """
 
     model: EnergyModel
-    stage_costs: "dict[str, StageUsage] | None" = None
+    stage_costs: Mapping[str, StageUsage] = field(default_factory=dict)
 
-    def usage_for(self, stage_name: str) -> StageUsage:
-        costs = self.stage_costs or {}
-        if stage_name in costs:
-            u = costs[stage_name]
+    def usage_for(self, stage_name: str, workload: float) -> StageUsage:
+        if stage_name in self.stage_costs:
+            u = self.stage_costs[stage_name]
             return StageUsage(stage_name, u.compute_seconds, u.transferred_mb)
-        return StageUsage(stage_name)
+        seconds, mb = UNIT_COSTS[stage_name]
+        return StageUsage(stage_name, seconds * workload, mb * workload)
 
 
 def energy_of(model: EnergyModel, usage: StageUsage) -> float:

@@ -5,9 +5,8 @@ carbon, metrics over one scenario, in one of two modes. Framework mode
 trains the softmax classifier, solves the allocation MILP, and learns
 collection routes per district; baseline mode substitutes the weight-rule
 classifier, declaration-order allocation, and the naive lowest-id route.
-Stage energy is metered with synthetic workload-derived usage so results
-are identical across machines; wall-clock timings are kept out of the
-serialized metrics for the same reason.
+Stage energy is metered from each stage's workload (energy.UsagePlan),
+never from wall-clock time, so results are identical across machines.
 
 compare_runs turns a baseline/framework pair into labeled deltas. Every
 percentage metric reports both the percentage-point change and the
@@ -21,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -33,7 +31,7 @@ from .classify import (
     rule_classify,
     train_on_records,
 )
-from .energy import EnergyLedger, EnergyModel, StageUsage, UsagePlan, record_stage
+from .energy import EnergyLedger, EnergyModel, UsagePlan, record_stage
 from .errors import (
     GreenloopError,
     MissingArtifacts,
@@ -59,25 +57,6 @@ DISTRICT_MAX_BINS = 10
 FEEDBACK_EPISODES = 1000
 
 STAGE_ORDER = ("preprocess", "simulate", "optimize", "route", "carbon", "metrics")
-
-# Synthetic per-workload-unit stage costs: deterministic stand-ins for
-# wall-clock measurement, so the energy ledger is byte-stable across hosts.
-_SECONDS_PER_UNIT = {
-    "preprocess": 0.0002,
-    "simulate": 0.0005,
-    "optimize": 0.002,
-    "route": 0.00005,
-    "carbon": 0.0001,
-    "metrics": 0.001,
-}
-_MB_PER_UNIT = {
-    "preprocess": 0.002,
-    "simulate": 0.001,
-    "optimize": 0.0005,
-    "route": 0.00001,
-    "carbon": 0.0005,
-    "metrics": 0.01,
-}
 
 
 class Mode(enum.Enum):
@@ -107,7 +86,6 @@ class RunResult:
     classification_accuracy: float | None
     transport_emissions_kg: float | None
     waste_reduction_fraction: float
-    timings: Mapping[str, float]
 
 
 @dataclass(frozen=True)
@@ -137,17 +115,6 @@ class MetricDelta:
 class ImprovementReport:
     deltas: tuple[MetricDelta, ...]
     annotations: tuple[str, ...]
-
-
-def _stage_usage(plan: UsagePlan, stage: str, workload: float) -> StageUsage:
-    configured = plan.stage_costs or {}
-    if stage in configured:
-        return plan.usage_for(stage)
-    return StageUsage(
-        stage_name=stage,
-        compute_seconds=_SECONDS_PER_UNIT[stage] * workload,
-        transferred_mb=_MB_PER_UNIT[stage] * workload,
-    )
 
 
 def _split_records(events, horizon: int):
@@ -253,16 +220,9 @@ def run_full(
         )
 
     plan = s.energy_model or UsagePlan(model=EnergyModel())
-    ledger = EnergyLedger()
-    timings: dict[str, float] = {}
-
-    def meter(stage: str, workload: float, started: float):
-        nonlocal ledger
-        timings[stage] = time.perf_counter() - started
-        ledger = record_stage(ledger, plan.model, _stage_usage(plan, stage, workload))
+    workload: dict[str, float] = {}
 
     # preprocess: generate the sensor stream, split it, fit the classifier
-    t0 = time.perf_counter()
     classifier: SoftmaxModel | None = None
     accuracy: float | None = None
     events = ()
@@ -278,20 +238,18 @@ def run_full(
                 accuracy = hits / len(eval_recs) if eval_recs else None
     except GreenloopError as exc:
         raise StageError("preprocess", exc) from exc
-    meter("preprocess", float(len(events)), t0)
+    workload["preprocess"] = float(len(events))
 
     # simulate: push battery-cell mass through the facility
-    t0 = time.perf_counter()
     trace: SimulationTrace | None = None
     try:
         if has_cells and s.facility is not None:
             trace = simulate_recycling(s, s.facility)
     except GreenloopError as exc:
         raise StageError("simulate", exc) from exc
-    meter("simulate", float(len(trace.steps)) if trace else 0.0, t0)
+    workload["simulate"] = float(len(trace.steps)) if trace else 0.0
 
     # optimize: allocate process levels
-    t0 = time.perf_counter()
     allocation: dict[str, float] | None = None
     try:
         if s.processes:
@@ -305,14 +263,13 @@ def run_full(
                 allocation = _declaration_fill(s)
     except GreenloopError as exc:
         raise StageError("optimize", exc) from exc
-    meter("optimize", float(len(s.processes)), t0)
+    workload["optimize"] = float(len(s.processes))
 
     # route: plan the collection tour(s)
-    t0 = time.perf_counter()
     qtables: tuple[QTable, ...] = ()
     routes: tuple[tuple[str, ...], ...] = ()
     transport: float | None = None
-    route_workload = 0.0
+    workload["route"] = 0.0
     try:
         g = s.collection_graph
         if g is not None and g.bin_ids():
@@ -320,28 +277,25 @@ def run_full(
                 districts = partition_districts(g, DISTRICT_MAX_BINS)
                 episodes = RLConfig().episodes
                 qtables, routes, transport = _train_districts(districts, seed, episodes)
-                route_workload = float(episodes * len(districts))
+                workload["route"] = float(episodes * len(districts))
             else:
                 naive = (g.depot, *g.bin_ids(), g.depot)
                 routes = (naive,)
                 transport = route_emissions(g, naive)
-                route_workload = float(len(g.bin_ids()))
+                workload["route"] = float(len(g.bin_ids()))
     except GreenloopError as exc:
         raise StageError("route", exc) from exc
-    meter("route", route_workload, t0)
 
     # carbon: facility activity footprint plus transport legs
-    t0 = time.perf_counter()
     try:
         activity = trace.activity_ledger if trace else ActivityLedger()
         co2 = carbon_footprint(s.emission_factors, activity).total_kg
         co2 += transport or 0.0
     except GreenloopError as exc:
         raise StageError("carbon", exc) from exc
-    meter("carbon", float(len(activity.entries)), t0)
+    workload["carbon"] = float(len(activity.entries))
 
     # metrics: assemble the result
-    t0 = time.perf_counter()
     recovery: dict[str, float] = {}
     process_energy = 0.0
     waste_reduction = 0.0
@@ -358,7 +312,11 @@ def run_full(
         total_in = sum(trace.input_totals.values())
         if total_in > 0:
             waste_reduction = 1.0 - trace.residual_kg / total_in
-    meter("metrics", 1.0, t0)
+    workload["metrics"] = 1.0
+
+    ledger = EnergyLedger()
+    for stage in STAGE_ORDER:
+        ledger = record_stage(ledger, plan.model, plan.usage_for(stage, workload[stage]))
 
     result = RunResult(
         mode=m.value,
@@ -370,7 +328,6 @@ def run_full(
         classification_accuracy=accuracy,
         transport_emissions_kg=transport,
         waste_reduction_fraction=waste_reduction,
-        timings=timings,
     )
     artifacts = RunArtifacts(
         version=1,

@@ -40,11 +40,7 @@ def format_signed(v: float) -> str:
 
 
 def run_result_to_dict(r: RunResult) -> dict:
-    """Serializable metrics snapshot.
-
-    Wall-clock timings are deliberately excluded: they vary per host and
-    would break byte-determinism of persisted metrics.
-    """
+    """Serializable metrics snapshot."""
     doc = {
         "mode": r.mode,
         "seed": r.seed,
@@ -92,7 +88,6 @@ def run_result_from_dict(doc: Mapping) -> RunResult:
         waste_reduction_fraction=_number(
             "waste_reduction_fraction", doc["waste_reduction_fraction"]
         ),
-        timings={},
     )
 
 

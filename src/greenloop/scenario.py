@@ -28,10 +28,15 @@ from .energy import EnergyModel, StageUsage, UsagePlan
 from .errors import CompileError, Diagnostic, ParseError, ValidationError
 from .routing import BinNode, CollectionGraph, EdgeAttrs
 from .solver import LinearProgram
-from .twin import ELEMENTS, FacilityModel, Station, WasteStreamConfig
+from .twin import ELEMENTS, FacilityModel, Station, WasteStreamConfig, step_budget_problem
 
 MATERIAL_CATEGORIES = ("battery-cell", "plastic", "metal", "organic", "glass", "other")
 LIFECYCLE_STATES = ("collected", "disassembled", "recovered", "residual")
+
+
+def is_rng_seed(value) -> bool:
+    """Whether `value` can seed a run: an unsigned 64-bit integer."""
+    return not isinstance(value, bool) and isinstance(value, int) and 0 <= value < 2**64
 
 
 @dataclass(frozen=True)
@@ -320,7 +325,7 @@ def parse_scenario(doc: Mapping) -> ScenarioSpec:
     _require_keys(doc, TOP_LEVEL_KEYS, {"rng_seed"}, "$")
 
     seed = doc["rng_seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+    if not is_rng_seed(seed):
         raise ParseError("'rng_seed' must be an unsigned 64-bit integer", locus="$")
 
     def seq(key):
@@ -500,6 +505,12 @@ def validate_scenario(s: ScenarioSpec) -> list[Diagnostic]:
                 message=f"integrality names unknown process {pid!r}",
             ))
 
+    if s.facility is not None:
+        cell_kg = sum(m.mass_kg for m in s.materials if m.category == "battery-cell")
+        problem = step_budget_problem(cell_kg, s.facility.throughput_kg_per_step)
+        if problem:
+            out.append(Diagnostic(path="facility.throughput_kg_per_step", message=problem))
+
     return out
 
 
@@ -650,7 +661,7 @@ def scenario_to_dict(s: ScenarioSpec) -> dict:
                     "compute_seconds": usage.compute_seconds,
                     "transferred_mb": usage.transferred_mb,
                 }
-                for stage, usage in sorted((s.energy_model.stage_costs or {}).items())
+                for stage, usage in sorted(s.energy_model.stage_costs.items())
             },
         }
     return doc

@@ -89,7 +89,6 @@ class SimulationTrace:
     recovered_totals: Mapping[str, float]
     residual_kg: float
     activity_ledger: ActivityLedger
-    rng_seed_used: int
     input_totals: Mapping[str, float]
     lost_totals: Mapping[str, float]
     residual_by_element: Mapping[str, float]
@@ -198,6 +197,21 @@ def _element_masses(material, rng) -> dict[str, float]:
     return jittered
 
 
+def step_budget_problem(total_kg: float, throughput_kg_per_step: float) -> str | None:
+    """Why `total_kg` at this throughput is over MAX_FACILITY_STEPS, else None.
+
+    Compares the chunk ratio itself rather than its ceiling, which would
+    fail on an infinite ratio.
+    """
+    chunks = total_kg / throughput_kg_per_step
+    if chunks > MAX_FACILITY_STEPS:
+        return (
+            f"{total_kg:g} kg at {throughput_kg_per_step:g} kg per step needs "
+            f"{chunks:.3g} steps, over the budget of {MAX_FACILITY_STEPS:,}"
+        )
+    return None
+
+
 def simulate_recycling(s: "ScenarioSpec", f: FacilityModel) -> SimulationTrace:
     """Run battery-cell materials through the station pipeline.
 
@@ -213,12 +227,9 @@ def simulate_recycling(s: "ScenarioSpec", f: FacilityModel) -> SimulationTrace:
         for el in ELEMENTS:
             totals[el] += masses[el]
     total_kg = sum(totals.values())
-    chunks = total_kg / f.throughput_kg_per_step
-    if chunks > MAX_FACILITY_STEPS:
-        raise StepBudgetExceeded(
-            f"{total_kg:g} kg at {f.throughput_kg_per_step:g} kg per step needs "
-            f"{chunks:.3g} steps, over the budget of {MAX_FACILITY_STEPS:,}"
-        )
+    problem = step_budget_problem(total_kg, f.throughput_kg_per_step)
+    if problem:
+        raise StepBudgetExceeded(problem)
 
     steps: list[TraceStep] = []
     recovered_totals = {el: 0.0 for el in ELEMENTS}
@@ -272,7 +283,6 @@ def simulate_recycling(s: "ScenarioSpec", f: FacilityModel) -> SimulationTrace:
         recovered_totals=recovered_totals,
         residual_kg=sum(residual.values()),
         activity_ledger=ledger,
-        rng_seed_used=s.rng_seed,
         input_totals=totals,
         lost_totals=lost_totals,
         residual_by_element=residual,

@@ -12,7 +12,7 @@ from greenloop.classify import (
     NormStats,
     SoftmaxModel,
     TrainConfig,
-    evaluate_accuracy,
+    evaluate_accuracy_records,
     featurize,
     fit_norm_stats,
     initial_weights,
@@ -41,6 +41,11 @@ def raw_record(**overrides):
 
 def identity_stats(n=len(FEATURES)):
     return NormStats(means=(0.0,) * n, stds=(1.0,) * n)
+
+
+def as_records(data):
+    """(vector, label) pairs as raw records, which identity stats map back."""
+    return [(dict(zip(FEATURES, vec)), label) for vec, label in data]
 
 
 class TestFeaturize:
@@ -144,7 +149,7 @@ class TestTraining:
     def test_separable_data_reaches_full_accuracy(self):
         data = self.separable_data()
         model = train_classifier(data, TrainConfig())
-        assert evaluate_accuracy(model, data) == 1.0
+        assert evaluate_accuracy_records(model, as_records(data)) == 1.0
 
     def test_duplicated_data_trains_identical_model(self):
         # mean-loss convention: doubling the batch changes only summation order
@@ -245,7 +250,7 @@ class TestEvaluate:
             norm_stats=identity_stats(),
         )
         data = [(np.zeros(6), "always")] * 8
-        assert evaluate_accuracy(m, data) == 1.0
+        assert evaluate_accuracy_records(m, as_records(data)) == 1.0
 
     def test_three_of_four_correct(self):
         m = SoftmaxModel(
@@ -256,7 +261,7 @@ class TestEvaluate:
         )
         ex = lambda v: np.array([v] + [0.0] * 5)
         data = [(ex(1.0), "hi"), (ex(2.0), "hi"), (ex(-1.0), "lo"), (ex(3.0), "lo")]
-        assert evaluate_accuracy(m, data) == 0.75
+        assert evaluate_accuracy_records(m, as_records(data)) == 0.75
 
     def test_empty_rejected(self):
         m = SoftmaxModel(
@@ -264,7 +269,7 @@ class TestEvaluate:
             class_labels=("a", "b"), norm_stats=identity_stats(),
         )
         with pytest.raises(EmptyDataset):
-            evaluate_accuracy(m, [])
+            evaluate_accuracy_records(m, [])
 
 
 class TestRuleBaseline:

@@ -29,6 +29,15 @@ def run_battery(tmp_path, mode):
     return latest[-1].parent
 
 
+def slow_facility(tmp_path):
+    """The battery framework scenario at 1e-9 kg per step: 1.5e13 steps."""
+    doc = json.loads((cli._FIXTURES / "battery_framework.json").read_text("utf-8"))
+    doc["facility"]["throughput_kg_per_step"] = 1e-9
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
 # A metrics document run_result_from_dict accepts.
 METRICS = {
     "mode": "baseline",
@@ -71,21 +80,17 @@ class TestRun:
         assert "missing.json" in err
         assert err.count("\n") == 1
 
-    def test_facility_step_budget_exit_10(self, tmp_path, capsys):
-        doc = json.loads(
-            (cli._FIXTURES / "battery_framework.json").read_text("utf-8")
-        )
-        doc["facility"]["throughput_kg_per_step"] = 1e-9
-        path = tmp_path / "slow.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        code = main(
-            ["run", "--scenario", str(path), "--mode", "framework",
-             "--out", str(tmp_path / "out")]
-        )
-        assert code == 10
+    @pytest.mark.parametrize("command", ["run", "calibrate"])
+    def test_facility_step_budget_exit_4(self, tmp_path, capsys, command):
+        argv = [command, "--scenario", str(slow_facility(tmp_path)),
+                "--out", str(tmp_path / "out")]
+        if command == "run":
+            argv += ["--mode", "framework"]
+        assert main(argv) == 4
         err = capsys.readouterr().err
-        assert "stage 'simulate' failed" in err
-        assert "budget" in err
+        assert "1.5e+13 steps, over the budget" in err
+        assert "facility.throughput_kg_per_step" in err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_mode_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:
@@ -100,6 +105,24 @@ class TestRun:
               "--seed", "77", "--out", str(out)])
         seeds = {read_json(p)["seed"] for p in out.glob("*/manifest.json")}
         assert seeds == {11, 77}
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "seven"])
+    def test_seed_out_of_range_usage_error(self, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--scenario", "alloc_small.json", "--mode", "baseline",
+                  "--seed", seed, "--out", str(out)])
+        assert info.value.code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_runs_and_validates(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", "alloc_small.json", "--mode", "baseline",
+                     "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+        (run_dir,) = out.iterdir()
+        assert read_json(run_dir / "manifest.json")["seed"] == 2**64 - 1
+        assert main(["validate", "--scenario", str(run_dir / "scenario.json")]) == 0
 
 
 class TestCompare:
@@ -173,6 +196,40 @@ class TestCompare:
              "--out", str(tmp_path / "cmp")]
         )
         assert code == 10
+
+    @pytest.mark.parametrize(
+        "expectations",
+        [
+            {"co2_kg": {"value": 1}},
+            {"co2_kg": 5},
+            {"co2_kg": {"form": "relative", "value": "x"}},
+            [1, 2],
+            {"co2_kg": {"form": "relative", "value": True}},
+            {"co2_kg": {"form": "percent", "value": 1}},
+        ],
+    )
+    def test_malformed_expectations_exit_3(self, tmp_path, capsys, expectations):
+        b = run_battery(tmp_path, "baseline")
+        f = run_battery(tmp_path, "framework")
+        path = tmp_path / "expectations.json"
+        path.write_text(json.dumps(expectations), "utf-8")
+        capsys.readouterr()
+        code = main(["compare", "--baseline", str(b), "--framework", str(f),
+                     "--out", str(tmp_path / "cmp"), "--expectations", str(path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: expectations {path}: ")
+        assert not (tmp_path / "cmp").exists()
+
+    def test_expectations_file_annotates(self, tmp_path, capsys):
+        b = run_battery(tmp_path, "baseline")
+        f = run_battery(tmp_path, "framework")
+        path = tmp_path / "expectations.json"
+        path.write_text(json.dumps({"co2_kg": {"form": "relative", "value": 5}}), "utf-8")
+        capsys.readouterr()
+        assert main(["compare", "--baseline", str(b), "--framework", str(f),
+                     "--out", str(tmp_path / "cmp"), "--expectations", str(path)]) == 0
+        assert "the reference target +5.0%" in capsys.readouterr().out
 
     def test_expectations_none_drops_targets(self, tmp_path, capsys):
         b = run_battery(tmp_path, "baseline")
@@ -308,6 +365,12 @@ class TestValidateCalibrate:
         assert "fractions sum > 1" in out
         assert "problem" in out
 
+    def test_validate_reports_step_budget(self, tmp_path, capsys):
+        assert main(["validate", "--scenario", str(slow_facility(tmp_path))]) == 4
+        out = capsys.readouterr().out
+        assert "facility.throughput_kg_per_step: 15000 kg at 1e-09 kg per step" in out
+        assert "1 problem(s) found" in out
+
     @pytest.fixture
     def bad_fixtures(self, tmp_path, monkeypatch):
         """Bundled fixtures replaced by an invalid and an undecodable one."""
@@ -325,9 +388,11 @@ class TestValidateCalibrate:
     @pytest.mark.parametrize("command", ["run", "calibrate", "validate"])
     @pytest.mark.parametrize("name", ["invalid.json", "undecodable.json"])
     def test_bundled_fixture_validated(self, bad_fixtures, capsys, command, name):
-        argv = [command, "--scenario", name, "--out", "out"]
+        argv = [command, "--scenario", name]
         if command == "run":
             argv += ["--mode", "framework"]
+        if command != "validate":
+            argv += ["--out", "out"]
         assert main(argv) == 4
         captured = capsys.readouterr()
         if name == "invalid.json":
@@ -351,6 +416,29 @@ class TestValidateCalibrate:
     def test_calibrate_needs_facility(self, tmp_path):
         assert main(["calibrate", "--scenario", "alloc_small.json",
                      "--out", str(tmp_path)]) == 4
+
+
+class TestOptions:
+    """Each subcommand takes only the shared options it reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--scenario", "alloc_small.json", "--seed", "1"],
+            ["validate", "--scenario", "alloc_small.json", "--out", "elsewhere"],
+            ["validate", "--scenario", "alloc_small.json", "--format", "csv"],
+            ["calibrate", "--scenario", "battery_framework.json", "--seed", "1"],
+            ["table3", "--format", "csv"],
+            ["chart", "--baseline", "b", "--framework", "f", "--seed", "1"],
+            ["compare", "--baseline", "b", "--framework", "f", "--seed", "1"],
+        ],
+    )
+    def test_unread_option_usage_error(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHelp:

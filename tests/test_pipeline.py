@@ -8,7 +8,7 @@ from importlib import resources
 import pytest
 
 from greenloop.carbon import EmissionFactor
-from greenloop.energy import EnergyModel, StageUsage, UsagePlan
+from greenloop.energy import UNIT_COSTS, EnergyModel, StageUsage, UsagePlan
 from greenloop.errors import (
     MissingArtifacts,
     ModeMismatch,
@@ -19,6 +19,7 @@ from greenloop.classify import evaluate_accuracy_records
 from greenloop.pipeline import (
     BIN_HORIZON,
     DISTRICT_MAX_BINS,
+    STAGE_ORDER,
     Mode,
     RunArtifacts,
     compare_runs,
@@ -130,9 +131,7 @@ class TestRunModes:
         assert r.waste_reduction_fraction == 0.0
         # the pipeline's own metering still runs
         assert r.pipeline_energy.total_kwh > 0.0
-        assert set(r.timings) == {
-            "preprocess", "simulate", "optimize", "route", "carbon", "metrics",
-        }
+        assert tuple(u.stage_name for u, _ in r.pipeline_energy.stages) == STAGE_ORDER
 
     def test_seed_override_recorded(self):
         r = run(mini_battery_scenario(), "baseline", seed_override=99)
@@ -412,3 +411,15 @@ class TestStageUsageOverride:
         r = run(ScenarioSpec(energy_model=plan), "baseline")
         by_stage = {u.stage_name: kwh for u, kwh in r.pipeline_energy.stages}
         assert by_stage["metrics"] == pytest.approx(6.0)
+
+    def test_unconfigured_stage_takes_per_unit_default(self):
+        # ALLOC declares 2 processes: the optimize workload is 2 units
+        plan = UsagePlan(
+            model=EnergyModel(alpha=2.0, beta=0.5),
+            stage_costs={"metrics": StageUsage("metrics", compute_seconds=3.0)},
+        )
+        r = run(ScenarioSpec(**ALLOC, energy_model=plan), "baseline")
+        usage = {u.stage_name: u for u, _ in r.pipeline_energy.stages}
+        seconds, mb = UNIT_COSTS["optimize"]
+        assert usage["optimize"] == StageUsage("optimize", seconds * 2, mb * 2)
+        assert usage["metrics"] == StageUsage("metrics", 3.0, 0.0)

@@ -145,7 +145,6 @@ class TestRunResultSerialization:
         assert back.seed == r.seed
         assert back.co2_kg == r.co2_kg
         assert back.pipeline_energy == r.pipeline_energy
-        assert back.timings == {}
 
 
 class TestMeasuredMetrics:

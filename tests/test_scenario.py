@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from greenloop import twin
 from greenloop.errors import CompileError, ParseError, ValidationError
 from greenloop.scenario import (
     MaterialSpec,
@@ -146,6 +147,23 @@ class TestValidation:
     def test_integrality_unknown_process(self):
         s = ScenarioSpec(integrality=frozenset({"ghost"}), rng_seed=1)
         assert any("ghost" in d.message for d in validate_scenario(s))
+
+    @pytest.mark.parametrize("budget, flagged", [(3, False), (2, True)])
+    def test_facility_step_budget(self, monkeypatch, budget, flagged):
+        # 20 cells of 15 kg at 100 kg per step: exactly 3 steps
+        monkeypatch.setattr(twin, "MAX_FACILITY_STEPS", budget)
+        cells = tuple(MaterialSpec(f"c{i}", "", "battery-cell", 15.0) for i in range(20))
+        s = ScenarioSpec(
+            materials=cells + (MaterialSpec("p", "", "plastic", 1e6),),
+            facility=twin.FacilityModel(stations=(), throughput_kg_per_step=100.0),
+            rng_seed=1,
+        )
+        diags = validate_scenario(s)
+        assert [d.path for d in diags] == (
+            ["facility.throughput_kg_per_step"] if flagged else []
+        )
+        if flagged:
+            assert "300 kg at 100 kg per step needs 3 steps" in diags[0].message
 
     def test_load_raises_validation_error(self, tmp_path):
         doc = minimal_doc(materials=[{
