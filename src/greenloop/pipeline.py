@@ -5,7 +5,7 @@ carbon, metrics over one scenario, in one of two modes. Framework mode
 trains the softmax classifier, solves the allocation MILP, and learns
 collection routes per district; baseline mode substitutes the weight-rule
 classifier, declaration-order allocation, and the naive lowest-id route.
-Stage energy is metered from each stage's workload (energy.UsagePlan),
+Stage energy is computed from each stage's workload (energy.UsagePlan),
 never from wall-clock time, so results are identical across machines.
 
 compare_runs turns a baseline/framework pair into labeled deltas. Every
