@@ -2,7 +2,7 @@
 
 A factor registry maps each process to one kg-CO2-per-unit coefficient and
 a lifecycle stage; an activity ledger holds the units performed. Reports
-break the total down by process and by stage and can re-audit themselves.
+break the total down by process and by stage.
 """
 
 from __future__ import annotations
@@ -10,11 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import DuplicateFactor, InconsistentReport, MissingFactor
+from .errors import DuplicateFactor, MissingFactor
 
 LIFECYCLE_STAGES = ("collection", "transport", "processing", "recovery", "disposal")
-
-_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,18 +81,3 @@ def carbon_footprint(
     total = sum(by_process.values())
     return CarbonReport(total_kg=total, by_stage=by_stage, by_process=by_process)
 
-
-def aggregate_by_stage(report: CarbonReport) -> Mapping[str, float]:
-    """Return the per-stage map after re-summing it against per-process values."""
-    process_sum = sum(report.by_process.values())
-    stage_sum = sum(report.by_stage.values())
-    scale = max(abs(process_sum), abs(stage_sum), 1.0)
-    if abs(process_sum - stage_sum) > _REL_TOL * scale:
-        raise InconsistentReport(
-            f"stage total {stage_sum} != process total {process_sum}"
-        )
-    if abs(report.total_kg - process_sum) > _REL_TOL * scale:
-        raise InconsistentReport(
-            f"report total {report.total_kg} != process total {process_sum}"
-        )
-    return report.by_stage

@@ -115,7 +115,8 @@ def _scenario_path(name: str) -> Path:
 def _read_manifest(p: Path) -> tuple[dict, RunResult]:
     """A manifest document and the run its metrics record.
 
-    Anything short of a complete run raises ManifestUnreadable.
+    Anything short of a complete run, or an artifacts map, created_at or
+    run_id of another type than cmd_run writes, raises ManifestUnreadable.
     """
     try:
         doc = read_json(p)
@@ -123,6 +124,14 @@ def _read_manifest(p: Path) -> tuple[dict, RunResult]:
         raise ManifestUnreadable(f"manifest not readable: {p} ({exc})") from exc
     if not isinstance(doc, dict) or "metrics" not in doc or "mode" not in doc:
         raise ManifestUnreadable(f"manifest missing required keys: {p}")
+    artifacts = doc.get("artifacts", {})
+    if not isinstance(artifacts, dict) or not all(
+        isinstance(rel, str) for rel in artifacts.values()
+    ):
+        raise ManifestUnreadable(f"manifest artifacts must map names to paths: {p}")
+    for key in ("created_at", "run_id"):
+        if not isinstance(doc.get(key, ""), str):
+            raise ManifestUnreadable(f"manifest {key!r} must be a string: {p}")
     try:
         result = run_result_from_dict(doc["metrics"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -41,6 +41,9 @@ class EnergyLedger:
     total_kwh: float = 0.0
 
 
+# The pipeline's stages in run order; the ledger has one entry per stage.
+STAGE_ORDER = ("preprocess", "simulate", "optimize", "route", "carbon", "metrics")
+
 # Processor-seconds and megabytes moved per workload unit of each pipeline
 # stage: deterministic stand-ins for wall-clock measurement, so the ledger is
 # byte-stable across hosts.

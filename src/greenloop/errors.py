@@ -76,10 +76,6 @@ class DuplicateFactor(CarbonError):
     """Two emission factors registered for the same process."""
 
 
-class InconsistentReport(CarbonError):
-    """Carbon report stage/process totals disagree beyond tolerance."""
-
-
 # --- digital twin ------------------------------------------------------------
 
 class TwinError(GreenloopError):

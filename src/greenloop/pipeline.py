@@ -31,7 +31,7 @@ from .classify import (
     rule_classify,
     train_on_records,
 )
-from .energy import EnergyLedger, EnergyModel, UsagePlan, record_stage
+from .energy import STAGE_ORDER, EnergyLedger, EnergyModel, UsagePlan, record_stage
 from .errors import (
     GreenloopError,
     MissingArtifacts,
@@ -55,8 +55,6 @@ BIN_HORIZON = 100
 TRAIN_SPLIT = 0.7
 DISTRICT_MAX_BINS = 10
 FEEDBACK_EPISODES = 1000
-
-STAGE_ORDER = ("preprocess", "simulate", "optimize", "route", "carbon", "metrics")
 
 
 class Mode(enum.Enum):
@@ -117,10 +115,15 @@ class ImprovementReport:
     annotations: tuple[str, ...]
 
 
+def _labeled(events) -> list[tuple[Mapping[str, float], str]]:
+    """(sensor record, true label) pairs in event order."""
+    return [(ev.sensor_record, ev.true_label) for ev in events]
+
+
 def _split_records(events, horizon: int):
     cut = int(TRAIN_SPLIT * horizon)
-    train = [(ev.sensor_record, ev.true_label) for ev in events if ev.time_step < cut]
-    evaluation = [(ev.sensor_record, ev.true_label) for ev in events if ev.time_step >= cut]
+    train = _labeled(ev for ev in events if ev.time_step < cut)
+    evaluation = _labeled(ev for ev in events if ev.time_step >= cut)
     return train, evaluation
 
 
@@ -169,25 +172,21 @@ def _train_districts(
     return tuple(qtables), tuple(routes), total
 
 
-def partition_districts(
-    g: CollectionGraph, max_bins: int = DISTRICT_MAX_BINS
-) -> tuple[CollectionGraph, ...]:
-    """Split bins into depot-anchored districts of at most max_bins.
+def partition_districts(g: CollectionGraph) -> tuple[CollectionGraph, ...]:
+    """Split bins into depot-anchored districts of at most DISTRICT_MAX_BINS.
 
     Districts grow by chained nearest-neighbor agglomeration: each starts
     at the depot and repeatedly absorbs the closest unassigned bin (ties
     to the lowest id). Every bin lands in exactly one district and every
     district inherits the depot.
     """
-    if max_bins < 1:
-        raise ValueError("max_bins must be >= 1")
     depot = g.depot
     unassigned = list(g.bin_ids())
     districts: list[CollectionGraph] = []
     while unassigned:
         chosen: list[str] = []
         cursor = depot
-        while unassigned and len(chosen) < max_bins:
+        while unassigned and len(chosen) < DISTRICT_MAX_BINS:
             best = unassigned[0]
             best_d = math.inf
             for b in unassigned:
@@ -204,14 +203,9 @@ def partition_districts(
     return tuple(districts)
 
 
-def run_full(
-    s: ScenarioSpec, mode, seed_override: int | None = None
-) -> tuple[RunResult, RunArtifacts]:
+def run_full(s: ScenarioSpec, mode) -> tuple[RunResult, RunArtifacts]:
     """Execute all pipeline stages; returns metrics plus reusable artifacts."""
     m = _as_mode(mode)
-    seed = s.rng_seed if seed_override is None else seed_override
-    if seed != s.rng_seed:
-        s = dataclasses.replace(s, rng_seed=seed)
 
     has_cells = any(mat.category == "battery-cell" for mat in s.materials)
     if has_cells and s.facility is None:
@@ -231,7 +225,7 @@ def run_full(
             events = simulate_bins(s, BIN_HORIZON).events
             train_recs, eval_recs = _split_records(events, BIN_HORIZON)
             if m is Mode.FRAMEWORK:
-                classifier = train_on_records(train_recs, TrainConfig(rng_seed=seed))
+                classifier = train_on_records(train_recs, TrainConfig(rng_seed=s.rng_seed))
                 accuracy = evaluate_accuracy_records(classifier, eval_recs)
             else:
                 hits = sum(1 for rec, label in eval_recs if rule_classify(rec) == label)
@@ -274,9 +268,9 @@ def run_full(
         g = s.collection_graph
         if g is not None and g.bin_ids():
             if m is Mode.FRAMEWORK:
-                districts = partition_districts(g, DISTRICT_MAX_BINS)
+                districts = partition_districts(g)
                 episodes = RLConfig().episodes
-                qtables, routes, transport = _train_districts(districts, seed, episodes)
+                qtables, routes, transport = _train_districts(districts, s.rng_seed, episodes)
                 workload["route"] = float(episodes * len(districts))
             else:
                 naive = (g.depot, *g.bin_ids(), g.depot)
@@ -306,7 +300,7 @@ def run_full(
             for el, eff in st.recovery_efficiency.items()
             if eff > 0
         }
-        rates = recovery_rates(trace, s)
+        rates = recovery_rates(trace)
         recovery = {el: rates[el] for el in sorted(targeted) if el in rates}
         process_energy = trace.energy_kwh
         total_in = sum(trace.input_totals.values())
@@ -320,7 +314,7 @@ def run_full(
 
     result = RunResult(
         mode=m.value,
-        seed=seed,
+        seed=s.rng_seed,
         recovery=recovery,
         process_energy_kwh=process_energy,
         pipeline_energy=ledger,
@@ -340,9 +334,9 @@ def run_full(
     return result, artifacts
 
 
-def run(s: ScenarioSpec, mode, seed_override: int | None = None) -> RunResult:
+def run(s: ScenarioSpec, mode) -> RunResult:
     """Execute the pipeline and return only the metrics."""
-    return run_full(s, mode, seed_override)[0]
+    return run_full(s, mode)[0]
 
 
 _ELEMENT_ROW_ORDER = ("cobalt", "nickel", "lithium")
@@ -531,7 +525,7 @@ def feedback_update(
         if new_horizon > 0:
             fresh = dataclasses.replace(s, rng_seed=fseed)
             new_events = simulate_bins(fresh, new_horizon).events
-        combined = train_recs + [(ev.sensor_record, ev.true_label) for ev in new_events]
+        combined = train_recs + _labeled(new_events)
         retrained = train_on_records(combined, TrainConfig(rng_seed=s.rng_seed))
         before = evaluate_accuracy_records(classifier, eval_recs)
         after = evaluate_accuracy_records(retrained, eval_recs)
@@ -545,7 +539,7 @@ def feedback_update(
     qtables = artifacts.district_qtables
     routes = artifacts.district_routes
     if qtables and extra_episodes > 0:
-        districts = partition_districts(s.collection_graph, DISTRICT_MAX_BINS)
+        districts = partition_districts(s.collection_graph)
         if len(districts) != len(qtables):
             raise MissingArtifacts(
                 f"stored {len(qtables)} route tables but the graph splits "

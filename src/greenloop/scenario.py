@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .carbon import LIFECYCLE_STAGES, EmissionFactor
-from .energy import EnergyModel, StageUsage, UsagePlan
+from .energy import STAGE_ORDER, EnergyModel, StageUsage, UsagePlan
 from .errors import CompileError, Diagnostic, ParseError, ValidationError
 from .routing import BinNode, CollectionGraph, EdgeAttrs
 from .solver import LinearProgram
@@ -510,6 +510,14 @@ def validate_scenario(s: ScenarioSpec) -> list[Diagnostic]:
         problem = step_budget_problem(cell_kg, s.facility.throughput_kg_per_step)
         if problem:
             out.append(Diagnostic(path="facility.throughput_kg_per_step", message=problem))
+
+    if s.energy_model is not None:
+        for stage in sorted(s.energy_model.stage_costs):
+            if stage not in STAGE_ORDER:
+                out.append(Diagnostic(
+                    path=f"energy_model.stage_costs[{stage!r}]",
+                    message=f"unknown stage {stage!r}; expected one of {STAGE_ORDER}",
+                ))
 
     return out
 

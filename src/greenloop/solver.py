@@ -11,13 +11,19 @@ Instances are minimization problems
 
 with lb finite (default 0) and ub possibly +inf. Integer variables must
 carry finite bounds so branch-and-bound terminates.
+
+Limits and tolerances are module constants. A solve ends with status
+IterationLimit after MAX_ITERATIONS simplex pivots per LP or MAX_NODES
+branch-and-bound nodes; FEAS_TOL bounds row and bound residuals and
+INT_TOL the distance from an integer. MilpSolution reports the pivots and
+nodes a solve took as iterations and nodes_explored.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -25,6 +31,8 @@ import numpy as np
 
 from .errors import SolverError
 
+MAX_ITERATIONS = 10_000
+MAX_NODES = 100_000
 FEAS_TOL = 1e-7
 INT_TOL = 1e-6
 _PIVOT_TOL = 1e-9
@@ -77,14 +85,6 @@ class LinearProgram:
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    max_iterations: int = 10_000
-    max_nodes: int = 100_000
-    feas_tol: float = FEAS_TOL
-    int_tol: float = INT_TOL
-
-
-@dataclass(frozen=True)
 class MilpSolution:
     status: SolveStatus
     values: tuple[float, ...]
@@ -124,12 +124,10 @@ def _pivot(t: _Tableau, row: int, col: int) -> None:
     t.basis[row] = col
 
 
-def _simplex(t: _Tableau, max_iters: int, obj_trace: list | None = None):
+def _simplex(t: _Tableau, max_iters: int):
     """Run Bland-rule simplex until optimal. Returns (status, pivots)."""
     pivots = 0
     while True:
-        if obj_trace is not None:
-            obj_trace.append(-t.obj[-1])
         entering = -1
         reduced = t.obj[:-1]
         for j in range(reduced.shape[0]):
@@ -161,14 +159,10 @@ def _simplex(t: _Tableau, max_iters: int, obj_trace: list | None = None):
             return SolveStatus.ITERATION_LIMIT, pivots
 
 
-def solve_lp(
-    lp: LinearProgram,
-    opts: SolverOptions = SolverOptions(),
-    _obj_trace: list | None = None,
-) -> MilpSolution:
+def solve_lp(lp: LinearProgram) -> MilpSolution:
     """Solve the LP relaxation (integer_mask ignored).
 
-    Status OPTIMAL guarantees primal feasibility within feas_tol and no
+    Status OPTIMAL guarantees primal feasibility within FEAS_TOL and no
     improving reduced cost. Identical inputs give bit-identical outputs.
     """
     n = lp.num_vars
@@ -189,7 +183,7 @@ def solve_lp(
     c = np.array(lp.objective, dtype=float)
     if m == 0:
         # No constraints at all: each y_j sits at 0 unless pushing it up helps.
-        if np.any(c < -opts.feas_tol):
+        if np.any(c < -FEAS_TOL):
             return MilpSolution(SolveStatus.UNBOUNDED, (), math.nan)
         x = lo.copy()
         return MilpSolution(
@@ -234,7 +228,7 @@ def solve_lp(
             if phase1[bv] != 0.0:
                 phase1 -= phase1[bv] * t.body[i]
         t.obj = phase1
-        status, pivots = _simplex(t, opts.max_iterations)
+        status, pivots = _simplex(t, MAX_ITERATIONS)
         iterations += pivots
         if status is SolveStatus.ITERATION_LIMIT:
             return MilpSolution(status, (), math.nan, iterations=iterations)
@@ -259,9 +253,7 @@ def solve_lp(
         if phase2[bv] != 0.0:
             phase2 -= phase2[bv] * t.body[i]
     t.obj = phase2
-    status, pivots = _simplex(
-        t, opts.max_iterations - iterations, obj_trace=_obj_trace
-    )
+    status, pivots = _simplex(t, MAX_ITERATIONS - iterations)
     iterations += pivots
     if status is not SolveStatus.OPTIMAL:
         return MilpSolution(status, (), math.nan, iterations=iterations)
@@ -280,10 +272,10 @@ def solve_lp(
     )
 
 
-def _fractional_index(values: np.ndarray, mask: Sequence[bool], tol: float) -> int:
+def _fractional_index(values: np.ndarray, mask: Sequence[bool]) -> int:
     """Most-fractional integer variable, lowest index on ties; -1 if integral."""
     best_j = -1
-    best_frac = tol
+    best_frac = INT_TOL
     for j, is_int in enumerate(mask):
         if not is_int:
             continue
@@ -294,17 +286,12 @@ def _fractional_index(values: np.ndarray, mask: Sequence[bool], tol: float) -> i
     return best_j
 
 
-def solve_milp(
-    lp: LinearProgram,
-    opts: SolverOptions = SolverOptions(),
-    node_log: list[str] | None = None,
-) -> MilpSolution:
+def solve_milp(lp: LinearProgram) -> MilpSolution:
     """Exact best-first branch-and-bound over the LP relaxation.
 
     Branches on the most-fractional variable (ties to the lowest index);
     nodes are explored in best-relaxation-bound order (ties FIFO). Every
-    integer variable needs finite bounds. Optional node_log collects one
-    text line per explored node.
+    integer variable needs finite bounds.
     """
     for j, is_int in enumerate(lp.integer_mask):
         if is_int and not math.isfinite(lp.upper_bounds[j]):
@@ -313,12 +300,12 @@ def solve_milp(
             )
 
     if not any(lp.integer_mask):
-        sol = solve_lp(lp, opts)
+        sol = solve_lp(lp)
         return replace(sol, nodes_explored=1 if sol.status is SolveStatus.OPTIMAL else 0)
 
     counter = 0
-    heap: list[tuple[float, int, int, tuple[float, ...], tuple[float, ...]]] = []
-    heapq.heappush(heap, (-math.inf, counter, 0, lp.lower_bounds, lp.upper_bounds))
+    heap: list[tuple[float, int, tuple[float, ...], tuple[float, ...]]] = []
+    heapq.heappush(heap, (-math.inf, counter, lp.lower_bounds, lp.upper_bounds))
 
     best_obj = math.inf
     best_values: tuple[float, ...] = ()
@@ -327,16 +314,16 @@ def solve_milp(
     hit_node_limit = False
 
     while heap:
-        bound, _, depth, los, his = heapq.heappop(heap)
+        bound, _, los, his = heapq.heappop(heap)
         if bound >= best_obj - 1e-9:
             continue
-        if nodes >= opts.max_nodes:
+        if nodes >= MAX_NODES:
             hit_node_limit = True
             break
         nodes += 1
 
         node_lp = replace(lp, lower_bounds=los, upper_bounds=his)
-        relax = solve_lp(node_lp, opts)
+        relax = solve_lp(node_lp)
         iterations += relax.iterations
         if relax.status is SolveStatus.ITERATION_LIMIT:
             return MilpSolution(
@@ -348,18 +335,12 @@ def solve_milp(
                 SolveStatus.UNBOUNDED, (), math.nan, nodes, iterations
             )
         if relax.status is not SolveStatus.OPTIMAL:
-            if node_log is not None:
-                node_log.append(f"node={nodes} depth={depth} pruned=infeasible")
             continue
         if relax.objective_value >= best_obj - 1e-9:
-            if node_log is not None:
-                node_log.append(
-                    f"node={nodes} depth={depth} bound={relax.objective_value:.6f} pruned=bound"
-                )
             continue
 
         values = np.array(relax.values)
-        branch_j = _fractional_index(values, lp.integer_mask, opts.int_tol)
+        branch_j = _fractional_index(values, lp.integer_mask)
         if branch_j < 0:
             snapped = values.copy()
             for j, is_int in enumerate(lp.integer_mask):
@@ -369,16 +350,8 @@ def solve_milp(
             if obj < best_obj:
                 best_obj = obj
                 best_values = tuple(snapped.tolist())
-            if node_log is not None:
-                node_log.append(
-                    f"node={nodes} depth={depth} bound={relax.objective_value:.6f} incumbent={obj:.6f}"
-                )
             continue
 
-        if node_log is not None:
-            node_log.append(
-                f"node={nodes} depth={depth} bound={relax.objective_value:.6f} branch=x{branch_j}"
-            )
         xj = values[branch_j]
         down_his = list(his)
         down_his[branch_j] = math.floor(xj)
@@ -391,8 +364,7 @@ def solve_milp(
             if child_los[branch_j] <= child_his[branch_j]:
                 counter += 1
                 heapq.heappush(
-                    heap,
-                    (relax.objective_value, counter, depth + 1, child_los, child_his),
+                    heap, (relax.objective_value, counter, child_los, child_his)
                 )
 
     if hit_node_limit:
@@ -406,12 +378,7 @@ def solve_milp(
     return MilpSolution(SolveStatus.INFEASIBLE, (), math.nan, nodes, iterations)
 
 
-def check_solution(
-    lp: LinearProgram,
-    sol: MilpSolution,
-    feas_tol: float = FEAS_TOL,
-    int_tol: float = INT_TOL,
-) -> list[Violation]:
+def check_solution(lp: LinearProgram, sol: MilpSolution) -> list[Violation]:
     """Independent feasibility audit of a solution against its instance."""
     if len(sol.values) != lp.num_vars:
         raise SolverError(
@@ -421,16 +388,16 @@ def check_solution(
     out: list[Violation] = []
     for i, (coeffs, rhs) in enumerate(lp.rows):
         residual = float(np.dot(np.array(coeffs), x) - rhs)
-        if residual > feas_tol * max(1.0, abs(rhs)):
+        if residual > FEAS_TOL * max(1.0, abs(rhs)):
             out.append(Violation("row", i, residual))
     for j in range(lp.num_vars):
-        if x[j] < lp.lower_bounds[j] - feas_tol:
+        if x[j] < lp.lower_bounds[j] - FEAS_TOL:
             out.append(Violation("lower", j, float(lp.lower_bounds[j] - x[j])))
-        if x[j] > lp.upper_bounds[j] + feas_tol:
+        if x[j] > lp.upper_bounds[j] + FEAS_TOL:
             out.append(Violation("upper", j, float(x[j] - lp.upper_bounds[j])))
         if lp.integer_mask[j]:
             frac = abs(x[j] - round(x[j]))
-            if frac > int_tol:
+            if frac > INT_TOL:
                 out.append(Violation("integrality", j, float(frac)))
     return out
 

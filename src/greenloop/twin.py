@@ -37,6 +37,7 @@ JITTER_AMPLITUDE = 0.05
 # TraceStep per station, so the budget bounds time and memory alike; the
 # bundled battery fixtures take 30.
 MAX_FACILITY_STEPS = 100_000
+CALIBRATION_ITERATIONS = 60  # bisection steps per target in calibrate_facility
 
 
 @dataclass(frozen=True)
@@ -289,7 +290,7 @@ def simulate_recycling(s: "ScenarioSpec", f: FacilityModel) -> SimulationTrace:
     )
 
 
-def recovery_rates(trace: SimulationTrace, s: "ScenarioSpec") -> dict[str, float]:
+def recovery_rates(trace: SimulationTrace) -> dict[str, float]:
     """Recovered fraction per element; zero-input elements are omitted."""
     rates = {}
     for el, input_kg in trace.input_totals.items():
@@ -298,8 +299,8 @@ def recovery_rates(trace: SimulationTrace, s: "ScenarioSpec") -> dict[str, float
     return rates
 
 
-def check_mass_conservation(trace: SimulationTrace, rel_tol: float = 1e-6) -> list[str]:
-    """Per-element input = recovered + lost + residual audit."""
+def check_mass_conservation(trace: SimulationTrace) -> list[str]:
+    """Per-element input = recovered + lost + residual audit, to 1e-6 relative."""
     problems = []
     for el, input_kg in trace.input_totals.items():
         accounted = (
@@ -307,7 +308,7 @@ def check_mass_conservation(trace: SimulationTrace, rel_tol: float = 1e-6) -> li
             + trace.lost_totals.get(el, 0.0)
             + trace.residual_by_element.get(el, 0.0)
         )
-        if abs(accounted - input_kg) > rel_tol * max(1.0, abs(input_kg)):
+        if abs(accounted - input_kg) > 1e-6 * max(1.0, abs(input_kg)):
             problems.append(
                 f"{el}: input {input_kg} vs accounted {accounted}"
             )
@@ -352,17 +353,11 @@ def simulate_bins(s: "ScenarioSpec", horizon: int) -> BinEventStream:
     return BinEventStream(events=tuple(events))
 
 
-def labeled_records(stream: BinEventStream) -> list[tuple[Mapping[str, float], str]]:
-    """(sensor record, true label) pairs in event order."""
-    return [(ev.sensor_record, ev.true_label) for ev in stream.events]
-
-
 def calibrate_facility(
     s: "ScenarioSpec",
     f: FacilityModel,
     targets: Mapping[str, float],
     tol: float = 0.005,
-    max_iterations: int = 60,
 ) -> tuple[FacilityModel, dict[str, float]]:
     """Bisect the last station's per-element efficiencies to hit targets.
 
@@ -386,10 +381,10 @@ def calibrate_facility(
     eff = dict(last.recovery_efficiency)
     for el, target in sorted(targets.items()):
         lo, hi = 0.0, 1.0 - last.loss_fraction
-        for _ in range(max_iterations):
+        for _ in range(CALIBRATION_ITERATIONS):
             mid = (lo + hi) / 2
             eff[el] = mid
-            rates = recovery_rates(simulate_recycling(s, with_eff(eff)), s)
+            rates = recovery_rates(simulate_recycling(s, with_eff(eff)))
             got = rates.get(el, 0.0)
             if abs(got - target) <= tol / 2:
                 break
@@ -399,5 +394,5 @@ def calibrate_facility(
                 hi = mid
 
     calibrated = with_eff(eff)
-    achieved = recovery_rates(simulate_recycling(s, calibrated), s)
+    achieved = recovery_rates(simulate_recycling(s, calibrated))
     return calibrated, achieved

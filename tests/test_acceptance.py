@@ -368,7 +368,7 @@ def test_criterion_07_mass_conservation(battery_runs):
             rng_seed=int(rng.integers(0, 2**32)),
         )
         traces.append(simulate_recycling(s, facility))
-    problems = [p for t in traces if t for p in check_mass_conservation(t, 1e-6)]
+    problems = [p for t in traces if t for p in check_mass_conservation(t)]
     check(
         7,
         not problems,

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from greenloop.carbon import (
     LIFECYCLE_STAGES,
     ActivityLedger,
-    CarbonReport,
     EmissionFactor,
-    aggregate_by_stage,
     carbon_footprint,
 )
-from greenloop.errors import DuplicateFactor, InconsistentReport, MissingFactor
+from greenloop.errors import DuplicateFactor, MissingFactor
 
 
 def factor(pid, e, stage="processing", fid=None):
@@ -60,31 +58,6 @@ class TestCarbonFootprint:
     def test_unknown_stage_rejected(self):
         with pytest.raises(ValueError, match="stage"):
             factor("P1", 0.5, stage="combustion")
-
-
-class TestAggregateByStage:
-    def test_single_process_carries_total(self):
-        report = carbon_footprint(
-            [factor("P1", 2.0, stage="recovery")], ActivityLedger(entries={"P1": 3.0})
-        )
-        assert aggregate_by_stage(report) == {"recovery": 6.0}
-
-    def test_same_stage_sums(self):
-        factors = [factor("P1", 1.0), factor("P2", 2.0)]
-        report = carbon_footprint(factors, ActivityLedger(entries={"P1": 1.0, "P2": 1.0}))
-        assert aggregate_by_stage(report)["processing"] == pytest.approx(3.0)
-
-    def test_perturbed_stage_total_detected(self):
-        report = carbon_footprint(
-            [factor("P1", 2.0)], ActivityLedger(entries={"P1": 3.0})
-        )
-        tampered = CarbonReport(
-            total_kg=report.total_kg,
-            by_stage={"processing": report.by_stage["processing"] + 1.0},
-            by_process=report.by_process,
-        )
-        with pytest.raises(InconsistentReport):
-            aggregate_by_stage(tampered)
 
 
 nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)

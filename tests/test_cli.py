@@ -48,6 +48,7 @@ METRICS = {
     "co2_kg": 1.0,
     "waste_reduction_fraction": 0.0,
 }
+FRAMEWORK_METRICS = {**METRICS, "mode": "framework"}
 
 
 class TestRun:
@@ -322,6 +323,11 @@ class TestTable3:
             {"mode": "framework"},
             {"mode": "framework", "artifacts": {"scenario": "scenario.json"},
              "metrics": {}},
+            {"mode": "framework", "artifacts": [], "metrics": FRAMEWORK_METRICS},
+            {"mode": "framework", "artifacts": {"scenario": 5},
+             "metrics": FRAMEWORK_METRICS},
+            {"mode": "framework", "artifacts": {"scenario": "scenario.json"},
+             "metrics": FRAMEWORK_METRICS, "created_at": 99991231},
         ],
     )
     def test_broken_newer_manifest_skipped(self, tmp_path, capsys, manifest):
@@ -331,7 +337,7 @@ class TestTable3:
         broken.mkdir()
         (broken / "scenario.json").write_bytes((good / "scenario.json").read_bytes())
         (broken / "manifest.json").write_text(
-            json.dumps({**manifest, "created_at": "9999-12-31T00:00:00+00:00"}),
+            json.dumps({"created_at": "9999-12-31T00:00:00+00:00", **manifest}),
             "utf-8",
         )
         capsys.readouterr()
@@ -370,6 +376,24 @@ class TestValidateCalibrate:
         out = capsys.readouterr().out
         assert "facility.throughput_kg_per_step: 15000 kg at 1e-09 kg per step" in out
         assert "1 problem(s) found" in out
+
+    @pytest.mark.parametrize("command", ["run", "calibrate", "validate"])
+    def test_unknown_stage_cost_exit_4(self, tmp_path, capsys, command):
+        doc = json.loads((cli._FIXTURES / "battery_framework.json").read_text("utf-8"))
+        doc["energy_model"]["stage_costs"] = {"simulaton": {"compute_seconds": 99.0}}
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command, "--scenario", str(path)]
+        if command == "run":
+            argv += ["--mode", "framework"]
+        if command != "validate":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        text = captured.out + captured.err
+        assert "energy_model.stage_costs['simulaton']" in text
+        assert "unknown stage 'simulaton'" in text and "'preprocess'" in text
+        assert not (tmp_path / "out").exists()
 
     @pytest.fixture
     def bad_fixtures(self, tmp_path, monkeypatch):

@@ -134,7 +134,7 @@ class TestRunModes:
         assert tuple(u.stage_name for u, _ in r.pipeline_energy.stages) == STAGE_ORDER
 
     def test_seed_override_recorded(self):
-        r = run(mini_battery_scenario(), "baseline", seed_override=99)
+        r = run(dataclasses.replace(mini_battery_scenario(), rng_seed=99), "baseline")
         assert r.seed == 99
 
 
@@ -263,11 +263,6 @@ class TestPartition:
         )
         assert partition_districts(g) == ()
 
-    def test_bad_max_bins(self):
-        g = city_scenario().collection_graph
-        with pytest.raises(ValueError, match="max_bins"):
-            partition_districts(g, 0)
-
 
 class TestDeterminism:
     def test_framework_run_byte_identical(self):
@@ -283,7 +278,7 @@ class TestDeterminism:
     def test_seed_changes_stream(self):
         s = city_scenario()
         r1 = run(s, "baseline")
-        r2 = run(s, "baseline", seed_override=12)
+        r2 = run(dataclasses.replace(s, rng_seed=12), "baseline")
         assert r1.classification_accuracy != r2.classification_accuracy
 
 

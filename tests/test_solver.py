@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from greenloop import solver
 from greenloop.errors import SolverError
 from greenloop.solver import (
     LinearProgram,
     MilpSolution,
     SolveStatus,
-    SolverOptions,
     check_solution,
     enumerate_integer_optimum,
     solve_lp,
@@ -71,14 +71,24 @@ class TestSolveLp:
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.values == pytest.approx((2.0,))
 
-    def test_phase2_objective_monotone(self):
+    def test_phase2_objective_monotone(self, monkeypatch):
+        # All right-hand sides are >= 0, so every pivot is a phase-2 pivot.
         trace: list[float] = []
+        pivot = solver._pivot
+
+        def recording_pivot(t, row, col):
+            trace.append(-t.obj[-1])
+            pivot(t, row, col)
+            trace.append(-t.obj[-1])
+
+        monkeypatch.setattr(solver, "_pivot", recording_pivot)
         instance = lp(
             [-3.0, -5.0, -4.0],
             rows=[([2.0, 3.0, 0.0], 8.0), ([0.0, 2.0, 5.0], 10.0), ([3.0, 2.0, 4.0], 15.0)],
         )
-        sol = solve_lp(instance, _obj_trace=trace)
+        sol = solve_lp(instance)
         assert sol.status is SolveStatus.OPTIMAL
+        assert len(trace) >= 4  # at least 2 pivots recorded
         for earlier, later in zip(trace, trace[1:]):
             assert later <= earlier + 1e-9
 
@@ -142,17 +152,6 @@ class TestSolveMilp:
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.values == (1.0,)
         assert sol.nodes_explored >= 2
-
-    def test_node_log_lines(self):
-        log: list[str] = []
-        instance = lp(
-            [-1.0, -1.0],
-            rows=[([2.0, 2.0], 3.0)],
-            upper=[1.0, 1.0],
-            integer=[True, True],
-        )
-        solve_milp(instance, node_log=log)
-        assert log and all(line.startswith("node=") for line in log)
 
 
 def random_instance(rng: np.random.Generator) -> LinearProgram:

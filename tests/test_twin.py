@@ -19,7 +19,6 @@ from greenloop.twin import (
     Station,
     calibrate_facility,
     check_mass_conservation,
-    labeled_records,
     recovery_rates,
     simulate_bins,
     simulate_recycling,
@@ -136,7 +135,7 @@ class TestSimulateRecycling:
         f = one_station_facility()
         for seed in (1, 2, 3):
             s = battery_scenario(10, seed=seed)
-            rates = recovery_rates(simulate_recycling(s, f), s)
+            rates = recovery_rates(simulate_recycling(s, f))
             assert rates["cobalt"] == pytest.approx(0.8, abs=1e-12)
             assert rates["nickel"] == pytest.approx(0.75, abs=1e-12)
 
@@ -172,7 +171,7 @@ class TestSimulateRecycling:
         )
         s = battery_scenario(10)
         trace = simulate_recycling(s, f)
-        rates = recovery_rates(trace, s)
+        rates = recovery_rates(trace)
         assert rates["cobalt"] == pytest.approx(0.8, abs=1e-12)
         # both stations see the full stream when nothing is removed upstream
         assert trace.activity_ledger.entries["shred"] == pytest.approx(150.0)
@@ -198,7 +197,7 @@ class TestSimulateRecycling:
         s = ScenarioSpec(
             materials=(battery(0, composition=comp),), rng_seed=3
         )
-        rates = recovery_rates(simulate_recycling(s, one_station_facility()), s)
+        rates = recovery_rates(simulate_recycling(s, one_station_facility()))
         assert "lithium" not in rates
 
     def test_hand_built_rate_arithmetic(self):
@@ -206,7 +205,7 @@ class TestSimulateRecycling:
         comp = {"cobalt": 1.0}
         s = ScenarioSpec(materials=(battery(0, mass=10.0, composition=comp),), rng_seed=1)
         f = one_station_facility(eff={"cobalt": 0.4}, throughput=6.0)
-        rates = recovery_rates(simulate_recycling(s, f), s)
+        rates = recovery_rates(simulate_recycling(s, f))
         assert rates["cobalt"] == pytest.approx(0.4, abs=1e-12)
 
 
@@ -224,8 +223,8 @@ class TestMonotoneEfficiency:
         f1 = one_station_facility(eff=base_eff, loss=loss)
         bumped = dict(base_eff, cobalt=min(eff_lo + bump, 1.0 - loss))
         f2 = one_station_facility(eff=bumped, loss=loss)
-        r1 = recovery_rates(simulate_recycling(s, f1), s)
-        r2 = recovery_rates(simulate_recycling(s, f2), s)
+        r1 = recovery_rates(simulate_recycling(s, f1))
+        r2 = recovery_rates(simulate_recycling(s, f2))
         assert r2["cobalt"] >= r1["cobalt"] - 1e-12
 
 
@@ -284,11 +283,10 @@ class TestSimulateBins:
 
     def test_category_proportions_match_mix(self):
         stream = simulate_bins(graph_scenario(n_bins=10, seed=3), horizon=1000)
-        records = labeled_records(stream)
         counts = {}
-        for _, label in records:
-            counts[label] = counts.get(label, 0) + 1
-        total = len(records)
+        for ev in stream.events:
+            counts[ev.true_label] = counts.get(ev.true_label, 0) + 1
+        total = len(stream.events)
         for cat, p in DEFAULT_WASTE_STREAM.category_mix.items():
             assert counts.get(cat, 0) / total == pytest.approx(p, abs=0.02)
 
