@@ -47,6 +47,7 @@ from .report import (
 )
 from .routing import qtable_to_dict
 from .scenario import (
+    ScenarioSpec,
     is_rng_seed,
     load_scenario,
     parse_scenario,
@@ -290,19 +291,32 @@ def cmd_chart(args) -> int:
     return 0
 
 
-def _latest_manifest(out_dir: Path, mode: str) -> tuple[dict, Path] | None:
-    best = None
+def _manifests_newest_first(out_dir: Path, mode: str) -> list[tuple[dict, Path]]:
+    """Readable manifests of one mode under out_dir, newest created first.
+
+    Unreadable manifests are skipped; ties keep run-directory name order.
+    """
+    found = []
     for path in sorted(out_dir.glob("*/manifest.json")):
         try:
             doc, _ = _read_manifest(path)
         except ManifestUnreadable:
             continue
-        if doc["mode"] != mode:
-            continue
-        key = (doc.get("created_at", ""), doc.get("run_id", ""))
-        if best is None or key > best[0]:
-            best = (key, doc, path.parent)
-    return (best[1], best[2]) if best else None
+        if doc["mode"] == mode:
+            found.append((doc, path.parent))
+    found.sort(
+        key=lambda run: (run[0].get("created_at", ""), run[0].get("run_id", "")),
+        reverse=True,
+    )
+    return found
+
+
+def _run_scenario(doc: dict, run_dir: Path) -> ScenarioSpec | None:
+    """The scenario a run's artifacts name, or None if they name none."""
+    rel = doc.get("artifacts", {}).get("scenario")
+    if rel and (run_dir / rel).is_file():
+        return parse_scenario(read_json(run_dir / rel))
+    return None
 
 
 def cmd_table3(args) -> int:
@@ -311,19 +325,16 @@ def cmd_table3(args) -> int:
 
     measured: dict[str, str] = {}
     if out.is_dir():
-        framework = _latest_manifest(out, "framework")
-        baseline = _latest_manifest(out, "baseline")
-        if framework is not None:
-            f_doc, f_dir = framework
-            scenario = None
-            rel = f_doc.get("artifacts", {}).get("scenario")
-            if rel and (f_dir / rel).is_file():
-                scenario = parse_scenario(read_json(f_dir / rel))
-            measured = measured_metrics(
-                f_doc["metrics"],
-                scenario,
-                baseline[0]["metrics"] if baseline else None,
-            )
+        baselines = _manifests_newest_first(out, "baseline")
+        base_metrics = baselines[0][0]["metrics"] if baselines else None
+        # The newest framework run whose scenario parses fills the column.
+        for f_doc, f_dir in _manifests_newest_first(out, "framework"):
+            try:
+                scenario = _run_scenario(f_doc, f_dir)
+            except (OSError, ValueError, GreenloopError):
+                continue
+            measured = measured_metrics(f_doc["metrics"], scenario, base_metrics)
+            break
 
     text = render_table3(doc, measured)
     out.mkdir(parents=True, exist_ok=True)

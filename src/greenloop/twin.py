@@ -19,6 +19,8 @@ independently reproducible within one scenario.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -124,6 +126,15 @@ class WasteStreamConfig:
     feature_stds: Mapping[str, float]
 
     def __post_init__(self):
+        numbers = {f"category_mix[{c}]": p for c, p in self.category_mix.items()}
+        numbers["fill_increment_mean"] = self.fill_increment_mean
+        numbers["fill_increment_std"] = self.fill_increment_std
+        for cat, means in self.feature_means.items():
+            numbers.update({f"feature_means[{cat}][{f}]": v for f, v in means.items()})
+        numbers.update({f"feature_stds[{f}]": v for f, v in self.feature_stds.items()})
+        for name, value in numbers.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         total = sum(self.category_mix.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"category_mix sums to {total}, expected 1")
@@ -329,27 +340,41 @@ def simulate_bins(s: "ScenarioSpec", horizon: int) -> BinEventStream:
     categories = sorted(cfg.category_mix)
     probs = np.array([cfg.category_mix[c] for c in categories])
     probs = probs / probs.sum()
+    # Generator.choice(len(categories), p=probs) draws one random() and
+    # returns its searchsorted(side="right") slot in this normalised
+    # cumulative sum; bisect_right finds the same slot without choice's
+    # per-call checks of p, which WasteStreamConfig makes once.
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    means = np.array([[cfg.feature_means[c][f] for f in FEATURES] for c in categories])
+    stds = np.array([cfg.feature_stds[f] for f in FEATURES])
 
-    events: list[BinEvent] = []
+    # Three Generator calls per event: standard_normal(6) yields what six
+    # scalar draws would, in FEATURES order. The readings means + stds * z
+    # are then one array expression for all events, value by value the
+    # same IEEE operations.
+    drawn: list[tuple[int, str, float, int]] = []
+    z = []
     for t in range(horizon):
         for b in bins:
             inc = max(0.0, float(rng.normal(cfg.fill_increment_mean, cfg.fill_increment_std)))
             fills[b.id] = min(1.0, fills[b.id] + inc)
-            label = categories[int(rng.choice(len(categories), p=probs))]
-            means = cfg.feature_means[label]
-            record = {
-                f: float(means[f] + cfg.feature_stds[f] * rng.standard_normal())
-                for f in FEATURES
-            }
-            events.append(
-                BinEvent(
-                    time_step=t,
-                    bin_id=b.id,
-                    fill_level=fills[b.id],
-                    sensor_record=record,
-                    true_label=label,
-                )
-            )
+            drawn.append((t, b.id, fills[b.id], bisect_right(cdf, rng.random())))
+            z.append(rng.standard_normal(len(FEATURES)))
+    labels = [k for *_, k in drawn]
+    readings = (means[labels] + stds * np.reshape(z, (-1, len(FEATURES)))).tolist()
+
+    events = [
+        BinEvent(
+            time_step=t,
+            bin_id=bin_id,
+            fill_level=fill,
+            sensor_record=dict(zip(FEATURES, row)),
+            true_label=categories[k],
+        )
+        for (t, bin_id, fill, k), row in zip(drawn, readings)
+    ]
     return BinEventStream(events=tuple(events))
 
 

@@ -1,12 +1,17 @@
-"""Classifier tests: worked softmax examples, gradient checking, properties."""
+"""Classifier tests: worked softmax examples, gradient checking, properties,
+and bit-identity with the sample-major reference trainer in
+reference_classify."""
 
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_classify as reference
+from greenloop import classify
 from greenloop.classify import (
     FEATURES,
     NormStats,
@@ -21,10 +26,12 @@ from greenloop.classify import (
     predict,
     rule_classify,
     train_classifier,
+    train_on_records,
     _loss_and_grad,
 )
 from greenloop.errors import (
     DimensionMismatch,
+    GreenloopError,
     EmptyDataset,
     MissingFeature,
     NonFiniteLoss,
@@ -340,3 +347,103 @@ class TestPersistence:
         assert back.class_labels == model.class_labels
         x = rng.normal(size=6)
         assert predict(back, x)[0] == predict(model, x)[0]
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.lines: list[str] = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
+def traced(module, step_name, train, *args):
+    """What a trainer returns, its per-epoch losses and its warnings.
+
+    step_name is the module's per-epoch loss-and-gradient function, wrapped
+    to record each loss. An error raised is returned in place of the model.
+    """
+    losses: list[float] = []
+    step = getattr(module, step_name)
+
+    def recording(*a):
+        out = step(*a)
+        losses.append(out[0])
+        return out
+
+    messages = _Messages()
+    logger = logging.getLogger(module.__name__)
+    logger.addHandler(messages)
+    try:
+        with mock.patch.object(module, step_name, recording):
+            model = train(*args)
+        result = (model.weights.tobytes(), model.biases.tobytes(),
+                  model.class_labels, model.norm_stats)
+    except GreenloopError as exc:
+        result = (type(exc).__name__, str(exc))
+    finally:
+        logger.removeHandler(messages)
+    return result, np.array(losses).tobytes(), messages.lines
+
+
+@st.composite
+def training_sets(draw, n_features=st.integers(1, 7)):
+    """(x, labels, cfg) with 2-5 classes, 1-300 samples and <= 30 epochs."""
+    n_classes = draw(st.integers(2, 5))
+    n_features = draw(n_features)
+    n_samples = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    x = rng.normal(size=(n_samples, n_features)) * scale
+    y = rng.integers(0, n_classes, size=n_samples)
+    y[:2] = [0, 1][:n_samples]  # two classes whenever there are two samples
+    labels = [f"c{i}" for i in y]
+    cfg = TrainConfig(
+        learning_rate=draw(st.sampled_from([0.05, 0.5, 5.0])),
+        epochs=draw(st.integers(1, 30)),
+        l2_penalty=draw(st.sampled_from([0.0, 0.001, 0.01])),
+        rng_seed=draw(st.integers(0, 1000)),
+    )
+    return x, labels, cfg
+
+
+class TestReferenceTrainer:
+    """The class-major trainer keeps every bit of the sample-major one."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(problem=training_sets(), seeded_init=st.booleans())
+    def test_train_classifier_matches_reference(self, problem, seeded_init):
+        x, labels, cfg = problem
+        data = list(zip(x, labels))
+        init = None
+        if not seeded_init:
+            init = np.random.default_rng(cfg.rng_seed).normal(
+                size=(len(set(labels)), x.shape[1])
+            )
+        got = traced(classify, "_class_major_step", train_classifier, data, cfg, init)
+        want = traced(reference, "_loss_and_grad", reference.train_classifier, data, cfg, init)
+        assert got == want
+
+    @settings(deadline=None, max_examples=40)
+    @given(problem=training_sets(n_features=st.just(len(FEATURES))))
+    def test_train_on_records_matches_reference(self, problem):
+        x, labels, cfg = problem
+        records = [(dict(zip(FEATURES, row.tolist())), lb) for row, lb in zip(x, labels)]
+        got = traced(classify, "_class_major_step", train_on_records, records, cfg)
+        want = traced(reference, "_loss_and_grad", reference.train_on_records, records, cfg)
+        assert got == want
+
+    @settings(deadline=None, max_examples=60)
+    @given(problem=training_sets())
+    def test_loss_and_grad_matches_reference(self, problem):
+        x, labels, cfg = problem
+        rng = np.random.default_rng(cfg.rng_seed)
+        y_idx = rng.integers(0, 5, size=len(labels))
+        weights = rng.normal(size=(5, x.shape[1]))
+        biases = rng.normal(size=5)
+        got = _loss_and_grad(weights, biases, x, y_idx, cfg.l2_penalty)
+        want = reference._loss_and_grad(weights, biases, x, y_idx, cfg.l2_penalty)
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()

@@ -1,6 +1,7 @@
 """CLI tests: subcommands, exit codes, persistence, determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -346,6 +347,24 @@ class TestTable3:
         assert "| Energy intensity (GJ/tonne) | 5.5 | 4.0 | 3.6 | 3.6 |" in text
 
 
+    def test_unparsable_newer_scenario_skipped(self, tmp_path, capsys):
+        """The newest run whose scenario parses fills the measured column."""
+        run_battery(tmp_path, "baseline")
+        good = run_battery(tmp_path, "framework")
+        manifest = read_json(good / "manifest.json")
+        manifest["created_at"] = "9999-12-31T00:00:00+00:00"
+        manifest["metrics"]["co2_kg"] *= 2
+        broken = tmp_path / "out" / "broken"
+        broken.mkdir()
+        (broken / "scenario.json").write_text("{}", "utf-8")
+        (broken / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        capsys.readouterr()
+        assert main(["table3", "--out", str(tmp_path / "out")]) == 0
+        text = capsys.readouterr().out
+        assert "| Energy intensity (GJ/tonne) | 5.5 | 4.0 | 3.6 | 3.6 |" in text
+        assert "| CO2 emission reduction (%) | — | 25 | 28 | 26.67 |" in text
+
+
 class TestValidateCalibrate:
     def test_validate_ok(self, tmp_path, capsys):
         assert main(["validate", "--scenario", "waste_baseline.json"]) == 0
@@ -393,6 +412,33 @@ class TestValidateCalibrate:
         text = captured.out + captured.err
         assert "energy_model.stage_costs['simulaton']" in text
         assert "unknown stage 'simulaton'" in text and "'preprocess'" in text
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            pytest.param(("category_mix", "glass"), math.nan, id="mix-nan"),
+            pytest.param(("fill_increment_mean",), math.nan, id="fill-mean-nan"),
+            pytest.param(("fill_increment_std",), math.inf, id="fill-std-inf"),
+            pytest.param(("feature_means", "glass", "weight_kg"), math.inf, id="means-inf"),
+            pytest.param(("feature_stds", "opacity"), -math.inf, id="stds-neg-inf"),
+        ],
+    )
+    def test_non_finite_waste_stream_exit_4(self, tmp_path, capsys, command, path, value):
+        doc = json.loads((cli._FIXTURES / "waste_framework.json").read_text("utf-8"))
+        target = doc["waste_stream"]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        scenario = tmp_path / "non_finite.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command, "--scenario", str(scenario)]
+        if command == "run":
+            argv += ["--mode", "framework", "--out", str(tmp_path / "out")]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.out + captured.err
         assert not (tmp_path / "out").exists()
 
     @pytest.fixture

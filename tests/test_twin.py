@@ -1,4 +1,5 @@
-"""Facility and bin simulator tests: conservation, limits, determinism."""
+"""Facility and bin simulator tests: conservation, limits, determinism, and
+equality with the reference bin generator in reference_twin."""
 
 import dataclasses
 from importlib import resources
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_twin as reference
 from greenloop.classify import FEATURES
 from greenloop import twin
 from greenloop.errors import NoGraph, StepBudgetExceeded
@@ -289,6 +291,44 @@ class TestSimulateBins:
         total = len(stream.events)
         for cat, p in DEFAULT_WASTE_STREAM.category_mix.items():
             assert counts.get(cat, 0) / total == pytest.approx(p, abs=0.02)
+
+
+CATEGORY_NAMES = ("glass", "metal", "organic", "paper", "plastic", "textile")
+
+
+@st.composite
+def waste_streams(draw):
+    """Mixes with zero-probability categories that sum to 1 within 1e-9."""
+    names = draw(st.lists(st.sampled_from(CATEGORY_NAMES), min_size=1, max_size=6, unique=True))
+    weights = draw(
+        st.lists(st.integers(0, 5), min_size=len(names), max_size=len(names)).filter(any)
+    )
+    skew = 1.0 + draw(st.floats(-4e-10, 4e-10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return twin.WasteStreamConfig(
+        category_mix={c: w / sum(weights) * skew for c, w in zip(names, weights)},
+        fill_increment_mean=draw(st.floats(0.0, 0.5)),
+        fill_increment_std=draw(st.floats(0.0, 0.2)),
+        feature_means={c: dict(zip(FEATURES, rng.normal(size=6).tolist())) for c in names},
+        feature_stds=dict(zip(FEATURES, rng.uniform(0.01, 2.0, size=6).tolist())),
+    )
+
+
+class TestReferenceSimulator:
+    """simulate_bins draws what the eight-call reference generator draws."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        horizon=st.integers(0, 20),
+        n_bins=st.integers(1, 6),
+        stream=st.none() | waste_streams(),
+    )
+    def test_events_match_reference(self, seed, horizon, n_bins, stream):
+        s = graph_scenario(n_bins=n_bins, seed=seed, waste_stream=stream)
+        got = simulate_bins(s, horizon).events
+        want = reference.simulate_bins(s, horizon).events
+        assert [repr(ev) for ev in got] == [repr(ev) for ev in want]
 
 
 class TestCalibration:
