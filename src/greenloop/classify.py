@@ -193,22 +193,11 @@ def _class_index(labels: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def _descend(
-    x: np.ndarray,
-    y_idx: np.ndarray,
-    n_classes: int,
-    cfg: TrainConfig,
-    init_weights: np.ndarray | None,
+    x: np.ndarray, y_idx: np.ndarray, n_classes: int, cfg: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full-batch gradient descent from seeded or given weights, zero biases."""
+    """Full-batch gradient descent from seeded weights and zero biases."""
     n, n_features = x.shape
-    if init_weights is None:
-        weights = initial_weights(cfg, n_classes, n_features)
-    else:
-        weights = np.array(init_weights, dtype=float)
-        if weights.shape != (n_classes, n_features):
-            raise DimensionMismatch(
-                f"init weights {weights.shape} vs expected {(n_classes, n_features)}"
-            )
+    weights = initial_weights(cfg, n_classes, n_features)
     biases = np.zeros(n_classes)
     xt = np.ascontiguousarray(x.T)
     picks = np.arange(n) * n_classes + y_idx
@@ -234,28 +223,6 @@ def _descend(
     return weights, biases
 
 
-def train_classifier(
-    data: Sequence[tuple[np.ndarray, str]],
-    cfg: TrainConfig,
-    init_weights: np.ndarray | None = None,
-) -> SoftmaxModel:
-    """Full-batch gradient descent; labels are sorted into class order.
-
-    data pairs are (featurized vector, label). The features are assumed
-    already normalized; the returned model carries identity norm stats.
-    """
-    if not data:
-        raise EmptyDataset("no training data")
-    labels, y_idx = _class_index([label for _, label in data])
-    x = np.array([vec for vec, _ in data], dtype=float)
-    weights, biases = _descend(x, y_idx, len(labels), cfg, init_weights)
-    n_features = x.shape[1]
-    identity = NormStats(means=(0.0,) * n_features, stds=(1.0,) * n_features)
-    return SoftmaxModel(
-        weights=weights, biases=biases, class_labels=labels, norm_stats=identity
-    )
-
-
 def train_on_records(
     records: Sequence[tuple[Mapping[str, float], str]],
     cfg: TrainConfig,
@@ -270,7 +237,7 @@ def train_on_records(
     stats = _norm_stats(mat)
     labels, y_idx = _class_index([label for _, label in records])
     x = (mat - np.array(stats.means)) / np.array(stats.stds)
-    weights, biases = _descend(x, y_idx, len(labels), cfg, None)
+    weights, biases = _descend(x, y_idx, len(labels), cfg)
     return SoftmaxModel(
         weights=weights, biases=biases, class_labels=labels, norm_stats=stats
     )

@@ -121,7 +121,7 @@ def _read_manifest(p: Path) -> tuple[dict, RunResult]:
     """
     try:
         doc = read_json(p)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ManifestUnreadable(f"manifest not readable: {p} ({exc})") from exc
     if not isinstance(doc, dict) or "metrics" not in doc or "mode" not in doc:
         raise ManifestUnreadable(f"manifest missing required keys: {p}")
@@ -176,7 +176,7 @@ def _load_expectations(arg: str, baseline, framework):
         )
     try:
         doc = read_json(arg)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ManifestUnreadable(f"expectations not readable: {arg} ({exc})") from exc
     if not isinstance(doc, dict):
         raise ManifestUnreadable(f"expectations {arg}: must map metric keys to entries")
@@ -331,7 +331,7 @@ def cmd_table3(args) -> int:
         for f_doc, f_dir in _manifests_newest_first(out, "framework"):
             try:
                 scenario = _run_scenario(f_doc, f_dir)
-            except (OSError, ValueError, GreenloopError):
+            except (OSError, ValueError, RecursionError, GreenloopError):
                 continue
             measured = measured_metrics(f_doc["metrics"], scenario, base_metrics)
             break

@@ -120,8 +120,8 @@ def _labeled(events) -> list[tuple[Mapping[str, float], str]]:
     return [(ev.sensor_record, ev.true_label) for ev in events]
 
 
-def _split_records(events, horizon: int):
-    cut = int(TRAIN_SPLIT * horizon)
+def _split_records(events):
+    cut = int(TRAIN_SPLIT * BIN_HORIZON)
     train = _labeled(ev for ev in events if ev.time_step < cut)
     evaluation = _labeled(ev for ev in events if ev.time_step >= cut)
     return train, evaluation
@@ -223,7 +223,7 @@ def run_full(s: ScenarioSpec, mode) -> tuple[RunResult, RunArtifacts]:
     try:
         if s.collection_graph is not None:
             events = simulate_bins(s, BIN_HORIZON).events
-            train_recs, eval_recs = _split_records(events, BIN_HORIZON)
+            train_recs, eval_recs = _split_records(events)
             if m is Mode.FRAMEWORK:
                 classifier = train_on_records(train_recs, TrainConfig(rng_seed=s.rng_seed))
                 accuracy = evaluate_accuracy_records(classifier, eval_recs)
@@ -488,44 +488,40 @@ def compare_runs(
 
 
 def feedback_update(
-    s: ScenarioSpec,
-    artifacts: RunArtifacts,
-    new_horizon: int = BIN_HORIZON,
-    extra_episodes: int = FEEDBACK_EPISODES,
-    feedback_seed: int | None = None,
+    s: ScenarioSpec, artifacts: RunArtifacts
 ) -> tuple[RunArtifacts, tuple[str, ...]]:
     """Fold newly observed data into the prior run's models.
 
-    The classifier is retrained from scratch on the prior training split
-    plus a freshly simulated batch; route tables continue Q-learning from
-    their stored values. Held-out accuracy is re-measured on the original
-    evaluation split and a diagnostic is returned if it regressed. With
-    no new data and no extra episodes the artifacts only get a version
-    bump.
+    A round simulates BIN_HORIZON fresh steps at seed s.rng_seed + 1. The
+    classifier is retrained from scratch on the prior training split plus
+    that batch; route tables continue Q-learning from their stored values
+    for FEEDBACK_EPISODES per district. Held-out accuracy is re-measured on
+    the original evaluation split and a diagnostic is returned if it
+    regressed. The graph's districts are checked against the stored tables
+    before anything is simulated or trained.
     """
     if artifacts.classifier is None and not artifacts.district_qtables:
         raise MissingArtifacts("prior artifacts carry no classifier or route tables")
     if s.collection_graph is None:
         raise MissingArtifacts("scenario has no collection graph to draw feedback from")
-    if new_horizon < 0 or extra_episodes < 0:
-        raise ValueError("new_horizon and extra_episodes must be >= 0")
 
-    bumped = dataclasses.replace(artifacts, version=artifacts.version + 1)
-    if new_horizon == 0 and extra_episodes == 0:
-        return bumped, ()
+    qtables = artifacts.district_qtables
+    routes = artifacts.district_routes
+    districts = partition_districts(s.collection_graph) if qtables else ()
+    if len(districts) != len(qtables):
+        raise MissingArtifacts(
+            f"stored {len(qtables)} route tables but the graph splits "
+            f"into {len(districts)} districts"
+        )
 
-    fseed = s.rng_seed + 1 if feedback_seed is None else feedback_seed
+    fseed = s.rng_seed + 1
     diagnostics: list[str] = []
 
     classifier = artifacts.classifier
     if classifier is not None:
-        events = simulate_bins(s, BIN_HORIZON).events
-        train_recs, eval_recs = _split_records(events, BIN_HORIZON)
-        new_events = ()
-        if new_horizon > 0:
-            fresh = dataclasses.replace(s, rng_seed=fseed)
-            new_events = simulate_bins(fresh, new_horizon).events
-        combined = train_recs + _labeled(new_events)
+        train_recs, eval_recs = _split_records(simulate_bins(s, BIN_HORIZON).events)
+        fresh = dataclasses.replace(s, rng_seed=fseed)
+        combined = train_recs + _labeled(simulate_bins(fresh, BIN_HORIZON).events)
         retrained = train_on_records(combined, TrainConfig(rng_seed=s.rng_seed))
         before = evaluate_accuracy_records(classifier, eval_recs)
         after = evaluate_accuracy_records(retrained, eval_recs)
@@ -536,21 +532,14 @@ def feedback_update(
             )
         classifier = retrained
 
-    qtables = artifacts.district_qtables
-    routes = artifacts.district_routes
-    if qtables and extra_episodes > 0:
-        districts = partition_districts(s.collection_graph)
-        if len(districts) != len(qtables):
-            raise MissingArtifacts(
-                f"stored {len(qtables)} route tables but the graph splits "
-                f"into {len(districts)} districts"
-            )
+    if qtables:
         qtables, routes, _ = _train_districts(
-            districts, fseed, extra_episodes, initial=artifacts.district_qtables
+            districts, fseed, FEEDBACK_EPISODES, initial=qtables
         )
 
     updated = dataclasses.replace(
-        bumped,
+        artifacts,
+        version=artifacts.version + 1,
         classifier=classifier,
         district_qtables=qtables,
         district_routes=routes,

@@ -88,11 +88,31 @@ def _require_keys(doc: Mapping, allowed: set[str], required: set[str], locus: st
         raise ParseError(f"missing required key {missing[0]!r}", locus=locus)
 
 
+def _finite(raw, locus: str, key: str, item: str | None = None) -> float:
+    """raw as a float; NaN, an infinity or an int past the float range fail.
+
+    The error names doc[key], or doc[key][item] when item is given. A finite
+    plain float, which JSON decodes most numbers to, returns first: a scenario
+    can hold thousands of numbers.
+    """
+    if type(raw) is float and math.isfinite(raw):
+        return raw
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        problem = "must be a number"
+    else:
+        try:
+            v = float(raw)
+        except OverflowError:
+            v = math.inf
+        if math.isfinite(v):
+            return v
+        problem = "must be finite"
+    name = repr(key) if item is None else f"{key}[{item!r}]"
+    raise ParseError(f"{name} {problem}", locus=locus)
+
+
 def _number(doc: Mapping, key: str, locus: str) -> float:
-    v = doc.get(key)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParseError(f"{key!r} must be a number", locus=locus)
-    return float(v)
+    return _finite(doc.get(key), locus, key)
 
 
 def _string(doc: Mapping, key: str, locus: str) -> str:
@@ -106,12 +126,7 @@ def _number_map(doc: Mapping, key: str, locus: str) -> dict[str, float]:
     v = doc.get(key, {})
     if not isinstance(v, dict):
         raise ParseError(f"{key!r} must be an object", locus=locus)
-    out = {}
-    for k, raw in v.items():
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ParseError(f"{key}[{k!r}] must be a number", locus=locus)
-        out[k] = float(raw)
-    return out
+    return {k: _finite(raw, locus, key, k) for k, raw in v.items()}
 
 
 def _parse_material(doc: Mapping, locus: str) -> MaterialSpec:
@@ -393,6 +408,8 @@ def read_scenario(path: str | Path) -> ScenarioSpec:
         raise ParseError(
             f"invalid JSON: {exc.msg}", locus=f"{p}:{exc.lineno}:{exc.colno}"
         ) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply", locus=str(p)) from exc
     return parse_scenario(doc)
 
 

@@ -20,12 +20,11 @@ from greenloop.classify import (
     evaluate_accuracy_records,
     featurize,
     fit_norm_stats,
-    initial_weights,
     model_from_dict,
     model_to_dict,
     predict,
+    predict_record,
     rule_classify,
-    train_classifier,
     train_on_records,
     _loss_and_grad,
 )
@@ -143,52 +142,53 @@ class TestPredict:
 
 
 class TestTraining:
-    def separable_data(self, n=40):
-        # one feature cleanly separates the two classes
+    def separable_records(self, n=40):
+        # weight_kg cleanly separates the two classes; the rest is noise
+        rng = np.random.default_rng(7)
         data = []
         for i in range(n):
-            x = np.zeros(6)
+            x = rng.normal(size=6) * 0.1
             x[0] = 1.0 if i % 2 == 0 else -1.0
-            x[1] = (i % 7) * 0.01
             data.append((x, "pos" if i % 2 == 0 else "neg"))
-        return data
+        return as_records(data)
 
     def test_separable_data_reaches_full_accuracy(self):
-        data = self.separable_data()
-        model = train_classifier(data, TrainConfig())
-        assert evaluate_accuracy_records(model, as_records(data)) == 1.0
+        records = self.separable_records()
+        model = train_on_records(records, TrainConfig())
+        assert evaluate_accuracy_records(model, records) == 1.0
 
     def test_duplicated_data_trains_identical_model(self):
         # mean-loss convention: doubling the batch changes only summation order
-        data = self.separable_data(20)
-        m1 = train_classifier(data, TrainConfig(rng_seed=3))
-        m2 = train_classifier(data + data, TrainConfig(rng_seed=3))
+        records = self.separable_records(20)
+        m1 = train_on_records(records, TrainConfig(rng_seed=3))
+        m2 = train_on_records(records + records, TrainConfig(rng_seed=3))
         assert np.allclose(m1.weights, m2.weights, rtol=1e-12, atol=1e-12)
         assert np.allclose(m1.biases, m2.biases, rtol=1e-12, atol=1e-12)
 
     def test_same_seed_bit_identical(self):
-        data = self.separable_data(30)
-        m1 = train_classifier(data, TrainConfig(rng_seed=9))
-        m2 = train_classifier(data, TrainConfig(rng_seed=9))
+        records = self.separable_records(30)
+        m1 = train_on_records(records, TrainConfig(rng_seed=9))
+        m2 = train_on_records(records, TrainConfig(rng_seed=9))
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.biases, m2.biases)
 
     def test_single_class_rejected(self):
-        data = [(np.zeros(6), "only")] * 5
+        records = [(raw, "only") for raw, _ in self.separable_records(5)]
         with pytest.raises(SingleClassData):
-            train_classifier(data, TrainConfig())
+            train_on_records(records, TrainConfig())
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyDataset):
-            train_classifier([], TrainConfig())
+            train_on_records([], TrainConfig())
 
     def test_divergence_raises(self):
         # l2 term amplifies weights geometrically at this rate until overflow
         rng = np.random.default_rng(0)
         data = [(rng.normal(size=6) * 50, "a" if i % 2 else "b") for i in range(20)]
         with pytest.raises(NonFiniteLoss):
-            train_classifier(
-                data, TrainConfig(learning_rate=1e6, l2_penalty=1.0, epochs=400)
+            train_on_records(
+                as_records(data),
+                TrainConfig(learning_rate=1e6, l2_penalty=1.0, epochs=400),
             )
 
     def test_rising_loss_logs_warning(self, caplog):
@@ -196,15 +196,17 @@ class TestTraining:
         data = [(rng.normal(size=6) * 30, "a" if i % 2 else "b") for i in range(16)]
         with caplog.at_level(logging.WARNING, logger="greenloop.classify"):
             try:
-                train_classifier(data, TrainConfig(learning_rate=500.0, epochs=60))
+                train_on_records(
+                    as_records(data), TrainConfig(learning_rate=500.0, epochs=60)
+                )
             except NonFiniteLoss:
                 pass
         assert any("loss rose" in r.message for r in caplog.records)
 
     def test_loss_nonincreasing_at_small_rate(self, caplog):
-        data = self.separable_data(30)
+        records = self.separable_records(30)
         with caplog.at_level(logging.WARNING, logger="greenloop.classify"):
-            train_classifier(data, TrainConfig(learning_rate=0.01, epochs=300))
+            train_on_records(records, TrainConfig(learning_rate=0.01, epochs=300))
         assert not [r for r in caplog.records if "loss rose" in r.message]
 
 
@@ -309,7 +311,7 @@ class TestProperties:
         assert (probs >= 0).all()
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_label_permutation_equivariance(self):
+    def test_label_permutation_equivariance(self, monkeypatch):
         rng = np.random.default_rng(4)
         data = []
         for i in range(60):
@@ -317,19 +319,22 @@ class TestProperties:
             label = ("aa", "bb", "cc")[i % 3]
             x[0] += {"aa": -2.0, "bb": 0.0, "cc": 2.0}[label]
             data.append((x, label))
+        records = as_records(data)
         cfg = TrainConfig(epochs=200, rng_seed=5)
-        base = train_classifier(data, cfg)
+        base = train_on_records(records, cfg)
 
         rename = {"aa": "zz", "bb": "aa", "cc": "mm"}  # sorted: aa, mm, zz
-        renamed = [(x, rename[lb]) for x, lb in data]
-        init = initial_weights(cfg, 3, 6)
+        renamed = [(raw, rename[lb]) for raw, lb in records]
+        seeded = classify.initial_weights
         # sorted renamed labels (aa, mm, zz) correspond to original (bb, cc, aa)
-        perm_init = init[[1, 2, 0], :]
-        permuted = train_classifier(renamed, cfg, init_weights=perm_init)
+        monkeypatch.setattr(
+            classify, "initial_weights", lambda *a: seeded(*a)[[1, 2, 0], :]
+        )
+        permuted = train_on_records(renamed, cfg)
 
-        for x, _ in data[:10]:
-            lb_base, p_base = predict(base, x)
-            lb_perm, p_perm = predict(permuted, x)
+        for raw, _ in records[:10]:
+            lb_base, p_base = predict_record(base, raw)
+            lb_perm, p_perm = predict_record(permuted, raw)
             assert lb_perm == rename[lb_base]
             order = [permuted.class_labels.index(rename[lb]) for lb in base.class_labels]
             assert np.allclose(p_base, p_perm[order], atol=1e-10)
@@ -339,14 +344,15 @@ class TestPersistence:
     def test_round_trip(self):
         rng = np.random.default_rng(2)
         data = [(rng.normal(size=6), "a" if i % 2 else "b") for i in range(30)]
-        model = train_classifier(data, TrainConfig(epochs=50))
+        model = train_on_records(as_records(data), TrainConfig(epochs=50))
         doc = model_to_dict(model)
         assert doc["version"] == 1
         back = model_from_dict(doc)
         assert np.allclose(back.weights, model.weights)
         assert back.class_labels == model.class_labels
-        x = rng.normal(size=6)
-        assert predict(back, x)[0] == predict(model, x)[0]
+        assert back.norm_stats == model.norm_stats
+        raw = dict(zip(FEATURES, rng.normal(size=6)))
+        assert predict_record(back, raw)[0] == predict_record(model, raw)[0]
 
 
 class _Messages(logging.Handler):
@@ -408,21 +414,24 @@ def training_sets(draw, n_features=st.integers(1, 7)):
     return x, labels, cfg
 
 
+def descend(x, labels, cfg):
+    """classify._descend on already normalized features, as a model."""
+    classes, y_idx = classify._class_index(labels)
+    weights, biases = classify._descend(x, y_idx, len(classes), cfg)
+    return SoftmaxModel(weights, biases, classes, identity_stats(x.shape[1]))
+
+
 class TestReferenceTrainer:
     """The class-major trainer keeps every bit of the sample-major one."""
 
     @settings(deadline=None, max_examples=120)
-    @given(problem=training_sets(), seeded_init=st.booleans())
-    def test_train_classifier_matches_reference(self, problem, seeded_init):
+    @given(problem=training_sets())
+    def test_descend_matches_reference(self, problem):
         x, labels, cfg = problem
-        data = list(zip(x, labels))
-        init = None
-        if not seeded_init:
-            init = np.random.default_rng(cfg.rng_seed).normal(
-                size=(len(set(labels)), x.shape[1])
-            )
-        got = traced(classify, "_class_major_step", train_classifier, data, cfg, init)
-        want = traced(reference, "_loss_and_grad", reference.train_classifier, data, cfg, init)
+        got = traced(classify, "_class_major_step", descend, x, labels, cfg)
+        want = traced(
+            reference, "_loss_and_grad", reference.train_classifier, list(zip(x, labels)), cfg
+        )
         assert got == want
 
     @settings(deadline=None, max_examples=40)

@@ -51,6 +51,16 @@ METRICS = {
 }
 FRAMEWORK_METRICS = {**METRICS, "mode": "framework"}
 
+# Deeper than the JSON decoder's recursion limit: it raises RecursionError.
+DEEP_JSON = "[" * 100_000
+
+
+def manifest_file(path, metrics):
+    path.write_text(
+        json.dumps({"version": 1, "mode": metrics["mode"], "metrics": metrics}), "utf-8"
+    )
+    return path
+
 
 class TestRun:
     def test_writes_manifest_and_artifacts(self, tmp_path, capsys):
@@ -244,6 +254,27 @@ class TestCompare:
         assert "- none" in out
 
 
+    def test_deeply_nested_manifest_exit_3(self, tmp_path, capsys):
+        deep = tmp_path / "manifest.json"
+        deep.write_text(DEEP_JSON, "utf-8")
+        good = manifest_file(tmp_path / "framework.json", FRAMEWORK_METRICS)
+        code = main(["compare", "--baseline", str(deep), "--framework", str(good),
+                     "--out", str(tmp_path / "cmp")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: manifest not readable: {deep}")
+
+    def test_deeply_nested_expectations_exit_3(self, tmp_path, capsys):
+        b = manifest_file(tmp_path / "baseline.json", METRICS)
+        f = manifest_file(tmp_path / "framework.json", FRAMEWORK_METRICS)
+        path = tmp_path / "expectations.json"
+        path.write_text(DEEP_JSON, "utf-8")
+        code = main(["compare", "--baseline", str(b), "--framework", str(f),
+                     "--out", str(tmp_path / "cmp"), "--expectations", str(path)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: expectations not readable: {path}")
+        assert not (tmp_path / "cmp").exists()
+
+
 class TestChart:
     def test_chart_written_and_deterministic(self, tmp_path):
         b = run_battery(tmp_path, "baseline")
@@ -365,6 +396,24 @@ class TestTable3:
         assert "| CO2 emission reduction (%) | — | 25 | 28 | 26.67 |" in text
 
 
+    @pytest.mark.parametrize("deep_file", ["manifest.json", "scenario.json"])
+    def test_deeply_nested_newer_run_skipped(self, tmp_path, capsys, deep_file):
+        run_battery(tmp_path, "baseline")
+        good = run_battery(tmp_path, "framework")
+        manifest = read_json(good / "manifest.json")
+        manifest["created_at"] = "9999-12-31T00:00:00+00:00"
+        manifest["metrics"]["co2_kg"] *= 2
+        broken = tmp_path / "out" / "broken"
+        broken.mkdir()
+        (broken / "scenario.json").write_bytes((good / "scenario.json").read_bytes())
+        (broken / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        (broken / deep_file).write_text(DEEP_JSON, "utf-8")
+        capsys.readouterr()
+        assert main(["table3", "--out", str(tmp_path / "out")]) == 0
+        text = capsys.readouterr().out
+        assert "| CO2 emission reduction (%) | — | 25 | 28 | 26.67 |" in text
+
+
 class TestValidateCalibrate:
     def test_validate_ok(self, tmp_path, capsys):
         assert main(["validate", "--scenario", "waste_baseline.json"]) == 0
@@ -439,6 +488,49 @@ class TestValidateCalibrate:
         assert main(argv) == 4
         captured = capsys.readouterr()
         assert "must be finite" in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "fixture, path, value",
+        [
+            pytest.param("waste_framework.json", ("waste_stream", "category_mix", "glass"),
+                         10**400, id="mix-int-beyond-float"),
+            pytest.param("alloc_small.json", ("processes", 0, "unit_cost"), math.nan,
+                         id="unit-cost-nan"),
+            pytest.param("alloc_small.json", ("limits", 0, "availability"), math.inf,
+                         id="availability-inf"),
+            pytest.param("alloc_small.json", ("limits", 1, "consumption", "pB"), math.nan,
+                         id="consumption-nan"),
+            pytest.param("alloc_small.json", ("emission_factors", 0, "e"), math.nan,
+                         id="factor-nan"),
+        ],
+    )
+    def test_non_finite_number_exit_4(self, tmp_path, capsys, command, fixture, path, value):
+        doc = json.loads((cli._FIXTURES / fixture).read_text("utf-8"))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        scenario = tmp_path / "non_finite.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command, "--scenario", str(scenario)]
+        if command == "run":
+            argv += ["--mode", "framework", "--out", str(tmp_path / "out")]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "must be finite" in err and repr(path[-1]) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_deeply_nested_scenario_exit_4(self, tmp_path, capsys, command):
+        scenario = tmp_path / "deep.json"
+        scenario.write_text(DEEP_JSON, "utf-8")
+        argv = [command, "--scenario", str(scenario)]
+        if command == "run":
+            argv += ["--mode", "framework", "--out", str(tmp_path / "out")]
+        assert main(argv) == 4
+        assert "nested too deeply" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.fixture

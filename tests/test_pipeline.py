@@ -15,6 +15,7 @@ from greenloop.errors import (
     ModeUnsupported,
     StageError,
 )
+from greenloop import pipeline
 from greenloop.classify import evaluate_accuracy_records
 from greenloop.pipeline import (
     BIN_HORIZON,
@@ -352,27 +353,10 @@ class TestFeedback:
         with pytest.raises(MissingArtifacts, match="graph"):
             feedback_update(no_graph, artifacts)
 
-    def test_negative_args_rejected(self):
-        s = city_scenario()
-        _, artifacts = run_full(s, "framework")
-        with pytest.raises(ValueError):
-            feedback_update(s, artifacts, new_horizon=-1)
-
-    def test_noop_bumps_version_only(self):
-        s = city_scenario()
-        _, artifacts = run_full(s, "framework")
-        updated, diagnostics = feedback_update(
-            s, artifacts, new_horizon=0, extra_episodes=0
-        )
-        assert updated.version == artifacts.version + 1
-        assert updated.classifier is artifacts.classifier
-        assert updated.district_qtables == artifacts.district_qtables
-        assert diagnostics == ()
-
     def test_round_keeps_held_out_accuracy(self):
         s = city_scenario()
         _, artifacts = run_full(s, "framework")
-        updated, diagnostics = feedback_update(s, artifacts, extra_episodes=200)
+        updated, diagnostics = feedback_update(s, artifacts)
         assert updated.version == 2
         events = simulate_bins(s, BIN_HORIZON).events
         cut = int(0.7 * BIN_HORIZON)
@@ -389,12 +373,19 @@ class TestFeedback:
         else:
             assert after >= before
 
-    def test_district_count_mismatch(self):
+    def test_district_count_mismatch(self, monkeypatch):
+        """The stored tables are checked before anything is simulated or trained."""
         s = city_scenario()
         _, artifacts = run_full(s, "framework")
         bigger = load_fixture("waste_baseline.json")
+
+        def called(*args):
+            pytest.fail("feedback_update worked before checking the districts")
+
+        monkeypatch.setattr(pipeline, "simulate_bins", called)
+        monkeypatch.setattr(pipeline, "train_on_records", called)
         with pytest.raises(MissingArtifacts, match="districts"):
-            feedback_update(bigger, artifacts, extra_episodes=10)
+            feedback_update(bigger, artifacts)
 
 
 class TestStageUsageOverride:
