@@ -57,7 +57,7 @@ def _index_factors(factors: Iterable[EmissionFactor]) -> dict[str, EmissionFacto
     for f in factors:
         if f.process_id in by_process:
             raise DuplicateFactor(
-                f"processes {f.process_id!r} has factors "
+                f"process {f.process_id!r} has factors "
                 f"{by_process[f.process_id].id!r} and {f.id!r}"
             )
         by_process[f.process_id] = f

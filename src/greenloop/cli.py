@@ -56,7 +56,7 @@ from .scenario import (
     scenario_to_dict,
     validate_scenario,
 )
-from .serialize import content_hash, read_json, write_json
+from .serialize import content_hash, read_json_checked, write_json
 from .twin import calibrate_facility
 
 _FIXTURES = resources.files("greenloop") / "fixtures"
@@ -119,10 +119,7 @@ def _read_manifest(p: Path) -> tuple[dict, RunResult]:
     Anything short of a complete run, or an artifacts map, created_at or
     run_id of another type than cmd_run writes, raises ManifestUnreadable.
     """
-    try:
-        doc = read_json(p)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        raise ManifestUnreadable(f"manifest not readable: {p} ({exc})") from exc
+    doc = read_json_checked(p, ManifestUnreadable, "manifest")
     if not isinstance(doc, dict) or "metrics" not in doc or "mode" not in doc:
         raise ManifestUnreadable(f"manifest missing required keys: {p}")
     artifacts = doc.get("artifacts", {})
@@ -174,10 +171,7 @@ def _load_expectations(arg: str, baseline, framework):
         return json.loads(
             (_FIXTURES / f"expectations_{arg}.json").read_text(encoding="utf-8")
         )
-    try:
-        doc = read_json(arg)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        raise ManifestUnreadable(f"expectations not readable: {arg} ({exc})") from exc
+    doc = read_json_checked(arg, ManifestUnreadable, "expectations")
     if not isinstance(doc, dict):
         raise ManifestUnreadable(f"expectations {arg}: must map metric keys to entries")
     for metric, entry in doc.items():
@@ -315,7 +309,7 @@ def _run_scenario(doc: dict, run_dir: Path) -> ScenarioSpec | None:
     """The scenario a run's artifacts name, or None if they name none."""
     rel = doc.get("artifacts", {}).get("scenario")
     if rel and (run_dir / rel).is_file():
-        return parse_scenario(read_json(run_dir / rel))
+        return parse_scenario(read_json_checked(run_dir / rel, ParseError, "scenario"))
     return None
 
 
@@ -331,7 +325,7 @@ def cmd_table3(args) -> int:
         for f_doc, f_dir in _manifests_newest_first(out, "framework"):
             try:
                 scenario = _run_scenario(f_doc, f_dir)
-            except (OSError, ValueError, RecursionError, GreenloopError):
+            except GreenloopError:
                 continue
             measured = measured_metrics(f_doc["metrics"], scenario, base_metrics)
             break
@@ -451,7 +445,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GreenloopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # noqa: BLE001 - one-line diagnostic, nonzero exit

@@ -95,7 +95,6 @@ class RunArtifacts:
     district_qtables: tuple[QTable, ...] = ()
     district_routes: tuple[tuple[str, ...], ...] = ()
     allocation: Mapping[str, float] | None = None
-    trace: SimulationTrace | None = None
 
 
 @dataclass(frozen=True)
@@ -329,7 +328,6 @@ def run_full(s: ScenarioSpec, mode) -> tuple[RunResult, RunArtifacts]:
         district_qtables=qtables,
         district_routes=routes,
         allocation=allocation,
-        trace=trace,
     )
     return result, artifacts
 

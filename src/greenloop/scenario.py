@@ -4,11 +4,15 @@ A scenario is one UTF-8 JSON document holding the material stream, the
 candidate processes with costs and emission factors, resource limits, an
 optional collection graph, optional facility and waste-stream sections
 for the simulators, targets, and the run seed. Parsing is strict: an
-unknown key anywhere is a ParseError, so fixtures cannot drift silently.
+unknown key anywhere, a section that is not a JSON object, or a file
+that is not UTF-8 JSON is a ParseError (exit 4), so fixtures cannot drift
+silently. serialize.read_json_checked decides when a file is unreadable;
+a manifest or expectations file fails the same way as ManifestUnreadable
+(exit 3).
 
-Value-level problems (negative mass, dangling factor reference) are
-reported by validate_scenario as diagnostics; load_scenario runs it and
-raises ValidationError when any come back.
+Value-level problems (negative mass, dangling factor, process or station
+reference) are reported by validate_scenario as diagnostics;
+load_scenario runs it and raises ValidationError when any come back.
 
 compile_to_lp turns the scenario into the allocation program: one
 variable per process in declaration order, one row per resource limit,
@@ -17,16 +21,16 @@ plus an emission cap row when targets carry co2_cap_kg.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 from .carbon import LIFECYCLE_STAGES, EmissionFactor
 from .energy import STAGE_ORDER, EnergyModel, StageUsage, UsagePlan
 from .errors import CompileError, Diagnostic, ParseError, ValidationError
 from .routing import BinNode, CollectionGraph, EdgeAttrs
+from .serialize import read_json_checked, write_json
 from .solver import LinearProgram
 from .twin import ELEMENTS, FacilityModel, Station, WasteStreamConfig, step_budget_problem
 
@@ -79,13 +83,36 @@ class ScenarioSpec:
     energy_model: UsagePlan | None = None
 
 
-def _require_keys(doc: Mapping, allowed: set[str], required: set[str], locus: str):
-    unknown = sorted(set(doc) - allowed)
+def _section(
+    doc, locus: str, required: AbstractSet[str], optional: AbstractSet[str] = frozenset()
+) -> dict:
+    """doc, once it is a JSON object with each required key and no key
+    outside required and optional."""
+    if not isinstance(doc, dict):
+        raise ParseError("must be a JSON object", locus=locus)
+    unknown = doc.keys() - required - optional
     if unknown:
-        raise ParseError(f"unknown key {unknown[0]!r}", locus=locus)
-    missing = sorted(required - set(doc))
+        raise ParseError(f"unknown key {min(unknown)!r}", locus=locus)
+    missing = required - doc.keys()
     if missing:
-        raise ParseError(f"missing required key {missing[0]!r}", locus=locus)
+        raise ParseError(f"missing required key {min(missing)!r}", locus=locus)
+    return doc
+
+
+def _array(doc: Mapping, key: str, locus: str) -> list:
+    """doc[key] (empty when absent), once it is a JSON array."""
+    v = doc.get(key, [])
+    if not isinstance(v, list):
+        raise ParseError(f"{key!r} must be an array", locus=locus)
+    return v
+
+
+def _build(cls, locus: str, **fields):
+    """cls(**fields), its own checks' ValueError raised as a ValidationError."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ValidationError(str(exc), locus=locus) from exc
 
 
 def _finite(raw, locus: str, key: str, item: str | None = None) -> float:
@@ -111,50 +138,46 @@ def _finite(raw, locus: str, key: str, item: str | None = None) -> float:
     raise ParseError(f"{name} {problem}", locus=locus)
 
 
-def _number(doc: Mapping, key: str, locus: str) -> float:
+def _number(doc: Mapping, key: str, locus: str, default: float | None = None) -> float:
+    if default is not None and key not in doc:
+        return default
     return _finite(doc.get(key), locus, key)
 
 
-def _string(doc: Mapping, key: str, locus: str) -> str:
-    v = doc.get(key)
+def _string(doc: Mapping, key: str, locus: str, default: str | None = None) -> str:
+    v = doc.get(key, default)
     if not isinstance(v, str):
         raise ParseError(f"{key!r} must be a string", locus=locus)
     return v
 
 
-def _number_map(doc: Mapping, key: str, locus: str) -> dict[str, float]:
+def _object(doc: Mapping, key: str, locus: str) -> dict:
+    """doc[key] (empty when absent), once it is a JSON object."""
     v = doc.get(key, {})
     if not isinstance(v, dict):
         raise ParseError(f"{key!r} must be an object", locus=locus)
-    return {k: _finite(raw, locus, key, k) for k, raw in v.items()}
+    return v
 
 
-def _parse_material(doc: Mapping, locus: str) -> MaterialSpec:
-    _require_keys(
-        doc,
-        {"id", "name", "category", "mass_kg", "composition", "lifecycle_stage"},
-        {"id", "category", "mass_kg"},
-        locus,
-    )
+def _number_map(doc: Mapping, key: str, locus: str) -> dict[str, float]:
+    return {k: _finite(raw, locus, key, k) for k, raw in _object(doc, key, locus).items()}
+
+
+def _parse_material(doc, locus: str) -> MaterialSpec:
+    _section(doc, locus, {"id", "category", "mass_kg"},
+             {"name", "composition", "lifecycle_stage"})
     return MaterialSpec(
         id=_string(doc, "id", locus),
-        name=_string(doc, "name", locus) if "name" in doc else "",
+        name=_string(doc, "name", locus, ""),
         category=_string(doc, "category", locus),
         mass_kg=_number(doc, "mass_kg", locus),
         composition=_number_map(doc, "composition", locus),
-        lifecycle_stage=(
-            _string(doc, "lifecycle_stage", locus) if "lifecycle_stage" in doc else "collected"
-        ),
+        lifecycle_stage=_string(doc, "lifecycle_stage", locus, "collected"),
     )
 
 
-def _parse_process(doc: Mapping, locus: str) -> ProcessSpec:
-    _require_keys(
-        doc,
-        {"id", "unit_cost", "energy_per_unit", "emission_factor_id"},
-        {"id", "unit_cost", "energy_per_unit", "emission_factor_id"},
-        locus,
-    )
+def _parse_process(doc, locus: str) -> ProcessSpec:
+    _section(doc, locus, {"id", "unit_cost", "energy_per_unit", "emission_factor_id"})
     return ProcessSpec(
         id=_string(doc, "id", locus),
         unit_cost=_number(doc, "unit_cost", locus),
@@ -163,13 +186,8 @@ def _parse_process(doc: Mapping, locus: str) -> ProcessSpec:
     )
 
 
-def _parse_limit(doc: Mapping, locus: str) -> ResourceLimit:
-    _require_keys(
-        doc,
-        {"resource_id", "availability", "consumption"},
-        {"resource_id", "availability"},
-        locus,
-    )
+def _parse_limit(doc, locus: str) -> ResourceLimit:
+    _section(doc, locus, {"resource_id", "availability"}, {"consumption"})
     return ResourceLimit(
         resource_id=_string(doc, "resource_id", locus),
         availability=_number(doc, "availability", locus),
@@ -177,240 +195,150 @@ def _parse_limit(doc: Mapping, locus: str) -> ResourceLimit:
     )
 
 
-def _parse_factor(doc: Mapping, locus: str) -> EmissionFactor:
-    _require_keys(
-        doc, {"id", "process_id", "e", "stage"}, {"id", "process_id", "e", "stage"}, locus
+def _parse_factor(doc, locus: str) -> EmissionFactor:
+    _section(doc, locus, {"id", "process_id", "e", "stage"})
+    return _build(
+        EmissionFactor, locus,
+        id=_string(doc, "id", locus),
+        process_id=_string(doc, "process_id", locus),
+        e=_number(doc, "e", locus),
+        stage=_string(doc, "stage", locus),
     )
-    try:
-        return EmissionFactor(
-            id=_string(doc, "id", locus),
-            process_id=_string(doc, "process_id", locus),
-            e=_number(doc, "e", locus),
-            stage=_string(doc, "stage", locus),
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc), locus=locus) from exc
 
 
-def _parse_graph(doc: Mapping, locus: str) -> CollectionGraph:
-    _require_keys(doc, {"nodes", "edges"}, {"nodes", "edges"}, locus)
-    if not isinstance(doc["nodes"], list) or not isinstance(doc["edges"], list):
-        raise ParseError("'nodes' and 'edges' must be arrays", locus=locus)
-    nodes = []
-    for i, nd in enumerate(doc["nodes"]):
-        nl = f"{locus}.nodes[{i}]"
-        _require_keys(nd, {"id", "fill_level", "is_depot"}, {"id"}, nl)
-        is_depot = nd.get("is_depot", False)
-        if not isinstance(is_depot, bool):
-            raise ParseError("'is_depot' must be a boolean", locus=nl)
-        try:
-            nodes.append(
-                BinNode(
-                    id=_string(nd, "id", nl),
-                    fill_level=_number(nd, "fill_level", nl) if "fill_level" in nd else 0.0,
-                    is_depot=is_depot,
-                )
-            )
-        except ValueError as exc:
-            raise ValidationError(str(exc), locus=nl) from exc
+def _parse_node(nd, locus: str) -> BinNode:
+    _section(nd, locus, {"id"}, {"fill_level", "is_depot"})
+    is_depot = nd.get("is_depot", False)
+    if not isinstance(is_depot, bool):
+        raise ParseError("'is_depot' must be a boolean", locus=locus)
+    return _build(
+        BinNode, locus,
+        id=_string(nd, "id", locus),
+        fill_level=_number(nd, "fill_level", locus, 0.0),
+        is_depot=is_depot,
+    )
+
+
+def _parse_graph(doc, locus: str) -> CollectionGraph:
+    _section(doc, locus, {"nodes", "edges"})
+    nodes = tuple(
+        _parse_node(nd, f"{locus}.nodes[{i}]")
+        for i, nd in enumerate(_array(doc, "nodes", locus))
+    )
     edges = {}
-    for i, ed in enumerate(doc["edges"]):
+    for i, ed in enumerate(_array(doc, "edges", locus)):
         el = f"{locus}.edges[{i}]"
-        _require_keys(
-            ed,
-            {"a", "b", "distance_km", "emission_rate_kg_per_km"},
-            {"a", "b", "distance_km", "emission_rate_kg_per_km"},
-            el,
-        )
+        _section(ed, el, {"a", "b", "distance_km", "emission_rate_kg_per_km"})
         key = (_string(ed, "a", el), _string(ed, "b", el))
         if key in edges:
             raise ParseError(f"duplicate edge ({key[0]}, {key[1]})", locus=el)
-        try:
-            edges[key] = EdgeAttrs(
-                distance_km=_number(ed, "distance_km", el),
-                emission_rate_kg_per_km=_number(ed, "emission_rate_kg_per_km", el),
-            )
-        except ValueError as exc:
-            raise ValidationError(str(exc), locus=el) from exc
-    try:
-        return CollectionGraph(nodes=tuple(nodes), edges=edges)
-    except ValueError as exc:
-        raise ValidationError(str(exc), locus=locus) from exc
+        edges[key] = _build(
+            EdgeAttrs, el,
+            distance_km=_number(ed, "distance_km", el),
+            emission_rate_kg_per_km=_number(ed, "emission_rate_kg_per_km", el),
+        )
+    return _build(CollectionGraph, locus, nodes=nodes, edges=edges)
 
 
-def _parse_facility(doc: Mapping, locus: str) -> FacilityModel:
-    _require_keys(
-        doc, {"stations", "throughput_kg_per_step"}, {"stations", "throughput_kg_per_step"}, locus
+def _parse_station(st, locus: str) -> Station:
+    _section(st, locus, {"id", "recovery_efficiency", "energy_kwh_per_kg", "loss_fraction"})
+    return _build(
+        Station, locus,
+        id=_string(st, "id", locus),
+        recovery_efficiency=_number_map(st, "recovery_efficiency", locus),
+        energy_kwh_per_kg=_number(st, "energy_kwh_per_kg", locus),
+        loss_fraction=_number(st, "loss_fraction", locus),
     )
-    if not isinstance(doc["stations"], list):
-        raise ParseError("'stations' must be an array", locus=locus)
-    stations = []
-    for i, st in enumerate(doc["stations"]):
-        sl = f"{locus}.stations[{i}]"
-        _require_keys(
-            st,
-            {"id", "recovery_efficiency", "energy_kwh_per_kg", "loss_fraction"},
-            {"id", "recovery_efficiency", "energy_kwh_per_kg", "loss_fraction"},
-            sl,
-        )
-        try:
-            stations.append(
-                Station(
-                    id=_string(st, "id", sl),
-                    recovery_efficiency=_number_map(st, "recovery_efficiency", sl),
-                    energy_kwh_per_kg=_number(st, "energy_kwh_per_kg", sl),
-                    loss_fraction=_number(st, "loss_fraction", sl),
-                )
-            )
-        except ValueError as exc:
-            raise ValidationError(str(exc), locus=sl) from exc
-    try:
-        return FacilityModel(
-            stations=tuple(stations),
-            throughput_kg_per_step=_number(doc, "throughput_kg_per_step", locus),
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc), locus=locus) from exc
 
 
-def _parse_waste_stream(doc: Mapping, locus: str) -> WasteStreamConfig:
-    _require_keys(
-        doc,
-        {"category_mix", "fill_increment_mean", "fill_increment_std",
-         "feature_means", "feature_stds"},
-        {"category_mix", "fill_increment_mean", "fill_increment_std",
-         "feature_means", "feature_stds"},
-        locus,
+def _parse_facility(doc, locus: str) -> FacilityModel:
+    _section(doc, locus, {"stations", "throughput_kg_per_step"})
+    stations = tuple(
+        _parse_station(st, f"{locus}.stations[{i}]")
+        for i, st in enumerate(_array(doc, "stations", locus))
     )
-    means_doc = doc["feature_means"]
-    if not isinstance(means_doc, dict):
-        raise ParseError("'feature_means' must be an object", locus=locus)
-    feature_means = {
-        cat: _number_map(means_doc, cat, f"{locus}.feature_means")
-        for cat in means_doc
-    }
-    try:
-        return WasteStreamConfig(
-            category_mix=_number_map(doc, "category_mix", locus),
-            fill_increment_mean=_number(doc, "fill_increment_mean", locus),
-            fill_increment_std=_number(doc, "fill_increment_std", locus),
-            feature_means=feature_means,
-            feature_stds=_number_map(doc, "feature_stds", locus),
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc), locus=locus) from exc
+    return _build(
+        FacilityModel, locus,
+        stations=stations,
+        throughput_kg_per_step=_number(doc, "throughput_kg_per_step", locus),
+    )
 
 
-def _parse_energy_model(doc: Mapping, locus: str) -> UsagePlan:
-    _require_keys(doc, {"alpha", "beta", "stage_costs"}, {"alpha", "beta"}, locus)
-    costs_doc = doc.get("stage_costs", {})
-    if not isinstance(costs_doc, dict):
-        raise ParseError("'stage_costs' must be an object", locus=locus)
+def _parse_waste_stream(doc, locus: str) -> WasteStreamConfig:
+    _section(doc, locus, {"category_mix", "fill_increment_mean", "fill_increment_std",
+                          "feature_means", "feature_stds"})
+    means_doc = _object(doc, "feature_means", locus)
+    return _build(
+        WasteStreamConfig, locus,
+        category_mix=_number_map(doc, "category_mix", locus),
+        fill_increment_mean=_number(doc, "fill_increment_mean", locus),
+        fill_increment_std=_number(doc, "fill_increment_std", locus),
+        feature_means={
+            cat: _number_map(means_doc, cat, f"{locus}.feature_means") for cat in means_doc
+        },
+        feature_stds=_number_map(doc, "feature_stds", locus),
+    )
+
+
+def _parse_energy_model(doc, locus: str) -> UsagePlan:
+    _section(doc, locus, {"alpha", "beta"}, {"stage_costs"})
     stage_costs = {}
-    for stage, usage in costs_doc.items():
+    for stage, usage in _object(doc, "stage_costs", locus).items():
         ul = f"{locus}.stage_costs[{stage!r}]"
-        _require_keys(usage, {"compute_seconds", "transferred_mb"}, set(), ul)
-        try:
-            stage_costs[stage] = StageUsage(
-                stage_name=stage,
-                compute_seconds=_number(usage, "compute_seconds", ul)
-                if "compute_seconds" in usage else 0.0,
-                transferred_mb=_number(usage, "transferred_mb", ul)
-                if "transferred_mb" in usage else 0.0,
-            )
-        except ValueError as exc:
-            raise ValidationError(str(exc), locus=ul) from exc
-    try:
-        model = EnergyModel(alpha=_number(doc, "alpha", locus), beta=_number(doc, "beta", locus))
-    except ValueError as exc:
-        raise ValidationError(str(exc), locus=locus) from exc
+        _section(usage, ul, set(), {"compute_seconds", "transferred_mb"})
+        stage_costs[stage] = _build(
+            StageUsage, ul,
+            stage_name=stage,
+            compute_seconds=_number(usage, "compute_seconds", ul, 0.0),
+            transferred_mb=_number(usage, "transferred_mb", ul, 0.0),
+        )
+    model = _build(
+        EnergyModel, locus,
+        alpha=_number(doc, "alpha", locus),
+        beta=_number(doc, "beta", locus),
+    )
     return UsagePlan(model=model, stage_costs=stage_costs)
-
-
-TOP_LEVEL_KEYS = {
-    "materials", "processes", "limits", "emission_factors", "collection_graph",
-    "targets", "integrality", "rng_seed", "facility", "waste_stream", "energy_model",
-}
 
 
 def parse_scenario(doc: Mapping) -> ScenarioSpec:
     """Build a ScenarioSpec from a decoded JSON document (strict keys)."""
-    if not isinstance(doc, dict):
-        raise ParseError("scenario document must be a JSON object", locus="$")
-    _require_keys(doc, TOP_LEVEL_KEYS, {"rng_seed"}, "$")
+    _section(doc, "$", {"rng_seed"}, {
+        "materials", "processes", "limits", "emission_factors", "collection_graph",
+        "targets", "integrality", "facility", "waste_stream", "energy_model",
+    })
 
     seed = doc["rng_seed"]
     if not is_rng_seed(seed):
         raise ParseError("'rng_seed' must be an unsigned 64-bit integer", locus="$")
 
-    def seq(key):
-        v = doc.get(key, [])
-        if not isinstance(v, list):
-            raise ParseError(f"{key!r} must be an array", locus="$")
-        return v
+    def items(key, parse):
+        return tuple(parse(v, f"{key}[{i}]") for i, v in enumerate(_array(doc, key, "$")))
 
-    materials = tuple(
-        _parse_material(m, f"materials[{i}]") for i, m in enumerate(seq("materials"))
-    )
-    processes = tuple(
-        _parse_process(p, f"processes[{i}]") for i, p in enumerate(seq("processes"))
-    )
-    limits = tuple(_parse_limit(l, f"limits[{i}]") for i, l in enumerate(seq("limits")))
-    factors = tuple(
-        _parse_factor(f, f"emission_factors[{i}]")
-        for i, f in enumerate(seq("emission_factors"))
-    )
+    def optional(key, parse):
+        return parse(doc[key], key) if key in doc else None
 
-    integrality_doc = doc.get("integrality", [])
-    if not isinstance(integrality_doc, list) or not all(
-        isinstance(x, str) for x in integrality_doc
-    ):
+    integrality_doc = _array(doc, "integrality", "$")
+    if not all(isinstance(x, str) for x in integrality_doc):
         raise ParseError("'integrality' must be an array of process ids", locus="$")
 
-    targets = _number_map(doc, "targets", "$") if "targets" in doc else {}
-
     return ScenarioSpec(
-        materials=materials,
-        processes=processes,
-        limits=limits,
-        emission_factors=factors,
-        collection_graph=(
-            _parse_graph(doc["collection_graph"], "collection_graph")
-            if "collection_graph" in doc else None
-        ),
-        targets=targets,
+        materials=items("materials", _parse_material),
+        processes=items("processes", _parse_process),
+        limits=items("limits", _parse_limit),
+        emission_factors=items("emission_factors", _parse_factor),
+        collection_graph=optional("collection_graph", _parse_graph),
+        targets=_number_map(doc, "targets", "$"),
         integrality=frozenset(integrality_doc),
         rng_seed=seed,
-        facility=(
-            _parse_facility(doc["facility"], "facility") if "facility" in doc else None
-        ),
-        waste_stream=(
-            _parse_waste_stream(doc["waste_stream"], "waste_stream")
-            if "waste_stream" in doc else None
-        ),
-        energy_model=(
-            _parse_energy_model(doc["energy_model"], "energy_model")
-            if "energy_model" in doc else None
-        ),
+        facility=optional("facility", _parse_facility),
+        waste_stream=optional("waste_stream", _parse_waste_stream),
+        energy_model=optional("energy_model", _parse_energy_model),
     )
 
 
 def read_scenario(path: str | Path) -> ScenarioSpec:
     """Read and parse a scenario file, leaving its values unvalidated."""
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read scenario file: {exc}", locus=str(p)) from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid JSON: {exc.msg}", locus=f"{p}:{exc.lineno}:{exc.colno}"
-        ) from exc
-    except RecursionError as exc:
-        raise ParseError("invalid JSON: nested too deeply", locus=str(p)) from exc
-    return parse_scenario(doc)
+    return parse_scenario(read_json_checked(path, ParseError, "scenario"))
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
@@ -471,11 +399,19 @@ def validate_scenario(s: ScenarioSpec) -> list[Diagnostic]:
             ))
 
     factor_ids = set()
+    factor_of: dict[str, str] = {}
     for i, ef in enumerate(s.emission_factors):
         path = f"emission_factors[{i}]"
         if ef.id in factor_ids:
             out.append(Diagnostic(path=f"{path}.id", message=f"duplicate factor id {ef.id!r}"))
         factor_ids.add(ef.id)
+        if ef.process_id in factor_of:
+            out.append(Diagnostic(
+                path=f"{path}.process_id",
+                message=f"process {ef.process_id!r} has factors "
+                f"{factor_of[ef.process_id]!r} and {ef.id!r}",
+            ))
+        factor_of.setdefault(ef.process_id, ef.id)
 
     process_ids = set()
     for i, p in enumerate(s.processes):
@@ -502,6 +438,11 @@ def validate_scenario(s: ScenarioSpec) -> list[Diagnostic]:
                 message=f"availability must be >= 0, got {lim.availability}",
             ))
         for pid, coeff in lim.consumption.items():
+            if pid not in process_ids:
+                out.append(Diagnostic(
+                    path=f"{path}.consumption[{pid!r}]",
+                    message=f"limit {lim.resource_id!r} references unknown process {pid!r}",
+                ))
             if coeff < 0:
                 out.append(Diagnostic(
                     path=f"{path}.consumption[{pid!r}]",
@@ -527,6 +468,14 @@ def validate_scenario(s: ScenarioSpec) -> list[Diagnostic]:
         problem = step_budget_problem(cell_kg, s.facility.throughput_kg_per_step)
         if problem:
             out.append(Diagnostic(path="facility.throughput_kg_per_step", message=problem))
+        if any(m.category == "battery-cell" for m in s.materials):
+            for i, st in enumerate(s.facility.stations):
+                if st.id not in factor_of:
+                    out.append(Diagnostic(
+                        path=f"facility.stations[{i}].id",
+                        message=f"station {st.id!r} has no emission factor; "
+                        "the carbon stage needs one for each station",
+                    ))
 
     if s.energy_model is not None:
         for stage in sorted(s.energy_model.stage_costs):
@@ -693,6 +642,4 @@ def scenario_to_dict(s: ScenarioSpec) -> dict:
 
 
 def save_scenario(s: ScenarioSpec, path: str | Path) -> None:
-    from .serialize import write_json
-
     write_json(path, scenario_to_dict(s))

@@ -30,7 +30,7 @@ import hashlib
 import json
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -160,6 +160,28 @@ def write_json(path: Path | str, obj: Any) -> None:
 
 def read_json(path: Path | str) -> Any:
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def read_json_checked(path: Path | str, error: Callable[[str], Exception], what: str) -> Any:
+    """The document in an outside JSON file, or error(message) if it has none.
+
+    The one place that decides a file cannot be read: an OSError, bytes
+    that are not UTF-8, invalid JSON, or nesting past the recursion limit.
+    The message reads "<what> not readable: <path>[:line:col] (<reason>)".
+    """
+    try:
+        return read_json(path)
+    except OSError as exc:
+        where, reason = path, f"cannot read: {exc.strerror or exc}"
+    except UnicodeDecodeError as exc:
+        where, reason = path, f"not UTF-8 at byte {exc.start}"
+    except json.JSONDecodeError as exc:
+        where, reason = f"{path}:{exc.lineno}:{exc.colno}", f"invalid JSON: {exc.msg}"
+    except RecursionError:
+        where, reason = path, "invalid JSON: nested too deeply"
+    except ValueError as exc:  # such as an integer literal past int's digit limit
+        where, reason = path, f"invalid JSON: {exc}"
+    raise error(f"{what} not readable: {where} ({reason})")
 
 
 def content_hash(obj: Any) -> str:

@@ -335,8 +335,11 @@ def test_criterion_06_waste_table(waste_runs):
     )
 
 
-def test_criterion_07_mass_conservation(battery_runs):
-    traces = [art.trace for (_, art) in battery_runs]
+def test_criterion_07_mass_conservation():
+    traces = [
+        simulate_recycling(s, s.facility)
+        for s in (load_fixture("battery_baseline.json"), load_fixture("battery_framework.json"))
+    ]
     rng = np.random.default_rng(31337)
     for _ in range(40):
         stations = []

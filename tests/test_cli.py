@@ -54,6 +54,9 @@ FRAMEWORK_METRICS = {**METRICS, "mode": "framework"}
 # Deeper than the JSON decoder's recursion limit: it raises RecursionError.
 DEEP_JSON = "[" * 100_000
 
+# Not UTF-8: a byte order mark of UTF-16 before "{".
+NOT_UTF8 = b"\xff\xfe{"
+
 
 def manifest_file(path, metrics):
     path.write_text(
@@ -274,6 +277,29 @@ class TestCompare:
         assert capsys.readouterr().err.startswith(f"error: expectations not readable: {path}")
         assert not (tmp_path / "cmp").exists()
 
+    @pytest.mark.parametrize("command", ["compare", "chart"])
+    def test_non_utf8_manifest_exit_3(self, tmp_path, capsys, command):
+        bad = tmp_path / "manifest.json"
+        bad.write_bytes(NOT_UTF8)
+        good = manifest_file(tmp_path / "framework.json", FRAMEWORK_METRICS)
+        code = main([command, "--baseline", str(bad), "--framework", str(good),
+                     "--out", str(tmp_path / "cmp")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest not readable: {bad}")
+        assert "not UTF-8" in err
+
+    def test_non_utf8_expectations_exit_3(self, tmp_path, capsys):
+        b = manifest_file(tmp_path / "baseline.json", METRICS)
+        f = manifest_file(tmp_path / "framework.json", FRAMEWORK_METRICS)
+        path = tmp_path / "expectations.json"
+        path.write_bytes(NOT_UTF8)
+        code = main(["compare", "--baseline", str(b), "--framework", str(f),
+                     "--out", str(tmp_path / "cmp"), "--expectations", str(path)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: expectations not readable: {path}")
+        assert not (tmp_path / "cmp").exists()
+
 
 class TestChart:
     def test_chart_written_and_deterministic(self, tmp_path):
@@ -413,6 +439,23 @@ class TestTable3:
         text = capsys.readouterr().out
         assert "| CO2 emission reduction (%) | — | 25 | 28 | 26.67 |" in text
 
+    @pytest.mark.parametrize("bad_file", ["manifest.json", "scenario.json"])
+    def test_non_utf8_newer_run_skipped(self, tmp_path, capsys, bad_file):
+        run_battery(tmp_path, "baseline")
+        good = run_battery(tmp_path, "framework")
+        manifest = read_json(good / "manifest.json")
+        manifest["created_at"] = "9999-12-31T00:00:00+00:00"
+        manifest["metrics"]["co2_kg"] *= 2
+        broken = tmp_path / "out" / "broken"
+        broken.mkdir()
+        (broken / "scenario.json").write_bytes((good / "scenario.json").read_bytes())
+        (broken / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        (broken / bad_file).write_bytes(NOT_UTF8)
+        capsys.readouterr()
+        assert main(["table3", "--out", str(tmp_path / "out")]) == 0
+        text = capsys.readouterr().out
+        assert "| CO2 emission reduction (%) | — | 25 | 28 | 26.67 |" in text
+
 
 class TestValidateCalibrate:
     def test_validate_ok(self, tmp_path, capsys):
@@ -533,6 +576,19 @@ class TestValidateCalibrate:
         assert "nested too deeply" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "validate", "calibrate"])
+    def test_non_utf8_scenario_exit_4(self, tmp_path, capsys, command):
+        scenario = tmp_path / "bytes.json"
+        scenario.write_bytes(NOT_UTF8)
+        argv = [command, "--scenario", str(scenario)]
+        if command == "run":
+            argv += ["--mode", "framework"]
+        if command != "validate":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 4
+        assert "not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.fixture
     def bad_fixtures(self, tmp_path, monkeypatch):
         """Bundled fixtures replaced by an invalid and an undecodable one."""
@@ -563,6 +619,37 @@ class TestValidateCalibrate:
             assert "invalid JSON" in captured.err
         assert not (Path("out") / "calibrated_scenario.json").exists()
         assert not list(Path("out").glob("*/manifest.json"))
+
+    @pytest.mark.parametrize(
+        "fixture, edit, mode, problem",
+        [
+            ("alloc_small.json",
+             lambda doc: doc["limits"][0]["consumption"].update(ghost=1.0),
+             "framework", "limit 'labor' references unknown process 'ghost'"),
+            ("alloc_small.json",
+             lambda doc: doc["emission_factors"].append(
+                 {"id": "efA2", "process_id": "pA", "e": 0.1, "stage": "processing"}),
+             "baseline", "process 'pA' has factors 'efA' and 'efA2'"),
+            ("battery_baseline.json",
+             lambda doc: doc["emission_factors"].pop(0),
+             "baseline", "station 'disassembly' has no emission factor"),
+        ],
+        ids=["limit-process", "two-factors", "station-factor"],
+    )
+    def test_dangling_reference_stops_run_before_stages(
+        self, tmp_path, capsys, fixture, edit, mode, problem
+    ):
+        doc = json.loads((cli._FIXTURES / fixture).read_text("utf-8"))
+        edit(doc)
+        scenario = tmp_path / "dangling.json"
+        scenario.write_text(json.dumps(doc), "utf-8")
+        assert main(["validate", "--scenario", str(scenario)]) == 4
+        assert problem in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scenario), "--mode", mode,
+                     "--out", str(out)]) == 4
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
 
     def test_working_directory_file_before_fixture(self, bad_fixtures, capsys):
         Path("invalid.json").write_text(json.dumps({"rng_seed": 3}), "utf-8")

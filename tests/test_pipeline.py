@@ -39,7 +39,7 @@ from greenloop.scenario import (
 )
 from greenloop.serialize import canonical_dumps
 from greenloop.report import run_result_to_dict
-from greenloop.twin import FacilityModel, Station, simulate_bins
+from greenloop.twin import FacilityModel, Station, simulate_bins, simulate_recycling
 
 
 def load_fixture(name):
@@ -151,7 +151,7 @@ class TestBatteryStages:
         assert r.co2_kg == pytest.approx(total_kg * 0.5)
         assert r.classification_accuracy is None
         assert r.transport_emissions_kg is None
-        trace = artifacts.trace
+        trace = simulate_recycling(s, s.facility)
         assert r.waste_reduction_fraction == pytest.approx(
             1.0 - trace.residual_kg / sum(trace.input_totals.values())
         )

@@ -99,6 +99,18 @@ class TestParsing:
         with pytest.raises(ParseError, match="cannot read"):
             load_scenario(tmp_path / "nope.json")
 
+    def test_integer_past_digit_limit(self, tmp_path):
+        p = tmp_path / "long.json"
+        p.write_text('{"rng_seed": ' + "1" * 5000 + "}", encoding="utf-8")
+        with pytest.raises(ParseError, match="invalid JSON"):
+            load_scenario(p)
+
+    @pytest.mark.parametrize("section", ["materials", "limits", "emission_factors"])
+    @pytest.mark.parametrize("value", [None, 3, True, "x", [1]])
+    def test_section_must_be_object(self, section, value):
+        with pytest.raises(ParseError, match=r"must be a JSON object \(at " + section):
+            parse_scenario(minimal_doc(**{section: [value]}))
+
 
 class TestValidation:
     def test_empty_scenario_valid(self):
@@ -147,6 +159,37 @@ class TestValidation:
     def test_integrality_unknown_process(self):
         s = ScenarioSpec(integrality=frozenset({"ghost"}), rng_seed=1)
         assert any("ghost" in d.message for d in validate_scenario(s))
+
+    def test_limit_names_unknown_process(self):
+        doc = alloc_doc()
+        doc["limits"][1]["consumption"]["ghost"] = 1.0
+        assert [(d.path, d.message) for d in validate_scenario(parse_scenario(doc))] == [
+            ("limits[1].consumption['ghost']", "limit 'machine' references unknown process 'ghost'")
+        ]
+
+    def test_two_factors_for_one_process(self):
+        doc = alloc_doc()
+        doc["emission_factors"].append(
+            {"id": "efA2", "process_id": "pA", "e": 0.1, "stage": "processing"}
+        )
+        assert [(d.path, d.message) for d in validate_scenario(parse_scenario(doc))] == [
+            ("emission_factors[3].process_id", "process 'pA' has factors 'efA' and 'efA2'")
+        ]
+
+    @pytest.mark.parametrize("category, flagged", [("battery-cell", True), ("plastic", False)])
+    def test_station_without_factor(self, category, flagged):
+        """Only cells go through the facility, and each station's kg is a carbon activity."""
+        s = ScenarioSpec(
+            materials=(MaterialSpec("m", "", category, 1.0),),
+            facility=twin.FacilityModel(
+                stations=(twin.Station("sort", {}, 0.1, 0.0),), throughput_kg_per_step=100.0
+            ),
+            rng_seed=1,
+        )
+        diags = validate_scenario(s)
+        assert [d.path for d in diags] == (["facility.stations[0].id"] if flagged else [])
+        if flagged:
+            assert "station 'sort' has no emission factor" in diags[0].message
 
     @pytest.mark.parametrize("budget, flagged", [(3, False), (2, True)])
     def test_facility_step_budget(self, monkeypatch, budget, flagged):
@@ -275,6 +318,10 @@ class TestRoundTrip:
                 "loss_fraction": 0.05,
             }],
         }
+        # the carbon stage needs a factor for each station that processes cells
+        doc["emission_factors"].append(
+            {"id": "efR", "process_id": "recover", "e": 0.2, "stage": "recovery"}
+        )
         doc["energy_model"] = {
             "alpha": 0.0015, "beta": 0.0001,
             "stage_costs": {"simulate": {"compute_seconds": 10.0, "transferred_mb": 5.0}},
