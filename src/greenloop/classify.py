@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -40,6 +42,8 @@ FEATURES = (
 )
 
 WASTE_CATEGORIES = ("glass", "metal", "organic", "plastic")
+
+_feature_row = itemgetter(*FEATURES)
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,20 @@ def fit_norm_stats(records: Sequence[Mapping[str, float]]) -> NormStats:
 
 def _feature_matrix(records: Sequence[Mapping[str, float]]) -> np.ndarray:
     """Raw sensor features, one row per record in FEATURES order."""
-    return np.array([[_feature(r, f) for f in FEATURES] for r in records], dtype=float)
+    n = len(records)
+    try:
+        flat = np.fromiter(
+            map(float, chain.from_iterable(map(_feature_row, records))),
+            dtype=float,
+            count=n * len(FEATURES),
+        )
+    except Exception:
+        # The bulk read fetches a record's values before converting any of
+        # them, so it can fail on a later value than the per-value reads
+        # would. Redo them to raise exactly their error: MissingFeature for
+        # the first missing token, TypeError for None.
+        return np.array([[_feature(r, f) for f in FEATURES] for r in records], dtype=float)
+    return flat.reshape(n, len(FEATURES))
 
 
 def _norm_stats(mat: np.ndarray) -> NormStats:

@@ -102,10 +102,16 @@ def _exit_code_for(exc: Exception) -> int:
 
 
 def _scenario_path(name: str) -> Path:
-    """The scenario file `name`, else the bundled fixture of that name."""
+    """The scenario file `name`, else the bundled fixture of that name.
+
+    A path that exists but is not a regular file, such as a directory, is
+    refused like a missing one and never stands aside for a fixture.
+    """
     p = Path(name)
-    if p.exists():
+    if p.is_file():
         return p
+    if p.exists():
+        raise FileNotFoundError(f"scenario path is not a regular file: {name}")
     if "/" not in name:
         bundled = _FIXTURES / name
         if bundled.is_file():

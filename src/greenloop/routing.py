@@ -18,8 +18,14 @@ replay on whichever numpy is installed.
 
 The table is a plain dict keyed by (current, visited, action) tuples,
 which hash in C. Training computes every leg's emissions and each node's
-reachable bins once per graph, so the episode loop does no edge lookups,
-and builds each state's action keys once, on its first visit.
+reachable bins once per graph, so the episode loop does no edge lookups.
+It keeps each (node, visited) state it reaches as one row: the state's
+open action keys in bin order and a list of their current values, read
+from the table when the row is built on the state's first visit. An
+exploit step is `index(max)` over the row's values and a bootstrap is the
+`max` of the successor's row, so a step does one row lookup and no
+per-action table lookups; each update writes the row slot and the table
+entry together.
 
 Every non-depot node is treated as requiring service. The tabular table
 caps at 16 bins; larger cities are split into districts upstream.
@@ -28,7 +34,7 @@ caps at 16 bins; larger cities are split into districts upstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, permutations, repeat
+from itertools import chain, permutations
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -251,11 +257,10 @@ def train_routing(
     )
     get = values.get
     lr, discount = cfg.learning_rate, cfg.discount
-    # The open action keys of each (node, visited) state, built on first
-    # visit; these tuples are the keys stored in `values`.
-    state_keys: dict[tuple[str, int], list[tuple[str, int, str]]] = {}
-    first_keys = [(depot, 0, b) for b, _ in adjacency[depot]]
-    no_keys: list[tuple[str, int, str]] = []
+    # (node, visited) -> the state's row: its open action keys, which are
+    # the keys stored in `values`, and their values. Every update writes the
+    # row slot and `values` together, so the two never disagree.
+    rows: dict[tuple[str, int], tuple[list[tuple[str, int, str]], list[float]]] = {}
 
     for episode in range(cfg.episodes):
         if cfg.episodes > 1:
@@ -265,45 +270,44 @@ def train_routing(
         epsilon = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * frac
 
         current, visited = depot, 0
-        keys = first_keys
         trajectory = []
         while visited != full:
+            row = rows.get((current, visited))
+            if row is None:
+                keys = [
+                    (current, visited, b)
+                    for b, mask in adjacency[current]
+                    if not visited & mask
+                ]
+                row = rows[(current, visited)] = (keys, [get(k, 0.0) for k in keys])
+            keys, vals = row
             if not keys:
                 raise DisconnectedGraph(f"no unvisited bin reachable from {current!r}")
             if random() < epsilon:
-                key = keys[integers(len(keys))]
+                i = integers(len(keys))
             else:
                 # index(max) keeps the first maximum, as a `>` scan would.
-                vals = list(map(get, keys, repeat(0.0)))
-                key = keys[vals.index(max(vals))]
+                i = vals.index(max(vals))
+            key = keys[i]
             action = key[2]
             reward = -legs[(current, action)]
-            next_visited = visited | bit[action]
-            if next_visited == full:
+            visited |= bit[action]
+            if visited == full:
                 # Forced return leg: charge it on the closing action.
                 if (action, depot) not in legs:
                     raise MissingEdge(f"no edge between {action!r} and {depot!r}")
                 reward -= legs[(action, depot)]
-                next_keys = no_keys
-            else:
-                next_keys = state_keys.get((action, next_visited))
-                if next_keys is None:
-                    next_keys = state_keys[(action, next_visited)] = [
-                        (action, next_visited, b)
-                        for b, mask in adjacency[action]
-                        if not next_visited & mask
-                    ]
-            trajectory.append((key, reward, next_keys))
-            current, visited, keys = action, next_visited, next_keys
+            trajectory.append((vals, i, key, reward))
+            current = action
         # Apply the updates newest-first so the forced return leg reaches
-        # the early decisions within a single episode. An empty key list
-        # (the all-visited state) zeroes the bootstrap term.
-        for key, r, n_keys in reversed(trajectory):
-            best_next = 0.0
-            if n_keys:
-                best_next = max(map(get, n_keys, repeat(0.0)))
-            old = get(key, 0.0)
-            values[key] = old + lr * (r + discount * best_next - old)
+        # the early decisions within a single episode. Each step bootstraps
+        # from its successor's row just after that row's update; the last
+        # step ends the tour, whose all-visited state has value 0.
+        best_next = 0.0
+        for vals, i, key, r in reversed(trajectory):
+            old = vals[i]
+            vals[i] = values[key] = old + lr * (r + discount * best_next - old)
+            best_next = max(vals)
 
     return QTable(values=values)
 

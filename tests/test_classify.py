@@ -45,6 +45,10 @@ def raw_record(**overrides):
     return base
 
 
+def without(record, *tokens):
+    return {f: v for f, v in record.items() if f not in tokens}
+
+
 def identity_stats(n=len(FEATURES)):
     return NormStats(means=(0.0,) * n, stds=(1.0,) * n)
 
@@ -78,6 +82,21 @@ class TestFeaturize:
         raw = {f: 1.0 for f in FEATURES if f != "opacity"}
         with pytest.raises(MissingFeature, match="opacity"):
             featurize(raw, identity_stats())
+
+    @pytest.mark.parametrize("records, error, match", [
+        # None raises; it never reads as NaN
+        ([raw_record(), raw_record(moisture=None)], TypeError, "NoneType"),
+        # the per-value reads meet the None before the missing token
+        ([raw_record(), without(raw_record(weight_kg=None), "opacity")],
+         TypeError, "NoneType"),
+        ([without(raw_record(), "moisture", "rigidity"), raw_record()],
+         MissingFeature, "'moisture'"),
+        ([without(raw_record(), "volume_l"), raw_record(weight_kg=None)],
+         MissingFeature, "'volume_l'"),
+    ])
+    def test_feature_matrix_raises_the_per_value_error(self, records, error, match):
+        with pytest.raises(error, match=match):
+            fit_norm_stats(records)
 
     def test_zero_variance_rejected_at_stats_construction(self):
         records = [raw_record(), raw_record()]

@@ -95,6 +95,20 @@ class TestRun:
         assert "missing.json" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_directory_scenario_exit_3(self, tmp_path, capsys, monkeypatch, command):
+        # named like a bundled fixture, which it must not fall back to
+        (tmp_path / "waste_framework.json").mkdir()
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--scenario", "waste_framework.json"]
+        if command == "run":
+            argv += ["--mode", "framework", "--out", str(tmp_path / "out")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "not a regular file: waste_framework.json" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["run", "calibrate"])
     def test_facility_step_budget_exit_4(self, tmp_path, capsys, command):
         argv = [command, "--scenario", str(slow_facility(tmp_path)),

@@ -2,6 +2,8 @@
 by the RouteState-keyed reference trainer in reference_routing."""
 
 import itertools
+import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 import reference_routing as reference
 from greenloop.errors import DisconnectedGraph, MissingEdge, StateSpaceTooLarge
+from greenloop.pipeline import partition_districts
 from greenloop.routing import (
     BinNode,
     CollectionGraph,
@@ -24,6 +27,7 @@ from greenloop.routing import (
     route_emissions,
     train_routing,
 )
+from greenloop.scenario import parse_scenario
 
 
 def complete_graph(distances, rate=1.0, depot="depot"):
@@ -400,7 +404,8 @@ class TestDrawsReplay:
 
 
 class TestReferenceEquivalence:
-    """The tuple-keyed trainer reproduces the RouteState-keyed reference."""
+    """The row trainer in greenloop.routing reproduces the RouteState-keyed
+    reference, as tuple-keyed tables."""
 
     @settings(deadline=None, max_examples=300)
     @given(g=sparse_graphs(), data=st.data())
@@ -446,4 +451,27 @@ class TestReferenceEquivalence:
 
         assert outcome(greedy_route, QTable(table), g) == outcome(
             reference.greedy_route, reference.from_tuple_keys(table), g
+        )
+
+    def test_matches_reference_on_fixture_district(self):
+        # Fixture scale: a 10-bin district trained cold, then warm from
+        # its own table, as run_full and feedback_update train it.
+        doc = json.loads(
+            (resources.files("greenloop") / "fixtures" / "waste_framework.json")
+            .read_text("utf-8")
+        )
+        g = partition_districts(parse_scenario(doc).collection_graph)[0]
+        assert len(g.bin_ids()) == 10
+        cold = RLConfig(episodes=300, rng_seed=741)
+        warm = RLConfig(episodes=100, rng_seed=841)
+
+        got = train_routing(g, cold)
+        want = reference.train_routing(g, cold)
+        assert repr(list(got.values.items())) == repr(
+            list(reference.to_tuple_keys(want).items())
+        )
+        got = train_routing(g, warm, initial=got)
+        want = reference.train_routing(g, warm, initial=want)
+        assert repr(list(got.values.items())) == repr(
+            list(reference.to_tuple_keys(want).items())
         )
