@@ -2,11 +2,13 @@
 
 Two classifiers live here. The softmax regression model is the learned
 sorter: z-scored sensor features, full-batch gradient descent on mean
-cross-entropy with an l2 weight penalty, max-subtraction softmax at
-prediction time. The rule baseline sorts on the weight reading alone with
-fixed thresholds, standing in for manual sorting at a conveyor.
+cross-entropy, max-subtraction softmax at prediction time. The rule
+baseline sorts on the weight reading alone with fixed thresholds, standing
+in for manual sorting at a conveyor.
 
-Training is deterministic for a given seed. The loss is checked to be
+The descent settings are fixed: EPOCHS (500) full-batch steps at
+LEARNING_RATE (0.1), with no weight penalty. Training is deterministic for
+a given seed, the only setting a caller passes. The loss is checked to be
 nonincreasing across epochs; a violation logs a warning naming the epoch,
 since it almost always means the learning rate is too hot.
 """
@@ -43,6 +45,9 @@ FEATURES = (
 
 WASTE_CATEGORIES = ("glass", "metal", "organic", "plastic")
 
+LEARNING_RATE = 0.1
+EPOCHS = 500
+
 _feature_row = itemgetter(*FEATURES)
 
 
@@ -62,22 +67,6 @@ class NormStats:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.1
-    epochs: int = 500
-    l2_penalty: float = 0.0
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.l2_penalty < 0:
-            raise ValueError("l2_penalty must be >= 0")
-
-
-@dataclass(frozen=True)
 class SoftmaxModel:
     weights: np.ndarray
     biases: np.ndarray
@@ -89,13 +78,6 @@ class SoftmaxModel:
             raise ValueError("need at least 2 classes")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.biases))):
             raise ValueError("model parameters must be finite")
-
-
-def fit_norm_stats(records: Sequence[Mapping[str, float]]) -> NormStats:
-    """Means and standard deviations of the raw sensor features."""
-    if not records:
-        raise EmptyDataset("no records to fit normalization stats")
-    return _norm_stats(_feature_matrix(records))
 
 
 def _feature_matrix(records: Sequence[Mapping[str, float]]) -> np.ndarray:
@@ -137,9 +119,9 @@ def featurize(raw: Mapping[str, float], stats: NormStats) -> np.ndarray:
     return out
 
 
-def initial_weights(cfg: TrainConfig, n_classes: int, n_features: int) -> np.ndarray:
+def initial_weights(rng_seed: int, n_classes: int, n_features: int) -> np.ndarray:
     """Seeded small-Gaussian starting point for gradient descent."""
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(rng_seed)
     return 0.01 * rng.standard_normal((n_classes, n_features))
 
 
@@ -148,12 +130,11 @@ def _loss_and_grad(
     biases: np.ndarray,
     x: np.ndarray,
     y_idx: np.ndarray,
-    l2_penalty: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy + l2*||W||^2 with its analytic gradient."""
+    """Mean cross-entropy with its analytic gradient."""
     n, k = x.shape[0], weights.shape[0]
     return _class_major_step(
-        weights, biases, x, np.ascontiguousarray(x.T), np.arange(n) * k + y_idx, l2_penalty
+        weights, biases, x, np.ascontiguousarray(x.T), np.arange(n) * k + y_idx
     )
 
 
@@ -163,7 +144,6 @@ def _class_major_step(
     x: np.ndarray,
     xt: np.ndarray,
     picks: np.ndarray,
-    l2_penalty: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """_loss_and_grad with its softmax over (classes, samples) arrays.
 
@@ -190,12 +170,8 @@ def _class_major_step(
     eps = 1e-300
     picked += eps
     loss = -np.mean(np.log(picked, out=picked))
-    # Diverging weights overflow to inf here; the caller's isfinite check
-    # turns that into NonFiniteLoss, so the overflow warning adds nothing.
-    with np.errstate(over="ignore"):
-        loss += l2_penalty * float(np.sum(weights * weights))
 
-    grad_w = delta.T @ x / n + 2.0 * l2_penalty * weights
+    grad_w = delta.T @ x / n
     grad_b = delta.mean(axis=0)
     return float(loss), grad_w, grad_b
 
@@ -210,20 +186,18 @@ def _class_index(labels: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def _descend(
-    x: np.ndarray, y_idx: np.ndarray, n_classes: int, cfg: TrainConfig
+    x: np.ndarray, y_idx: np.ndarray, n_classes: int, rng_seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full-batch gradient descent from seeded weights and zero biases."""
     n, n_features = x.shape
-    weights = initial_weights(cfg, n_classes, n_features)
+    weights = initial_weights(rng_seed, n_classes, n_features)
     biases = np.zeros(n_classes)
     xt = np.ascontiguousarray(x.T)
     picks = np.arange(n) * n_classes + y_idx
 
     prev_loss = np.inf
-    for epoch in range(cfg.epochs):
-        loss, grad_w, grad_b = _class_major_step(
-            weights, biases, x, xt, picks, cfg.l2_penalty
-        )
+    for epoch in range(EPOCHS):
+        loss, grad_w, grad_b = _class_major_step(weights, biases, x, xt, picks)
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss diverged at epoch {epoch}; lower the learning rate")
         if loss > prev_loss + 1e-12:
@@ -232,8 +206,8 @@ def _descend(
                 epoch, prev_loss, loss,
             )
         prev_loss = loss
-        weights = weights - cfg.learning_rate * grad_w
-        biases = biases - cfg.learning_rate * grad_b
+        weights = weights - LEARNING_RATE * grad_w
+        biases = biases - LEARNING_RATE * grad_b
 
     if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))):
         raise NonFiniteLoss("parameters diverged; lower the learning rate")
@@ -242,7 +216,7 @@ def _descend(
 
 def train_on_records(
     records: Sequence[tuple[Mapping[str, float], str]],
-    cfg: TrainConfig,
+    rng_seed: int,
 ) -> SoftmaxModel:
     """Fit norm stats on raw records, z-score them, train, bind the stats.
 
@@ -254,7 +228,7 @@ def train_on_records(
     stats = _norm_stats(mat)
     labels, y_idx = _class_index([label for _, label in records])
     x = (mat - np.array(stats.means)) / np.array(stats.stds)
-    weights, biases = _descend(x, y_idx, len(labels), cfg)
+    weights, biases = _descend(x, y_idx, len(labels), rng_seed)
     return SoftmaxModel(
         weights=weights, biases=biases, class_labels=labels, norm_stats=stats
     )

@@ -26,7 +26,6 @@ from typing import Mapping, Sequence
 from .carbon import ActivityLedger, carbon_footprint
 from .classify import (
     SoftmaxModel,
-    TrainConfig,
     evaluate_accuracy_records,
     rule_classify,
     train_on_records,
@@ -224,7 +223,7 @@ def run_full(s: ScenarioSpec, mode) -> tuple[RunResult, RunArtifacts]:
             events = simulate_bins(s, BIN_HORIZON).events
             train_recs, eval_recs = _split_records(events)
             if m is Mode.FRAMEWORK:
-                classifier = train_on_records(train_recs, TrainConfig(rng_seed=s.rng_seed))
+                classifier = train_on_records(train_recs, s.rng_seed)
                 accuracy = evaluate_accuracy_records(classifier, eval_recs)
             else:
                 hits = sum(1 for rec, label in eval_recs if rule_classify(rec) == label)
@@ -330,11 +329,6 @@ def run_full(s: ScenarioSpec, mode) -> tuple[RunResult, RunArtifacts]:
         allocation=allocation,
     )
     return result, artifacts
-
-
-def run(s: ScenarioSpec, mode) -> RunResult:
-    """Execute the pipeline and return only the metrics."""
-    return run_full(s, mode)[0]
 
 
 _ELEMENT_ROW_ORDER = ("cobalt", "nickel", "lithium")
@@ -520,7 +514,7 @@ def feedback_update(
         train_recs, eval_recs = _split_records(simulate_bins(s, BIN_HORIZON).events)
         fresh = dataclasses.replace(s, rng_seed=fseed)
         combined = train_recs + _labeled(simulate_bins(fresh, BIN_HORIZON).events)
-        retrained = train_on_records(combined, TrainConfig(rng_seed=s.rng_seed))
+        retrained = train_on_records(combined, s.rng_seed)
         before = evaluate_accuracy_records(classifier, eval_recs)
         after = evaluate_accuracy_records(retrained, eval_recs)
         if after < before:

@@ -29,6 +29,11 @@ entry together.
 
 Every non-depot node is treated as requiring service. The tabular table
 caps at 16 bins; larger cities are split into districts upstream.
+
+The learning settings are fixed: learning rate LEARNING_RATE (0.1),
+discount DISCOUNT (0.95), and an exploration rate annealed from
+EPSILON_START (1.0) to EPSILON_END (0.05). Only the episode count and the
+seed vary, through RLConfig.
 """
 
 from __future__ import annotations
@@ -42,6 +47,10 @@ import numpy as np
 from .errors import DisconnectedGraph, MissingEdge, StateSpaceTooLarge
 
 MAX_TABULAR_BINS = 16
+LEARNING_RATE = 0.1
+DISCOUNT = 0.95
+EPSILON_START = 1.0
+EPSILON_END = 0.05
 _RAW_CHUNK = 4096
 _TWO_TO_MINUS_53 = 1.0 / 9007199254740992.0
 
@@ -123,20 +132,12 @@ class QTable:
 
 @dataclass(frozen=True)
 class RLConfig:
-    learning_rate: float = 0.1
-    discount: float = 0.95
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
+    """Episode count and seed of one training run."""
+
     episodes: int = 5000
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
-        if not 0.0 <= self.discount < 1.0:
-            raise ValueError("discount must be in [0, 1)")
-        if not (0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0):
-            raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
 
@@ -256,7 +257,8 @@ def train_routing(
         dict(initial.values) if initial is not None else {}
     )
     get = values.get
-    lr, discount = cfg.learning_rate, cfg.discount
+    lr, discount = LEARNING_RATE, DISCOUNT
+    epsilon_start, epsilon_end = EPSILON_START, EPSILON_END
     # (node, visited) -> the state's row: its open action keys, which are
     # the keys stored in `values`, and their values. Every update writes the
     # row slot and `values` together, so the two never disagree.
@@ -267,7 +269,7 @@ def train_routing(
             frac = episode / (cfg.episodes - 1)
         else:
             frac = 0.0
-        epsilon = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * frac
+        epsilon = epsilon_start + (epsilon_end - epsilon_start) * frac
 
         current, visited = depot, 0
         trajectory = []

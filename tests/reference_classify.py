@@ -4,8 +4,13 @@ This is the training loop greenloop.classify shipped before it kept its
 logits, probabilities and gradients as (classes, samples) arrays, kept as
 the oracle the class-major loop is compared against. `_loss_and_grad`,
 `train_classifier` and `train_on_records` (which featurizes one record at a
-time) are unchanged apart from their imports; the "loss rose" warnings go
-to this module's logger.
+time) are unchanged apart from their imports, the seed they take in place
+of a config object, and the l2 penalty, which the library no longer has;
+the "loss rose" warnings go to this module's logger. The learning rate and
+the epoch count are read from greenloop.classify's constants at each call,
+so a test that patches them changes both trainers alike. `fit_norm_stats`
+is the library's former stats fit, which reads one value at a time, kept
+here for this trainer.
 """
 
 from __future__ import annotations
@@ -15,12 +20,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from greenloop import classify
 from greenloop.classify import (
+    FEATURES,
     NormStats,
     SoftmaxModel,
-    TrainConfig,
+    _feature,
     featurize,
-    fit_norm_stats,
     initial_weights,
 )
 from greenloop.errors import (
@@ -38,9 +44,8 @@ def _loss_and_grad(
     biases: np.ndarray,
     x: np.ndarray,
     y_idx: np.ndarray,
-    l2_penalty: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy + l2*||W||^2 with its analytic gradient."""
+    """Mean cross-entropy with its analytic gradient."""
     n = x.shape[0]
     logits = x @ weights.T + biases
     logits -= logits.max(axis=1, keepdims=True)
@@ -48,21 +53,17 @@ def _loss_and_grad(
     probs = exp / exp.sum(axis=1, keepdims=True)
     eps = 1e-300
     loss = -np.mean(np.log(probs[np.arange(n), y_idx] + eps))
-    # Diverging weights overflow to inf here; the caller's isfinite check
-    # turns that into NonFiniteLoss, so the overflow warning adds nothing.
-    with np.errstate(over="ignore"):
-        loss += l2_penalty * float(np.sum(weights * weights))
 
     delta = probs
     delta[np.arange(n), y_idx] -= 1.0
-    grad_w = delta.T @ x / n + 2.0 * l2_penalty * weights
+    grad_w = delta.T @ x / n
     grad_b = delta.mean(axis=0)
     return float(loss), grad_w, grad_b
 
 
 def train_classifier(
     data: Sequence[tuple[np.ndarray, str]],
-    cfg: TrainConfig,
+    rng_seed: int,
     init_weights: np.ndarray | None = None,
 ) -> SoftmaxModel:
     """Full-batch gradient descent; labels are sorted into class order.
@@ -83,7 +84,7 @@ def train_classifier(
     n_features = x.shape[1]
 
     if init_weights is None:
-        weights = initial_weights(cfg, len(labels), n_features)
+        weights = initial_weights(rng_seed, len(labels), n_features)
     else:
         weights = np.array(init_weights, dtype=float)
         if weights.shape != (len(labels), n_features):
@@ -93,8 +94,8 @@ def train_classifier(
     biases = np.zeros(len(labels))
 
     prev_loss = np.inf
-    for epoch in range(cfg.epochs):
-        loss, grad_w, grad_b = _loss_and_grad(weights, biases, x, y_idx, cfg.l2_penalty)
+    for epoch in range(classify.EPOCHS):
+        loss, grad_w, grad_b = _loss_and_grad(weights, biases, x, y_idx)
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss diverged at epoch {epoch}; lower the learning rate")
         if loss > prev_loss + 1e-12:
@@ -103,8 +104,8 @@ def train_classifier(
                 epoch, prev_loss, loss,
             )
         prev_loss = loss
-        weights = weights - cfg.learning_rate * grad_w
-        biases = biases - cfg.learning_rate * grad_b
+        weights = weights - classify.LEARNING_RATE * grad_w
+        biases = biases - classify.LEARNING_RATE * grad_b
 
     if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))):
         raise NonFiniteLoss("parameters diverged; lower the learning rate")
@@ -115,16 +116,26 @@ def train_classifier(
     )
 
 
+def fit_norm_stats(records: Sequence[Mapping[str, float]]) -> NormStats:
+    """Means and standard deviations of the raw sensor features."""
+    if not records:
+        raise EmptyDataset("no records to fit normalization stats")
+    mat = np.array([[_feature(r, f) for f in FEATURES] for r in records], dtype=float)
+    means = mat.mean(axis=0)
+    stds = mat.std(axis=0)
+    return NormStats(means=tuple(float(m) for m in means), stds=tuple(float(s) for s in stds))
+
+
 def train_on_records(
     records: Sequence[tuple[Mapping[str, float], str]],
-    cfg: TrainConfig,
+    rng_seed: int,
 ) -> SoftmaxModel:
     """Fit norm stats on raw records, featurize, train, bind the stats."""
     if not records:
         raise EmptyDataset("no training records")
     stats = fit_norm_stats([raw for raw, _ in records])
     data = [(featurize(raw, stats), label) for raw, label in records]
-    model = train_classifier(data, cfg)
+    model = train_classifier(data, rng_seed)
     return SoftmaxModel(
         weights=model.weights,
         biases=model.biases,

@@ -4,7 +4,9 @@ This is the trainer greenloop.routing shipped before its state keys became
 plain (current, visited, action) tuples, kept as the oracle the faster
 trainer is compared against. The loop, RNG calls, float expressions and
 update order are unchanged; only the table is a bare dict, and
-``to_tuple_keys`` converts it to the library's key form.
+``to_tuple_keys`` converts it to the library's key form. The learning rate,
+discount and exploration bounds are read from greenloop.routing's constants
+at each call, so a test that patches them changes both trainers alike.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from greenloop import routing
 from greenloop.errors import DisconnectedGraph, StateSpaceTooLarge
 from greenloop.routing import (
     MAX_TABULAR_BINS,
@@ -44,14 +47,13 @@ def _q_update_inplace(
     a: str,
     r: float,
     s_next: RouteState,
-    cfg: RLConfig,
     next_actions: list[str],
 ) -> None:
     best_next = 0.0
     if next_actions:
         best_next = max(values.get((s_next, nb), 0.0) for nb in next_actions)
     old = values.get((s, a), 0.0)
-    values[(s, a)] = old + cfg.learning_rate * (r + cfg.discount * best_next - old)
+    values[(s, a)] = old + routing.LEARNING_RATE * (r + routing.DISCOUNT * best_next - old)
 
 
 def _check_reachable(g: CollectionGraph, bins: tuple[str, ...]) -> None:
@@ -90,7 +92,9 @@ def train_routing(g: CollectionGraph, cfg: RLConfig, initial: dict | None = None
             frac = episode / (cfg.episodes - 1)
         else:
             frac = 0.0
-        epsilon = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * frac
+        epsilon = routing.EPSILON_START + (
+            routing.EPSILON_END - routing.EPSILON_START
+        ) * frac
 
         state = RouteState(depot, 0)
         trajectory = []
@@ -130,7 +134,7 @@ def train_routing(g: CollectionGraph, cfg: RLConfig, initial: dict | None = None
         # Apply the updates newest-first so the forced return leg reaches
         # the early decisions within a single episode.
         for s, a, r, s_next, s_next_actions in reversed(trajectory):
-            _q_update_inplace(values, s, a, r, s_next, cfg, s_next_actions)
+            _q_update_inplace(values, s, a, r, s_next, s_next_actions)
 
     return values
 

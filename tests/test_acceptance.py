@@ -23,7 +23,7 @@ from greenloop.carbon import (
     EmissionFactor,
     carbon_footprint,
 )
-from greenloop.classify import _loss_and_grad, predict, train_on_records, TrainConfig
+from greenloop.classify import _loss_and_grad, predict, train_on_records
 from greenloop.cli import main
 from greenloop.pipeline import BIN_HORIZON, compare_runs, feedback_update, run_full
 from greenloop.routing import (
@@ -238,8 +238,7 @@ def test_criterion_04_classifier_gradients():
         bias = rng.normal(0.0, 1.0, size=c)
         x = rng.normal(0.0, 1.0, size=(n, d))
         y = rng.integers(0, c, size=n)
-        l2 = float(rng.uniform(0.0, 0.01))
-        _, gw, gb = _loss_and_grad(w, bias, x, y, l2)
+        _, gw, gb = _loss_and_grad(w, bias, x, y)
         h = 1e-6
         num_w = np.zeros_like(w)
         for i in range(c):
@@ -247,16 +246,16 @@ def test_criterion_04_classifier_gradients():
                 wp, wm = w.copy(), w.copy()
                 wp[i, j] += h
                 wm[i, j] -= h
-                lp, _, _ = _loss_and_grad(wp, bias, x, y, l2)
-                lm, _, _ = _loss_and_grad(wm, bias, x, y, l2)
+                lp, _, _ = _loss_and_grad(wp, bias, x, y)
+                lm, _, _ = _loss_and_grad(wm, bias, x, y)
                 num_w[i, j] = (lp - lm) / (2 * h)
         num_b = np.zeros_like(bias)
         for i in range(c):
             bp, bm = bias.copy(), bias.copy()
             bp[i] += h
             bm[i] -= h
-            lp, _, _ = _loss_and_grad(w, bp, x, y, l2)
-            lm, _, _ = _loss_and_grad(w, bm, x, y, l2)
+            lp, _, _ = _loss_and_grad(w, bp, x, y)
+            lm, _, _ = _loss_and_grad(w, bm, x, y)
             num_b[i] = (lp - lm) / (2 * h)
         rel_w = np.linalg.norm(num_w - gw) / max(np.linalg.norm(gw), 1e-12)
         rel_b = np.linalg.norm(num_b - gb) / max(np.linalg.norm(gb), 1e-12)
@@ -272,7 +271,7 @@ def test_criterion_04_classifier_gradients():
          ("glass", "metal", "organic", "plastic")[int(rng.integers(0, 4))])
         for _ in range(80)
     ]
-    model = train_on_records(records, TrainConfig(rng_seed=0))
+    model = train_on_records(records, 0)
     worst_sum = 0.0
     for _ in range(200):
         _, probs = predict(model, rng.normal(0.0, 2.0, size=model.weights.shape[1]))

@@ -16,10 +16,8 @@ from greenloop.classify import (
     FEATURES,
     NormStats,
     SoftmaxModel,
-    TrainConfig,
     evaluate_accuracy_records,
     featurize,
-    fit_norm_stats,
     model_from_dict,
     model_to_dict,
     predict,
@@ -56,6 +54,16 @@ def identity_stats(n=len(FEATURES)):
 def as_records(data):
     """(vector, label) pairs as raw records, which identity stats map back."""
     return [(dict(zip(FEATURES, vec)), label) for vec, label in data]
+
+
+def two_labels(records):
+    """Raw records labeled a, b, a, ... so that training reaches the stats."""
+    return [(raw, "ab"[i % 2]) for i, raw in enumerate(records)]
+
+
+def constants(learning_rate=classify.LEARNING_RATE, epochs=classify.EPOCHS):
+    """classify's descent constants patched for the duration of a with block."""
+    return mock.patch.multiple(classify, LEARNING_RATE=learning_rate, EPOCHS=epochs)
 
 
 class TestFeaturize:
@@ -96,14 +104,14 @@ class TestFeaturize:
     ])
     def test_feature_matrix_raises_the_per_value_error(self, records, error, match):
         with pytest.raises(error, match=match):
-            fit_norm_stats(records)
+            train_on_records(two_labels(records), 0)
 
     def test_zero_variance_rejected_at_stats_construction(self):
         records = [raw_record(), raw_record()]
         with pytest.raises(ZeroVariance):
-            fit_norm_stats(records)
+            train_on_records(two_labels(records), 0)
 
-    def test_fit_norm_stats(self):
+    def test_training_binds_norm_stats(self):
         records = [raw_record(weight_kg=0.0), raw_record(weight_kg=2.0)]
         records[0]["moisture"] = 0.0
         records[1]["moisture"] = 4.0
@@ -111,7 +119,7 @@ class TestFeaturize:
             for f in FEATURES:
                 if f not in ("weight_kg", "moisture"):
                     r[f] = float(i * 2)
-        stats = fit_norm_stats(records)
+        stats = train_on_records(two_labels(records), 0).norm_stats
         assert stats.means[FEATURES.index("weight_kg")] == pytest.approx(1.0)
         assert stats.stds[FEATURES.index("moisture")] == pytest.approx(2.0)
 
@@ -173,51 +181,51 @@ class TestTraining:
 
     def test_separable_data_reaches_full_accuracy(self):
         records = self.separable_records()
-        model = train_on_records(records, TrainConfig())
+        model = train_on_records(records, 0)
         assert evaluate_accuracy_records(model, records) == 1.0
 
     def test_duplicated_data_trains_identical_model(self):
         # mean-loss convention: doubling the batch changes only summation order
         records = self.separable_records(20)
-        m1 = train_on_records(records, TrainConfig(rng_seed=3))
-        m2 = train_on_records(records + records, TrainConfig(rng_seed=3))
+        m1 = train_on_records(records, 3)
+        m2 = train_on_records(records + records, 3)
         assert np.allclose(m1.weights, m2.weights, rtol=1e-12, atol=1e-12)
         assert np.allclose(m1.biases, m2.biases, rtol=1e-12, atol=1e-12)
 
     def test_same_seed_bit_identical(self):
         records = self.separable_records(30)
-        m1 = train_on_records(records, TrainConfig(rng_seed=9))
-        m2 = train_on_records(records, TrainConfig(rng_seed=9))
+        m1 = train_on_records(records, 9)
+        m2 = train_on_records(records, 9)
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.biases, m2.biases)
 
     def test_single_class_rejected(self):
         records = [(raw, "only") for raw, _ in self.separable_records(5)]
         with pytest.raises(SingleClassData):
-            train_on_records(records, TrainConfig())
+            train_on_records(records, 0)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyDataset):
-            train_on_records([], TrainConfig())
+            train_on_records([], 0)
 
     def test_divergence_raises(self):
-        # l2 term amplifies weights geometrically at this rate until overflow
+        # The cross-entropy gradient is bounded, so only a rate that
+        # overflows the step itself diverges: an infinite one makes the
+        # weights inf and nan, and numpy's invalid-value warning would be
+        # an error here before the check is reached.
         rng = np.random.default_rng(0)
         data = [(rng.normal(size=6) * 50, "a" if i % 2 else "b") for i in range(20)]
-        with pytest.raises(NonFiniteLoss):
-            train_on_records(
-                as_records(data),
-                TrainConfig(learning_rate=1e6, l2_penalty=1.0, epochs=400),
-            )
+        with constants(learning_rate=float("inf")), np.errstate(invalid="ignore"):
+            with pytest.raises(NonFiniteLoss):
+                train_on_records(as_records(data), 0)
 
     def test_rising_loss_logs_warning(self, caplog):
         rng = np.random.default_rng(1)
         data = [(rng.normal(size=6) * 30, "a" if i % 2 else "b") for i in range(16)]
         with caplog.at_level(logging.WARNING, logger="greenloop.classify"):
             try:
-                train_on_records(
-                    as_records(data), TrainConfig(learning_rate=500.0, epochs=60)
-                )
+                with constants(learning_rate=500.0, epochs=60):
+                    train_on_records(as_records(data), 0)
             except NonFiniteLoss:
                 pass
         assert any("loss rose" in r.message for r in caplog.records)
@@ -225,27 +233,28 @@ class TestTraining:
     def test_loss_nonincreasing_at_small_rate(self, caplog):
         records = self.separable_records(30)
         with caplog.at_level(logging.WARNING, logger="greenloop.classify"):
-            train_on_records(records, TrainConfig(learning_rate=0.01, epochs=300))
+            with constants(learning_rate=0.01, epochs=300):
+                train_on_records(records, 0)
         assert not [r for r in caplog.records if "loss rose" in r.message]
 
 
 class TestGradientCheck:
-    def numeric_grad(self, weights, biases, x, y_idx, l2, h=1e-6):
+    def numeric_grad(self, weights, biases, x, y_idx, h=1e-6):
         gw = np.zeros_like(weights)
         gb = np.zeros_like(biases)
         for idx in np.ndindex(weights.shape):
             wp, wm = weights.copy(), weights.copy()
             wp[idx] += h
             wm[idx] -= h
-            lp, _, _ = _loss_and_grad(wp, biases, x, y_idx, l2)
-            lm, _, _ = _loss_and_grad(wm, biases, x, y_idx, l2)
+            lp, _, _ = _loss_and_grad(wp, biases, x, y_idx)
+            lm, _, _ = _loss_and_grad(wm, biases, x, y_idx)
             gw[idx] = (lp - lm) / (2 * h)
         for i in range(len(biases)):
             bp, bm = biases.copy(), biases.copy()
             bp[i] += h
             bm[i] -= h
-            lp, _, _ = _loss_and_grad(weights, bp, x, y_idx, l2)
-            lm, _, _ = _loss_and_grad(weights, bm, x, y_idx, l2)
+            lp, _, _ = _loss_and_grad(weights, bp, x, y_idx)
+            lm, _, _ = _loss_and_grad(weights, bm, x, y_idx)
             gb[i] = (lp - lm) / (2 * h)
         return gw, gb
 
@@ -260,9 +269,8 @@ class TestGradientCheck:
             biases = rng.normal(size=n_classes)
             x = rng.normal(size=(n_samples, n_features))
             y = rng.integers(0, n_classes, size=n_samples)
-            l2 = float(rng.choice([0.0, 0.001, 0.01]))
-            _, gw, gb = _loss_and_grad(weights, biases, x, y, l2)
-            nw, nb = self.numeric_grad(weights, biases, x, y, l2)
+            _, gw, gb = _loss_and_grad(weights, biases, x, y)
+            nw, nb = self.numeric_grad(weights, biases, x, y)
             scale_w = max(1e-8, float(np.abs(nw).max()))
             scale_b = max(1e-8, float(np.abs(nb).max()))
             assert np.abs(gw - nw).max() / scale_w < 1e-5
@@ -339,8 +347,8 @@ class TestProperties:
             x[0] += {"aa": -2.0, "bb": 0.0, "cc": 2.0}[label]
             data.append((x, label))
         records = as_records(data)
-        cfg = TrainConfig(epochs=200, rng_seed=5)
-        base = train_on_records(records, cfg)
+        monkeypatch.setattr(classify, "EPOCHS", 200)
+        base = train_on_records(records, 5)
 
         rename = {"aa": "zz", "bb": "aa", "cc": "mm"}  # sorted: aa, mm, zz
         renamed = [(raw, rename[lb]) for raw, lb in records]
@@ -349,7 +357,7 @@ class TestProperties:
         monkeypatch.setattr(
             classify, "initial_weights", lambda *a: seeded(*a)[[1, 2, 0], :]
         )
-        permuted = train_on_records(renamed, cfg)
+        permuted = train_on_records(renamed, 5)
 
         for raw, _ in records[:10]:
             lb_base, p_base = predict_record(base, raw)
@@ -363,7 +371,8 @@ class TestPersistence:
     def test_round_trip(self):
         rng = np.random.default_rng(2)
         data = [(rng.normal(size=6), "a" if i % 2 else "b") for i in range(30)]
-        model = train_on_records(as_records(data), TrainConfig(epochs=50))
+        with constants(epochs=50):
+            model = train_on_records(as_records(data), 0)
         doc = model_to_dict(model)
         assert doc["version"] == 1
         back = model_from_dict(doc)
@@ -414,7 +423,8 @@ def traced(module, step_name, train, *args):
 
 @st.composite
 def training_sets(draw, n_features=st.integers(1, 7)):
-    """(x, labels, cfg) with 2-5 classes, 1-300 samples and <= 30 epochs."""
+    """(x, labels, constants' arguments, seed): 2-5 classes, 1-300 samples
+    and <= 30 epochs."""
     n_classes = draw(st.integers(2, 5))
     n_features = draw(n_features)
     n_samples = draw(st.integers(1, 300))
@@ -424,19 +434,17 @@ def training_sets(draw, n_features=st.integers(1, 7)):
     y = rng.integers(0, n_classes, size=n_samples)
     y[:2] = [0, 1][:n_samples]  # two classes whenever there are two samples
     labels = [f"c{i}" for i in y]
-    cfg = TrainConfig(
-        learning_rate=draw(st.sampled_from([0.05, 0.5, 5.0])),
-        epochs=draw(st.integers(1, 30)),
-        l2_penalty=draw(st.sampled_from([0.0, 0.001, 0.01])),
-        rng_seed=draw(st.integers(0, 1000)),
-    )
-    return x, labels, cfg
+    descent = {
+        "learning_rate": draw(st.sampled_from([0.05, 0.5, 5.0])),
+        "epochs": draw(st.integers(1, 30)),
+    }
+    return x, labels, descent, draw(st.integers(0, 1000))
 
 
-def descend(x, labels, cfg):
+def descend(x, labels, seed):
     """classify._descend on already normalized features, as a model."""
     classes, y_idx = classify._class_index(labels)
-    weights, biases = classify._descend(x, y_idx, len(classes), cfg)
+    weights, biases = classify._descend(x, y_idx, len(classes), seed)
     return SoftmaxModel(weights, biases, classes, identity_stats(x.shape[1]))
 
 
@@ -446,32 +454,37 @@ class TestReferenceTrainer:
     @settings(deadline=None, max_examples=120)
     @given(problem=training_sets())
     def test_descend_matches_reference(self, problem):
-        x, labels, cfg = problem
-        got = traced(classify, "_class_major_step", descend, x, labels, cfg)
-        want = traced(
-            reference, "_loss_and_grad", reference.train_classifier, list(zip(x, labels)), cfg
-        )
+        x, labels, descent, seed = problem
+        with constants(**descent):
+            got = traced(classify, "_class_major_step", descend, x, labels, seed)
+            want = traced(
+                reference, "_loss_and_grad", reference.train_classifier,
+                list(zip(x, labels)), seed,
+            )
         assert got == want
 
     @settings(deadline=None, max_examples=40)
     @given(problem=training_sets(n_features=st.just(len(FEATURES))))
     def test_train_on_records_matches_reference(self, problem):
-        x, labels, cfg = problem
+        x, labels, descent, seed = problem
         records = [(dict(zip(FEATURES, row.tolist())), lb) for row, lb in zip(x, labels)]
-        got = traced(classify, "_class_major_step", train_on_records, records, cfg)
-        want = traced(reference, "_loss_and_grad", reference.train_on_records, records, cfg)
+        with constants(**descent):
+            got = traced(classify, "_class_major_step", train_on_records, records, seed)
+            want = traced(
+                reference, "_loss_and_grad", reference.train_on_records, records, seed
+            )
         assert got == want
 
     @settings(deadline=None, max_examples=60)
     @given(problem=training_sets())
     def test_loss_and_grad_matches_reference(self, problem):
-        x, labels, cfg = problem
-        rng = np.random.default_rng(cfg.rng_seed)
+        x, labels, _, seed = problem
+        rng = np.random.default_rng(seed)
         y_idx = rng.integers(0, 5, size=len(labels))
         weights = rng.normal(size=(5, x.shape[1]))
         biases = rng.normal(size=5)
-        got = _loss_and_grad(weights, biases, x, y_idx, cfg.l2_penalty)
-        want = reference._loss_and_grad(weights, biases, x, y_idx, cfg.l2_penalty)
+        got = _loss_and_grad(weights, biases, x, y_idx)
+        want = reference._loss_and_grad(weights, biases, x, y_idx)
         assert got[0] == want[0]
         assert got[1].tobytes() == want[1].tobytes()
         assert got[2].tobytes() == want[2].tobytes()

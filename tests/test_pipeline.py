@@ -26,7 +26,6 @@ from greenloop.pipeline import (
     compare_runs,
     feedback_update,
     partition_districts,
-    run,
     run_full,
 )
 from greenloop.routing import CollectionGraph
@@ -112,18 +111,18 @@ def city_scenario(n_bins=5, seed=11):
 class TestRunModes:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ModeUnsupported, match="turbo"):
-            run(ScenarioSpec(), "turbo")
+            run_full(ScenarioSpec(), "turbo")
 
     def test_cells_without_facility(self):
         s = ScenarioSpec(materials=(battery(0),))
         with pytest.raises(ModeUnsupported, match="facility"):
-            run(s, "framework")
+            run_full(s, "framework")
 
     def test_mode_enum_accepted(self):
-        assert run(ScenarioSpec(), Mode.FRAMEWORK).mode == "framework"
+        assert run_full(ScenarioSpec(), Mode.FRAMEWORK)[0].mode == "framework"
 
     def test_empty_scenario_zero_totals(self):
-        r = run(ScenarioSpec(), "baseline")
+        r = run_full(ScenarioSpec(), "baseline")[0]
         assert r.recovery == {}
         assert r.process_energy_kwh == 0.0
         assert r.co2_kg == 0.0
@@ -135,7 +134,8 @@ class TestRunModes:
         assert tuple(u.stage_name for u, _ in r.pipeline_energy.stages) == STAGE_ORDER
 
     def test_seed_override_recorded(self):
-        r = run(dataclasses.replace(mini_battery_scenario(), rng_seed=99), "baseline")
+        s = dataclasses.replace(mini_battery_scenario(), rng_seed=99)
+        r = run_full(s, "baseline")[0]
         assert r.seed == 99
 
 
@@ -164,7 +164,7 @@ class TestBatteryStages:
         assert artifacts.allocation is None
 
     def test_recovery_limited_to_targeted_elements(self):
-        r = run(mini_battery_scenario(), "baseline")
+        r = run_full(mini_battery_scenario(), "baseline")[0]
         assert "other" not in r.recovery
 
 
@@ -212,7 +212,7 @@ class TestAllocation:
             limits=(ResourceLimit("r", -5.0, {"p": 1.0}),),
         )
         with pytest.raises(StageError) as info:
-            run(s, "framework")
+            run_full(s, "framework")
         assert info.value.stage == "optimize"
 
 
@@ -231,8 +231,8 @@ class TestRouting:
 
     def test_classifier_at_least_matches_rule(self):
         s = city_scenario()
-        rb = run(s, "baseline")
-        rf = run(s, "framework")
+        rb = run_full(s, "baseline")[0]
+        rf = run_full(s, "framework")[0]
         assert rb.classification_accuracy is not None
         assert rf.classification_accuracy >= rb.classification_accuracy
 
@@ -278,27 +278,27 @@ class TestDeterminism:
 
     def test_seed_changes_stream(self):
         s = city_scenario()
-        r1 = run(s, "baseline")
-        r2 = run(dataclasses.replace(s, rng_seed=12), "baseline")
+        r1 = run_full(s, "baseline")[0]
+        r2 = run_full(dataclasses.replace(s, rng_seed=12), "baseline")[0]
         assert r1.classification_accuracy != r2.classification_accuracy
 
 
 class TestCompare:
     def test_mode_mismatch(self):
-        r = run(ScenarioSpec(), "baseline")
+        r = run_full(ScenarioSpec(), "baseline")[0]
         with pytest.raises(ModeMismatch):
             compare_runs(r, r)
 
     def test_empty_runs_compare_empty(self):
-        rb = run(ScenarioSpec(), "baseline")
-        rf = run(ScenarioSpec(), "framework")
+        rb = run_full(ScenarioSpec(), "baseline")[0]
+        rf = run_full(ScenarioSpec(), "framework")[0]
         rep = compare_runs(rb, rf)
         assert rep.deltas == ()
         assert rep.annotations == ()
 
     def test_self_comparison_is_neutral(self):
         s = mini_battery_scenario()
-        rf = run(s, "framework")
+        rf = run_full(s, "framework")[0]
         relabeled = dataclasses.replace(rf, mode="baseline")
         rep = compare_runs(relabeled, rf)
         assert rep.deltas
@@ -309,8 +309,8 @@ class TestCompare:
 
     def test_battery_row_order(self):
         s = mini_battery_scenario()
-        rb = run(s, "baseline")
-        rf = dataclasses.replace(run(s, "framework"), mode="framework")
+        rb = run_full(s, "baseline")[0]
+        rf = dataclasses.replace(run_full(s, "framework")[0], mode="framework")
         labels = [d.label for d in compare_runs(rb, rf).deltas]
         assert labels == [
             "Cobalt Recovery Rate (%)",
@@ -323,8 +323,8 @@ class TestCompare:
 
     def test_annotation_fires_beyond_one_point(self):
         s = mini_battery_scenario()
-        rb = run(s, "baseline")
-        rf = run(s, "framework")
+        rb = run_full(s, "baseline")[0]
+        rf = run_full(s, "framework")[0]
         rep = compare_runs(
             rb, rf, {"cobalt_recovery": {"form": "pp", "value": 5.0}}
         )
@@ -333,8 +333,8 @@ class TestCompare:
 
     def test_annotation_suppressed_within_one_point(self):
         s = mini_battery_scenario()
-        rb = run(s, "baseline")
-        rf = run(s, "framework")
+        rb = run_full(s, "baseline")[0]
+        rf = run_full(s, "framework")[0]
         rep = compare_runs(
             rb, rf, {"cobalt_recovery": {"form": "pp", "value": 0.5}}
         )
@@ -394,7 +394,7 @@ class TestStageUsageOverride:
             model=EnergyModel(alpha=2.0, beta=0.0),
             stage_costs={"metrics": StageUsage("metrics", compute_seconds=3.0)},
         )
-        r = run(ScenarioSpec(energy_model=plan), "baseline")
+        r = run_full(ScenarioSpec(energy_model=plan), "baseline")[0]
         by_stage = {u.stage_name: kwh for u, kwh in r.pipeline_energy.stages}
         assert by_stage["metrics"] == pytest.approx(6.0)
 
@@ -404,7 +404,7 @@ class TestStageUsageOverride:
             model=EnergyModel(alpha=2.0, beta=0.5),
             stage_costs={"metrics": StageUsage("metrics", compute_seconds=3.0)},
         )
-        r = run(ScenarioSpec(**ALLOC, energy_model=plan), "baseline")
+        r = run_full(ScenarioSpec(**ALLOC, energy_model=plan), "baseline")[0]
         usage = {u.stage_name: u for u, _ in r.pipeline_energy.stages}
         seconds, mb = UNIT_COSTS["optimize"]
         assert usage["optimize"] == StageUsage("optimize", seconds * 2, mb * 2)

@@ -10,7 +10,7 @@ import pytest
 
 from greenloop.charts import chart_from_report, render_grouped_bars
 from greenloop.errors import MissingMetric
-from greenloop.pipeline import ImprovementReport, MetricDelta, run
+from greenloop.pipeline import ImprovementReport, MetricDelta, run_full
 from greenloop.report import (
     comparison_csv,
     comparison_markdown,
@@ -131,7 +131,7 @@ class TestComparisonTables:
 
 class TestRunResultSerialization:
     def test_optionals_omitted_and_timings_excluded(self):
-        r = run(ScenarioSpec(), "baseline")
+        r = run_full(ScenarioSpec(), "baseline")[0]
         doc = run_result_to_dict(r)
         assert "classification_accuracy" not in doc
         assert "transport_emissions_kg" not in doc
@@ -139,7 +139,7 @@ class TestRunResultSerialization:
         assert doc["pipeline_energy"]["total_kwh"] == r.pipeline_energy.total_kwh
 
     def test_roundtrip(self):
-        r = run(ScenarioSpec(), "framework")
+        r = run_full(ScenarioSpec(), "framework")[0]
         back = run_result_from_dict(run_result_to_dict(r))
         assert back.mode == r.mode
         assert back.seed == r.seed

@@ -4,6 +4,7 @@ by the RouteState-keyed reference trainer in reference_routing."""
 import itertools
 import json
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_routing as reference
+from greenloop import routing
 from greenloop.errors import DisconnectedGraph, MissingEdge, StateSpaceTooLarge
 from greenloop.pipeline import partition_districts
 from greenloop.routing import (
@@ -121,10 +123,11 @@ TWO_BIN = complete_graph(
 )
 
 
-def td_config(learning_rate, discount, episodes=1):
-    return RLConfig(
-        learning_rate=learning_rate, discount=discount,
-        epsilon_start=0.0, epsilon_end=0.0, episodes=episodes,
+def td_config(learning_rate, discount):
+    """The routing constants patched to these TD settings, exploration off."""
+    return mock.patch.multiple(
+        routing, LEARNING_RATE=learning_rate, DISCOUNT=discount,
+        EPSILON_START=0.0, EPSILON_END=0.0,
     )
 
 
@@ -133,23 +136,26 @@ class TestQUpdate:
 
     def test_full_overwrite(self):
         # alpha 1, gamma 0: new value is exactly the reward
-        q = train_routing(ONE_BIN, td_config(1.0, 0.0))
+        with td_config(1.0, 0.0):
+            q = train_routing(ONE_BIN, RLConfig(episodes=1))
         assert q.values == {("depot", 0, "n1"): -3.2}
 
-    def test_zero_rate_rejected(self):
-        with pytest.raises(ValueError):
-            RLConfig(learning_rate=0.0)
+    def test_zero_episodes_rejected(self):
+        with pytest.raises(ValueError, match="episodes"):
+            RLConfig(episodes=0)
 
     def test_tiny_rate_leaves_table_nearly_unchanged(self):
         start = QTable({("depot", 0, "n1"): 2.0})
-        q = train_routing(ONE_BIN, td_config(1e-12, 0.5), initial=start)
+        with td_config(1e-12, 0.5):
+            q = train_routing(ONE_BIN, RLConfig(episodes=1), initial=start)
         assert q.get("depot", 0, "n1") == pytest.approx(2.0, abs=1e-10)
 
     def test_direct_substitution(self):
         # Newest first: n1 -> n2 closes the loop, 2 + 0.5 * (-5 - 2) = -1.5;
         # then depot -> n1 bootstraps from it, 1 + 0.5 * (-1 + 0.9 * -1.5 - 1).
         start = QTable({("depot", 0, "n1"): 1.0, ("n1", 1, "n2"): 2.0})
-        q = train_routing(TWO_BIN, td_config(0.5, 0.9), initial=start)
+        with td_config(0.5, 0.9):
+            q = train_routing(TWO_BIN, RLConfig(episodes=1), initial=start)
         assert q.get("n1", 0b01, "n2") == -1.5
         assert q.get("depot", 0, "n1") == pytest.approx(-0.675)
 
@@ -159,14 +165,16 @@ class TestQUpdate:
         # episode 2: -2.5 + 0.5 * (-5 + 2.5) = -3.75
         #            -1.625 + 0.5 * (-1 + 0.9 * -3.75 + 1.625) = -3.0
         start = QTable({("depot", 0, "n2"): -100.0})
-        q = train_routing(TWO_BIN, td_config(0.5, 0.9, episodes=2), initial=start)
+        with td_config(0.5, 0.9):
+            q = train_routing(TWO_BIN, RLConfig(episodes=2), initial=start)
         assert q.get("n1", 0b01, "n2") == -3.75
         assert q.get("depot", 0, "n1") == pytest.approx(-3.0)
 
     def test_terminal_next_state_uses_zero_bootstrap(self):
         # An entry at the all-visited state must not leak into the closing step.
         start = QTable({("n2", 0b11, "n1"): 50.0})
-        q = train_routing(TWO_BIN, td_config(1.0, 0.9), initial=start)
+        with td_config(1.0, 0.9):
+            q = train_routing(TWO_BIN, RLConfig(episodes=1), initial=start)
         assert q.get("n1", 0b01, "n2") == -5.0
         assert q.get("depot", 0, "n1") == pytest.approx(-1.0 + 0.9 * -5.0)
 
@@ -178,7 +186,8 @@ class TestQUpdate:
 
     def test_other_entries_untouched(self):
         other = ("n9", 7, "n2")
-        q = train_routing(ONE_BIN, td_config(1.0, 0.0), initial=QTable({other: -2.5}))
+        with td_config(1.0, 0.0):
+            q = train_routing(ONE_BIN, RLConfig(episodes=1), initial=QTable({other: -2.5}))
         assert q.values == {other: -2.5, ("depot", 0, "n1"): -3.2}
 
 
@@ -293,7 +302,7 @@ class TestProperties:
         worst_leg = max(
             e.distance_km * e.emission_rate_kg_per_km for e in g.edges.values()
         )
-        lo = -(2 * worst_leg) / (1 - cfg.discount)
+        lo = -(2 * worst_leg) / (1 - routing.DISCOUNT)
         for v in q.values.values():
             assert lo - 1e-9 <= v <= 1e-9
             assert np.isfinite(v)
@@ -411,11 +420,14 @@ class TestReferenceEquivalence:
     @given(g=sparse_graphs(), data=st.data())
     def test_matches_reference_trainer(self, g, data):
         epsilon_start = data.draw(st.floats(0.0, 1.0))
+        constants = mock.patch.multiple(
+            routing,
+            LEARNING_RATE=data.draw(st.sampled_from([0.1, 0.5, 1.0])),
+            DISCOUNT=data.draw(st.sampled_from([0.0, 0.95])),
+            EPSILON_START=epsilon_start,
+            EPSILON_END=epsilon_start * data.draw(st.floats(0.0, 1.0)),
+        )
         cfg = RLConfig(
-            learning_rate=data.draw(st.sampled_from([0.1, 0.5, 1.0])),
-            discount=data.draw(st.sampled_from([0.0, 0.95])),
-            epsilon_start=epsilon_start,
-            epsilon_end=epsilon_start * data.draw(st.floats(0.0, 1.0)),
             episodes=data.draw(st.integers(1, 40)),
             rng_seed=data.draw(st.integers(0, 2**32 - 1)),
         )
@@ -431,11 +443,12 @@ class TestReferenceEquivalence:
         ))
         warm = None if initial is None else QTable(dict(initial))
 
-        got = outcome(train_routing, g, cfg, warm)
-        want = outcome(
-            reference.train_routing, g, cfg,
-            None if initial is None else reference.from_tuple_keys(initial),
-        )
+        with constants:
+            got = outcome(train_routing, g, cfg, warm)
+            want = outcome(
+                reference.train_routing, g, cfg,
+                None if initial is None else reference.from_tuple_keys(initial),
+            )
         if isinstance(want, dict):
             assert isinstance(got, QTable)
             # repr keeps insertion order and the sign of zero in view

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenloop import solver
 from greenloop.errors import SolverError
@@ -168,25 +170,77 @@ def random_instance(rng: np.random.Generator) -> LinearProgram:
     )
 
 
+@st.composite
+def degenerate_instances(draw):
+    """All-integer instances of 1-4 variables, degenerate by construction.
+
+    Each base row may be repeated, scaled into a parallel row with the same
+    or a shifted bound, or negated, which with a zero shift pins it to an
+    equality. Right-hand sides are often zero, and the objective is often
+    zero or a multiple of a row, so whole faces of the feasible set tie.
+    """
+    n = draw(st.integers(1, 4))
+    coeff = st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.0])
+    coeffs = st.lists(coeff, min_size=n, max_size=n)
+    shift = st.sampled_from([0.0, 0.0, 1.0])
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(coeffs), draw(st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0, -1.0]))
+        rows.append((a, b))
+        kinds = st.lists(st.sampled_from(["same", "parallel", "negated"]), max_size=3)
+        for kind in draw(kinds):
+            if kind == "same":
+                rows.append((a, b))
+            elif kind == "parallel":
+                k = draw(st.sampled_from([0.5, 2.0, 3.0]))
+                rows.append(([k * v for v in a], k * b + draw(shift)))
+            else:
+                rows.append(([-v for v in a], -b + draw(shift)))
+    rows = draw(st.permutations(rows))
+    tie = draw(st.sampled_from(["free", "row", "zero"]))
+    if tie == "free":
+        objective = draw(coeffs)
+    elif tie == "row":
+        k = draw(st.sampled_from([-1.0, 1.0, 2.0]))
+        objective = [k * v for v in draw(st.sampled_from(rows))[0]]
+    else:
+        objective = [0.0] * n
+    upper = draw(st.lists(st.integers(1, 3).map(float), min_size=n, max_size=n))
+    return lp(objective, rows=rows, upper=upper, integer=[True] * n)
+
+
+def oracle_mismatch(instance):
+    """How solve_milp disagrees with the enumeration oracle, or None."""
+    expected_obj, _ = enumerate_integer_optimum(instance)
+    sol = solve_milp(instance)
+    if math.isinf(expected_obj):
+        if sol.status is not SolveStatus.INFEASIBLE:
+            return "expected infeasible", sol.status
+    elif sol.status is not SolveStatus.OPTIMAL:
+        return "expected optimal", sol.status
+    elif abs(sol.objective_value - expected_obj) > 1e-6:
+        return expected_obj, sol.objective_value
+    elif check_solution(instance, sol):
+        return "infeasible incumbent", sol.values
+    return None
+
+
 class TestOracleEquivalence:
     def test_random_instances_match_enumeration(self):
         rng = np.random.default_rng(20240917)
         mismatches = []
         for k in range(120):
-            instance = random_instance(rng)
-            expected_obj, _ = enumerate_integer_optimum(instance)
-            sol = solve_milp(instance)
-            if math.isinf(expected_obj):
-                if sol.status is not SolveStatus.INFEASIBLE:
-                    mismatches.append((k, "expected infeasible", sol.status))
-            else:
-                if sol.status is not SolveStatus.OPTIMAL:
-                    mismatches.append((k, "expected optimal", sol.status))
-                elif abs(sol.objective_value - expected_obj) > 1e-6:
-                    mismatches.append((k, expected_obj, sol.objective_value))
-                elif check_solution(instance, sol):
-                    mismatches.append((k, "infeasible incumbent"))
+            found = oracle_mismatch(random_instance(rng))
+            if found is not None:
+                mismatches.append((k, *found))
         assert not mismatches, mismatches[:5]
+
+    @settings(deadline=None, max_examples=150)
+    @given(instance=degenerate_instances())
+    def test_degenerate_instances_match_enumeration(self, instance):
+        """Degenerate pivots, and artificial variables that phase 1 leaves
+        basic at zero, on the instances that make them."""
+        assert oracle_mismatch(instance) is None
 
 
 class TestCheckSolution:
