@@ -368,9 +368,13 @@ def brute_force_route(g: CollectionGraph) -> tuple[tuple[str, ...], float]:
 
 
 def qtable_to_dict(q: QTable, version: int = 1) -> dict:
+    # Keys are unique, so sorting them orders the entries as sorting the
+    # items would, without building and comparing (key, value) pairs.
+    values = q.values
+    keys = sorted(values)
     entries = [
         {"current": current, "visited": visited, "action": action, "value": v}
-        for (current, visited, action), v in sorted(q.values.items())
+        for (current, visited, action), v in zip(keys, map(values.__getitem__, keys))
     ]
     return {"version": version, "entries": entries}
 

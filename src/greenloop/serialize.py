@@ -15,9 +15,16 @@ canonical_dumps writes the same text another way:
   ``str`` keys, lists and tuples are written recursively into one list
   of strings; ``str``, ``int``, ``float``, ``bool`` and ``None`` are
   encoded by the same functions the standard library uses.
-- The record path writes a list of plain dicts that share one key set and
-  hold only such scalars in one step: one ``%`` template of the sorted,
-  escaped keys per row, filled from column-wise encoded cells.
+- The record path writes a list of plain dicts that share one key set in
+  one step: one ``%`` template of the sorted, escaped keys per row,
+  filled from column-wise encoded cells. A column of scalars is encoded
+  one column at a time; a column whose cells are all plain dicts is
+  itself written by the record path one margin deeper, so the battery
+  materials, each with its ``composition`` dict, are a single step too.
+  The type, length and key checks run over whole lists in C. A list
+  declines the record path, and is written item by item instead, when
+  its rows, or the dicts in one of its columns, differ in key set, or
+  hold an empty dict, a dict subclass, a non-``str`` key or a list.
 - Anything else (non-``str`` keys, subclasses such as ``numpy.float64``
   or ``IntEnum``, other containers, a reference cycle) sends the whole
   document to the standard library call, which stays the oracle: its
@@ -29,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable
 
@@ -53,38 +61,44 @@ class _Unsupported(Exception):
     """The fast path cannot write this value; the standard library will."""
 
 
-def _records(items: list, inner: str) -> str | None:
-    """Text of the items of a list of flat dicts sharing one key set.
+def _rows(items: list, inner: str) -> list[str] | None:
+    """Text of each item of a list of plain dicts sharing one key set.
 
-    None when the items are not all plain dicts with the first one's
-    nonempty set of str keys and scalar values only.
+    Each row is written at the margin inner. A column whose cells are all
+    plain dicts is written by _rows one margin deeper; any other column
+    must hold scalars only. None when the items are not all plain dicts
+    with the first one's nonempty set of str keys, when a column holds
+    anything else, or when _rows declines a column of dicts.
     """
     first = items[0]
     if (
         not first
-        or any(type(row) is not dict for row in items)
-        or any(type(k) is not str for k in first)
+        or set(map(type, items)) != {dict}
+        or set(map(type, first)) != {str}
+        or len(set(map(len, items))) != 1
     ):
         return None
     keys = sorted(first)
-    width = len(first)
-    if any(len(row) != width for row in items):
-        return None
+    field = inner + " "
     columns = []
     try:
         for k in keys:
-            column = [row[k] for row in items]
+            column = list(map(itemgetter(k), items))
             types = set(map(type, column))
             if len(types) == 1:
                 (kind,) = types
-                encode = _SCALARS.get(kind)
-                if encode is None:
-                    return None
-                if kind is float:
+                if kind is dict:
+                    cells = _rows(column, field)
+                    if cells is None:
+                        return None
+                elif kind is float:
                     cells = list(map(float.__repr__, column))
                     if not _FLOAT_SPECIALS.keys().isdisjoint(cells):
                         cells = list(map(_encode_float, column))
                 else:
+                    encode = _SCALARS.get(kind)
+                    if encode is None:
+                        return None
                     cells = list(map(encode, column))
             elif types <= _SCALARS.keys():
                 cells = [_SCALARS[type(v)](v) for v in column]
@@ -93,7 +107,6 @@ def _records(items: list, inner: str) -> str | None:
             columns.append(cells)
     except KeyError:
         return None
-    field = inner + " "
     template = (
         "{"
         + field
@@ -103,7 +116,7 @@ def _records(items: list, inner: str) -> str | None:
         + inner
         + "}"
     )
-    return ("," + inner).join([template % row for row in zip(*columns)])
+    return [template % row for row in zip(*columns)]
 
 
 def _write(obj: Any, out: list[str], indent: str) -> None:
@@ -130,9 +143,9 @@ def _write(obj: Any, out: list[str], indent: str) -> None:
         if not obj:
             out.append("[]")
             return
-        text = _records(obj, inner) if type(obj[0]) is dict else None
-        if text is not None:
-            out.append("[" + inner + text + indent + "]")
+        rows = _rows(obj, inner) if type(obj[0]) is dict else None
+        if rows is not None:
+            out.append("[" + inner + ("," + inner).join(rows) + indent + "]")
             return
         sep = "[" + inner
         for item in obj:

@@ -6,7 +6,12 @@ pushed through the stations in declared order in throughput-sized chunks.
 Each station recovers a per-element fraction of what reaches it, loses a
 fraction, and forwards the rest; energy accrues per kilogram handled.
 Because every transfer is linear, element recovery rates depend only on
-the station coefficients, never on the jitter draw.
+the station coefficients, never on the jitter draw. The jitter is one
+Generator call per run: a (cells, named elements) array of uniforms whose
+rows, in cell-id order, hold what one scalar call per cell and element
+drew before. numpy's RNG policy (NEP 19) does not promise that a sized
+draw yields what the scalar calls would, so the tests compare the trace
+with the scalar-call simulator kept in tests/reference_twin.py.
 
 The bin side generates labeled sensor events: per time step each bin's
 fill level rises by a seeded increment and one deposit event is emitted,
@@ -34,6 +39,7 @@ if TYPE_CHECKING:
     from .scenario import ScenarioSpec
 
 ELEMENTS = ("cobalt", "lithium", "nickel", "other")
+NAMED_ELEMENTS = ELEMENTS[:-1]  # the elements jitter moves mass into and out of
 JITTER_AMPLITUDE = 0.05
 # Most throughput-sized chunks one facility run may take. Every step keeps a
 # TraceStep per station, so the budget bounds time and memory alike; the
@@ -185,25 +191,22 @@ DEFAULT_WASTE_STREAM = WasteStreamConfig(
 )
 
 
-def _element_masses(material, rng) -> dict[str, float]:
-    """Per-element kg for one material, with seeded jitter on named elements.
+def _element_masses(material, jitter: Sequence[float]) -> dict[str, float]:
+    """Per-element kg for one material, jittered by its row of the run's draw.
 
+    jitter holds one uniform draw per named element, in ELEMENTS order.
     The jitter moves mass between the named elements and the unnamed
     remainder, so each material's total mass is preserved exactly.
     """
     base = {el: material.mass_kg * material.composition.get(el, 0.0) for el in ELEMENTS}
-    named = [el for el in ELEMENTS if el != "other"]
     unassigned = material.mass_kg - sum(base.values())
     pool = base["other"] + max(0.0, unassigned)
 
-    jittered = {}
-    for el in named:
-        u = float(rng.uniform(-JITTER_AMPLITUDE, JITTER_AMPLITUDE))
-        jittered[el] = base[el] * (1.0 + u)
-    delta = sum(jittered.values()) - sum(base[el] for el in named)
+    jittered = {el: base[el] * (1.0 + u) for el, u in zip(NAMED_ELEMENTS, jitter)}
+    delta = sum(jittered.values()) - sum(base[el] for el in NAMED_ELEMENTS)
     if pool - delta < 0:
         # jitter would overdraw the remainder pool; fall back to base split
-        jittered = {el: base[el] for el in named}
+        jittered = {el: base[el] for el in NAMED_ELEMENTS}
         delta = 0.0
     jittered["other"] = pool - delta
     return jittered
@@ -231,11 +234,18 @@ def simulate_recycling(s: "ScenarioSpec", f: FacilityModel) -> SimulationTrace:
     than MAX_FACILITY_STEPS chunks of the facility's throughput.
     """
     rng = np.random.default_rng([s.rng_seed, 1])
-    cells = [m for m in s.materials if m.category == "battery-cell"]
+    cells = sorted(
+        (m for m in s.materials if m.category == "battery-cell"), key=lambda m: m.id
+    )
+    # One draw for the run: row i is what cell i's len(NAMED_ELEMENTS)
+    # scalar uniform calls would have drawn, in the same stream order.
+    jitter = rng.uniform(
+        -JITTER_AMPLITUDE, JITTER_AMPLITUDE, size=(len(cells), len(NAMED_ELEMENTS))
+    ).tolist()
 
     totals = {el: 0.0 for el in ELEMENTS}
-    for m in sorted(cells, key=lambda m: m.id):
-        masses = _element_masses(m, rng)
+    for m, row in zip(cells, jitter):
+        masses = _element_masses(m, row)
         for el in ELEMENTS:
             totals[el] += masses[el]
     total_kg = sum(totals.values())

@@ -1,19 +1,34 @@
-"""Reference bin-event generator making eight Generator calls per event.
+"""Reference simulators making one Generator call per scalar draw.
 
-This is the `simulate_bins` greenloop.twin shipped before it drew each
-event's category and sensor readings in bulk, kept as the oracle the
-faster generator is compared against: numpy's RNG policy (NEP 19) makes
-no promise about how `Generator.choice` turns its draws into an index.
-The body is unchanged apart from its imports.
+`simulate_bins` is the bin-event generator greenloop.twin shipped before
+it drew each event's category and sensor readings in bulk: eight
+Generator calls per event. `simulate_recycling` and `_element_masses` are
+the facility run it shipped before it drew the composition jitter in one
+call: three `uniform` calls per battery cell. They are kept as the oracles
+the faster simulators are compared against: numpy's RNG policy (NEP 19)
+makes no promise about how `Generator.choice` turns its draws into an
+index, nor that a sized draw yields what the scalar calls would. The
+bodies are unchanged apart from their imports.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from greenloop.carbon import ActivityLedger
 from greenloop.classify import FEATURES
-from greenloop.errors import NoGraph
-from greenloop.twin import DEFAULT_WASTE_STREAM, BinEvent, BinEventStream
+from greenloop.errors import NoGraph, StepBudgetExceeded
+from greenloop.twin import (
+    DEFAULT_WASTE_STREAM,
+    ELEMENTS,
+    JITTER_AMPLITUDE,
+    BinEvent,
+    BinEventStream,
+    FacilityModel,
+    SimulationTrace,
+    TraceStep,
+    step_budget_problem,
+)
 
 
 def simulate_bins(s, horizon: int) -> BinEventStream:
@@ -52,3 +67,104 @@ def simulate_bins(s, horizon: int) -> BinEventStream:
                 )
             )
     return BinEventStream(events=tuple(events))
+
+
+def _element_masses(material, rng) -> dict[str, float]:
+    """Per-element kg for one material, with seeded jitter on named elements.
+
+    The jitter moves mass between the named elements and the unnamed
+    remainder, so each material's total mass is preserved exactly.
+    """
+    base = {el: material.mass_kg * material.composition.get(el, 0.0) for el in ELEMENTS}
+    named = [el for el in ELEMENTS if el != "other"]
+    unassigned = material.mass_kg - sum(base.values())
+    pool = base["other"] + max(0.0, unassigned)
+
+    jittered = {}
+    for el in named:
+        u = float(rng.uniform(-JITTER_AMPLITUDE, JITTER_AMPLITUDE))
+        jittered[el] = base[el] * (1.0 + u)
+    delta = sum(jittered.values()) - sum(base[el] for el in named)
+    if pool - delta < 0:
+        # jitter would overdraw the remainder pool; fall back to base split
+        jittered = {el: base[el] for el in named}
+        delta = 0.0
+    jittered["other"] = pool - delta
+    return jittered
+
+
+def simulate_recycling(s: "ScenarioSpec", f: FacilityModel) -> SimulationTrace:
+    """Run battery-cell materials through the station pipeline.
+
+    Raises StepBudgetExceeded, before simulating, when the cells need more
+    than MAX_FACILITY_STEPS chunks of the facility's throughput.
+    """
+    rng = np.random.default_rng([s.rng_seed, 1])
+    cells = [m for m in s.materials if m.category == "battery-cell"]
+
+    totals = {el: 0.0 for el in ELEMENTS}
+    for m in sorted(cells, key=lambda m: m.id):
+        masses = _element_masses(m, rng)
+        for el in ELEMENTS:
+            totals[el] += masses[el]
+    total_kg = sum(totals.values())
+    problem = step_budget_problem(total_kg, f.throughput_kg_per_step)
+    if problem:
+        raise StepBudgetExceeded(problem)
+
+    steps: list[TraceStep] = []
+    recovered_totals = {el: 0.0 for el in ELEMENTS}
+    lost_totals = {el: 0.0 for el in ELEMENTS}
+    residual = {el: 0.0 for el in ELEMENTS}
+    processed_kg = {st.id: 0.0 for st in f.stations}
+
+    remaining = total_kg
+    step_index = 0
+    while remaining > 1e-12:
+        chunk_kg = min(f.throughput_kg_per_step, remaining)
+        share = chunk_kg / total_kg
+        flow = {el: totals[el] * share for el in ELEMENTS}
+        for st in f.stations:
+            input_kg = sum(flow.values())
+            if input_kg <= 0:
+                break
+            recovered = {}
+            lost_kg = 0.0
+            next_flow = {}
+            for el, mass in flow.items():
+                eff = st.recovery_efficiency.get(el, 0.0)
+                rec = mass * eff
+                lost = mass * st.loss_fraction
+                recovered[el] = rec
+                lost_kg += lost
+                lost_totals[el] += lost
+                recovered_totals[el] += rec
+                next_flow[el] = mass - rec - lost
+            energy = input_kg * st.energy_kwh_per_kg
+            processed_kg[st.id] += input_kg
+            steps.append(
+                TraceStep(
+                    step=step_index,
+                    station_id=st.id,
+                    input_kg=input_kg,
+                    recovered=recovered,
+                    lost_kg=lost_kg,
+                    energy_kwh=energy,
+                )
+            )
+            flow = next_flow
+        for el, mass in flow.items():
+            residual[el] += mass
+        remaining -= chunk_kg
+        step_index += 1
+
+    ledger = ActivityLedger(entries={sid: kg for sid, kg in processed_kg.items()})
+    return SimulationTrace(
+        steps=tuple(steps),
+        recovered_totals=recovered_totals,
+        residual_kg=sum(residual.values()),
+        activity_ledger=ledger,
+        input_totals=totals,
+        lost_totals=lost_totals,
+        residual_by_element=residual,
+    )

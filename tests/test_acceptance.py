@@ -38,7 +38,8 @@ from greenloop.routing import (
     train_routing,
 )
 from greenloop.classify import evaluate_accuracy_records
-from greenloop.scenario import MaterialSpec, ScenarioSpec, parse_scenario
+from greenloop.scenario import MaterialSpec, ScenarioSpec, parse_scenario, scenario_to_dict
+from greenloop import serialize
 from greenloop.serialize import canonical_dumps
 from greenloop.solver import (
     LinearProgram,
@@ -529,3 +530,19 @@ def test_golden_digests(tmp_path, waste_feedback):
         canonical_dumps(tables).encode("utf-8")
     ).hexdigest()
     assert got == GOLDEN_DIGESTS
+
+
+def test_artifacts_never_fall_back_to_the_stdlib(waste_runs, monkeypatch):
+    """The bundled scenarios and the route tables take canonical_dumps's own
+    paths: with the standard library encoder patched to raise, they still
+    write byte for byte what they wrote before."""
+    _, _, (_, artifacts) = waste_runs
+    docs = [scenario_to_dict(load_fixture(fixture)) for fixture, _, _ in GOLDEN_RUNS]
+    docs.append({"version": 1, "tables": [qtable_to_dict(q) for q in artifacts.district_qtables]})
+    want = [canonical_dumps(doc) for doc in docs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical_dumps fell back to json.dumps")
+
+    monkeypatch.setattr(serialize.json, "dumps", refuse)
+    assert [canonical_dumps(doc) for doc in docs] == want

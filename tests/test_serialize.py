@@ -27,6 +27,10 @@ class Level(enum.IntEnum):
     HIGH = 2
 
 
+class DictSubclass(dict):
+    """A dict subclass: the standard library writes it, the fast path declines."""
+
+
 # Characters the encoder must escape or the record template must survive.
 texts = st.text(
     alphabet=st.sampled_from('"\\%s/\n\t\x00\x1f\x7fé€ 😀a ') | st.characters(),
@@ -54,15 +58,25 @@ keys = st.one_of(
 
 
 @st.composite
-def record_lists(draw, values):
-    """Lists of dicts sharing one key set, sometimes with one row broken."""
+def record_lists(draw, values, depth=0, length=None, breaks=True):
+    """Lists of dicts sharing one key set, sometimes with one row broken.
+
+    Below depth, a column may hold dicts drawn the same way one level
+    down: sharing a key set of their own, half the time never broken.
+    """
     names = draw(st.lists(texts, max_size=5, unique=True))
-    rows = [
-        {k: draw(values) for k in names}
-        for _ in range(draw(st.integers(1, 5)))
+    n = length or draw(st.integers(1, 5))
+    columns = [
+        draw(record_lists(values, depth - 1, n, draw(st.booleans())))
+        if depth and draw(st.booleans())
+        else [draw(values) for _ in range(n)]
+        for _ in names
     ]
-    i = draw(st.integers(0, len(rows) - 1))
-    change = draw(st.sampled_from(["none", "none", "drop", "add", "rename", "scalar"]))
+    rows = [dict(zip(names, cells)) for cells in zip(*columns)] or [{} for _ in range(n)]
+    i = draw(st.integers(0, n - 1))
+    change = "none"
+    if breaks:
+        change = draw(st.sampled_from(["none", "none", "drop", "add", "rename", "scalar"]))
     if change == "drop" and rows[i]:
         del rows[i][next(iter(rows[i]))]
     elif change == "add":
@@ -103,6 +117,11 @@ class TestMatchesStdlib:
     def test_record_lists(self, rows):
         assert outcome(canonical_dumps, rows) == outcome(oracle, rows)
 
+    @settings(deadline=None, max_examples=80)
+    @given(rows=record_lists(scalars, depth=2))
+    def test_nested_record_lists(self, rows):
+        assert outcome(canonical_dumps, rows) == outcome(oracle, rows)
+
     @settings(deadline=None, max_examples=200)
     @given(doc=odd_documents)
     def test_subclasses_and_non_str_keys(self, doc):
@@ -122,6 +141,24 @@ class TestMatchesStdlib:
             [{"a%s": 1, "%(b)s": 2.5}, {"a%s": True, "%(b)s": None}],
             [{"v": True}, {"v": 1}, {"v": False}, {"v": 0}],
             {"t": (1, "x", ({"k": 1.0},))},
+            # dict columns: written one margin deeper, or declined
+            [{"c": {"x": 1.5}}, {"c": {"x": float("nan")}}, {"c": {"x": float("-inf")}}],
+            [{"c": {"x": float("inf"), "y": 1}, "d": 0}, {"c": {"x": 2, "y": None}, "d": 1}],
+            [{"c": {"%s": 1, "a%%": "%d"}}, {"c": {"%s": 2, "a%%": "%(x)s"}}],
+            [{"c": {"d": {"%": 1}}}, {"c": {"d": {"%": [1]}}}],
+            [{"c": {}, "d": 1}, {"c": {}, "d": 2}],
+            [{"c": {"x": 1}, "d": 1}, {"c": {}, "d": 2}],
+            [{"c": {"x": 1}}, {"c": {"y": 1}}],
+            [{"c": {"x": 1}}, {"c": {"x": 1, "y": 2}}],
+            [{"c": {"x": 1}}, {"c": DictSubclass(x=2)}],
+            [{"c": DictSubclass(x=1)}, {"c": DictSubclass(x=2)}],
+            [{"c": {1: "a"}}, {"c": {1: "b"}}],
+            [{"c": {"x": 1}}, {"c": {1: "b"}}],
+            [{"c": {True: "a"}}],
+            [{"c": {"x": [1, {"y": 2}]}}, {"c": {"x": []}}],
+            [{"c": {"x": {"y": {"z": -0.0}}}}, {"c": {"x": {"y": {"z": 10**30}}}}],
+            [{"c": {"x": 1}}, {"c": 1}],
+            [{"c": {"x": 1}}, {"c": (1,)}],
         ],
     )
     def test_edge_cases(self, doc):
@@ -157,3 +194,9 @@ class TestErrors:
         row["self"] = [row]
         with pytest.raises(ValueError, match="Circular reference detected"):
             canonical_dumps([row, {"a": 2, "self": 3}])
+
+    def test_cyclic_dict_cell(self):
+        row = {"a": 1}
+        row["self"] = row
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            canonical_dumps([row])

@@ -1,5 +1,5 @@
 """Facility and bin simulator tests: conservation, limits, determinism, and
-equality with the reference bin generator in reference_twin."""
+equality with the reference facility run and bin generator in reference_twin."""
 
 import dataclasses
 from importlib import resources
@@ -329,6 +329,44 @@ class TestReferenceSimulator:
         got = simulate_bins(s, horizon).events
         want = reference.simulate_bins(s, horizon).events
         assert [repr(ev) for ev in got] == [repr(ev) for ev in want]
+
+
+@st.composite
+def battery_cells(draw):
+    """0-30 cells in shuffled id order among other materials.
+
+    A cell's composition may name every element, leave mass unassigned, or
+    put all of it in the named elements so that a positive jitter overdraws
+    the empty remainder pool and the base split is kept.
+    """
+    n = draw(st.integers(0, 30))
+    materials = []
+    for i in draw(st.permutations(range(n))):
+        named = draw(st.lists(st.floats(0.0, 0.5), min_size=3, max_size=3))
+        composition = dict(zip(ELEMENTS, named))
+        style = draw(st.sampled_from(["other", "unassigned", "named only"]))
+        if style == "other":
+            composition["other"] = max(0.0, 1.0 - sum(named))
+        elif style == "named only":
+            composition = {el: v / (sum(named) or 1.0) for el, v in composition.items()}
+        materials.append(battery(i, draw(st.floats(0.01, 50.0)), composition))
+    for i in range(draw(st.integers(0, 3))):
+        materials.append(
+            MaterialSpec(id=f"pet{i}", name="", category="plastic", mass_kg=5.0)
+        )
+    return tuple(materials)
+
+
+class TestReferenceFacility:
+    """simulate_recycling draws what the three-call-per-cell reference draws."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**64 - 1), materials=battery_cells())
+    def test_trace_matches_reference(self, seed, materials):
+        s = ScenarioSpec(materials=materials, rng_seed=seed)
+        f = one_station_facility(loss=0.05)
+        got = simulate_recycling(s, f)
+        assert repr(got) == repr(reference.simulate_recycling(s, f))
 
 
 class TestCalibration:
