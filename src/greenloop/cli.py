@@ -1,7 +1,7 @@
 """Command-line front end: run scenarios, compare runs, render reports.
 
 Every run is persisted under an output directory keyed by a run id, the
-content hash of the effective scenario, seed, mode, and tool version.
+content hash of the effective scenario's hash, seed, mode, and tool version.
 Re-running the same invocation rewrites byte-identical metrics and
 artifacts; only the manifest's creation timestamp moves. Reports and
 charts are pure functions of their inputs and never embed timestamps.
@@ -36,7 +36,7 @@ from .errors import (
     TwinError,
     ValidationError,
 )
-from .pipeline import RunResult, compare_runs, run_full
+from .pipeline import MODES, RunResult, compare_runs, run_full
 from .report import (
     comparison_csv,
     comparison_markdown,
@@ -61,8 +61,9 @@ from .twin import calibrate_facility
 
 _FIXTURES = resources.files("greenloop") / "fixtures"
 
-# One exit code per error family; listed in --help. Subclass entries must
-# precede their base class (StageError and friends fall under 10).
+# One exit code per error family; listed in --help. A failing run stage
+# raises its own family, so PipelineError is left with the mode and artifact
+# checks around the stages.
 _FAMILY_CODES: tuple[tuple[type, int], ...] = (
     (ManifestUnreadable, 3),
     (ParseError, 4),
@@ -89,7 +90,7 @@ exit codes:
   7   carbon accounting failure
   8   facility or bin simulation failure
   9   classifier training failure
-  10  pipeline orchestration failure (mode, stage, or artifacts)
+  10  pipeline orchestration failure (mode or artifacts)
   11  requested metric absent from the runs
 """
 
@@ -205,9 +206,10 @@ def cmd_run(args) -> int:
     result, artifacts = run_full(s, args.mode)
 
     scenario_doc = scenario_to_dict(s)
+    scenario_hash = content_hash(scenario_doc)
     run_id = content_hash(
         {
-            "scenario": scenario_doc,
+            "scenario_hash": scenario_hash,
             "seed": seed,
             "mode": args.mode,
             "tool_version": __version__,
@@ -251,7 +253,7 @@ def cmd_run(args) -> int:
         "mode": args.mode,
         "seed": seed,
         "tool_version": __version__,
-        "scenario_hash": content_hash(scenario_doc),
+        "scenario_hash": scenario_hash,
         "created_at": _timestamp(),
         "artifacts": paths,
         "metrics": metrics_doc,
@@ -403,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", parents=[with_out], help="execute one pipeline run")
     p.add_argument("--scenario", required=True, help="scenario file or bundled fixture name")
-    p.add_argument("--mode", required=True, choices=("baseline", "framework"))
+    p.add_argument("--mode", required=True, choices=MODES)
     p.add_argument("--seed", type=_seed, default=None, help="override the scenario rng seed")
     p.set_defaults(func=cmd_run)
 

@@ -130,15 +130,6 @@ class ModeUnsupported(PipelineError):
     """Scenario lacks the components the requested run mode needs."""
 
 
-class StageError(PipelineError):
-    """A pipeline stage failed; wraps the cause and names the stage."""
-
-    def __init__(self, stage: str, cause: Exception):
-        self.stage = stage
-        self.cause = cause
-        super().__init__(f"stage '{stage}' failed: {cause}")
-
-
 class MissingArtifacts(PipelineError):
     """Feedback update requested without the prior run's model artifacts."""
 

@@ -1,10 +1,13 @@
 """End-to-end run orchestration and improvement arithmetic.
 
 A run executes the stage sequence preprocess, simulate, optimize, route,
-carbon, metrics over one scenario, in one of two modes. Framework mode
-trains the softmax classifier, solves the allocation MILP, and learns
+carbon, metrics over one scenario, in one of the two MODES. Framework
+mode trains the softmax classifier, solves the allocation MILP, and learns
 collection routes per district; baseline mode substitutes the weight-rule
 classifier, declaration-order allocation, and the naive lowest-id route.
+A failing stage raises its own error family, which names the stage:
+ClassifierError is preprocess, TwinError simulate, SolverError or
+CompileError optimize, RoutingError route, and CarbonError carbon.
 Stage energy is computed from each stage's workload (energy.UsagePlan),
 never from wall-clock time, so results are identical across machines.
 
@@ -18,7 +21,6 @@ from its expectation is surfaced as an annotation, never silently kept.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -31,13 +33,7 @@ from .classify import (
     train_on_records,
 )
 from .energy import STAGE_ORDER, EnergyLedger, EnergyModel, UsagePlan, record_stage
-from .errors import (
-    GreenloopError,
-    MissingArtifacts,
-    ModeMismatch,
-    ModeUnsupported,
-    StageError,
-)
+from .errors import MissingArtifacts, ModeMismatch, ModeUnsupported
 from .routing import (
     CollectionGraph,
     QTable,
@@ -54,20 +50,7 @@ BIN_HORIZON = 100
 TRAIN_SPLIT = 0.7
 DISTRICT_MAX_BINS = 10
 FEEDBACK_EPISODES = 1000
-
-
-class Mode(enum.Enum):
-    BASELINE = "baseline"
-    FRAMEWORK = "framework"
-
-
-def _as_mode(mode) -> Mode:
-    if isinstance(mode, Mode):
-        return mode
-    try:
-        return Mode(mode)
-    except ValueError:
-        raise ModeUnsupported(f"unknown mode {mode!r}") from None
+MODES = ("baseline", "framework")
 
 
 @dataclass(frozen=True)
@@ -201,9 +184,11 @@ def partition_districts(g: CollectionGraph) -> tuple[CollectionGraph, ...]:
     return tuple(districts)
 
 
-def run_full(s: ScenarioSpec, mode) -> tuple[RunResult, RunArtifacts]:
+def run_full(s: ScenarioSpec, mode: str) -> tuple[RunResult, RunArtifacts]:
     """Execute all pipeline stages; returns metrics plus reusable artifacts."""
-    m = _as_mode(mode)
+    if mode not in MODES:
+        raise ModeUnsupported(f"unknown mode {mode!r}")
+    framework = mode == "framework"
 
     has_cells = any(mat.category == "battery-cell" for mat in s.materials)
     if has_cells and s.facility is None:
@@ -218,43 +203,34 @@ def run_full(s: ScenarioSpec, mode) -> tuple[RunResult, RunArtifacts]:
     classifier: SoftmaxModel | None = None
     accuracy: float | None = None
     events = ()
-    try:
-        if s.collection_graph is not None:
-            events = simulate_bins(s, BIN_HORIZON).events
-            train_recs, eval_recs = _split_records(events)
-            if m is Mode.FRAMEWORK:
-                classifier = train_on_records(train_recs, s.rng_seed)
-                accuracy = evaluate_accuracy_records(classifier, eval_recs)
-            else:
-                hits = sum(1 for rec, label in eval_recs if rule_classify(rec) == label)
-                accuracy = hits / len(eval_recs) if eval_recs else None
-    except GreenloopError as exc:
-        raise StageError("preprocess", exc) from exc
+    if s.collection_graph is not None:
+        events = simulate_bins(s, BIN_HORIZON).events
+        train_recs, eval_recs = _split_records(events)
+        if framework:
+            classifier = train_on_records(train_recs, s.rng_seed)
+            accuracy = evaluate_accuracy_records(classifier, eval_recs)
+        else:
+            hits = sum(1 for rec, label in eval_recs if rule_classify(rec) == label)
+            accuracy = hits / len(eval_recs) if eval_recs else None
     workload["preprocess"] = float(len(events))
 
     # simulate: push battery-cell mass through the facility
     trace: SimulationTrace | None = None
-    try:
-        if has_cells and s.facility is not None:
-            trace = simulate_recycling(s, s.facility)
-    except GreenloopError as exc:
-        raise StageError("simulate", exc) from exc
+    if has_cells and s.facility is not None:
+        trace = simulate_recycling(s, s.facility)
     workload["simulate"] = float(len(trace.steps)) if trace else 0.0
 
     # optimize: allocate process levels
     allocation: dict[str, float] | None = None
-    try:
-        if s.processes:
-            if m is Mode.FRAMEWORK:
-                lp = compile_to_lp(s)
-                sol = solve_milp(lp)
-                if sol.status is not SolveStatus.OPTIMAL:
-                    raise SolverError(f"allocation solve ended {sol.status.name}")
-                allocation = dict(zip(lp.variable_names, sol.values))
-            else:
-                allocation = _declaration_fill(s)
-    except GreenloopError as exc:
-        raise StageError("optimize", exc) from exc
+    if s.processes:
+        if framework:
+            lp = compile_to_lp(s)
+            sol = solve_milp(lp)
+            if sol.status is not SolveStatus.OPTIMAL:
+                raise SolverError(f"allocation solve ended {sol.status.name}")
+            allocation = dict(zip(lp.variable_names, sol.values))
+        else:
+            allocation = _declaration_fill(s)
     workload["optimize"] = float(len(s.processes))
 
     # route: plan the collection tour(s)
@@ -262,29 +238,23 @@ def run_full(s: ScenarioSpec, mode) -> tuple[RunResult, RunArtifacts]:
     routes: tuple[tuple[str, ...], ...] = ()
     transport: float | None = None
     workload["route"] = 0.0
-    try:
-        g = s.collection_graph
-        if g is not None and g.bin_ids():
-            if m is Mode.FRAMEWORK:
-                districts = partition_districts(g)
-                episodes = RLConfig().episodes
-                qtables, routes, transport = _train_districts(districts, s.rng_seed, episodes)
-                workload["route"] = float(episodes * len(districts))
-            else:
-                naive = (g.depot, *g.bin_ids(), g.depot)
-                routes = (naive,)
-                transport = route_emissions(g, naive)
-                workload["route"] = float(len(g.bin_ids()))
-    except GreenloopError as exc:
-        raise StageError("route", exc) from exc
+    g = s.collection_graph
+    if g is not None and g.bin_ids():
+        if framework:
+            districts = partition_districts(g)
+            episodes = RLConfig().episodes
+            qtables, routes, transport = _train_districts(districts, s.rng_seed, episodes)
+            workload["route"] = float(episodes * len(districts))
+        else:
+            naive = (g.depot, *g.bin_ids(), g.depot)
+            routes = (naive,)
+            transport = route_emissions(g, naive)
+            workload["route"] = float(len(g.bin_ids()))
 
     # carbon: facility activity footprint plus transport legs
-    try:
-        activity = trace.activity_ledger if trace else ActivityLedger()
-        co2 = carbon_footprint(s.emission_factors, activity).total_kg
-        co2 += transport or 0.0
-    except GreenloopError as exc:
-        raise StageError("carbon", exc) from exc
+    activity = trace.activity_ledger if trace else ActivityLedger()
+    co2 = carbon_footprint(s.emission_factors, activity).total_kg
+    co2 += transport or 0.0
     workload["carbon"] = float(len(activity.entries))
 
     # metrics: assemble the result
@@ -311,7 +281,7 @@ def run_full(s: ScenarioSpec, mode) -> tuple[RunResult, RunArtifacts]:
         ledger = record_stage(ledger, plan.model, plan.usage_for(stage, workload[stage]))
 
     result = RunResult(
-        mode=m.value,
+        mode=mode,
         seed=s.rng_seed,
         recovery=recovery,
         process_energy_kwh=process_energy,
@@ -383,7 +353,7 @@ def compare_runs(
     "value": points}; a computed delta differing from its expectation by
     more than one point is reported in annotations.
     """
-    if b.mode != Mode.BASELINE.value or f.mode != Mode.FRAMEWORK.value:
+    if b.mode != "baseline" or f.mode != "framework":
         raise ModeMismatch(
             f"need one baseline and one framework run, got {b.mode!r} and {f.mode!r}"
         )

@@ -462,6 +462,9 @@ def validate_scenario(s: ScenarioSpec) -> list[Diagnostic]:
                 path="integrality",
                 message=f"integrality names unknown process {pid!r}",
             ))
+    for pid, bound in integer_upper_bounds(s).items():
+        if not math.isfinite(bound):
+            out.append(Diagnostic(path="integrality", message=_unbounded_integer(pid)))
 
     if s.facility is not None:
         cell_kg = sum(m.mass_kg for m in s.materials if m.category == "battery-cell")
@@ -486,6 +489,32 @@ def validate_scenario(s: ScenarioSpec) -> list[Diagnostic]:
                 ))
 
     return out
+
+
+def integer_upper_bounds(s: ScenarioSpec) -> dict[str, float]:
+    """Each integer process's largest level its limit rows and any CO2 cap allow.
+
+    math.inf marks a process that no row consumes, which leaves
+    branch-and-bound no finite range to search.
+    """
+    cap = s.targets.get("co2_cap_kg")
+    factor_e = {ef.id: ef.e for ef in s.emission_factors}
+    bounds = {}
+    for p in s.processes:
+        if p.id not in s.integrality:
+            continue
+        rows = [(lim.consumption.get(p.id, 0.0), lim.availability) for lim in s.limits]
+        if cap is not None:
+            rows.append((factor_e.get(p.emission_factor_id, 0.0), cap))
+        bounds[p.id] = min((rhs / c for c, rhs in rows if c > 0), default=math.inf)
+    return bounds
+
+
+def _unbounded_integer(pid: str) -> str:
+    return (
+        f"integer process {pid!r} has no limit row bounding it; "
+        "branch-and-bound needs a finite range"
+    )
 
 
 def compile_to_lp(s: ScenarioSpec) -> LinearProgram:
@@ -518,30 +547,17 @@ def compile_to_lp(s: ScenarioSpec) -> LinearProgram:
             coeffs.append(ef.e)
         rows.append((tuple(coeffs), s.targets["co2_cap_kg"]))
 
-    integer_mask = tuple(pid in s.integrality for pid in pids)
-
-    upper = []
-    for j, pid in enumerate(pids):
-        if not integer_mask[j]:
-            upper.append(math.inf)
-            continue
-        implied = math.inf
-        for coeffs, rhs in rows:
-            if coeffs[j] > 0:
-                implied = min(implied, rhs / coeffs[j])
-        if not math.isfinite(implied):
-            raise CompileError(
-                f"integer process {pid!r} has no limit row bounding it; "
-                "branch-and-bound needs a finite range"
-            )
-        upper.append(implied)
+    bounds = integer_upper_bounds(s)
+    for pid, bound in bounds.items():
+        if not math.isfinite(bound):
+            raise CompileError(_unbounded_integer(pid))
 
     return LinearProgram(
         objective=tuple(p.unit_cost for p in s.processes),
         rows=tuple(rows),
         lower_bounds=(0.0,) * n,
-        upper_bounds=tuple(upper),
-        integer_mask=integer_mask,
+        upper_bounds=tuple(bounds.get(pid, math.inf) for pid in pids),
+        integer_mask=tuple(pid in s.integrality for pid in pids),
         variable_names=tuple(pids),
     )
 

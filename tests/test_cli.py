@@ -2,11 +2,12 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
-from greenloop import cli
+from greenloop import cli, errors
 from greenloop.cli import main
 from greenloop.serialize import read_json
 
@@ -37,6 +38,35 @@ def slow_facility(tmp_path):
     path = tmp_path / "slow.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+def small_waste(doc):
+    """Cut the waste fixture's graph to the depot and its first three bins."""
+    graph = doc["collection_graph"]
+    graph["nodes"] = graph["nodes"][:4]
+    kept = {node["id"] for node in graph["nodes"]}
+    graph["edges"] = [e for e in graph["edges"] if e["a"] in kept and e["b"] in kept]
+
+
+def unreachable_bin(doc):
+    small_waste(doc)
+    graph = doc["collection_graph"]
+    graph["edges"] = [e for e in graph["edges"] if "b02" not in (e["a"], e["b"])]
+
+
+def one_category(doc):
+    small_waste(doc)
+    doc["waste_stream"]["category_mix"] = {"plastic": 1.0}
+
+
+def no_limits(doc):
+    doc["integrality"] = []
+    doc["limits"] = []
+
+
+def unbounded_integer(doc):
+    for lim in doc["limits"]:
+        del lim["consumption"]["pC"]
 
 
 # A metrics document run_result_from_dict accepts.
@@ -120,6 +150,36 @@ class TestRun:
         assert "1.5e+13 steps, over the budget" in err
         assert "facility.throughput_kg_per_step" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "fixture, edit, code, problem",
+        [
+            ("alloc_small.json", no_limits, 5, "allocation solve ended UNBOUNDED"),
+            ("waste_framework.json", unreachable_bin, 6,
+             "bins unreachable from depot: ['b02']"),
+            ("waste_framework.json", one_category, 9, "need >= 2 classes, got ('plastic',)"),
+            ("alloc_small.json", unbounded_integer, 4,
+             "integer process 'pC' has no limit row bounding it"),
+        ],
+        ids=["unbounded-allocation", "unreachable-bin", "one-category", "unbounded-integer"],
+    )
+    def test_failing_stage_exits_with_family_code(
+        self, tmp_path, capsys, fixture, edit, code, problem
+    ):
+        doc = json.loads((cli._FIXTURES / fixture).read_text("utf-8"))
+        edit(doc)
+        scenario = tmp_path / "failing.json"
+        scenario.write_text(json.dumps(doc), "utf-8")
+        assert main(["validate", "--scenario", str(scenario)]) == (4 if code == 4 else 0)
+        listed = capsys.readouterr().out
+        assert (problem in listed) == (code == 4)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scenario), "--mode", "framework",
+                     "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert problem in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_bad_mode_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:
@@ -714,3 +774,26 @@ class TestHelp:
         for command in ("run", "compare", "chart", "table3", "validate",
                         "calibrate"):
             assert command in text
+
+    def test_exit_code_table_matches_mapping(self, tmp_path, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        table = re.findall(r"^  (\d+) +\S", capsys.readouterr().out, re.M)
+        family_codes = {code for _, code in cli._FAMILY_CODES}
+        assert sorted(map(int, table)) == sorted({0, 1, 2, 3} | family_codes)
+        # every library error lands on a listed family code, none on 1
+        for cls in vars(errors).values():
+            if isinstance(cls, type) and issubclass(cls, errors.GreenloopError):
+                if cls is not errors.GreenloopError:
+                    assert cli._exit_code_for(cls("x")) in family_codes, cls
+        with pytest.raises(SystemExit) as info:
+            main(["validate"])
+        assert info.value.code == 2
+        assert main(["validate", "--scenario", str(tmp_path / "absent.json")]) == 3
+
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_validate", boom)
+        assert main(["validate", "--scenario", "alloc_small.json"]) == 1

@@ -191,6 +191,20 @@ class TestValidation:
         if flagged:
             assert "station 'sort' has no emission factor" in diags[0].message
 
+    @pytest.mark.parametrize("cap, flagged", [(None, True), (10.0, False)])
+    def test_unbounded_integer_process(self, cap, flagged):
+        # pC draws on no limit, so only a CO2 cap (its e is 1.0) bounds it
+        doc = alloc_doc()
+        for lim in doc["limits"]:
+            del lim["consumption"]["pC"]
+        if cap is not None:
+            doc["targets"] = {"co2_cap_kg": cap}
+        diags = validate_scenario(parse_scenario(doc))
+        assert [str(d) for d in diags] == (
+            ["integrality: integer process 'pC' has no limit row bounding it; "
+             "branch-and-bound needs a finite range"] if flagged else []
+        )
+
     @pytest.mark.parametrize("budget, flagged", [(3, False), (2, True)])
     def test_facility_step_budget(self, monkeypatch, budget, flagged):
         # 20 cells of 15 kg at 100 kg per step: exactly 3 steps
@@ -255,6 +269,13 @@ class TestCompile:
         lp = compile_to_lp(parse_scenario(doc))
         assert len(lp.rows) == 3
         assert lp.rows[-1] == ((0.5, 1.5, 1.0), 7.0)
+
+    def test_integer_bounds_take_tightest_row(self):
+        doc = alloc_doc()
+        doc["targets"] = {"co2_cap_kg": 2.0}
+        lp = compile_to_lp(parse_scenario(doc))
+        # pA: labor 10/2, machine 6/1, cap 2/0.5; pB: cap 2/1.5; pC: cap 2/1
+        assert lp.upper_bounds == (4.0, 2.0 / 1.5, 2.0)
 
     def test_row_count_matches_limits(self):
         lp = compile_to_lp(parse_scenario(alloc_doc()))
