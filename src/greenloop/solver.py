@@ -12,6 +12,19 @@ Instances are minimization problems
 with lb finite (default 0) and ub possibly +inf. Integer variables must
 carry finite bounds so branch-and-bound terminates.
 
+solve_milp builds the bound-independent part of the standard form once
+per call: the rows, one unit row per variable with a finite upper bound,
+the slack block and the objective. Each node then fills only its shifted
+right-hand side and one tableau array; nothing outlives the call. The
+floats stay exactly those of a tableau built from scratch for the node,
+which tests/reference_solver.py does: each row's shift is its own np.dot
+(a matrix product may sum in another order), pricing out a basis
+subtracts only the rows of basic columns with a nonzero cost (basic
+columns are unit columns), the entering and ratio scans compare Python
+floats, which are the same IEEE doubles as numpy's, and a pivot forms
+each product once, as np.outer does. A node thus takes the same pivots
+and returns the same bits.
+
 Limits and tolerances are module constants. A solve ends with status
 IterationLimit after MAX_ITERATIONS simplex pivots per LP or MAX_NODES
 branch-and-bound nodes; FEAS_TOL bounds row and bound residuals and
@@ -95,9 +108,16 @@ class MilpSolution:
 
 @dataclass(frozen=True)
 class Violation:
-    """One feasibility defect: which row/variable and by how much."""
+    """One feasibility defect: which row/variable and by how much.
 
-    kind: str  # "row" | "lower" | "upper" | "integrality"
+    Kinds: "row" (a row's activity over its bound), "lower" and "upper"
+    (a value outside its bounds), "integrality" (an integer variable's
+    distance from the nearest integer) and "nonfinite" (a value that is
+    NaN or infinite; its residual is the value itself, and no bound or
+    integrality check runs on it).
+    """
+
+    kind: str
     index: int
     residual: float
 
@@ -112,42 +132,40 @@ class _Tableau:
     body: np.ndarray  # (m, total_cols + 1)
     obj: np.ndarray  # (total_cols + 1,) reduced-cost row, last entry = -objective
     basis: list[int]
-    eligible: np.ndarray  # bool per column: may enter the basis
+    eligible: int  # columns below this index may enter the basis
 
 
 def _pivot(t: _Tableau, row: int, col: int) -> None:
-    t.body[row] /= t.body[row, col]
+    prow = t.body[row]
+    prow /= prow[col]
     factors = t.body[:, col].copy()
     factors[row] = 0.0
-    t.body -= np.outer(factors, t.body[row])
-    t.obj -= t.obj[col] * t.body[row]
+    t.body -= factors[:, None] * prow
+    t.obj -= t.obj[col] * prow
     t.basis[row] = col
 
 
 def _simplex(t: _Tableau, max_iters: int):
     """Run Bland-rule simplex until optimal. Returns (status, pivots)."""
     pivots = 0
+    basis = t.basis
     while True:
-        entering = -1
-        reduced = t.obj[:-1]
-        for j in range(reduced.shape[0]):
-            if t.eligible[j] and reduced[j] < -_PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        improving = t.obj[: t.eligible] < -_PIVOT_TOL
+        entering = int(improving.argmax())
+        if not improving[entering]:
             return SolveStatus.OPTIMAL, pivots
         # Leaving row: min ratio, ties to the lowest basic-variable index.
-        col = t.body[:, entering]
-        rhs = t.body[:, -1]
+        col = t.body[:, entering].tolist()
+        rhs = t.body[:, -1].tolist()
         best_ratio = math.inf
         leave = -1
-        for i in range(col.shape[0]):
-            if col[i] > _PIVOT_TOL:
-                ratio = rhs[i] / col[i]
+        for i, a in enumerate(col):
+            if a > _PIVOT_TOL:
+                ratio = rhs[i] / a
                 if ratio < best_ratio - _PIVOT_TOL or (
                     abs(ratio - best_ratio) <= _PIVOT_TOL
                     and leave >= 0
-                    and t.basis[i] < t.basis[leave]
+                    and basis[i] < basis[leave]
                 ):
                     best_ratio = ratio
                     leave = i
@@ -159,74 +177,92 @@ def _simplex(t: _Tableau, max_iters: int):
             return SolveStatus.ITERATION_LIMIT, pivots
 
 
-def solve_lp(lp: LinearProgram) -> MilpSolution:
-    """Solve the LP relaxation (integer_mask ignored).
+@dataclass(frozen=True)
+class _StandardForm:
+    """The bound-independent part of an LP's standard form.
 
-    Status OPTIMAL guarantees primal feasibility within FEAS_TOL and no
-    improving reduced cost. Identical inputs give bit-identical outputs.
+    Rows are the LP's own rows, then one unit row per boxed variable (finite
+    upper bound), each with a slack column. Branching changes bounds only,
+    never which variables are boxed, so one form serves every node.
     """
+
+    rows: tuple[np.ndarray, ...]  # the LP's rows, one array each for np.dot
+    rhs: tuple[float, ...]
+    boxed: np.ndarray  # indices of the variables with a finite upper bound
+    a_slack: np.ndarray  # (m, n + m): every row's coefficients, then identity
+    c: np.ndarray
+
+
+def _standard_form(lp: LinearProgram) -> _StandardForm:
     n = lp.num_vars
-    lo = np.array(lp.lower_bounds, dtype=float)
-    hi = np.array(lp.upper_bounds, dtype=float)
+    rows = tuple(np.array(coeffs, dtype=float) for coeffs, _ in lp.rows)
+    boxed = np.array(
+        [j for j, hi in enumerate(lp.upper_bounds) if math.isfinite(hi)], dtype=np.intp
+    )
+    k = len(rows)
+    m = k + boxed.shape[0]
+    a_slack = np.zeros((m, n + m))
+    for i, a in enumerate(rows):
+        a_slack[i, :n] = a
+    a_slack[np.arange(k, m), boxed] = 1.0
+    a_slack[:, n:] = np.eye(m)
+    return _StandardForm(
+        rows=rows,
+        rhs=tuple(r for _, r in lp.rows),
+        boxed=boxed,
+        a_slack=a_slack,
+        c=np.array(lp.objective, dtype=float),
+    )
 
-    # Shift x = y + lb so y >= 0; finite upper bounds become extra rows.
-    rows = [np.array(coeffs, dtype=float) for coeffs, _ in lp.rows]
-    rhs = [r - float(np.dot(a, lo)) for a, (_, r) in zip(rows, lp.rows)]
-    for j in range(n):
-        if math.isfinite(hi[j]):
-            unit = np.zeros(n)
-            unit[j] = 1.0
-            rows.append(unit)
-            rhs.append(hi[j] - lo[j])
 
-    m = len(rows)
-    c = np.array(lp.objective, dtype=float)
+def _solve(
+    form: _StandardForm, lower: Sequence[float], upper: Sequence[float]
+) -> MilpSolution:
+    """Solve the form's LP over the box lower <= x <= upper."""
+    c = form.c
+    n = c.shape[0]
+    m = form.a_slack.shape[0]
+    lo = np.array(lower, dtype=float)
     if m == 0:
         # No constraints at all: each y_j sits at 0 unless pushing it up helps.
         if np.any(c < -FEAS_TOL):
             return MilpSolution(SolveStatus.UNBOUNDED, (), math.nan)
-        x = lo.copy()
         return MilpSolution(
-            SolveStatus.OPTIMAL, tuple(x.tolist()), float(np.dot(c, x))
+            SolveStatus.OPTIMAL, tuple(lo.tolist()), float(np.dot(c, lo))
         )
 
-    a_mat = np.vstack(rows)
-    b_vec = np.array(rhs, dtype=float)
+    # Shift x = y + lb so y >= 0; a boxed variable's row bounds y by ub - lb.
+    # Each row keeps its own np.dot: a matrix product may sum in another order.
+    k = len(form.rows)
+    b_vec = np.empty(m)
+    b_vec[:k] = [r - float(np.dot(a, lo)) for a, r in zip(form.rows, form.rhs)]
+    boxed = form.boxed
+    b_vec[k:] = np.array(upper, dtype=float)[boxed] - lo[boxed]
 
-    # Slack per row; flip rows with negative rhs and give them artificials.
-    flipped = b_vec < 0
-    slack = np.eye(m)
-    a_std = a_mat.copy()
-    a_std[flipped] *= -1.0
-    slack[flipped] *= -1.0
-    b_std = np.abs(b_vec)
-
-    art_rows = np.nonzero(flipped)[0]
+    # Flip rows with negative rhs (their zeros become -0.0, as the slack
+    # block's do) and give each an artificial column, basic in its row.
+    art_rows = np.flatnonzero(b_vec < 0)
     n_art = art_rows.shape[0]
-    art = np.zeros((m, n_art))
-    for k, i in enumerate(art_rows):
-        art[i, k] = 1.0
-
-    body = np.hstack([a_std, slack, art, b_std[:, None]])
     total = n + m + n_art
-    basis: list[int] = []
-    for i in range(m):
-        if flipped[i]:
-            basis.append(n + m + int(np.nonzero(art_rows == i)[0][0]))
-        else:
-            basis.append(n + i)
+    body = np.zeros((m, total + 1))
+    body[:, : n + m] = form.a_slack
+    body[art_rows, : n + m] *= -1.0
+    body[art_rows, n + m + np.arange(n_art)] = 1.0
+    body[:, -1] = np.abs(b_vec)
+    basis = list(range(n, n + m))
+    for a, i in enumerate(art_rows.tolist()):
+        basis[i] = n + m + a
 
-    eligible = np.ones(total, dtype=bool)
-    t = _Tableau(body=body, obj=np.zeros(total + 1), basis=basis, eligible=eligible)
+    t = _Tableau(body=body, obj=np.zeros(total + 1), basis=basis, eligible=total)
 
     iterations = 0
     if n_art:
-        # Phase 1: minimize the artificial sum.
+        # Phase 1: minimize the artificial sum. Basic columns are unit
+        # columns, so pricing out the basis subtracts each artificial row.
         phase1 = np.zeros(total + 1)
-        phase1[n + m : n + m + n_art] = 1.0
-        for i, bv in enumerate(t.basis):
-            if phase1[bv] != 0.0:
-                phase1 -= phase1[bv] * t.body[i]
+        phase1[n + m : total] = 1.0
+        for i in art_rows.tolist():
+            phase1 -= body[i]
         t.obj = phase1
         status, pivots = _simplex(t, MAX_ITERATIONS)
         iterations += pivots
@@ -244,14 +280,16 @@ def solve_lp(lp: LinearProgram) -> MilpSolution:
                         _pivot(t, i, j)
                         iterations += 1
                         break
-        t.eligible[n + m :] = False
+        t.eligible = n + m
 
-    # Phase 2: original objective over shifted variables.
+    # Phase 2: original objective over shifted variables, priced out the
+    # same way: only basic original variables with a nonzero cost count.
     phase2 = np.zeros(total + 1)
     phase2[:n] = c
+    cost = c.tolist()
     for i, bv in enumerate(t.basis):
-        if phase2[bv] != 0.0:
-            phase2 -= phase2[bv] * t.body[i]
+        if bv < n and cost[bv] != 0.0:
+            phase2 -= cost[bv] * t.body[i]
     t.obj = phase2
     status, pivots = _simplex(t, MAX_ITERATIONS - iterations)
     iterations += pivots
@@ -272,7 +310,16 @@ def solve_lp(lp: LinearProgram) -> MilpSolution:
     )
 
 
-def _fractional_index(values: np.ndarray, mask: Sequence[bool]) -> int:
+def solve_lp(lp: LinearProgram) -> MilpSolution:
+    """Solve the LP relaxation (integer_mask ignored).
+
+    Status OPTIMAL guarantees primal feasibility within FEAS_TOL and no
+    improving reduced cost. Identical inputs give bit-identical outputs.
+    """
+    return _solve(_standard_form(lp), lp.lower_bounds, lp.upper_bounds)
+
+
+def _fractional_index(values: Sequence[float], mask: Sequence[bool]) -> int:
     """Most-fractional integer variable, lowest index on ties; -1 if integral."""
     best_j = -1
     best_frac = INT_TOL
@@ -303,6 +350,7 @@ def solve_milp(lp: LinearProgram) -> MilpSolution:
         sol = solve_lp(lp)
         return replace(sol, nodes_explored=1 if sol.status is SolveStatus.OPTIMAL else 0)
 
+    form = _standard_form(lp)
     counter = 0
     heap: list[tuple[float, int, tuple[float, ...], tuple[float, ...]]] = []
     heapq.heappush(heap, (-math.inf, counter, lp.lower_bounds, lp.upper_bounds))
@@ -322,8 +370,7 @@ def solve_milp(lp: LinearProgram) -> MilpSolution:
             break
         nodes += 1
 
-        node_lp = replace(lp, lower_bounds=los, upper_bounds=his)
-        relax = solve_lp(node_lp)
+        relax = _solve(form, los, his)
         iterations += relax.iterations
         if relax.status is SolveStatus.ITERATION_LIMIT:
             return MilpSolution(
@@ -339,14 +386,14 @@ def solve_milp(lp: LinearProgram) -> MilpSolution:
         if relax.objective_value >= best_obj - 1e-9:
             continue
 
-        values = np.array(relax.values)
+        values = relax.values
         branch_j = _fractional_index(values, lp.integer_mask)
         if branch_j < 0:
-            snapped = values.copy()
+            snapped = np.array(values)
             for j, is_int in enumerate(lp.integer_mask):
                 if is_int:
                     snapped[j] = round(snapped[j])
-            obj = float(np.dot(np.array(lp.objective), snapped))
+            obj = float(np.dot(form.c, snapped))
             if obj < best_obj:
                 best_obj = obj
                 best_values = tuple(snapped.tolist())
@@ -391,6 +438,9 @@ def check_solution(lp: LinearProgram, sol: MilpSolution) -> list[Violation]:
         if residual > FEAS_TOL * max(1.0, abs(rhs)):
             out.append(Violation("row", i, residual))
     for j in range(lp.num_vars):
+        if not math.isfinite(x[j]):
+            out.append(Violation("nonfinite", j, float(x[j])))
+            continue
         if x[j] < lp.lower_bounds[j] - FEAS_TOL:
             out.append(Violation("lower", j, float(lp.lower_bounds[j] - x[j])))
         if x[j] > lp.upper_bounds[j] + FEAS_TOL:

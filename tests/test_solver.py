@@ -1,13 +1,17 @@
-"""Solver unit tests: simplex vertices, branch-and-bound vs brute force."""
+"""Solver unit tests: simplex vertices, branch-and-bound vs brute force,
+bit-identity with the per-node reference in reference_solver, and the
+node and pivot limits."""
 
 import math
 
 import numpy as np
 import pytest
+import reference_solver as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenloop import solver
+from greenloop.cli import main
 from greenloop.errors import SolverError
 from greenloop.solver import (
     LinearProgram,
@@ -273,3 +277,200 @@ class TestCheckSolution:
         instance = lp([1.0, 2.0])
         with pytest.raises(SolverError):
             check_solution(instance, MilpSolution(SolveStatus.OPTIMAL, (1.0,), 1.0))
+
+    @pytest.mark.parametrize(
+        "values",
+        [(math.nan, math.nan), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)],
+        ids=["nan-continuous", "nan-integer", "inf-continuous", "minus-inf-integer"],
+    )
+    def test_nonfinite_values_reported(self, values):
+        instance = lp([0.0, 0.0], rows=[([1.0, 1.0], 1.0)], upper=[1.0, 1.0],
+                      integer=[False, True])
+        violations = check_solution(instance, MilpSolution(SolveStatus.OPTIMAL, values, 0.0))
+        nonfinite = [v for v in violations if v.kind == "nonfinite"]
+        bad = [j for j, x in enumerate(values) if not math.isfinite(x)]
+        assert [v.index for v in nonfinite] == bad
+        assert [repr(v.residual) for v in nonfinite] == [repr(values[j]) for j in bad]
+        assert not [v for v in violations if v.kind in ("lower", "upper", "integrality")]
+
+
+def same_as_reference(instance):
+    """solve_lp and solve_milp return what the per-node reference returns,
+    down to the float bits, the node count and the pivot count."""
+    assert repr(solve_lp(instance)) == repr(reference.solve_lp(instance))
+    assert repr(solve_milp(instance)) == repr(reference.solve_milp(instance))
+
+
+HALVES = st.integers(-8, 8).map(lambda k: k / 2)
+
+
+@st.composite
+def boxed_instances(draw):
+    """1-6 integer or continuous variables with lower bounds of 0-2, finite
+    or infinite upper bounds on the continuous ones, and up to 5 rows whose
+    right-hand sides are often negative."""
+    n = draw(st.integers(1, 6))
+    integer = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    lower = draw(st.lists(st.integers(0, 2).map(float), min_size=n, max_size=n))
+    width = st.integers(0, 4).map(float)
+    upper = [
+        lo + draw(width if is_int else st.one_of(width, st.just(math.inf)))
+        for lo, is_int in zip(lower, integer)
+    ]
+    row = st.tuples(
+        st.lists(HALVES, min_size=n, max_size=n), st.integers(-6, 12).map(float)
+    )
+    rows = draw(st.lists(row, max_size=5))
+    objective = draw(st.lists(HALVES, min_size=n, max_size=n))
+    return lp(objective, rows=rows, lower=lower, upper=upper, integer=integer)
+
+
+@st.composite
+def covering_instances(draw):
+    """min c.x with c > 0 over >= rows written as -a.x <= -b: every row has
+    a negative right-hand side, so each starts with an artificial variable
+    in the basis and phase 1 runs at every node."""
+    n = draw(st.integers(2, 6))
+    coeff = st.integers(0, 4).map(float)
+    rows = [
+        ([-v for v in draw(st.lists(coeff, min_size=n, max_size=n))],
+         -float(draw(st.integers(1, 8))))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    objective = draw(st.lists(st.integers(1, 6).map(float), min_size=n, max_size=n))
+    upper = draw(st.lists(st.integers(1, 4).map(float), min_size=n, max_size=n))
+    integer = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return lp(objective, rows=rows, upper=upper, integer=integer)
+
+
+@st.composite
+def alloc_knapsacks(draw):
+    """Integer knapsacks shaped like perfbench's alloc-milp scenarios: 12-20
+    processes with costs of -10 to -1, 4-6 limits that each consume about
+    half of them (every process at least once), availability 10-20% of a
+    limit's full consumption, and each process bounded by its tightest
+    limit, as scenario.integer_upper_bounds does. Values have 3 decimals."""
+    n = draw(st.integers(12, 20))
+    m = draw(st.integers(4, 6))
+    milli = st.integers(500, 5000).map(lambda k: k / 1000)
+    rows = [
+        [draw(milli) if used else 0.0
+         for used in draw(st.lists(st.booleans(), min_size=n, max_size=n))]
+        for _ in range(m)
+    ]
+    for j in range(n):
+        if not any(row[j] for row in rows):
+            rows[draw(st.integers(0, m - 1))][j] = draw(milli)
+    share = st.integers(100, 200).map(lambda k: k / 1000)
+    rhs = [round(sum(row) * draw(share), 3) for row in rows]
+    upper = [min(b / row[j] for row, b in zip(rows, rhs) if row[j] > 0) for j in range(n)]
+    objective = [-k / 1000 for k in draw(st.lists(st.integers(1000, 10000),
+                                                  min_size=n, max_size=n))]
+    return lp(objective, rows=list(zip(rows, rhs)), upper=upper, integer=[True] * n)
+
+
+class TestReferenceEquivalence:
+    """The kernel that builds each MILP's standard form once takes the same
+    pivots and returns the same bits as rebuilding every node's tableau."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(instance=boxed_instances())
+    def test_boxed_instances(self, instance):
+        same_as_reference(instance)
+
+    @settings(deadline=None, max_examples=60)
+    @given(instance=degenerate_instances())
+    def test_degenerate_instances(self, instance):
+        same_as_reference(instance)
+
+    @settings(deadline=None, max_examples=60)
+    @given(instance=covering_instances())
+    def test_negative_rhs_instances(self, instance):
+        same_as_reference(instance)
+
+    @settings(deadline=None, max_examples=20)
+    @given(instance=alloc_knapsacks())
+    def test_alloc_shaped_knapsacks(self, instance):
+        same_as_reference(instance)
+
+
+# 15 nodes and 50 pivots to optimality; the first incumbent, (1, 0, 0, 1),
+# is found at node 12.
+LIMIT_KNAPSACK = lp(
+    [-5.0, -4.0, -3.0, -7.0],
+    rows=[([2.0, 3.0, 1.0, 4.0], 6.5), ([3.0, 1.0, 2.0, 2.0], 5.5)],
+    upper=[2.0] * 4,
+    integer=[True] * 4,
+)
+
+
+@pytest.fixture
+def pivot_count(monkeypatch):
+    """Counts every pivot the solver makes, phase 1, drive-out and phase 2."""
+    calls = []
+    pivot = solver._pivot
+
+    def counting_pivot(t, row, col):
+        calls.append((row, col))
+        pivot(t, row, col)
+
+    monkeypatch.setattr(solver, "_pivot", counting_pivot)
+    return calls
+
+
+class TestLimits:
+    def test_full_solve_counts(self, pivot_count):
+        sol = solve_milp(LIMIT_KNAPSACK)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.values == (1.0, 0.0, 0.0, 1.0)
+        assert (sol.nodes_explored, sol.iterations) == (15, 50) == (15, len(pivot_count))
+
+    @pytest.mark.parametrize("limit", [1, 11, 12, 14])
+    def test_node_limit_returns_incumbent(self, monkeypatch, pivot_count, limit):
+        monkeypatch.setattr(solver, "MAX_NODES", limit)
+        monkeypatch.setattr(reference, "MAX_NODES", limit)
+        sol = solve_milp(LIMIT_KNAPSACK)
+        assert sol.status is SolveStatus.ITERATION_LIMIT
+        assert sol.nodes_explored == limit
+        assert sol.iterations == len(pivot_count)
+        if limit >= 12:
+            assert sol.values == (1.0, 0.0, 0.0, 1.0)
+            assert sol.objective_value == -12.0
+            assert check_solution(LIMIT_KNAPSACK, sol) == []
+        else:
+            assert sol.values == ()
+        assert repr(sol) == repr(reference.solve_milp(LIMIT_KNAPSACK))
+
+    @pytest.mark.parametrize("limit", [1, 3])
+    def test_iteration_limit_ends_the_solve(self, monkeypatch, pivot_count, limit):
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", limit)
+        monkeypatch.setattr(reference, "MAX_ITERATIONS", limit)
+        relaxed = solve_lp(LIMIT_KNAPSACK)
+        assert relaxed.status is SolveStatus.ITERATION_LIMIT
+        assert (relaxed.values, relaxed.iterations) == ((), limit)
+        sol = solve_milp(LIMIT_KNAPSACK)
+        assert sol.status is SolveStatus.ITERATION_LIMIT
+        assert (sol.values, sol.nodes_explored, sol.iterations) == ((), 1, limit)
+        assert len(pivot_count) == 2 * limit
+        assert repr(sol) == repr(reference.solve_milp(LIMIT_KNAPSACK))
+
+    def test_iteration_limit_in_phase1(self, monkeypatch, pivot_count):
+        # x1 + x2 >= 3 and x1 - x2 >= 1 as <= rows: each starts with an
+        # artificial variable, and phase 1 takes two pivots.
+        instance = lp([1.0, 1.0], rows=[([-1.0, -1.0], -3.0), ([-1.0, 1.0], -1.0)])
+        assert solve_lp(instance).iterations == 2
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
+        sol = solve_lp(instance)
+        assert (sol.status, sol.values, sol.iterations) == (SolveStatus.ITERATION_LIMIT, (), 1)
+        assert len(pivot_count) == 3
+
+    @pytest.mark.parametrize("limit", ["MAX_NODES", "MAX_ITERATIONS"])
+    def test_run_on_a_limited_solve_exits_5(self, tmp_path, monkeypatch, capsys, limit):
+        # alloc_small takes 3 nodes and 5 pivots to optimality.
+        monkeypatch.setattr(solver, limit, 1)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", "alloc_small.json", "--mode", "framework",
+                     "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert "allocation solve ended ITERATION_LIMIT" in err
+        assert not out.exists()
