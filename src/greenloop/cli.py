@@ -57,7 +57,7 @@ from .scenario import (
     validate_scenario,
 )
 from .serialize import content_hash, read_json_checked, write_json
-from .twin import calibrate_facility
+from .twin import ELEMENTS, calibrate_facility
 
 _FIXTURES = resources.files("greenloop") / "fixtures"
 
@@ -360,21 +360,22 @@ def cmd_validate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     s = load_scenario(_scenario_path(args.scenario))
-    if s.facility is None or not s.targets:
+    # co2_cap_kg, the allocation's emission cap, is the one non-element target
+    targets = {el: t for el, t in s.targets.items() if el in ELEMENTS}
+    if s.facility is None or not s.facility.stations or not targets:
         raise ValidationError(
-            "calibration needs a scenario with a facility and recovery targets"
+            "calibration needs a scenario with a facility, at least one station "
+            "and element recovery targets"
         )
-    facility, achieved = calibrate_facility(s, s.facility, s.targets, tol=args.tol)
+    facility, achieved = calibrate_facility(s, s.facility, targets)
     calibrated = dataclasses.replace(s, facility=facility)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "calibrated_scenario.json"
     save_scenario(calibrated, path)
-    for el in sorted(s.targets):
-        print(
-            f"{el}: target {s.targets[el]:.4f} achieved {achieved.get(el, 0.0):.4f}"
-        )
+    for el in sorted(targets):
+        print(f"{el}: target {targets[el]:.4f} achieved {achieved.get(el, 0.0):.4f}")
     print(f"calibrated scenario written to {path}")
     return 0
 
@@ -441,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
         "calibrate", parents=[with_out], help="tune facility efficiencies to targets"
     )
     p.add_argument("--scenario", required=True, help="scenario file or bundled fixture name")
-    p.add_argument("--tol", type=float, default=0.005, help="target tolerance")
     p.set_defaults(func=cmd_calibrate)
     return parser
 

@@ -87,7 +87,6 @@ class MetricDelta:
     framework: float
     delta_pp: float | None
     delta_relative: float | None
-    direction: str
 
 
 @dataclass(frozen=True)
@@ -311,35 +310,14 @@ def _element_rows(b: RunResult, f: RunResult) -> list[str]:
     return ordered
 
 
-def _direction(baseline: float, framework: float, higher_is_better: bool) -> str:
-    scale = max(abs(baseline), abs(framework), 1.0)
-    if abs(framework - baseline) <= 1e-12 * scale:
-        return "unchanged"
-    improved = framework > baseline if higher_is_better else framework < baseline
-    return "improved" if improved else "worsened"
-
-
 def _delta(
-    metric: str,
-    label: str,
-    baseline: float,
-    framework: float,
-    percent_form: bool,
-    higher_is_better: bool,
+    metric: str, label: str, baseline: float, framework: float, percent_form: bool
 ) -> MetricDelta:
     delta_pp = framework - baseline if percent_form else None
     delta_relative = (
         (framework - baseline) / baseline * 100.0 if baseline != 0 else None
     )
-    return MetricDelta(
-        metric=metric,
-        label=label,
-        baseline=baseline,
-        framework=framework,
-        delta_pp=delta_pp,
-        delta_relative=delta_relative,
-        direction=_direction(baseline, framework, higher_is_better),
-    )
+    return MetricDelta(metric, label, baseline, framework, delta_pp, delta_relative)
 
 
 def compare_runs(
@@ -358,77 +336,44 @@ def compare_runs(
             f"need one baseline and one framework run, got {b.mode!r} and {f.mode!r}"
         )
 
-    deltas: list[MetricDelta] = []
-    for el in _element_rows(b, f):
-        deltas.append(
-            _delta(
-                metric=f"{el}_recovery",
-                label=f"{el.capitalize()} Recovery Rate (%)",
-                baseline=b.recovery[el] * 100.0,
-                framework=f.recovery[el] * 100.0,
-                percent_form=True,
-                higher_is_better=True,
-            )
+    # (metric, label, baseline, framework, percent form), in report order
+    rows: list[tuple[str, str, float, float, bool]] = [
+        (
+            f"{el}_recovery",
+            f"{el.capitalize()} Recovery Rate (%)",
+            b.recovery[el] * 100.0,
+            f.recovery[el] * 100.0,
+            True,
         )
+        for el in _element_rows(b, f)
+    ]
     if b.process_energy_kwh != 0 or f.process_energy_kwh != 0:
-        deltas.append(
-            _delta(
-                "process_energy_kwh",
-                "Energy Consumption (kWh)",
-                b.process_energy_kwh,
-                f.process_energy_kwh,
-                percent_form=False,
-                higher_is_better=False,
-            )
+        rows.append(
+            ("process_energy_kwh", "Energy Consumption (kWh)",
+             b.process_energy_kwh, f.process_energy_kwh, False)
         )
     if b.co2_kg != 0 or f.co2_kg != 0:
-        deltas.append(
-            _delta(
-                "co2_kg",
-                "CO2 Emissions (kg)",
-                b.co2_kg,
-                f.co2_kg,
-                percent_form=False,
-                higher_is_better=False,
-            )
-        )
+        rows.append(("co2_kg", "CO2 Emissions (kg)", b.co2_kg, f.co2_kg, False))
     if b.classification_accuracy is not None and f.classification_accuracy is not None:
-        deltas.append(
-            _delta(
-                "classification_accuracy",
-                "Waste Classification Accuracy (%)",
-                b.classification_accuracy * 100.0,
-                f.classification_accuracy * 100.0,
-                percent_form=True,
-                higher_is_better=True,
-            )
+        rows.append(
+            ("classification_accuracy", "Waste Classification Accuracy (%)",
+             b.classification_accuracy * 100.0, f.classification_accuracy * 100.0, True)
         )
     if (
         b.transport_emissions_kg is not None
         and f.transport_emissions_kg is not None
         and b.transport_emissions_kg > 0
     ):
-        deltas.append(
-            _delta(
-                "transport_emissions",
-                "Transportation Emissions (% of baseline)",
-                100.0,
-                f.transport_emissions_kg / b.transport_emissions_kg * 100.0,
-                percent_form=True,
-                higher_is_better=False,
-            )
+        rows.append(
+            ("transport_emissions", "Transportation Emissions (% of baseline)",
+             100.0, f.transport_emissions_kg / b.transport_emissions_kg * 100.0, True)
         )
     if b.waste_reduction_fraction != 0 or f.waste_reduction_fraction != 0:
-        deltas.append(
-            _delta(
-                "waste_reduction",
-                "Waste Reduction (%)",
-                b.waste_reduction_fraction * 100.0,
-                f.waste_reduction_fraction * 100.0,
-                percent_form=True,
-                higher_is_better=True,
-            )
+        rows.append(
+            ("waste_reduction", "Waste Reduction (%)",
+             b.waste_reduction_fraction * 100.0, f.waste_reduction_fraction * 100.0, True)
         )
+    deltas = [_delta(*row) for row in rows]
 
     annotations: list[str] = []
     for d in deltas:

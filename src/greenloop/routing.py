@@ -242,8 +242,6 @@ def train_routing(
         raise StateSpaceTooLarge(
             f"{len(bins)} bins exceeds the tabular limit of {MAX_TABULAR_BINS}"
         )
-    if not bins:
-        return QTable(values=dict(initial.values)) if initial is not None else QTable()
     depot = g.depot
     legs = _legs(g)
     adjacency = _adjacency(g, bins, legs)
@@ -318,8 +316,6 @@ def greedy_route(q: QTable, g: CollectionGraph) -> tuple[str, ...]:
     """Follow argmax-Q through all bins, depot to depot; ties take lowest id."""
     bins = g.bin_ids()
     depot = g.depot
-    if not bins:
-        return (depot, depot)
     adjacency = _adjacency(g, bins, _legs(g))
     full = (1 << len(bins)) - 1
     route = [depot]

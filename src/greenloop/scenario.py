@@ -450,10 +450,22 @@ def validate_scenario(s: ScenarioSpec) -> list[Diagnostic]:
                 ))
 
     for name in sorted(s.targets):
-        if s.targets[name] < 0:
+        value = s.targets[name]
+        if name != "co2_cap_kg" and name not in ELEMENTS:
             out.append(Diagnostic(
                 path=f"targets[{name!r}]",
-                message=f"target must be >= 0, got {s.targets[name]}",
+                message=f"unknown target {name!r}; expected 'co2_cap_kg' or an "
+                f"element recovery rate, one of {ELEMENTS}",
+            ))
+        elif value < 0:
+            out.append(Diagnostic(
+                path=f"targets[{name!r}]",
+                message=f"target must be >= 0, got {value}",
+            ))
+        elif name in ELEMENTS and value > 1:
+            out.append(Diagnostic(
+                path=f"targets[{name!r}]",
+                message=f"recovery rate target must be <= 1, got {value}",
             ))
 
     for pid in sorted(s.integrality):

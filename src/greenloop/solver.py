@@ -415,14 +415,11 @@ def solve_milp(lp: LinearProgram) -> MilpSolution:
                 )
 
     if hit_node_limit:
-        return MilpSolution(
-            SolveStatus.ITERATION_LIMIT, best_values, best_obj, nodes, iterations
-        )
-    if best_values:
-        return MilpSolution(
-            SolveStatus.OPTIMAL, best_values, best_obj, nodes, iterations
-        )
-    return MilpSolution(SolveStatus.INFEASIBLE, (), math.nan, nodes, iterations)
+        status = SolveStatus.ITERATION_LIMIT
+    else:
+        status = SolveStatus.OPTIMAL if best_values else SolveStatus.INFEASIBLE
+    objective = best_obj if best_values else math.nan
+    return MilpSolution(status, best_values, objective, nodes, iterations)
 
 
 def check_solution(lp: LinearProgram, sol: MilpSolution) -> list[Violation]:

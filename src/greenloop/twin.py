@@ -6,12 +6,14 @@ pushed through the stations in declared order in throughput-sized chunks.
 Each station recovers a per-element fraction of what reaches it, loses a
 fraction, and forwards the rest; energy accrues per kilogram handled.
 Because every transfer is linear, element recovery rates depend only on
-the station coefficients, never on the jitter draw. The jitter is one
-Generator call per run: a (cells, named elements) array of uniforms whose
-rows, in cell-id order, hold what one scalar call per cell and element
-drew before. numpy's RNG policy (NEP 19) does not promise that a sized
-draw yields what the scalar calls would, so the tests compare the trace
-with the scalar-call simulator kept in tests/reference_twin.py.
+the station coefficients, never on the jitter draw, and each rate is
+affine in the last station's efficiency for that element, which is how
+calibrate_facility solves those efficiencies from two runs. The jitter is
+one Generator call per run: a (cells, named elements) array of uniforms
+whose rows, in cell-id order, hold what one scalar call per cell and
+element drew before. numpy's RNG policy (NEP 19) does not promise that a
+sized draw yields what the scalar calls would, so the tests compare the
+trace with the scalar-call simulator kept in tests/reference_twin.py.
 
 The bin side generates labeled sensor events: per time step each bin's
 fill level rises by a seeded increment and one deposit event is emitted,
@@ -45,7 +47,6 @@ JITTER_AMPLITUDE = 0.05
 # TraceStep per station, so the budget bounds time and memory alike; the
 # bundled battery fixtures take 30.
 MAX_FACILITY_STEPS = 100_000
-CALIBRATION_ITERATIONS = 60  # bisection steps per target in calibrate_facility
 
 
 @dataclass(frozen=True)
@@ -389,17 +390,23 @@ def simulate_bins(s: "ScenarioSpec", horizon: int) -> BinEventStream:
 
 
 def calibrate_facility(
-    s: "ScenarioSpec",
-    f: FacilityModel,
-    targets: Mapping[str, float],
-    tol: float = 0.005,
+    s: "ScenarioSpec", f: FacilityModel, targets: Mapping[str, float]
 ) -> tuple[FacilityModel, dict[str, float]]:
-    """Bisect the last station's per-element efficiencies to hit targets.
+    """Solve the last station's per-element efficiencies for the targets.
 
-    Returns the adjusted facility and the achieved rates. Elements not in
-    targets keep their configured efficiencies.
+    Every transfer is linear and no element's flow depends on another's
+    efficiency, so an element's recovery rate is affine in the last
+    station's efficiency for it. Two runs, with the targeted efficiencies
+    at 0 and at the headroom 1 - loss_fraction, fix each line; each
+    efficiency is solved from its line and clamped to [0, headroom]. A
+    flat line, where none of the element reaches the last station, gets 0
+    if the rate at 0 already meets the target and the headroom otherwise.
+
+    Returns the adjusted facility and the achieved rates of a third run.
+    Elements not in targets keep their configured efficiencies.
     """
     last = f.stations[-1]
+    headroom = 1.0 - last.loss_fraction
 
     def with_eff(eff: Mapping[str, float]) -> FacilityModel:
         station = Station(
@@ -413,21 +420,18 @@ def calibrate_facility(
             throughput_kg_per_step=f.throughput_kg_per_step,
         )
 
+    def rates_at(value: float) -> dict[str, float]:
+        eff = {**last.recovery_efficiency, **dict.fromkeys(targets, value)}
+        return recovery_rates(simulate_recycling(s, with_eff(eff)))
+
+    low, high = rates_at(0.0), rates_at(headroom)
     eff = dict(last.recovery_efficiency)
     for el, target in sorted(targets.items()):
-        lo, hi = 0.0, 1.0 - last.loss_fraction
-        for _ in range(CALIBRATION_ITERATIONS):
-            mid = (lo + hi) / 2
-            eff[el] = mid
-            rates = recovery_rates(simulate_recycling(s, with_eff(eff)))
-            got = rates.get(el, 0.0)
-            if abs(got - target) <= tol / 2:
-                break
-            if got < target:
-                lo = mid
-            else:
-                hi = mid
+        r0, r1 = low.get(el, 0.0), high.get(el, 0.0)
+        if r1 == r0:
+            eff[el] = 0.0 if r0 >= target else headroom
+        else:
+            eff[el] = min(max(headroom * (target - r0) / (r1 - r0), 0.0), headroom)
 
     calibrated = with_eff(eff)
-    achieved = recovery_rates(simulate_recycling(s, calibrated))
-    return calibrated, achieved
+    return calibrated, recovery_rates(simulate_recycling(s, calibrated))

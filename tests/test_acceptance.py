@@ -532,6 +532,61 @@ def test_golden_digests(tmp_path, waste_feedback):
     assert got == GOLDEN_DIGESTS
 
 
+# sha256 of the reports of a CLI compare (auto expectations) and chart of
+# each bundled study's baseline and framework runs: the reports are pure
+# functions of the two runs' metrics, so these move only with the metrics
+# pinned above or with a deliberate change of the rendering.
+REPORT_PAIRS = {
+    "battery": ("battery_baseline.json", "battery_framework.json"),
+    "waste": ("waste_baseline.json", "waste_framework.json"),
+}
+REPORT_DIGESTS = {
+    "battery compare.md":
+        "2f88a3b3b1280f666f9a959b3cd43a976a2bc8c675b8b5872a507cbe4b35cd00",
+    "battery compare.csv":
+        "82ac9e02b24e22dbbb5d65eac71cc0769861675855d6bf35be140e0838a35473",
+    "battery chart_comparison.svg":
+        "cd39ffeabaccc3da87bb9e2b349228eedb239d6f257d961aa67c250b3022ca49",
+    "battery chart_recovery.svg":
+        "a657e60c2923f8c186b59f6fe10da7cd3a6ae9f2705e8655c87d0252f02643ea",
+    "waste compare.md":
+        "5155e1ac28ca377ac6ad59dc424f2ffca46ce1d83cce225a2c5de9b8526c44b0",
+    "waste compare.csv":
+        "cc9a6bf95fca4633628676c501a3fbf153a137ee3d83fc584f5b734fa6a43af6",
+    "waste chart_comparison.svg":
+        "c05dc1a2825772caf39e38abaf924848b6ae285d51340b6175a4792eea0e9ebb",
+}
+
+
+def test_report_digests(tmp_path, capsys):
+    if np.__version__ != GOLDEN_NUMPY:
+        pytest.skip(
+            f"digests pinned under numpy {GOLDEN_NUMPY}, running {np.__version__}; "
+            "Generator streams may differ across numpy releases (NEP 19)"
+        )
+    got = {}
+    for study, (baseline, framework) in REPORT_PAIRS.items():
+        runs = tmp_path / study / "runs"
+        for fixture, mode in ((baseline, "baseline"), (framework, "framework")):
+            assert main(
+                ["run", "--scenario", fixture, "--mode", mode, "--out", str(runs / mode)]
+            ) == 0
+        (b,) = (runs / "baseline").glob("*/manifest.json")
+        (f,) = (runs / "framework").glob("*/manifest.json")
+        reports = tmp_path / study / "reports"
+        pair = ["--baseline", str(b), "--framework", str(f), "--out", str(reports)]
+        assert main(["compare", *pair]) == 0
+        kinds = ("comparison", "recovery") if study == "battery" else ("comparison",)
+        for kind in kinds:
+            assert main(["chart", *pair, "--kind", kind]) == 0
+        for name in sorted(p.name for p in reports.iterdir()):
+            got[f"{study} {name}"] = hashlib.sha256(
+                (reports / name).read_bytes()
+            ).hexdigest()
+    capsys.readouterr()
+    assert got == REPORT_DIGESTS
+
+
 def test_artifacts_never_fall_back_to_the_stdlib(waste_runs, monkeypatch):
     """The bundled scenarios and the route tables take canonical_dumps's own
     paths: with the standard library encoder patched to raise, they still

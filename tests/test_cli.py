@@ -740,6 +740,64 @@ class TestValidateCalibrate:
         assert main(["calibrate", "--scenario", "alloc_small.json",
                      "--out", str(tmp_path)]) == 4
 
+    @staticmethod
+    def battery_framework(tmp_path, edit):
+        doc = json.loads((cli._FIXTURES / "battery_framework.json").read_text("utf-8"))
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def test_calibrate_leaves_the_emission_cap_alone(self, tmp_path, capsys):
+        path = self.battery_framework(
+            tmp_path, lambda doc: doc["targets"].update(co2_cap_kg=1000.0)
+        )
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--scenario", path, "--out", str(out)]) == 0
+        assert "co2_cap_kg" not in capsys.readouterr().out
+        doc = read_json(out / "calibrated_scenario.json")
+        assert doc["targets"]["co2_cap_kg"] == 1000.0
+        for st in doc["facility"]["stations"]:
+            assert "co2_cap_kg" not in st["recovery_efficiency"]
+
+    def test_calibrate_needs_an_element_target(self, tmp_path, capsys):
+        path = self.battery_framework(
+            tmp_path, lambda doc: doc.update(targets={"co2_cap_kg": 1000.0})
+        )
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--scenario", path, "--out", str(out)]) == 4
+        assert "element recovery targets" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "targets, problem",
+        [
+            ({"cobat": 0.85}, "unknown target 'cobat'"),
+            ({"cobalt": 1.5}, "recovery rate target must be <= 1, got 1.5"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "calibrate"])
+    def test_bad_target_exit_4(self, tmp_path, capsys, command, targets, problem):
+        path = self.battery_framework(tmp_path, lambda doc: doc.update(targets=targets))
+        out = tmp_path / "cal"
+        argv = [command, "--scenario", path]
+        if command == "calibrate":
+            argv += ["--out", str(out)]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert problem in captured.out + captured.err
+        assert not out.exists()
+
+    def test_calibrate_needs_a_station(self, tmp_path, capsys):
+        path = self.battery_framework(
+            tmp_path, lambda doc: doc["facility"].update(stations=[])
+        )
+        assert main(["validate", "--scenario", path]) == 0
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--scenario", path, "--out", str(out)]) == 4
+        assert "at least one station" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOptions:
     """Each subcommand takes only the shared options it reads."""
@@ -754,6 +812,8 @@ class TestOptions:
             ["table3", "--format", "csv"],
             ["chart", "--baseline", "b", "--framework", "f", "--seed", "1"],
             ["compare", "--baseline", "b", "--framework", "f", "--seed", "1"],
+            # calibration solves exactly, so it has no tolerance to set
+            ["calibrate", "--scenario", "battery_framework.json", "--tol", "0.01"],
         ],
     )
     def test_unread_option_usage_error(self, tmp_path, monkeypatch, argv):

@@ -298,7 +298,6 @@ class TestCompare:
         rep = compare_runs(relabeled, rf)
         assert rep.deltas
         for d in rep.deltas:
-            assert d.direction == "unchanged"
             assert d.delta_pp in (None, 0.0)
             assert d.delta_relative in (None, 0.0)
 

@@ -50,13 +50,10 @@ class TestFormatNumber:
         assert format_signed(-0.0001) == "0"
 
 
-def delta(metric, label, baseline, framework, percent=True, higher=True):
+def delta(metric, label, baseline, framework, percent=True):
     pp = framework - baseline if percent else None
     rel = (framework - baseline) / baseline * 100.0 if baseline else None
-    direction = "unchanged" if framework == baseline else (
-        "improved" if (framework > baseline) == higher else "worsened"
-    )
-    return MetricDelta(metric, label, baseline, framework, pp, rel, direction)
+    return MetricDelta(metric, label, baseline, framework, pp, rel)
 
 
 BATTERY_REPORT = ImprovementReport(
@@ -68,7 +65,6 @@ BATTERY_REPORT = ImprovementReport(
             20000.0,
             15000.0,
             percent=False,
-            higher=False,
         ),
     ),
     annotations=(
@@ -118,9 +114,7 @@ class TestComparisonTables:
     def test_improvement_cell_shapes(self):
         assert improvement_cell(delta("m", "M", 50.0, 60.0)) == "+10 pp (+20%)"
         assert (
-            improvement_cell(
-                delta("m", "M", 100.0, 80.0, percent=False, higher=False)
-            )
+            improvement_cell(delta("m", "M", 100.0, 80.0, percent=False))
             == "-20%"
         )
         assert improvement_cell(delta("m", "M", 0.0, 5.0)) == "+5 pp"
@@ -242,8 +236,7 @@ class TestCharts:
     def test_no_recovery_rows_missing_metric(self):
         rep = ImprovementReport(
             deltas=(
-                delta("co2_kg", "CO2 Emissions (kg)", 100.0, 70.0,
-                      percent=False, higher=False),
+                delta("co2_kg", "CO2 Emissions (kg)", 100.0, 70.0, percent=False),
             ),
             annotations=(),
         )

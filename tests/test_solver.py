@@ -433,13 +433,20 @@ class TestLimits:
         assert sol.status is SolveStatus.ITERATION_LIMIT
         assert sol.nodes_explored == limit
         assert sol.iterations == len(pivot_count)
+        ref = reference.solve_milp(LIMIT_KNAPSACK)
         if limit >= 12:
             assert sol.values == (1.0, 0.0, 0.0, 1.0)
             assert sol.objective_value == -12.0
             assert check_solution(LIMIT_KNAPSACK, sol) == []
+            assert repr(sol) == repr(ref)
         else:
+            # no incumbent yet: no objective value, as on every other exit
+            # without a solution (the reference reports inf here)
             assert sol.values == ()
-        assert repr(sol) == repr(reference.solve_milp(LIMIT_KNAPSACK))
+            assert math.isnan(sol.objective_value)
+            assert (sol.status, sol.values, sol.nodes_explored, sol.iterations) == (
+                ref.status, ref.values, ref.nodes_explored, ref.iterations
+            )
 
     @pytest.mark.parametrize("limit", [1, 3])
     def test_iteration_limit_ends_the_solve(self, monkeypatch, pivot_count, limit):

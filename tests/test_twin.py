@@ -369,14 +369,77 @@ class TestReferenceFacility:
         assert repr(got) == repr(reference.simulate_recycling(s, f))
 
 
+def random_facility(rng):
+    """1-4 stations with random loss; every station may recover every element."""
+    stations = []
+    for i in range(int(rng.integers(1, 5))):
+        loss = float(rng.uniform(0.0, 0.3))
+        eff = {el: float(rng.uniform(0.0, 1.0 - loss)) for el in ELEMENTS}
+        stations.append(Station(f"s{i}", eff, energy_kwh_per_kg=1.0, loss_fraction=loss))
+    return FacilityModel(tuple(stations), throughput_kg_per_step=float(rng.uniform(20, 200)))
+
+
 class TestCalibration:
-    def test_bisection_hits_targets(self):
+    def test_solve_hits_targets(self):
         s = battery_scenario(10, seed=4)
         f = one_station_facility(eff={"cobalt": 0.5, "lithium": 0.5, "nickel": 0.5})
         targets = {"cobalt": 0.85, "lithium": 0.88, "nickel": 0.90}
         calibrated, achieved = calibrate_facility(s, f, targets)
         for el, target in targets.items():
-            assert achieved[el] == pytest.approx(target, abs=0.005)
+            assert achieved[el] == pytest.approx(target, abs=1e-12)
+
+    def test_fixture_calibrates_to_its_own_efficiencies(self):
+        # battery_framework's last station already recovers at its targets
+        s = load_scenario(str(resources.files("greenloop") / "fixtures" / "battery_framework.json"))
+        calibrated, achieved = calibrate_facility(s, s.facility, s.targets)
+        eff = calibrated.stations[-1].recovery_efficiency
+        assert s.targets == {"cobalt": 0.85, "lithium": 0.88, "nickel": 0.90}
+        for el, target in s.targets.items():
+            assert eff[el] == pytest.approx(target, abs=1e-12)
+            assert achieved[el] == pytest.approx(target, abs=1e-12)
+        assert calibrated.stations[:-1] == s.facility.stations[:-1]
+
+    def test_random_facilities_reach_or_clamp(self):
+        rng = np.random.default_rng(15015)
+        reached = clamped = 0
+        for _ in range(60):
+            s = battery_scenario(int(rng.integers(1, 8)), seed=int(rng.integers(2**32)))
+            f = random_facility(rng)
+            names = [el for el in ELEMENTS if rng.random() < 0.7] or ["cobalt"]
+            targets = {el: float(rng.uniform(0.0, 1.0)) for el in names}
+            calibrated, achieved = calibrate_facility(s, f, targets)
+            last = calibrated.stations[-1]
+            headroom = 1.0 - last.loss_fraction
+            assert calibrated.stations[:-1] == f.stations[:-1]
+            for el, target in targets.items():
+                got, eff = achieved[el], last.recovery_efficiency[el]
+                if abs(got - target) <= 1e-12:
+                    reached += 1
+                    continue
+                # out of reach: clamped to the end of [0, headroom] nearest it
+                clamped += 1
+                assert (eff, got > target) in ((0.0, True), (headroom, False))
+            for el, eff in f.stations[-1].recovery_efficiency.items():
+                if el not in targets:
+                    assert last.recovery_efficiency[el] == eff
+        assert reached and clamped
+
+    def test_flat_lines_take_an_end(self):
+        # the first station recovers all cobalt, and the cells hold no nickel:
+        # neither rate moves with the last station's efficiency
+        s = ScenarioSpec(
+            materials=tuple(
+                battery(i, composition={"cobalt": 0.2, "other": 0.8}) for i in range(3)
+            ),
+            rng_seed=5,
+        )
+        first = Station("first", {"cobalt": 1.0}, energy_kwh_per_kg=1.0, loss_fraction=0.0)
+        last = Station("last", {"cobalt": 0.5, "nickel": 0.5}, 1.0, loss_fraction=0.2)
+        f = FacilityModel((first, last), throughput_kg_per_step=10.0)
+        calibrated, achieved = calibrate_facility(s, f, {"cobalt": 0.5, "nickel": 0.5})
+        assert calibrated.stations[-1].recovery_efficiency == {"cobalt": 0.0, "nickel": 0.8}
+        assert achieved["cobalt"] == pytest.approx(1.0, abs=1e-12)
+        assert "nickel" not in achieved
 
     def test_calibration_respects_loss_headroom(self):
         s = battery_scenario(5, seed=4)
