@@ -153,27 +153,28 @@ def _load_manifest(path_str: str) -> RunResult:
     return _read_manifest(p)[1]
 
 
+def _study(*runs: RunResult) -> str | None:
+    """The runs' study: battery if each recovers elements, else waste if
+    each has transport emissions, else None."""
+    if all(r.recovery for r in runs):
+        return "battery"
+    if all(r.transport_emissions_kg is not None for r in runs):
+        return "waste"
+    return None
+
+
 def _load_expectations(arg: str, baseline, framework):
     """Reference deltas to annotate against.
 
-    "auto" picks the bundled battery or waste reference table by the shape
-    of the runs: element recovery means the battery study, transport
-    emissions the waste study. Anything else is a file path whose object
-    maps metric keys to {"form": "pp"|"relative", "value": number}; any
-    other shape raises ManifestUnreadable.
+    "auto" picks the bundled battery or waste reference table by the
+    runs' _study. Anything else is a file path whose object maps metric
+    keys to {"form": "pp"|"relative", "value": number}; any other shape
+    raises ManifestUnreadable.
     """
+    if arg == "auto":
+        arg = _study(baseline, framework) or "none"
     if arg == "none":
         return None
-    if arg == "auto":
-        if baseline.recovery and framework.recovery:
-            arg = "battery"
-        elif (
-            baseline.transport_emissions_kg is not None
-            and framework.transport_emissions_kg is not None
-        ):
-            arg = "waste"
-        else:
-            return None
     if arg in ("battery", "waste"):
         return json.loads(
             (_FIXTURES / f"expectations_{arg}.json").read_text(encoding="utf-8")
@@ -293,19 +294,18 @@ def cmd_chart(args) -> int:
     return 0
 
 
-def _manifests_newest_first(out_dir: Path, mode: str) -> list[tuple[dict, Path]]:
-    """Readable manifests of one mode under out_dir, newest created first.
+def _manifests_newest_first(out_dir: Path) -> list[tuple[dict, RunResult, Path]]:
+    """Readable manifests under out_dir with their runs, newest created first.
 
     Unreadable manifests are skipped; ties keep run-directory name order.
     """
     found = []
     for path in sorted(out_dir.glob("*/manifest.json")):
         try:
-            doc, _ = _read_manifest(path)
+            doc, result = _read_manifest(path)
         except ManifestUnreadable:
             continue
-        if doc["mode"] == mode:
-            found.append((doc, path.parent))
+        found.append((doc, result, path.parent))
     found.sort(
         key=lambda run: (run[0].get("created_at", ""), run[0].get("run_id", "")),
         reverse=True,
@@ -327,15 +327,19 @@ def cmd_table3(args) -> int:
 
     measured: dict[str, str] = {}
     if out.is_dir():
-        baselines = _manifests_newest_first(out, "baseline")
-        base_metrics = baselines[0][0]["metrics"] if baselines else None
-        # The newest framework run whose scenario parses fills the column.
-        for f_doc, f_dir in _manifests_newest_first(out, "framework"):
+        runs = _manifests_newest_first(out)
+        baselines = [(doc, _study(run)) for doc, run, _ in runs if doc["mode"] == "baseline"]
+        # The newest framework run whose scenario parses fills the column,
+        # against the newest baseline run of its study.
+        for f_doc, f_run, f_dir in runs:
+            if f_doc["mode"] != "framework":
+                continue
             try:
                 scenario = _run_scenario(f_doc, f_dir)
             except GreenloopError:
                 continue
-            measured = measured_metrics(f_doc["metrics"], scenario, base_metrics)
+            base = next((doc["metrics"] for doc, s in baselines if s == _study(f_run)), None)
+            measured = measured_metrics(f_doc["metrics"], scenario, base)
             break
 
     text = render_table3(doc, measured)
@@ -368,6 +372,9 @@ def cmd_calibrate(args) -> int:
             "and element recovery targets"
         )
     facility, achieved = calibrate_facility(s, s.facility, targets)
+    absent = [el for el in sorted(targets) if el not in achieved]
+    if absent:
+        raise ValidationError(f"no battery cell holds targeted element(s) {', '.join(absent)}")
     calibrated = dataclasses.replace(s, facility=facility)
 
     out = Path(args.out)
@@ -375,7 +382,7 @@ def cmd_calibrate(args) -> int:
     path = out / "calibrated_scenario.json"
     save_scenario(calibrated, path)
     for el in sorted(targets):
-        print(f"{el}: target {targets[el]:.4f} achieved {achieved.get(el, 0.0):.4f}")
+        print(f"{el}: target {targets[el]:.4f} achieved {achieved[el]:.4f}")
     print(f"calibrated scenario written to {path}")
     return 0
 

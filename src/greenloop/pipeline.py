@@ -42,7 +42,7 @@ from .routing import (
     route_emissions,
     train_routing,
 )
-from .scenario import ScenarioSpec, compile_to_lp
+from .scenario import CELLS_WITHOUT_FACILITY, ScenarioSpec, compile_to_lp
 from .solver import SolveStatus, SolverError, solve_milp
 from .twin import SimulationTrace, recovery_rates, simulate_bins, simulate_recycling
 
@@ -191,9 +191,7 @@ def run_full(s: ScenarioSpec, mode: str) -> tuple[RunResult, RunArtifacts]:
 
     has_cells = any(mat.category == "battery-cell" for mat in s.materials)
     if has_cells and s.facility is None:
-        raise ModeUnsupported(
-            "scenario has battery-cell materials but no facility to process them"
-        )
+        raise ModeUnsupported(CELLS_WITHOUT_FACILITY)
 
     plan = s.energy_model or UsagePlan(model=EnergyModel())
     workload: dict[str, float] = {}

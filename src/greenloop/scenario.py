@@ -10,6 +10,10 @@ silently. serialize.read_json_checked decides when a file is unreadable;
 a manifest or expectations file fails the same way as ManifestUnreadable
 (exit 3).
 
+Each flat record of the format lists its keys once, in its _Record
+table, which both parse_scenario and scenario_to_dict read. The edges,
+the facility, the energy model and the top level keep their own code.
+
 Value-level problems (negative mass, dangling factor, process or station
 reference) are reported by validate_scenario as diagnostics;
 load_scenario runs it and raises ValidationError when any come back.
@@ -22,11 +26,12 @@ plus an emission cap row when targets carry co2_cap_kg.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, Mapping
 
-from .carbon import LIFECYCLE_STAGES, EmissionFactor
+from .carbon import EmissionFactor
 from .energy import STAGE_ORDER, EnergyModel, StageUsage, UsagePlan
 from .errors import CompileError, Diagnostic, ParseError, ValidationError
 from .routing import BinNode, CollectionGraph, EdgeAttrs
@@ -36,6 +41,7 @@ from .twin import ELEMENTS, FacilityModel, Station, WasteStreamConfig, step_budg
 
 MATERIAL_CATEGORIES = ("battery-cell", "plastic", "metal", "organic", "glass", "other")
 LIFECYCLE_STATES = ("collected", "disassembled", "recovered", "residual")
+CELLS_WITHOUT_FACILITY = "scenario has battery-cell materials but no facility to process them"
 
 
 def is_rng_seed(value) -> bool:
@@ -144,8 +150,8 @@ def _number(doc: Mapping, key: str, locus: str, default: float | None = None) ->
     return _finite(doc.get(key), locus, key)
 
 
-def _string(doc: Mapping, key: str, locus: str, default: str | None = None) -> str:
-    v = doc.get(key, default)
+def _string(doc: Mapping, key: str, locus: str) -> str:
+    v = doc.get(key)
     if not isinstance(v, str):
         raise ParseError(f"{key!r} must be a string", locus=locus)
     return v
@@ -163,68 +169,104 @@ def _number_map(doc: Mapping, key: str, locus: str) -> dict[str, float]:
     return {k: _finite(raw, locus, key, k) for k, raw in _object(doc, key, locus).items()}
 
 
-def _parse_material(doc, locus: str) -> MaterialSpec:
-    _section(doc, locus, {"id", "category", "mass_kg"},
-             {"name", "composition", "lifecycle_stage"})
-    return MaterialSpec(
-        id=_string(doc, "id", locus),
-        name=_string(doc, "name", locus, ""),
-        category=_string(doc, "category", locus),
-        mass_kg=_number(doc, "mass_kg", locus),
-        composition=_number_map(doc, "composition", locus),
-        lifecycle_stage=_string(doc, "lifecycle_stage", locus, "collected"),
-    )
+def _boolean(doc: Mapping, key: str, locus: str) -> bool:
+    v = doc.get(key)
+    if not isinstance(v, bool):
+        raise ParseError(f"{key!r} must be a boolean", locus=locus)
+    return v
 
 
-def _parse_process(doc, locus: str) -> ProcessSpec:
-    _section(doc, locus, {"id", "unit_cost", "energy_per_unit", "emission_factor_id"})
-    return ProcessSpec(
-        id=_string(doc, "id", locus),
-        unit_cost=_number(doc, "unit_cost", locus),
-        energy_per_unit=_number(doc, "energy_per_unit", locus),
-        emission_factor_id=_string(doc, "emission_factor_id", locus),
-    )
+def _number_maps(doc: Mapping, key: str, locus: str) -> dict[str, dict[str, float]]:
+    maps = _object(doc, key, locus)
+    return {name: _number_map(maps, name, f"{locus}.{key}") for name in maps}
 
 
-def _parse_limit(doc, locus: str) -> ResourceLimit:
-    _section(doc, locus, {"resource_id", "availability"}, {"consumption"})
-    return ResourceLimit(
-        resource_id=_string(doc, "resource_id", locus),
-        availability=_number(doc, "availability", locus),
-        consumption=_number_map(doc, "consumption", locus),
-    )
+REQUIRED = object()  # the default of a key a record must carry
+
+# A map is written back as a plain dict copy, a map of maps as nested copies.
+_WRITE_BACK = {_number_map: dict, _number_maps: lambda m: {k: dict(v) for k, v in m.items()}}
 
 
-def _parse_factor(doc, locus: str) -> EmissionFactor:
-    _section(doc, locus, {"id", "process_id", "e", "stage"})
-    return _build(
-        EmissionFactor, locus,
-        id=_string(doc, "id", locus),
-        process_id=_string(doc, "process_id", locus),
-        e=_number(doc, "e", locus),
-        stage=_string(doc, "stage", locus),
-    )
+class _Record:
+    """One flat object of the scenario format: its class and its key table.
+
+    keys holds (key, reader, default) in read order, each key naming the
+    field of cls it fills. A key whose default is REQUIRED must be present;
+    any other may be left out and takes its default as is (the {} of an
+    absent map is one shared dict that nothing mutates).
+    """
+
+    def __init__(self, cls, keys):
+        self.cls = cls
+        self.keys = tuple(key for key, _, _ in keys)
+        self.required = frozenset(key for key, _, default in keys if default is REQUIRED)
+        self.optional = frozenset(self.keys) - self.required
+        self._reads = keys
+        # parse calls cls positionally, with the values read put in its field order
+        order = [self.keys.index(f.name) for f in dataclass_fields(cls)]
+        self._in_field_order = itemgetter(*order)
+        self._values = attrgetter(*self.keys)
+        self._copies = tuple(
+            (key, _WRITE_BACK[read]) for key, read, _ in keys if read in _WRITE_BACK
+        )
+
+    def parse(self, doc, locus: str):
+        _section(doc, locus, self.required, self.optional)
+        values = []
+        for key, read, default in self._reads:
+            values.append(read(doc, key, locus) if key in doc else default)
+        try:  # not _build, whose keyword call costs more: there can be thousands of records
+            return self.cls(*self._in_field_order(values))
+        except ValueError as exc:
+            raise ValidationError(str(exc), locus=locus) from exc
+
+    def parse_all(self, docs: list, locus: str) -> tuple:
+        """One object per item of docs, each named locus[i]."""
+        return tuple(self.parse(doc, f"{locus}[{i}]") for i, doc in enumerate(docs))
+
+    def to_dict(self, obj) -> dict:
+        doc = dict(zip(self.keys, self._values(obj)))
+        for key, copy in self._copies:
+            doc[key] = copy(doc[key])
+        return doc
 
 
-def _parse_node(nd, locus: str) -> BinNode:
-    _section(nd, locus, {"id"}, {"fill_level", "is_depot"})
-    is_depot = nd.get("is_depot", False)
-    if not isinstance(is_depot, bool):
-        raise ParseError("'is_depot' must be a boolean", locus=locus)
-    return _build(
-        BinNode, locus,
-        id=_string(nd, "id", locus),
-        fill_level=_number(nd, "fill_level", locus, 0.0),
-        is_depot=is_depot,
-    )
+MATERIAL = _Record(MaterialSpec, (
+    ("id", _string, REQUIRED), ("name", _string, ""), ("category", _string, REQUIRED),
+    ("mass_kg", _number, REQUIRED), ("composition", _number_map, {}),
+    ("lifecycle_stage", _string, "collected"),
+))
+PROCESS = _Record(ProcessSpec, (
+    ("id", _string, REQUIRED), ("unit_cost", _number, REQUIRED),
+    ("energy_per_unit", _number, REQUIRED), ("emission_factor_id", _string, REQUIRED),
+))
+LIMIT = _Record(ResourceLimit, (
+    ("resource_id", _string, REQUIRED), ("availability", _number, REQUIRED),
+    ("consumption", _number_map, {}),
+))
+FACTOR = _Record(EmissionFactor, (
+    ("id", _string, REQUIRED), ("process_id", _string, REQUIRED),
+    ("e", _number, REQUIRED), ("stage", _string, REQUIRED),
+))
+# is_depot is read before id, so a node whose is_depot is bad reports that first
+NODE = _Record(BinNode, (
+    ("is_depot", _boolean, False), ("id", _string, REQUIRED), ("fill_level", _number, 0.0),
+))
+STATION = _Record(Station, (
+    ("id", _string, REQUIRED), ("recovery_efficiency", _number_map, REQUIRED),
+    ("energy_kwh_per_kg", _number, REQUIRED), ("loss_fraction", _number, REQUIRED),
+))
+WASTE_STREAM = _Record(WasteStreamConfig, (
+    ("category_mix", _number_map, REQUIRED), ("fill_increment_mean", _number, REQUIRED),
+    ("fill_increment_std", _number, REQUIRED), ("feature_means", _number_maps, REQUIRED),
+    ("feature_stds", _number_map, REQUIRED),
+))
+RECORDS = (MATERIAL, PROCESS, LIMIT, FACTOR, NODE, STATION, WASTE_STREAM)
 
 
 def _parse_graph(doc, locus: str) -> CollectionGraph:
     _section(doc, locus, {"nodes", "edges"})
-    nodes = tuple(
-        _parse_node(nd, f"{locus}.nodes[{i}]")
-        for i, nd in enumerate(_array(doc, "nodes", locus))
-    )
+    nodes = NODE.parse_all(_array(doc, "nodes", locus), f"{locus}.nodes")
     edges = {}
     for i, ed in enumerate(_array(doc, "edges", locus)):
         el = f"{locus}.edges[{i}]"
@@ -240,43 +282,13 @@ def _parse_graph(doc, locus: str) -> CollectionGraph:
     return _build(CollectionGraph, locus, nodes=nodes, edges=edges)
 
 
-def _parse_station(st, locus: str) -> Station:
-    _section(st, locus, {"id", "recovery_efficiency", "energy_kwh_per_kg", "loss_fraction"})
-    return _build(
-        Station, locus,
-        id=_string(st, "id", locus),
-        recovery_efficiency=_number_map(st, "recovery_efficiency", locus),
-        energy_kwh_per_kg=_number(st, "energy_kwh_per_kg", locus),
-        loss_fraction=_number(st, "loss_fraction", locus),
-    )
-
-
 def _parse_facility(doc, locus: str) -> FacilityModel:
     _section(doc, locus, {"stations", "throughput_kg_per_step"})
-    stations = tuple(
-        _parse_station(st, f"{locus}.stations[{i}]")
-        for i, st in enumerate(_array(doc, "stations", locus))
-    )
+    stations = STATION.parse_all(_array(doc, "stations", locus), f"{locus}.stations")
     return _build(
         FacilityModel, locus,
         stations=stations,
         throughput_kg_per_step=_number(doc, "throughput_kg_per_step", locus),
-    )
-
-
-def _parse_waste_stream(doc, locus: str) -> WasteStreamConfig:
-    _section(doc, locus, {"category_mix", "fill_increment_mean", "fill_increment_std",
-                          "feature_means", "feature_stds"})
-    means_doc = _object(doc, "feature_means", locus)
-    return _build(
-        WasteStreamConfig, locus,
-        category_mix=_number_map(doc, "category_mix", locus),
-        fill_increment_mean=_number(doc, "fill_increment_mean", locus),
-        fill_increment_std=_number(doc, "fill_increment_std", locus),
-        feature_means={
-            cat: _number_map(means_doc, cat, f"{locus}.feature_means") for cat in means_doc
-        },
-        feature_stds=_number_map(doc, "feature_stds", locus),
     )
 
 
@@ -311,9 +323,6 @@ def parse_scenario(doc: Mapping) -> ScenarioSpec:
     if not is_rng_seed(seed):
         raise ParseError("'rng_seed' must be an unsigned 64-bit integer", locus="$")
 
-    def items(key, parse):
-        return tuple(parse(v, f"{key}[{i}]") for i, v in enumerate(_array(doc, key, "$")))
-
     def optional(key, parse):
         return parse(doc[key], key) if key in doc else None
 
@@ -322,16 +331,18 @@ def parse_scenario(doc: Mapping) -> ScenarioSpec:
         raise ParseError("'integrality' must be an array of process ids", locus="$")
 
     return ScenarioSpec(
-        materials=items("materials", _parse_material),
-        processes=items("processes", _parse_process),
-        limits=items("limits", _parse_limit),
-        emission_factors=items("emission_factors", _parse_factor),
+        materials=MATERIAL.parse_all(_array(doc, "materials", "$"), "materials"),
+        processes=PROCESS.parse_all(_array(doc, "processes", "$"), "processes"),
+        limits=LIMIT.parse_all(_array(doc, "limits", "$"), "limits"),
+        emission_factors=FACTOR.parse_all(
+            _array(doc, "emission_factors", "$"), "emission_factors"
+        ),
         collection_graph=optional("collection_graph", _parse_graph),
         targets=_number_map(doc, "targets", "$"),
         integrality=frozenset(integrality_doc),
         rng_seed=seed,
         facility=optional("facility", _parse_facility),
-        waste_stream=optional("waste_stream", _parse_waste_stream),
+        waste_stream=optional("waste_stream", WASTE_STREAM.parse),
         energy_model=optional("energy_model", _parse_energy_model),
     )
 
@@ -478,12 +489,15 @@ def validate_scenario(s: ScenarioSpec) -> list[Diagnostic]:
         if not math.isfinite(bound):
             out.append(Diagnostic(path="integrality", message=_unbounded_integer(pid)))
 
-    if s.facility is not None:
+    has_cells = any(m.category == "battery-cell" for m in s.materials)
+    if s.facility is None and has_cells:
+        out.append(Diagnostic(path="facility", message=CELLS_WITHOUT_FACILITY))
+    elif s.facility is not None:
         cell_kg = sum(m.mass_kg for m in s.materials if m.category == "battery-cell")
         problem = step_budget_problem(cell_kg, s.facility.throughput_kg_per_step)
         if problem:
             out.append(Diagnostic(path="facility.throughput_kg_per_step", message=problem))
-        if any(m.category == "battery-cell" for m in s.materials):
+        if has_cells:
             for i, st in enumerate(s.facility.stations):
                 if st.id not in factor_of:
                     out.append(Diagnostic(
@@ -576,46 +590,17 @@ def compile_to_lp(s: ScenarioSpec) -> LinearProgram:
 
 def scenario_to_dict(s: ScenarioSpec) -> dict:
     """Serializable document in the scenario file schema."""
-    doc: dict = {"rng_seed": s.rng_seed}
-    doc["materials"] = [
-        {
-            "id": m.id,
-            "name": m.name,
-            "category": m.category,
-            "mass_kg": m.mass_kg,
-            "composition": dict(sorted(m.composition.items())),
-            "lifecycle_stage": m.lifecycle_stage,
-        }
-        for m in s.materials
-    ]
-    doc["processes"] = [
-        {
-            "id": p.id,
-            "unit_cost": p.unit_cost,
-            "energy_per_unit": p.energy_per_unit,
-            "emission_factor_id": p.emission_factor_id,
-        }
-        for p in s.processes
-    ]
-    doc["limits"] = [
-        {
-            "resource_id": lim.resource_id,
-            "availability": lim.availability,
-            "consumption": dict(sorted(lim.consumption.items())),
-        }
-        for lim in s.limits
-    ]
-    doc["emission_factors"] = [
-        {"id": ef.id, "process_id": ef.process_id, "e": ef.e, "stage": ef.stage}
-        for ef in s.emission_factors
-    ]
+    doc: dict = {
+        "rng_seed": s.rng_seed,
+        "materials": list(map(MATERIAL.to_dict, s.materials)),
+        "processes": list(map(PROCESS.to_dict, s.processes)),
+        "limits": list(map(LIMIT.to_dict, s.limits)),
+        "emission_factors": list(map(FACTOR.to_dict, s.emission_factors)),
+    }
     if s.collection_graph is not None:
         g = s.collection_graph
         doc["collection_graph"] = {
-            "nodes": [
-                {"id": n.id, "fill_level": n.fill_level, "is_depot": n.is_depot}
-                for n in g.nodes
-            ],
+            "nodes": list(map(NODE.to_dict, g.nodes)),
             "edges": [
                 {
                     "a": a, "b": b,
@@ -626,34 +611,16 @@ def scenario_to_dict(s: ScenarioSpec) -> dict:
             ],
         }
     if s.targets:
-        doc["targets"] = dict(sorted(s.targets.items()))
+        doc["targets"] = dict(s.targets)
     if s.integrality:
         doc["integrality"] = sorted(s.integrality)
     if s.facility is not None:
         doc["facility"] = {
             "throughput_kg_per_step": s.facility.throughput_kg_per_step,
-            "stations": [
-                {
-                    "id": st.id,
-                    "recovery_efficiency": dict(sorted(st.recovery_efficiency.items())),
-                    "energy_kwh_per_kg": st.energy_kwh_per_kg,
-                    "loss_fraction": st.loss_fraction,
-                }
-                for st in s.facility.stations
-            ],
+            "stations": list(map(STATION.to_dict, s.facility.stations)),
         }
     if s.waste_stream is not None:
-        w = s.waste_stream
-        doc["waste_stream"] = {
-            "category_mix": dict(sorted(w.category_mix.items())),
-            "fill_increment_mean": w.fill_increment_mean,
-            "fill_increment_std": w.fill_increment_std,
-            "feature_means": {
-                cat: dict(sorted(means.items()))
-                for cat, means in sorted(w.feature_means.items())
-            },
-            "feature_stds": dict(sorted(w.feature_stds.items())),
-        }
+        doc["waste_stream"] = WASTE_STREAM.to_dict(s.waste_stream)
     if s.energy_model is not None:
         doc["energy_model"] = {
             "alpha": s.energy_model.model.alpha,
@@ -663,7 +630,7 @@ def scenario_to_dict(s: ScenarioSpec) -> dict:
                     "compute_seconds": usage.compute_seconds,
                     "transferred_mb": usage.transferred_mb,
                 }
-                for stage, usage in sorted(s.energy_model.stage_costs.items())
+                for stage, usage in s.energy_model.stage_costs.items()
             },
         }
     return doc

@@ -9,7 +9,7 @@ Instances are minimization problems
 
     min c.x   s.t.   A x <= b,   lb <= x <= ub
 
-with lb finite (default 0) and ub possibly +inf. Integer variables must
+with lb finite and ub possibly +inf. Integer variables must
 carry finite bounds so branch-and-bound terminates.
 
 solve_milp builds the bound-independent part of the standard form once
@@ -63,20 +63,14 @@ class LinearProgram:
     """Dense minimization instance: objective, <= rows, bounds, integrality."""
 
     objective: tuple[float, ...]
-    rows: tuple[tuple[tuple[float, ...], float], ...] = ()
-    lower_bounds: tuple[float, ...] = ()
-    upper_bounds: tuple[float, ...] = ()
-    integer_mask: tuple[bool, ...] = ()
+    rows: tuple[tuple[tuple[float, ...], float], ...]
+    lower_bounds: tuple[float, ...]
+    upper_bounds: tuple[float, ...]
+    integer_mask: tuple[bool, ...]
     variable_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         n = len(self.objective)
-        if not self.lower_bounds:
-            object.__setattr__(self, "lower_bounds", (0.0,) * n)
-        if not self.upper_bounds:
-            object.__setattr__(self, "upper_bounds", (math.inf,) * n)
-        if not self.integer_mask:
-            object.__setattr__(self, "integer_mask", (False,) * n)
         for coeffs, _rhs in self.rows:
             if len(coeffs) != n:
                 raise SolverError(

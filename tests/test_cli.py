@@ -530,6 +530,34 @@ class TestTable3:
         text = capsys.readouterr().out
         assert "| CO2 emission reduction (%) | — | 25 | 28 | 26.67 |" in text
 
+    @staticmethod
+    def run_newest(tmp_path, scenario, mode):
+        """Run scenario, then date its manifest after every other run in out."""
+        staging = tmp_path / "staging"
+        assert main(["run", "--scenario", scenario, "--mode", mode,
+                     "--out", str(staging)]) == 0
+        (run_dir,) = staging.iterdir()
+        manifest = read_json(run_dir / "manifest.json")
+        manifest["created_at"] = "9999-12-31T00:00:00+00:00"
+        (run_dir / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        run_dir.rename(tmp_path / "out" / run_dir.name)
+
+    def test_newest_framework_of_another_study_has_no_baseline(self, tmp_path, capsys):
+        run_battery(tmp_path, "baseline")
+        run_battery(tmp_path, "framework")
+        self.run_newest(tmp_path, "alloc_small.json", "framework")
+        capsys.readouterr()
+        assert main(["table3", "--out", str(tmp_path / "out")]) == 0
+        assert "| CO2 emission reduction (%) | — | 25 | 28 | n/a |" in capsys.readouterr().out
+
+    def test_baseline_comes_from_the_framework_runs_study(self, tmp_path, capsys):
+        run_battery(tmp_path, "baseline")
+        run_battery(tmp_path, "framework")
+        self.run_newest(tmp_path, "waste_baseline.json", "baseline")
+        capsys.readouterr()
+        assert main(["table3", "--out", str(tmp_path / "out")]) == 0
+        assert "| CO2 emission reduction (%) | — | 25 | 28 | 26.67 |" in capsys.readouterr().out
+
 
 class TestValidateCalibrate:
     def test_validate_ok(self, tmp_path, capsys):
@@ -798,6 +826,79 @@ class TestValidateCalibrate:
         assert "at least one station" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "fixture, edit, problem",
+        [
+            ("alloc_small.json",
+             lambda doc: doc["materials"].append(
+                 {"id": "m", "category": "plastic", "mass_kg": 1.0,
+                  "composition": {"nickle": 0.1}}),
+             "materials[0].composition: unknown element 'nickle'"),
+            ("alloc_small.json",
+             lambda doc: doc["emission_factors"].append(
+                 {"id": "efA", "process_id": "pD", "e": 0.1, "stage": "processing"}),
+             "emission_factors[3].id: duplicate factor id 'efA'"),
+            ("alloc_small.json",
+             lambda doc: doc["processes"].append(dict(doc["processes"][0])),
+             "processes[3].id: duplicate process id 'pA'"),
+            ("alloc_small.json",
+             lambda doc: doc["processes"][1].update(energy_per_unit=-2.0),
+             "processes[1].energy_per_unit: energy_per_unit must be >= 0, got -2.0"),
+            ("alloc_small.json",
+             lambda doc: doc["limits"][1].update(availability=-6.0),
+             "limits[1].availability: availability must be >= 0, got -6.0"),
+            ("alloc_small.json",
+             lambda doc: doc["limits"][0]["consumption"].update(pB=-3.0),
+             "limits[0].consumption['pB']: consumption coefficient must be >= 0, got -3.0"),
+            ("waste_baseline.json",
+             lambda doc: doc["collection_graph"]["edges"].append(
+                 dict(doc["collection_graph"]["edges"][0])),
+             "duplicate edge (b00, b01) (at collection_graph.edges["),
+        ],
+        ids=["unknown-element", "duplicate-factor", "duplicate-process",
+             "negative-energy", "negative-availability", "negative-consumption",
+             "duplicate-edge"],
+    )
+    def test_validate_reports_path(self, tmp_path, capsys, fixture, edit, problem):
+        doc = json.loads((cli._FIXTURES / fixture).read_text("utf-8"))
+        edit(doc)
+        scenario = tmp_path / "edited.json"
+        scenario.write_text(json.dumps(doc), "utf-8")
+        assert main(["validate", "--scenario", str(scenario)]) == 4
+        captured = capsys.readouterr()
+        assert problem in captured.out + captured.err
+
+    @staticmethod
+    def cells_without_facility(doc):
+        del doc["facility"]
+        doc["materials"] = doc["materials"][:3]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_cells_need_a_facility(self, tmp_path, capsys, command):
+        path = self.battery_framework(tmp_path, self.cells_without_facility)
+        argv = [command, "--scenario", path]
+        if command == "run":
+            argv += ["--mode", "framework", "--out", str(tmp_path / "out")]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        problem = "scenario has battery-cell materials but no facility to process them"
+        if command == "validate":
+            assert f"facility: {problem}" in captured.out
+        else:
+            assert f"{problem} (at facility)" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_calibrate_target_in_no_cell(self, tmp_path, capsys):
+        def drop_nickel(doc):
+            for material in doc["materials"]:
+                material["composition"].pop("nickel", None)
+
+        path = self.battery_framework(tmp_path, drop_nickel)
+        assert main(["validate", "--scenario", path]) == 0
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--scenario", path, "--out", str(out)]) == 4
+        assert "no battery cell holds targeted element(s) nickel" in capsys.readouterr().err
+        assert not out.exists()
 
 class TestOptions:
     """Each subcommand takes only the shared options it reads."""

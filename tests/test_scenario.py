@@ -1,12 +1,16 @@
 """Scenario parsing, validation, compilation, and round-trip tests."""
 
+import dataclasses
+import hashlib
 import json
+from importlib import resources
 
 import pytest
 
 from greenloop import twin
 from greenloop.errors import CompileError, ParseError, ValidationError
 from greenloop.scenario import (
+    RECORDS,
     MaterialSpec,
     ProcessSpec,
     ResourceLimit,
@@ -15,8 +19,10 @@ from greenloop.scenario import (
     load_scenario,
     parse_scenario,
     save_scenario,
+    scenario_to_dict,
     validate_scenario,
 )
+from greenloop.serialize import canonical_dumps
 from greenloop.solver import SolveStatus, enumerate_integer_optimum, solve_milp
 from greenloop.carbon import EmissionFactor
 
@@ -289,6 +295,16 @@ class TestCompile:
         with pytest.raises(CompileError, match="ghost"):
             compile_to_lp(parse_scenario(doc))
 
+    def test_dangling_factor_under_a_cap(self):
+        # only the emission cap row reads the factors
+        doc = alloc_doc()
+        doc["processes"][0]["emission_factor_id"] = "efX"
+        doc["targets"] = {"co2_cap_kg": 10.0}
+        with pytest.raises(
+            CompileError, match="process 'pA' references unknown emission factor 'efX'"
+        ):
+            compile_to_lp(parse_scenario(doc))
+
     def test_unbounded_integer_process_rejected(self):
         doc = minimal_doc(
             processes=[{"id": "P1", "unit_cost": -1.0, "energy_per_unit": 0.0,
@@ -362,3 +378,71 @@ class TestRoundTrip:
         save_scenario(s1, p1)
         save_scenario(load_scenario(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def sparse_doc():
+    """Every section, each optional key omitted somewhere, nested maps non-empty."""
+    doc = alloc_doc()
+    doc["materials"] = [
+        {"id": "m1", "category": "battery-cell", "mass_kg": 2},
+        {"id": "m2", "name": "pack", "category": "metal", "mass_kg": 4.5,
+         "composition": {"other": 1.0}, "lifecycle_stage": "recovered"},
+    ]
+    doc["limits"].append({"resource_id": "idle", "availability": 1.0})
+    doc["collection_graph"] = {
+        "nodes": [{"id": "depot", "is_depot": True}, {"id": "b1"},
+                  {"id": "b2", "fill_level": 0.25, "is_depot": False}],
+        "edges": [{"a": "depot", "b": "b1", "distance_km": 2.0,
+                   "emission_rate_kg_per_km": 0.5},
+                  {"a": "b2", "b": "b1", "distance_km": 1, "emission_rate_kg_per_km": 0.5}],
+    }
+    doc["targets"] = {"nickel": 0.9, "co2_cap_kg": 50}
+    doc["integrality"] = ["pB", "pA"]
+    doc["facility"] = {
+        "throughput_kg_per_step": 100.0,
+        "stations": [{"id": "sort", "recovery_efficiency": {},
+                      "energy_kwh_per_kg": 0.1, "loss_fraction": 0.0},
+                     {"id": "leach", "recovery_efficiency": {"nickel": 0.8, "cobalt": 0.7},
+                      "energy_kwh_per_kg": 2, "loss_fraction": 0.1}],
+    }
+    features = ("weight_kg", "metal_response", "moisture", "opacity", "rigidity", "volume_l")
+    doc["waste_stream"] = {
+        "category_mix": {"plastic": 0.75, "glass": 0.25},
+        "fill_increment_mean": 0.05,
+        "fill_increment_std": 0.01,
+        "feature_means": {"plastic": dict.fromkeys(features, 0.5),
+                          "glass": dict.fromkeys(features, 1)},
+        "feature_stds": dict.fromkeys(features, 0.2),
+    }
+    doc["energy_model"] = {
+        "alpha": 0.002, "beta": 0.0001,
+        "stage_costs": {"route": {"compute_seconds": 3.0},
+                        "simulate": {"transferred_mb": 1.5}, "carbon": {}},
+    }
+    return doc
+
+
+class TestScenarioDigest:
+    """The bytes a scenario writes back, pinned where no run golden covers them."""
+
+    DIGESTS = {
+        "alloc_small.json": "864205833e7eef862a2e31bfdbffc6c2ae1cff4a692966b5e5c1f13ac6b79a16",
+        "sparse": "ce92cfee8520ab57c03950b23ea80a3b9b212f8fbab0b4dfc27839ea346b963d",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_written_back_bytes(self, name):
+        if name == "sparse":
+            doc = sparse_doc()
+        else:
+            doc = json.loads(
+                (resources.files("greenloop") / "fixtures" / name).read_text("utf-8")
+            )
+        text = canonical_dumps(scenario_to_dict(parse_scenario(doc)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.DIGESTS[name]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.cls.__name__)
+def test_record_table_names_every_field(record):
+    """A field without a key in its table would never be parsed or written."""
+    assert sorted(record.keys) == sorted(f.name for f in dataclasses.fields(record.cls))
