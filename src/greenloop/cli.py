@@ -297,7 +297,7 @@ def cmd_chart(args) -> int:
 def _manifests_newest_first(out_dir: Path) -> list[tuple[dict, RunResult, Path]]:
     """Readable manifests under out_dir with their runs, newest created first.
 
-    Unreadable manifests are skipped; ties keep run-directory name order.
+    Unreadable manifests are skipped; a tie in created_at puts the larger run id first.
     """
     found = []
     for path in sorted(out_dir.glob("*/manifest.json")):

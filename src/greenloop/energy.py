@@ -1,9 +1,10 @@
 """Pipeline energy metering: E = alpha * compute + beta * data transfer.
 
 Every pipeline stage reports processor-seconds and megabytes moved; the
-model weights convert both to kWh. The ledger is append-only and keeps
-insertion order. This meters the toolkit's own workflow cost, which is a
-separate quantity from the facility process energy the digital twin reports.
+model weights convert both to kWh. meter books one ledger entry per stage
+of STAGE_ORDER: the model's stage_costs where it names the stage, else
+UNIT_COSTS times the stage's workload. This meters the toolkit's own
+workflow cost, a separate quantity from the twin's facility energy.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from typing import Mapping
 
 @dataclass(frozen=True)
 class EnergyModel:
-    """kWh per processor-second (alpha) and per megabyte moved (beta)."""
+    """kWh per processor-second (alpha) and per MB moved (beta); fixed stage usage."""
 
     alpha: float = 0.0015
     beta: float = 0.0001
+    stage_costs: Mapping[str, StageUsage] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
@@ -57,38 +59,25 @@ UNIT_COSTS = {
 }
 
 
-@dataclass(frozen=True)
-class UsagePlan:
-    """Energy model plus fixed per-stage usage, for machine-independent runs.
-
-    A stage named in stage_costs reports that usage; any other stage reports
-    its UNIT_COSTS times the workload it handled.
-    """
-
-    model: EnergyModel
-    stage_costs: Mapping[str, StageUsage] = field(default_factory=dict)
-
-    def usage_for(self, stage_name: str, workload: float) -> StageUsage:
-        if stage_name in self.stage_costs:
-            u = self.stage_costs[stage_name]
-            return StageUsage(stage_name, u.compute_seconds, u.transferred_mb)
-        seconds, mb = UNIT_COSTS[stage_name]
-        return StageUsage(stage_name, seconds * workload, mb * workload)
-
-
 def energy_of(model: EnergyModel, usage: StageUsage) -> float:
     return model.alpha * usage.compute_seconds + model.beta * usage.transferred_mb
 
 
-def record_stage(
-    ledger: EnergyLedger, model: EnergyModel, usage: StageUsage
-) -> EnergyLedger:
-    """Append one stage's usage; returns a new ledger, input untouched."""
-    kwh = energy_of(model, usage)
-    return EnergyLedger(
-        stages=ledger.stages + ((usage, kwh),),
-        total_kwh=ledger.total_kwh + kwh,
-    )
+def meter(model: EnergyModel, workload: Mapping[str, float]) -> EnergyLedger:
+    """The ledger of a run whose stages handled workload[stage] units each."""
+    stages = []
+    total_kwh = 0.0
+    for stage in STAGE_ORDER:
+        if stage in model.stage_costs:
+            fixed = model.stage_costs[stage]
+            usage = StageUsage(stage, fixed.compute_seconds, fixed.transferred_mb)
+        else:
+            seconds, mb = UNIT_COSTS[stage]
+            usage = StageUsage(stage, seconds * workload[stage], mb * workload[stage])
+        kwh = energy_of(model, usage)
+        stages.append((usage, kwh))
+        total_kwh += kwh
+    return EnergyLedger(stages=tuple(stages), total_kwh=total_kwh)
 
 
 def ledger_to_dict(ledger: EnergyLedger) -> dict:

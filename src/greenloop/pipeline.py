@@ -8,8 +8,8 @@ classifier, declaration-order allocation, and the naive lowest-id route.
 A failing stage raises its own error family, which names the stage:
 ClassifierError is preprocess, TwinError simulate, SolverError or
 CompileError optimize, RoutingError route, and CarbonError carbon.
-Stage energy is computed from each stage's workload (energy.UsagePlan),
-never from wall-clock time, so results are identical across machines.
+Stage energy is metered from each stage's workload (energy.meter), never
+from wall-clock time, so results are identical across machines.
 
 compare_runs turns a baseline/framework pair into labeled deltas. Every
 percentage metric reports both the percentage-point change and the
@@ -32,7 +32,7 @@ from .classify import (
     rule_classify,
     train_on_records,
 )
-from .energy import STAGE_ORDER, EnergyLedger, EnergyModel, UsagePlan, record_stage
+from .energy import EnergyLedger, EnergyModel, meter
 from .errors import MissingArtifacts, ModeMismatch, ModeUnsupported
 from .routing import (
     CollectionGraph,
@@ -193,14 +193,15 @@ def run_full(s: ScenarioSpec, mode: str) -> tuple[RunResult, RunArtifacts]:
     if has_cells and s.facility is None:
         raise ModeUnsupported(CELLS_WITHOUT_FACILITY)
 
-    plan = s.energy_model or UsagePlan(model=EnergyModel())
     workload: dict[str, float] = {}
+    g = s.collection_graph
+    bins = g.bin_ids() if g is not None else ()  # preprocess and route need bins
 
     # preprocess: generate the sensor stream, split it, fit the classifier
     classifier: SoftmaxModel | None = None
     accuracy: float | None = None
     events = ()
-    if s.collection_graph is not None:
+    if bins:
         events = simulate_bins(s, BIN_HORIZON).events
         train_recs, eval_recs = _split_records(events)
         if framework:
@@ -235,18 +236,17 @@ def run_full(s: ScenarioSpec, mode: str) -> tuple[RunResult, RunArtifacts]:
     routes: tuple[tuple[str, ...], ...] = ()
     transport: float | None = None
     workload["route"] = 0.0
-    g = s.collection_graph
-    if g is not None and g.bin_ids():
+    if bins:
         if framework:
             districts = partition_districts(g)
             episodes = RLConfig().episodes
             qtables, routes, transport = _train_districts(districts, s.rng_seed, episodes)
             workload["route"] = float(episodes * len(districts))
         else:
-            naive = (g.depot, *g.bin_ids(), g.depot)
+            naive = (g.depot, *bins, g.depot)
             routes = (naive,)
             transport = route_emissions(g, naive)
-            workload["route"] = float(len(g.bin_ids()))
+            workload["route"] = float(len(bins))
 
     # carbon: facility activity footprint plus transport legs
     activity = trace.activity_ledger if trace else ActivityLedger()
@@ -273,16 +273,12 @@ def run_full(s: ScenarioSpec, mode: str) -> tuple[RunResult, RunArtifacts]:
             waste_reduction = 1.0 - trace.residual_kg / total_in
     workload["metrics"] = 1.0
 
-    ledger = EnergyLedger()
-    for stage in STAGE_ORDER:
-        ledger = record_stage(ledger, plan.model, plan.usage_for(stage, workload[stage]))
-
     result = RunResult(
         mode=mode,
         seed=s.rng_seed,
         recovery=recovery,
         process_energy_kwh=process_energy,
-        pipeline_energy=ledger,
+        pipeline_energy=meter(s.energy_model or EnergyModel(), workload),
         co2_kg=co2,
         classification_accuracy=accuracy,
         transport_emissions_kg=transport,

@@ -171,23 +171,21 @@ def measured_metrics(
 ) -> dict[str, str]:
     """Display values for the measured column of the method table.
 
-    Energy intensity converts the facility process energy to GJ per tonne
-    of input material; recovery is the mass-weighted rate over the
-    recovered elements; the CO2 reduction needs a baseline run to compare
-    against. Metrics whose inputs are unavailable are simply absent.
+    Energy intensity is the process energy in GJ per tonne of battery cells,
+    the facility's only input; recovery is the rate over the recovered
+    elements, weighted by their mass in the cells; the CO2 reduction needs a
+    baseline run. Metrics whose inputs are unavailable are simply absent.
     """
     out: dict[str, str] = {}
-    if scenario is not None and scenario.materials:
-        total_kg = sum(m.mass_kg for m in scenario.materials)
-        if total_kg > 0:
+    if scenario is not None:
+        cells = [m for m in scenario.materials if m.category == "battery-cell"]
+        cell_kg = sum(m.mass_kg for m in cells)
+        if cell_kg > 0:
             gj = framework_metrics["process_energy_kwh"] * KWH_TO_GJ
-            out["energy_intensity_gj_per_tonne"] = format_number(
-                gj / (total_kg / 1000.0)
-            )
+            out["energy_intensity_gj_per_tonne"] = format_number(gj / (cell_kg / 1000.0))
         recovery = framework_metrics.get("recovery", {})
         element_kg = {
-            el: sum(m.mass_kg * m.composition.get(el, 0.0) for m in scenario.materials)
-            for el in recovery
+            el: sum(m.mass_kg * m.composition.get(el, 0.0) for m in cells) for el in recovery
         }
         mass_in = sum(element_kg.values())
         if mass_in > 0:

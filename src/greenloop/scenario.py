@@ -10,9 +10,10 @@ silently. serialize.read_json_checked decides when a file is unreadable;
 a manifest or expectations file fails the same way as ManifestUnreadable
 (exit 3).
 
-Each flat record of the format lists its keys once, in its _Record
-table, which both parse_scenario and scenario_to_dict read. The edges,
-the facility, the energy model and the top level keep their own code.
+Each section and record of the format lists its keys once, in its
+_Record table, which both parse_scenario and scenario_to_dict read; a
+list of records is read and written back by its record. Only the top
+level keeps its own code.
 
 Value-level problems (negative mass, dangling factor, process or station
 reference) are reported by validate_scenario as diagnostics;
@@ -32,7 +33,7 @@ from pathlib import Path
 from typing import AbstractSet, Mapping
 
 from .carbon import EmissionFactor
-from .energy import STAGE_ORDER, EnergyModel, StageUsage, UsagePlan
+from .energy import STAGE_ORDER, EnergyModel, StageUsage
 from .errors import CompileError, Diagnostic, ParseError, ValidationError
 from .routing import BinNode, CollectionGraph, EdgeAttrs
 from .serialize import read_json_checked, write_json
@@ -86,7 +87,7 @@ class ScenarioSpec:
     rng_seed: int = 0
     facility: FacilityModel | None = None
     waste_stream: WasteStreamConfig | None = None
-    energy_model: UsagePlan | None = None
+    energy_model: EnergyModel | None = None
 
 
 def _section(
@@ -181,19 +182,66 @@ def _number_maps(doc: Mapping, key: str, locus: str) -> dict[str, dict[str, floa
     return {name: _number_map(maps, name, f"{locus}.{key}") for name in maps}
 
 
-REQUIRED = object()  # the default of a key a record must carry
+def _edges(doc: Mapping, key: str, locus: str) -> dict[tuple[str, str], EdgeAttrs]:
+    """The edge list keyed by (a, b); an edge listed twice is a ParseError."""
+    edges = {}
+    for i, ed in enumerate(_array(doc, key, locus)):
+        el = f"{locus}.{key}[{i}]"
+        _section(ed, el, {"a", "b", "distance_km", "emission_rate_kg_per_km"})
+        pair = (_string(ed, "a", el), _string(ed, "b", el))
+        if pair in edges:
+            raise ParseError(f"duplicate edge ({pair[0]}, {pair[1]})", locus=el)
+        edges[pair] = _build(
+            EdgeAttrs, el,
+            distance_km=_number(ed, "distance_km", el),
+            emission_rate_kg_per_km=_number(ed, "emission_rate_kg_per_km", el),
+        )
+    return edges
 
-# A map is written back as a plain dict copy, a map of maps as nested copies.
-_WRITE_BACK = {_number_map: dict, _number_maps: lambda m: {k: dict(v) for k, v in m.items()}}
+
+def _stage_costs(doc: Mapping, key: str, locus: str) -> dict[str, StageUsage]:
+    """Each stage's fixed usage, a missing quantity read as 0."""
+    costs = {}
+    for stage, usage in _object(doc, key, locus).items():
+        ul = f"{locus}.{key}[{stage!r}]"
+        _section(usage, ul, set(), {"compute_seconds", "transferred_mb"})
+        costs[stage] = _build(
+            StageUsage, ul,
+            stage_name=stage,
+            compute_seconds=_number(usage, "compute_seconds", ul, 0.0),
+            transferred_mb=_number(usage, "transferred_mb", ul, 0.0),
+        )
+    return costs
+
+
+# How a value read by one of these readers is written back: a map as a
+# plain dict copy, a map of maps as nested copies, the edges as a list
+# sorted by (a, b). The value of any other reader is written as is.
+_WRITE_BACK = {
+    _number_map: dict,
+    _number_maps: lambda m: {k: dict(v) for k, v in m.items()},
+    _edges: lambda edges: [
+        {"a": a, "b": b, "distance_km": at.distance_km,
+         "emission_rate_kg_per_km": at.emission_rate_kg_per_km}
+        for (a, b), at in sorted(edges.items())
+    ],
+    _stage_costs: lambda costs: {
+        stage: {"compute_seconds": u.compute_seconds, "transferred_mb": u.transferred_mb}
+        for stage, u in costs.items()
+    },
+}
+
+REQUIRED = object()  # the default of a key a record must carry
 
 
 class _Record:
-    """One flat object of the scenario format: its class and its key table.
+    """One object of the scenario format: its class and its key table.
 
     keys holds (key, reader, default) in read order, each key naming the
     field of cls it fills. A key whose default is REQUIRED must be present;
     any other may be left out and takes its default as is (the {} of an
-    absent map is one shared dict that nothing mutates).
+    absent map is one shared dict that nothing mutates). A _Record is
+    itself the reader of a key that holds a list of its records.
     """
 
     def __init__(self, cls, keys):
@@ -206,8 +254,9 @@ class _Record:
         order = [self.keys.index(f.name) for f in dataclass_fields(cls)]
         self._in_field_order = itemgetter(*order)
         self._values = attrgetter(*self.keys)
-        self._copies = tuple(
-            (key, _WRITE_BACK[read]) for key, read, _ in keys if read in _WRITE_BACK
+        self._writes = tuple(
+            (key, read.to_list if isinstance(read, _Record) else _WRITE_BACK[read])
+            for key, read, _ in keys if isinstance(read, _Record) or read in _WRITE_BACK
         )
 
     def parse(self, doc, locus: str):
@@ -224,11 +273,18 @@ class _Record:
         """One object per item of docs, each named locus[i]."""
         return tuple(self.parse(doc, f"{locus}[{i}]") for i, doc in enumerate(docs))
 
+    def __call__(self, doc: Mapping, key: str, locus: str) -> tuple:
+        """The list of records at doc[key], read as a key of another record."""
+        return self.parse_all(_array(doc, key, locus), f"{locus}.{key}")
+
     def to_dict(self, obj) -> dict:
         doc = dict(zip(self.keys, self._values(obj)))
-        for key, copy in self._copies:
-            doc[key] = copy(doc[key])
+        for key, write in self._writes:
+            doc[key] = write(doc[key])
         return doc
+
+    def to_list(self, objs) -> list[dict]:
+        return list(map(self.to_dict, objs))
 
 
 MATERIAL = _Record(MaterialSpec, (
@@ -252,64 +308,27 @@ FACTOR = _Record(EmissionFactor, (
 NODE = _Record(BinNode, (
     ("is_depot", _boolean, False), ("id", _string, REQUIRED), ("fill_level", _number, 0.0),
 ))
+GRAPH = _Record(CollectionGraph, (("nodes", NODE, REQUIRED), ("edges", _edges, REQUIRED)))
 STATION = _Record(Station, (
     ("id", _string, REQUIRED), ("recovery_efficiency", _number_map, REQUIRED),
     ("energy_kwh_per_kg", _number, REQUIRED), ("loss_fraction", _number, REQUIRED),
+))
+FACILITY = _Record(FacilityModel, (
+    ("stations", STATION, REQUIRED), ("throughput_kg_per_step", _number, REQUIRED),
 ))
 WASTE_STREAM = _Record(WasteStreamConfig, (
     ("category_mix", _number_map, REQUIRED), ("fill_increment_mean", _number, REQUIRED),
     ("fill_increment_std", _number, REQUIRED), ("feature_means", _number_maps, REQUIRED),
     ("feature_stds", _number_map, REQUIRED),
 ))
-RECORDS = (MATERIAL, PROCESS, LIMIT, FACTOR, NODE, STATION, WASTE_STREAM)
-
-
-def _parse_graph(doc, locus: str) -> CollectionGraph:
-    _section(doc, locus, {"nodes", "edges"})
-    nodes = NODE.parse_all(_array(doc, "nodes", locus), f"{locus}.nodes")
-    edges = {}
-    for i, ed in enumerate(_array(doc, "edges", locus)):
-        el = f"{locus}.edges[{i}]"
-        _section(ed, el, {"a", "b", "distance_km", "emission_rate_kg_per_km"})
-        key = (_string(ed, "a", el), _string(ed, "b", el))
-        if key in edges:
-            raise ParseError(f"duplicate edge ({key[0]}, {key[1]})", locus=el)
-        edges[key] = _build(
-            EdgeAttrs, el,
-            distance_km=_number(ed, "distance_km", el),
-            emission_rate_kg_per_km=_number(ed, "emission_rate_kg_per_km", el),
-        )
-    return _build(CollectionGraph, locus, nodes=nodes, edges=edges)
-
-
-def _parse_facility(doc, locus: str) -> FacilityModel:
-    _section(doc, locus, {"stations", "throughput_kg_per_step"})
-    stations = STATION.parse_all(_array(doc, "stations", locus), f"{locus}.stations")
-    return _build(
-        FacilityModel, locus,
-        stations=stations,
-        throughput_kg_per_step=_number(doc, "throughput_kg_per_step", locus),
-    )
-
-
-def _parse_energy_model(doc, locus: str) -> UsagePlan:
-    _section(doc, locus, {"alpha", "beta"}, {"stage_costs"})
-    stage_costs = {}
-    for stage, usage in _object(doc, "stage_costs", locus).items():
-        ul = f"{locus}.stage_costs[{stage!r}]"
-        _section(usage, ul, set(), {"compute_seconds", "transferred_mb"})
-        stage_costs[stage] = _build(
-            StageUsage, ul,
-            stage_name=stage,
-            compute_seconds=_number(usage, "compute_seconds", ul, 0.0),
-            transferred_mb=_number(usage, "transferred_mb", ul, 0.0),
-        )
-    model = _build(
-        EnergyModel, locus,
-        alpha=_number(doc, "alpha", locus),
-        beta=_number(doc, "beta", locus),
-    )
-    return UsagePlan(model=model, stage_costs=stage_costs)
+# stage_costs is read before the weights, so a bad stage cost reports first
+ENERGY_MODEL = _Record(EnergyModel, (
+    ("stage_costs", _stage_costs, {}), ("alpha", _number, REQUIRED), ("beta", _number, REQUIRED),
+))
+RECORDS = (
+    MATERIAL, PROCESS, LIMIT, FACTOR, NODE, GRAPH, STATION, FACILITY, WASTE_STREAM,
+    ENERGY_MODEL,
+)
 
 
 def parse_scenario(doc: Mapping) -> ScenarioSpec:
@@ -337,13 +356,13 @@ def parse_scenario(doc: Mapping) -> ScenarioSpec:
         emission_factors=FACTOR.parse_all(
             _array(doc, "emission_factors", "$"), "emission_factors"
         ),
-        collection_graph=optional("collection_graph", _parse_graph),
+        collection_graph=optional("collection_graph", GRAPH.parse),
         targets=_number_map(doc, "targets", "$"),
         integrality=frozenset(integrality_doc),
         rng_seed=seed,
-        facility=optional("facility", _parse_facility),
+        facility=optional("facility", FACILITY.parse),
         waste_stream=optional("waste_stream", WASTE_STREAM.parse),
-        energy_model=optional("energy_model", _parse_energy_model),
+        energy_model=optional("energy_model", ENERGY_MODEL.parse),
     )
 
 
@@ -592,47 +611,23 @@ def scenario_to_dict(s: ScenarioSpec) -> dict:
     """Serializable document in the scenario file schema."""
     doc: dict = {
         "rng_seed": s.rng_seed,
-        "materials": list(map(MATERIAL.to_dict, s.materials)),
-        "processes": list(map(PROCESS.to_dict, s.processes)),
-        "limits": list(map(LIMIT.to_dict, s.limits)),
-        "emission_factors": list(map(FACTOR.to_dict, s.emission_factors)),
+        "materials": MATERIAL.to_list(s.materials),
+        "processes": PROCESS.to_list(s.processes),
+        "limits": LIMIT.to_list(s.limits),
+        "emission_factors": FACTOR.to_list(s.emission_factors),
     }
     if s.collection_graph is not None:
-        g = s.collection_graph
-        doc["collection_graph"] = {
-            "nodes": list(map(NODE.to_dict, g.nodes)),
-            "edges": [
-                {
-                    "a": a, "b": b,
-                    "distance_km": at.distance_km,
-                    "emission_rate_kg_per_km": at.emission_rate_kg_per_km,
-                }
-                for (a, b), at in sorted(g.edges.items())
-            ],
-        }
+        doc["collection_graph"] = GRAPH.to_dict(s.collection_graph)
     if s.targets:
         doc["targets"] = dict(s.targets)
     if s.integrality:
         doc["integrality"] = sorted(s.integrality)
     if s.facility is not None:
-        doc["facility"] = {
-            "throughput_kg_per_step": s.facility.throughput_kg_per_step,
-            "stations": list(map(STATION.to_dict, s.facility.stations)),
-        }
+        doc["facility"] = FACILITY.to_dict(s.facility)
     if s.waste_stream is not None:
         doc["waste_stream"] = WASTE_STREAM.to_dict(s.waste_stream)
     if s.energy_model is not None:
-        doc["energy_model"] = {
-            "alpha": s.energy_model.model.alpha,
-            "beta": s.energy_model.model.beta,
-            "stage_costs": {
-                stage: {
-                    "compute_seconds": usage.compute_seconds,
-                    "transferred_mb": usage.transferred_mb,
-                }
-                for stage, usage in s.energy_model.stage_costs.items()
-            },
-        }
+        doc["energy_model"] = ENERGY_MODEL.to_dict(s.energy_model)
     return doc
 
 

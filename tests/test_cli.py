@@ -449,6 +449,24 @@ class TestTable3:
         assert "| CO2 emission reduction (%) | — | 25 | 28 | 26.67 |" in text
         assert "| Material recovery rate (%) | 60 | 80 | 88 | 88.11 |" in text
 
+    def test_material_outside_the_facility_not_counted(self, tmp_path, capsys):
+        """Only battery cells go through the facility, so only they are measured."""
+        doc = json.loads((cli._FIXTURES / "battery_framework.json").read_text("utf-8"))
+        doc["materials"].append(
+            {"id": "bag", "category": "plastic", "mass_kg": 15000.0,
+             "composition": {"nickel": 0.5}}
+        )
+        diluted = tmp_path / "diluted.json"
+        diluted.write_text(json.dumps(doc), "utf-8")
+        run_battery(tmp_path, "baseline")
+        assert main(["run", "--scenario", str(diluted), "--mode", "framework",
+                     "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert main(["table3", "--out", str(tmp_path / "out")]) == 0
+        text = capsys.readouterr().out
+        assert "| Energy intensity (GJ/tonne) | 5.5 | 4.0 | 3.6 | 3.6 |" in text
+        assert "| Material recovery rate (%) | 60 | 80 | 88 | 88.11 |" in text
+
     @pytest.mark.parametrize(
         "manifest",
         [
@@ -958,3 +976,20 @@ class TestHelp:
 
         monkeypatch.setattr(cli, "cmd_validate", boom)
         assert main(["validate", "--scenario", "alloc_small.json"]) == 1
+
+
+@pytest.mark.parametrize("mode", ["baseline", "framework"])
+def test_depot_only_graph_runs(tmp_path, capsys, mode):
+    """A graph with no bins skips preprocess and route alike, in either mode."""
+    scenario = tmp_path / "depot.json"
+    scenario.write_text(json.dumps({
+        "rng_seed": 3,
+        "collection_graph": {"nodes": [{"id": "D", "is_depot": True}], "edges": []},
+    }), "utf-8")
+    assert main(["validate", "--scenario", str(scenario)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--mode", mode, "--out", str(out)]) == 0
+    (run_dir,) = out.iterdir()
+    metrics = read_json(run_dir / "metrics.json")
+    assert "classification_accuracy" not in metrics
+    assert "transport_emissions_kg" not in metrics

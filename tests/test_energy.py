@@ -5,12 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from greenloop.energy import (
-    EnergyLedger,
+    STAGE_ORDER,
+    UNIT_COSTS,
     EnergyModel,
     StageUsage,
     energy_of,
     ledger_to_dict,
-    record_stage,
+    meter,
 )
 
 nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -40,35 +41,40 @@ class TestEnergyOf:
             EnergyModel(alpha=-0.1, beta=0.0)
 
 
-class TestRecordStage:
-    def test_two_one_kwh_stages(self):
-        model = EnergyModel(alpha=1.0, beta=0.0)
-        ledger = EnergyLedger()
-        ledger = record_stage(ledger, model, StageUsage("a", compute_seconds=1.0))
-        ledger = record_stage(ledger, model, StageUsage("b", compute_seconds=1.0))
-        assert ledger.total_kwh == pytest.approx(2.0)
-        assert [u.stage_name for u, _ in ledger.stages] == ["a", "b"]
+def workload(units=1.0):
+    return dict.fromkeys(STAGE_ORDER, units)
 
-    def test_zero_usage_leaves_total_unchanged(self):
-        model = EnergyModel()
-        ledger = record_stage(EnergyLedger(), model, StageUsage("a", 10.0, 10.0))
-        before = ledger.total_kwh
-        ledger = record_stage(ledger, model, StageUsage("idle"))
-        assert ledger.total_kwh == before
-        assert len(ledger.stages) == 2
 
-    def test_input_ledger_untouched(self):
-        model = EnergyModel()
-        first = record_stage(EnergyLedger(), model, StageUsage("a", 1.0))
-        record_stage(first, model, StageUsage("b", 2.0))
-        assert len(first.stages) == 1
+class TestMeter:
+    def test_one_entry_per_stage_in_stage_order(self):
+        ledger = meter(EnergyModel(), workload())
+        assert tuple(u.stage_name for u, _ in ledger.stages) == STAGE_ORDER
+
+    def test_stage_costs_win_over_the_workload(self):
+        model = EnergyModel(
+            alpha=2.0, beta=0.5,
+            stage_costs={"route": StageUsage("route", compute_seconds=3.0, transferred_mb=4.0)},
+        )
+        usage = {u.stage_name: (u, kwh) for u, kwh in meter(model, workload(1e6)).stages}
+        assert usage["route"] == (StageUsage("route", 3.0, 4.0), 2.0 * 3.0 + 0.5 * 4.0)
+
+    def test_unconfigured_stage_uses_unit_costs_times_workload(self):
+        model = EnergyModel(stage_costs={"route": StageUsage("route")})
+        ledger = meter(model, workload(7.0))
+        for usage, kwh in ledger.stages:
+            if usage.stage_name != "route":
+                seconds, mb = UNIT_COSTS[usage.stage_name]
+                assert usage == StageUsage(usage.stage_name, seconds * 7.0, mb * 7.0)
+                assert kwh == energy_of(model, usage)
 
     def test_serialization_shape(self):
-        model = EnergyModel(alpha=0.5, beta=0.0)
-        ledger = record_stage(EnergyLedger(), model, StageUsage("a", 2.0, 0.0))
-        doc = ledger_to_dict(ledger)
+        model = EnergyModel(alpha=0.5, beta=0.0, stage_costs={
+            stage: StageUsage(stage, 2.0 if stage == "preprocess" else 0.0)
+            for stage in STAGE_ORDER
+        })
+        doc = ledger_to_dict(meter(model, {}))
         assert doc["total_kwh"] == pytest.approx(1.0)
-        assert doc["stages"][0]["stage"] == "a"
+        assert doc["stages"][0]["stage"] == "preprocess"
         assert doc["stages"][0]["energy_kwh"] == pytest.approx(1.0)
 
 
@@ -89,13 +95,13 @@ class TestProperties:
             model, StageUsage("s", c, hi)
         )
 
-    @given(usages=st.lists(st.tuples(nonneg, nonneg), min_size=0, max_size=8))
-    def test_ledger_total_is_sum_of_stages(self, usages):
-        model = EnergyModel(alpha=0.003, beta=0.0002)
-        ledger = EnergyLedger()
-        for i, (c, mb) in enumerate(usages):
-            ledger = record_stage(ledger, model, StageUsage(f"s{i}", c, mb))
-        assert ledger.total_kwh == pytest.approx(
-            sum(kwh for _, kwh in ledger.stages), rel=1e-9, abs=1e-12
-        )
-        assert len(ledger.stages) == len(usages)
+    @given(usages=st.lists(st.tuples(nonneg, nonneg), min_size=3, max_size=3), units=nonneg)
+    def test_ledger_total_is_sum_of_stages(self, usages, units):
+        # the first three stages take fixed costs, the others the workload
+        model = EnergyModel(alpha=0.003, beta=0.0002, stage_costs={
+            stage: StageUsage(stage, c, mb) for stage, (c, mb) in zip(STAGE_ORDER, usages)
+        })
+        ledger = meter(model, workload(units))
+        # a running total from 0.0, in stage order
+        assert ledger.total_kwh == sum(kwh for _, kwh in ledger.stages)
+        assert len(ledger.stages) == len(STAGE_ORDER)

@@ -8,7 +8,7 @@ from importlib import resources
 import pytest
 
 from greenloop.carbon import EmissionFactor
-from greenloop.energy import UNIT_COSTS, EnergyModel, StageUsage, UsagePlan
+from greenloop.energy import STAGE_ORDER, UNIT_COSTS, EnergyModel, StageUsage
 from greenloop.errors import (
     MissingArtifacts,
     ModeMismatch,
@@ -20,7 +20,6 @@ from greenloop.classify import evaluate_accuracy_records
 from greenloop.pipeline import (
     BIN_HORIZON,
     DISTRICT_MAX_BINS,
-    STAGE_ORDER,
     RunArtifacts,
     compare_runs,
     feedback_update,
@@ -384,21 +383,21 @@ class TestFeedback:
 
 class TestStageUsageOverride:
     def test_configured_costs_win(self):
-        plan = UsagePlan(
-            model=EnergyModel(alpha=2.0, beta=0.0),
+        model = EnergyModel(
+            alpha=2.0, beta=0.0,
             stage_costs={"metrics": StageUsage("metrics", compute_seconds=3.0)},
         )
-        r = run_full(ScenarioSpec(energy_model=plan), "baseline")[0]
+        r = run_full(ScenarioSpec(energy_model=model), "baseline")[0]
         by_stage = {u.stage_name: kwh for u, kwh in r.pipeline_energy.stages}
         assert by_stage["metrics"] == pytest.approx(6.0)
 
     def test_unconfigured_stage_takes_per_unit_default(self):
         # ALLOC declares 2 processes: the optimize workload is 2 units
-        plan = UsagePlan(
-            model=EnergyModel(alpha=2.0, beta=0.5),
+        model = EnergyModel(
+            alpha=2.0, beta=0.5,
             stage_costs={"metrics": StageUsage("metrics", compute_seconds=3.0)},
         )
-        r = run_full(ScenarioSpec(**ALLOC, energy_model=plan), "baseline")[0]
+        r = run_full(ScenarioSpec(**ALLOC, energy_model=model), "baseline")[0]
         usage = {u.stage_name: u for u, _ in r.pipeline_energy.stages}
         seconds, mb = UNIT_COSTS["optimize"]
         assert usage["optimize"] == StageUsage("optimize", seconds * 2, mb * 2)

@@ -446,3 +446,94 @@ class TestScenarioDigest:
 def test_record_table_names_every_field(record):
     """A field without a key in its table would never be parsed or written."""
     assert sorted(record.keys) == sorted(f.name for f in dataclasses.fields(record.cls))
+
+
+def _graph(nodes, edges):
+    return {"nodes": nodes, "edges": edges}
+
+
+def _facility(stations, throughput):
+    return {"stations": stations, "throughput_kg_per_step": throughput}
+
+
+BAD_STATION = {"id": "s", "recovery_efficiency": {}, "energy_kwh_per_kg": "x",
+               "loss_fraction": 0.0}
+DEPOT = {"id": "D", "is_depot": True}
+
+
+class TestFirstFaultReported:
+    """A document with faults in two keys of one section reports the first read."""
+
+    @pytest.mark.parametrize("section, value, error, text", [
+        (
+            "collection_graph",
+            _graph([{"id": "D", "is_depot": "yes"}],
+                   [{"a": "D", "b": 7, "distance_km": 1.0, "emission_rate_kg_per_km": 0.1}]),
+            ParseError,
+            "'is_depot' must be a boolean (at collection_graph.nodes[0])",
+        ),
+        (
+            "facility",
+            _facility([BAD_STATION], "fast"),
+            ParseError,
+            "'energy_kwh_per_kg' must be a number (at facility.stations[0])",
+        ),
+        (
+            "energy_model",
+            {"alpha": "a", "beta": 0.0, "stage_costs": {"route": {"compute_seconds": "x"}}},
+            ParseError,
+            "'compute_seconds' must be a number (at energy_model.stage_costs['route'])",
+        ),
+        (
+            "collection_graph",
+            _graph([DEPOT, {"id": "E", "is_depot": True}], []),
+            ValidationError,
+            "graph needs exactly one depot, found 2 (at collection_graph)",
+        ),
+        (
+            "facility",
+            _facility([], -1),
+            ValidationError,
+            "throughput_kg_per_step must be > 0 (at facility)",
+        ),
+        (
+            "energy_model",
+            {"alpha": -1, "beta": 0.0},
+            ValidationError,
+            "energy model weights must be >= 0 (at energy_model)",
+        ),
+    ])
+    def test_section_fault(self, section, value, error, text):
+        with pytest.raises(error) as caught:
+            parse_scenario(minimal_doc(**{section: value}))
+        assert str(caught.value) == text
+        assert caught.value.locus == text[text.index("(at ") + 4:-1]
+
+    def test_graph_fault_before_facility_and_energy_model(self):
+        doc = minimal_doc(
+            collection_graph=_graph([DEPOT, {"id": "E", "is_depot": True}], []),
+            facility=_facility([], -1),
+            energy_model={"alpha": -1, "beta": 0.0},
+        )
+        with pytest.raises(ValidationError, match=r"depot.*\(at collection_graph\)$"):
+            parse_scenario(doc)
+
+
+def test_written_back_bytes_of_a_mirrored_edge():
+    """No stage_costs key reads as {}, and both directions of an edge are kept."""
+    doc = minimal_doc(
+        collection_graph=_graph([{"id": "depot", "is_depot": True}, {"id": "b1"}], [
+            {"a": "b1", "b": "depot", "distance_km": 2.0, "emission_rate_kg_per_km": 0.8},
+            {"a": "depot", "b": "b1", "distance_km": 2.0, "emission_rate_kg_per_km": 0.5},
+        ]),
+        energy_model={"alpha": 0.0015, "beta": 0.0001},
+    )
+    written = scenario_to_dict(parse_scenario(doc))
+    assert written["energy_model"]["stage_costs"] == {}
+    assert [(e["a"], e["b"]) for e in written["collection_graph"]["edges"]] == [
+        ("b1", "depot"), ("depot", "b1"),
+    ]
+    text = canonical_dumps(written)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "c268a206560e94c5f6537d058e645214998078a61c7082a18d0dce519cb14f02"
+    )

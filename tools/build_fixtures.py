@@ -24,7 +24,7 @@ sys.path.insert(0, "src")
 
 import numpy as np
 
-from greenloop.energy import EnergyModel, UsagePlan
+from greenloop.energy import EnergyModel
 from greenloop.pipeline import (
     _train_districts,
     compare_runs,
@@ -110,7 +110,7 @@ def battery_scenario(kind: str) -> ScenarioSpec:
         facility=facility,
         targets=dict(eff),
         rng_seed=42,
-        energy_model=UsagePlan(model=EnergyModel(), stage_costs={}),
+        energy_model=EnergyModel(),
     )
 
 
@@ -164,7 +164,7 @@ def waste_scenario(graph: CollectionGraph, seed: int) -> ScenarioSpec:
     return ScenarioSpec(
         collection_graph=graph,
         waste_stream=DEFAULT_WASTE_STREAM,
-        energy_model=UsagePlan(model=EnergyModel(), stage_costs={}),
+        energy_model=EnergyModel(),
         rng_seed=seed,
     )
 
