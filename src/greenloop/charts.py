@@ -10,13 +10,22 @@ from __future__ import annotations
 
 import math
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .errors import MissingMetric
 from .pipeline import ImprovementReport
 from .report import format_number
 
 _SERIES_COLORS = ("#9aa0a6", "#2e8b57")
+
+
+def escape(text: str) -> str:
+    """text with &, < and > escaped for SVG character data.
+
+    The same output as xml.sax.saxutils.escape, whose import would pull
+    urllib, http and email into every start of the command line.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
 
 _BAR_W = 44.0
 _BAR_GAP = 6.0

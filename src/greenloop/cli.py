@@ -2,6 +2,7 @@
 
 Every run is persisted under an output directory keyed by a run id, the
 content hash of the effective scenario's hash, seed, mode, and tool version.
+The scenario hash is the digest of the run's scenario.json bytes.
 Re-running the same invocation rewrites byte-identical metrics and
 artifacts; only the manifest's creation timestamp moves. Reports and
 charts are pure functions of their inputs and never embed timestamps.
@@ -56,7 +57,7 @@ from .scenario import (
     scenario_to_dict,
     validate_scenario,
 )
-from .serialize import content_hash, read_json_checked, write_json
+from .serialize import canonical_dumps, content_hash, digest, read_json_checked, write_json
 from .twin import ELEMENTS, calibrate_facility
 
 _FIXTURES = resources.files("greenloop") / "fixtures"
@@ -206,8 +207,10 @@ def cmd_run(args) -> int:
     s = dataclasses.replace(s, rng_seed=seed)
     result, artifacts = run_full(s, args.mode)
 
-    scenario_doc = scenario_to_dict(s)
-    scenario_hash = content_hash(scenario_doc)
+    # scenario.json holds these bytes and scenario_hash is their digest,
+    # so the scenario is encoded once
+    scenario_bytes = canonical_dumps(scenario_to_dict(s)).encode("utf-8")
+    scenario_hash = digest(scenario_bytes)
     run_id = content_hash(
         {
             "scenario_hash": scenario_hash,
@@ -221,7 +224,7 @@ def cmd_run(args) -> int:
 
     metrics_doc = run_result_to_dict(result)
     paths = {"scenario": "scenario.json", "metrics": "metrics.json"}
-    write_json(run_dir / "scenario.json", scenario_doc)
+    (run_dir / "scenario.json").write_bytes(scenario_bytes)
     write_json(run_dir / "metrics.json", metrics_doc)
     if artifacts.classifier is not None:
         paths["classifier"] = "classifier.json"

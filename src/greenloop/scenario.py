@@ -15,6 +15,17 @@ _Record table, which both parse_scenario and scenario_to_dict read; a
 list of records is read and written back by its record. Only the top
 level keeps its own code.
 
+A list of records, such as the 1,000 battery materials, is read column by
+column when its items are plain dicts that share one key set, holding
+every required key and no unknown one, and each column is of the plain
+JSON type its reader takes as is: str, bool, a finite float, or a dict
+of finite floats. Those checks run over whole columns in C, and the
+objects are built with one map over the columns. Any other list (an
+int or a non-finite number, a str or dict subclass, an item that is not
+a dict, items whose keys differ) and any ValueError from the record's
+class is read item by item instead, which is the one path that raises a
+list item's errors, each with its locus.
+
 Value-level problems (negative mass, dangling factor, process or station
 reference) are reported by validate_scenario as diagnostics;
 load_scenario runs it and raises ValidationError when any come back.
@@ -28,12 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields as dataclass_fields
+from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import AbstractSet, Mapping
 
 from .carbon import EmissionFactor
-from .energy import STAGE_ORDER, EnergyModel, StageUsage
+from .energy import STAGE_ORDER, EnergyModel, StageUsage, meter
 from .errors import CompileError, Diagnostic, ParseError, ValidationError
 from .routing import BinNode, CollectionGraph, EdgeAttrs
 from .serialize import read_json_checked, write_json
@@ -231,6 +243,26 @@ _WRITE_BACK = {
     },
 }
 
+
+def _finite_floats(values: list) -> bool:
+    return set(map(type, values)) <= {float} and all(map(math.isfinite, values))
+
+
+# The column-wise twin of each reader a list of records uses: the column of
+# one key over all items, as the reader returns it item by item, or None
+# when an item holds a value the reader would check or convert one by one.
+_COLUMN_READS = {
+    _string: lambda column: column if set(map(type, column)) == {str} else None,
+    _boolean: lambda column: column if set(map(type, column)) == {bool} else None,
+    _number: lambda column: column if _finite_floats(column) else None,
+    _number_map: lambda column: (
+        list(map(dict, column))
+        if set(map(type, column)) == {dict}
+        and _finite_floats(list(chain.from_iterable(map(dict.values, column))))
+        else None
+    ),
+}
+
 REQUIRED = object()  # the default of a key a record must carry
 
 
@@ -248,7 +280,7 @@ class _Record:
         self.cls = cls
         self.keys = tuple(key for key, _, _ in keys)
         self.required = frozenset(key for key, _, default in keys if default is REQUIRED)
-        self.optional = frozenset(self.keys) - self.required
+        self.known = frozenset(self.keys)
         self._reads = keys
         # parse calls cls positionally, with the values read put in its field order
         order = [self.keys.index(f.name) for f in dataclass_fields(cls)]
@@ -260,7 +292,7 @@ class _Record:
         )
 
     def parse(self, doc, locus: str):
-        _section(doc, locus, self.required, self.optional)
+        _section(doc, locus, self.required, self.known)
         values = []
         for key, read, default in self._reads:
             values.append(read(doc, key, locus) if key in doc else default)
@@ -270,8 +302,46 @@ class _Record:
             raise ValidationError(str(exc), locus=locus) from exc
 
     def parse_all(self, docs: list, locus: str) -> tuple:
-        """One object per item of docs, each named locus[i]."""
-        return tuple(self.parse(doc, f"{locus}[{i}]") for i, doc in enumerate(docs))
+        """One object per item of docs, each named locus[i].
+
+        A list that _parse_columns declines is parsed item by item, which
+        raises each error with its locus.
+        """
+        objs = self._parse_columns(docs)
+        if objs is None:
+            objs = tuple(self.parse(doc, f"{locus}[{i}]") for i, doc in enumerate(docs))
+        return objs
+
+    def _parse_columns(self, docs: list) -> tuple | None:
+        """The objects parse gives for docs, read one key at a time over all items.
+
+        None unless the items are plain dicts sharing one key set, which
+        holds the required keys and no unknown key, every key's column
+        passes its _COLUMN_READS check and cls raises no ValueError.
+        """
+        if not docs or set(map(type, docs)) != {dict}:
+            return None
+        present = docs[0].keys()
+        if len(set(map(len, docs))) != 1 or not self.required <= present <= self.known:
+            return None
+        columns = []
+        for key, read, default in self._reads:
+            if key not in present:
+                columns.append([default] * len(docs))
+                continue
+            try:
+                column = list(map(itemgetter(key), docs))
+            except KeyError:  # an item with another key set of the same size
+                return None
+            read_column = _COLUMN_READS.get(read)
+            column = read_column(column) if read_column else None
+            if column is None:
+                return None
+            columns.append(column)
+        try:
+            return tuple(map(self.cls, *self._in_field_order(columns)))
+        except ValueError:
+            return None
 
     def __call__(self, doc: Mapping, key: str, locus: str) -> tuple:
         """The list of records at doc[key], read as a key of another record."""
@@ -532,6 +602,21 @@ def validate_scenario(s: ScenarioSpec) -> list[Diagnostic]:
                     path=f"energy_model.stage_costs[{stage!r}]",
                     message=f"unknown stage {stage!r}; expected one of {STAGE_ORDER}",
                 ))
+        # the fixed stage costs metered alone, priced and summed as a run prices them
+        fixed = meter(s.energy_model, dict.fromkeys(STAGE_ORDER, 0))
+        overflows = [
+            Diagnostic(
+                path=f"energy_model.stage_costs[{usage.stage_name!r}]",
+                message=f"fixed usage of stage {usage.stage_name!r} prices to {kwh} kWh",
+            )
+            for usage, kwh in fixed.stages if not math.isfinite(kwh)
+        ]
+        if not overflows and not math.isfinite(fixed.total_kwh):
+            overflows.append(Diagnostic(
+                path="energy_model.stage_costs",
+                message=f"fixed stage usage sums to {fixed.total_kwh} kWh",
+            ))
+        out += overflows
 
     return out
 

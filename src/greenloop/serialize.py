@@ -197,7 +197,11 @@ def read_json_checked(path: Path | str, error: Callable[[str], Exception], what:
     raise error(f"{what} not readable: {where} ({reason})")
 
 
+def digest(data: bytes) -> str:
+    """The first 16 hex digits of the sha256 of data."""
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def content_hash(obj: Any) -> str:
     """Stable 16-hex-digit digest of a JSON-serializable value."""
-    payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    return digest(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8"))

@@ -1,8 +1,12 @@
 """CLI tests: subcommands, exit codes, persistence, determinism."""
 
+import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,6 +118,19 @@ class TestRun:
         d2 = run_battery(tmp_path, "baseline")
         assert d1 == d2
         assert (d2 / "metrics.json").read_bytes() == first
+
+    @pytest.mark.parametrize("fixture, mode", [
+        ("battery_framework.json", "framework"), ("waste_baseline.json", "baseline"),
+    ])
+    def test_scenario_hash_is_the_digest_of_scenario_json(self, tmp_path, fixture, mode):
+        argv = ["run", "--scenario", fixture, "--mode", mode, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        (first,) = tmp_path.glob("*/manifest.json")
+        manifest = read_json(first)
+        written = (first.parent / "scenario.json").read_bytes()
+        assert manifest["scenario_hash"] == hashlib.sha256(written).hexdigest()[:16]
+        assert main(argv) == 0
+        assert [p.parent.name for p in tmp_path.glob("*/manifest.json")] == [manifest["run_id"]]
 
     def test_missing_scenario_exit_3(self, tmp_path, capsys):
         code = main(
@@ -626,6 +643,41 @@ class TestValidateCalibrate:
         assert "unknown stage 'simulaton'" in text and "'preprocess'" in text
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "calibrate", "validate"])
+    @pytest.mark.parametrize("stage_costs, problem", [
+        pytest.param(
+            {"route": {"compute_seconds": 1e308, "transferred_mb": 1e308},
+             "metrics": {"compute_seconds": 1e308, "transferred_mb": 1e308}},
+            "energy_model.stage_costs['route']: fixed usage of stage 'route' prices to inf kWh",
+            id="per-stage",
+        ),
+        pytest.param(
+            {"route": {"compute_seconds": 1e308}, "metrics": {"compute_seconds": 1e308}},
+            "energy_model.stage_costs: fixed stage usage sums to inf kWh",
+            id="summed",
+        ),
+    ])
+    def test_non_finite_metered_energy_exit_4(
+        self, tmp_path, capsys, command, stage_costs, problem
+    ):
+        doc = json.loads((cli._FIXTURES / "battery_framework.json").read_text("utf-8"))
+        doc["energy_model"] = {"alpha": 1.0, "beta": 1.0, "stage_costs": stage_costs}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command, "--scenario", str(path)]
+        if command == "run":
+            argv += ["--mode", "framework"]
+        if command != "validate":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        if command == "validate":
+            assert problem in captured.out
+        else:
+            where, message = problem.split(": ", 1)
+            assert message in captured.err and f"(at {where})" in captured.err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize(
         "path, value",
@@ -993,3 +1045,16 @@ def test_depot_only_graph_runs(tmp_path, capsys, mode):
     metrics = read_json(run_dir / "metrics.json")
     assert "classification_accuracy" not in metrics
     assert "transport_emissions_kg" not in metrics
+
+
+def test_cli_import_leaves_out_xml_and_urllib_request():
+    """charts escapes its own text: xml.sax would pull in urllib, http and email."""
+    code = (
+        "import sys, greenloop.cli; "
+        "print(sorted(m for m in ('xml.sax', 'urllib.request') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert done.stdout == "[]\n"

@@ -252,6 +252,16 @@ class TestCharts:
         b = chart_from_report(BATTERY_REPORT, "comparison")
         assert a == b
 
+    def test_labels_escaped_as_the_xml_library_escapes_them(self):
+        from xml.sax.saxutils import escape
+
+        labels = ["R&D <pilot>", "a > b && c", "&amp;", "é<€>"]
+        svg = render_grouped_bars("t&t", "y<", labels, [("s&p", [1.0, 2.0, 3.0, 4.0])])
+        for text in [*labels, "t&t", "y<", "s&p"]:
+            assert f">{escape(text)}</text>" in svg
+        assert [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")
+                if t.text in labels] == labels
+
     def test_series_must_cover_groups(self):
         with pytest.raises(MissingMetric):
             render_grouped_bars("t", "y", ["g1", "g2"], [("s", [1.0])])

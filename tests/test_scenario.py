@@ -3,18 +3,32 @@
 import dataclasses
 import hashlib
 import json
+import math
 from importlib import resources
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from greenloop import twin
 from greenloop.errors import CompileError, ParseError, ValidationError
 from greenloop.scenario import (
+    FACTOR,
+    LIMIT,
+    MATERIAL,
+    NODE,
+    PROCESS,
     RECORDS,
+    STATION,
     MaterialSpec,
     ProcessSpec,
     ResourceLimit,
     ScenarioSpec,
+    _boolean,
+    _number,
+    _number_map,
+    _Record,
+    _string,
     compile_to_lp,
     load_scenario,
     parse_scenario,
@@ -537,3 +551,142 @@ def test_written_back_bytes_of_a_mirrored_edge():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "c268a206560e94c5f6537d058e645214998078a61c7082a18d0dce519cb14f02"
     )
+
+
+each_listed_record = pytest.mark.parametrize(
+    "record", [MATERIAL, PROCESS, LIMIT, FACTOR, NODE, STATION],
+    ids=lambda record: record.cls.__name__,
+)
+
+
+class Label(str):
+    """A str subclass, which the column-wise path leaves to the per-record one."""
+
+
+# Values each reader of a list of records takes as they are
+VALID = {
+    _string: st.sampled_from(["a", "cobalt", "", "recovery"]),  # "a" is no factor stage
+    _boolean: st.booleans(),
+    _number: st.sampled_from([0.0, 0.25, 1.0, 2.0]),  # 2.0 fails a [0, 1] range check
+    _number_map: st.dictionaries(
+        st.sampled_from(["cobalt", "lithium", "nickel"]), st.sampled_from([0.0, 0.25, 0.5]),
+        max_size=3,
+    ),
+}
+# Each mutation with the types of value it changes; None changes the item
+MUTATIONS = {
+    "int": (float, dict), "nan": (float, dict), "inf": (float, dict), "-inf": (float, dict),
+    "bool": (float, dict), "drop": (str, float, bool, dict), "unknown": None,
+    "str-subclass": (str,), "not-a-dict": None, "empty-map": (dict,),
+    "other-type": (str, float, bool, dict),
+}
+NUMBERS = {"int": 1, "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "bool": True}
+
+
+def _mutate(item, mutation: str, key: str):
+    """item with one mutation at key; an item that is no longer a dict, or
+    whose key was dropped or changed type, stays as it is."""
+    if type(item) is not dict:
+        return item
+    if mutation == "not-a-dict":
+        return [item]
+    if mutation == "unknown":
+        return {**item, "origin": "x"}
+    if key not in item or type(item[key]) not in MUTATIONS[mutation]:
+        return item
+    item, value = dict(item), item[key]
+    if mutation == "drop":
+        del item[key]
+    elif mutation == "str-subclass":
+        item[key] = Label(value)
+    elif mutation == "empty-map":
+        item[key] = {}
+    elif mutation == "other-type":
+        item[key] = 0.5 if type(value) is str else "x"
+    elif type(value) is dict:
+        item[key] = {**value, "cobalt": NUMBERS[mutation]}
+    else:
+        item[key] = NUMBERS[mutation]
+    return item
+
+
+@st.composite
+def record_lists(draw, record: _Record):
+    """One to four items of record's list as written, then up to two mutations,
+    each of one key of one item or of every item."""
+    docs = [
+        {key: draw(VALID[read]) for key, read, _ in record._reads}
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        mutation = draw(st.sampled_from(sorted(MUTATIONS)))
+        key = draw(st.sampled_from(record.keys))
+        every = draw(st.booleans())
+        for i in range(len(docs)) if every else [draw(st.integers(0, len(docs) - 1))]:
+            docs[i] = _mutate(docs[i], mutation, key)
+    return docs
+
+
+def _typed(value):
+    """value with the exact type of each part, so 1 and 1.0 or a str subclass differ."""
+    if dataclasses.is_dataclass(value):
+        return type(value), [_typed(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        return type(value), sorted((k, _typed(v)) for k, v in value.items())
+    if isinstance(value, tuple):
+        return type(value), [_typed(v) for v in value]
+    return type(value), value
+
+
+def _outcome(parse):
+    try:
+        return "objects", _typed(parse())
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), exc.locus
+
+
+@each_listed_record
+@given(data=st.data())
+def test_column_wise_parse_matches_the_per_record_parse(record, data):
+    _assert_parses_alike(record, data.draw(record_lists(record)))
+
+
+def _assert_parses_alike(record: _Record, docs: list) -> None:
+    expected = _outcome(
+        lambda: tuple(record.parse(doc, f"items[{i}]") for i, doc in enumerate(docs))
+    )
+    assert _outcome(lambda: record.parse_all(docs, "items")) == expected
+    columns = record._parse_columns(docs)
+    if columns is not None:
+        assert ("objects", _typed(columns)) == expected
+        # each map is a copy, as the per-record parse makes it
+        maps = {id(v) for obj in columns for v in vars(obj).values() if type(v) is dict}
+        assert not maps & {id(v) for doc in docs for v in doc.values()}
+
+
+@each_listed_record
+def test_each_mutation_of_one_key_matches_the_per_record_parse(record):
+    """Every mutation of every key, at the last of three items or at all three."""
+    fixed = {_string: "recovery", _boolean: False, _number: 0.25, _number_map: {"nickel": 0.5}}
+    item = {key: fixed[read] for key, read, _ in record._reads}
+    for key in record.keys:
+        for mutation in MUTATIONS:
+            for mutated in ([item, item, _mutate(item, mutation, key)],
+                            [_mutate(item, mutation, key)] * 3):
+                _assert_parses_alike(record, mutated)
+
+
+@pytest.mark.parametrize("name", [
+    "alloc_small.json", "battery_baseline.json", "battery_framework.json",
+    "waste_baseline.json", "waste_framework.json",
+])
+def test_fixture_lists_take_the_column_wise_path(monkeypatch, name):
+    """No item of a bundled fixture's record lists is parsed on its own."""
+    parse = _Record.parse
+
+    def sections_only(self, doc, locus):
+        assert not locus.endswith("]"), f"{locus} parsed item by item"
+        return parse(self, doc, locus)
+
+    monkeypatch.setattr(_Record, "parse", sections_only)
+    load_scenario(resources.files("greenloop") / "fixtures" / name)
