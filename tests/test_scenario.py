@@ -155,6 +155,56 @@ class TestValidation:
         diags = validate_scenario(s)
         assert any("fractions sum > 1" in d.message and "m1" in d.message for d in diags)
 
+    def test_every_material_defect_listed_in_order(self):
+        m = MaterialSpec
+        s = ScenarioSpec(
+            materials=(
+                m("m0", "", "plastic", 1.0),
+                m("m0", "", "plastic", 1.0),
+                m("m2", "", "ceramic", 1.0),
+                m("m3", "", "metal", -2.5),
+                m("m4", "", "metal", 1.0, lifecycle_stage="shredded"),
+                m("m5", "", "metal", 1.0, composition={"cobalt": 0.2, "iron": 0.3}),
+                m("m6", "", "metal", 1.0, composition={"nickel": -0.25, "cobalt": 0.5}),
+                m("m7", "", "metal", 1.0, composition={"cobalt": 0.6, "nickel": 0.6}),
+                m("m8", "", "metal", 1.0, composition={"cobalt": 0.5, "other": 0.5 + 5e-10}),
+                m("m0", "", "ceramic", -1.0, composition={"iron": 2.0},
+                  lifecycle_stage="shredded"),
+            ),
+            rng_seed=1,
+        )
+        categories = "('battery-cell', 'plastic', 'metal', 'organic', 'glass', 'other')"
+        elements = "('cobalt', 'lithium', 'nickel', 'other')"
+        assert [(d.path, d.message) for d in validate_scenario(s)] == [
+            ("materials[1].id", "duplicate material id 'm0'"),
+            ("materials[2].category", f"unknown category 'ceramic'; expected one of {categories}"),
+            ("materials[3].mass_kg", "mass_kg must be >= 0, got -2.5"),
+            ("materials[4].lifecycle_stage", "unknown lifecycle_stage 'shredded'"),
+            ("materials[5].composition", f"unknown element 'iron'; expected one of {elements}"),
+            ("materials[6].composition['nickel']", "fraction must be in [0, 1], got -0.25"),
+            ("materials[7].composition", "material 'm7': fractions sum > 1 (1.2)"),
+            ("materials[9].id", "duplicate material id 'm0'"),
+            ("materials[9].category", f"unknown category 'ceramic'; expected one of {categories}"),
+            ("materials[9].mass_kg", "mass_kg must be >= 0, got -1.0"),
+            ("materials[9].lifecycle_stage", "unknown lifecycle_stage 'shredded'"),
+            ("materials[9].composition", f"unknown element 'iron'; expected one of {elements}"),
+            ("materials[9].composition['iron']", "fraction must be in [0, 1], got 2.0"),
+            ("materials[9].composition", "material 'm0': fractions sum > 1 (2.0)"),
+        ]
+
+    @pytest.mark.parametrize("excess, flagged", [(5e-10, False), (2e-9, True)])
+    def test_composition_sum_tolerance(self, excess, flagged):
+        s = ScenarioSpec(
+            materials=(
+                MaterialSpec("m", "", "metal", 1.0,
+                             composition={"cobalt": 0.5, "other": 0.5 + excess}),
+            ),
+            rng_seed=1,
+        )
+        assert [d.path for d in validate_scenario(s)] == (
+            ["materials[0].composition"] if flagged else []
+        )
+
     def test_dangling_emission_factor(self):
         s = ScenarioSpec(
             processes=(ProcessSpec("p1", 1.0, 0.0, "ghost"),), rng_seed=1

@@ -6,7 +6,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_twin as reference
@@ -33,7 +33,11 @@ def battery(i, mass=15.0, composition=None):
         name="",
         category="battery-cell",
         mass_kg=mass,
-        composition=composition or {"cobalt": 0.15, "lithium": 0.05, "nickel": 0.25, "other": 0.55},
+        composition=(
+            {"cobalt": 0.15, "lithium": 0.05, "nickel": 0.25, "other": 0.55}
+            if composition is None
+            else composition
+        ),
         lifecycle_stage="collected",
     )
 
@@ -337,19 +341,28 @@ def battery_cells(draw):
 
     A cell's composition may name every element, leave mass unassigned, or
     put all of it in the named elements so that a positive jitter overdraws
-    the empty remainder pool and the base split is kept.
+    the empty remainder pool and the base split is kept. It may also name
+    only some elements, or none, and hold -0.0 fractions, which JSON
+    carries and validation accepts; a cell may weigh nothing.
     """
     n = draw(st.integers(0, 30))
     materials = []
     for i in draw(st.permutations(range(n))):
         named = draw(st.lists(st.floats(0.0, 0.5), min_size=3, max_size=3))
         composition = dict(zip(ELEMENTS, named))
-        style = draw(st.sampled_from(["other", "unassigned", "named only"]))
+        style = draw(st.sampled_from(["other", "unassigned", "named only", "some"]))
         if style == "other":
             composition["other"] = max(0.0, 1.0 - sum(named))
         elif style == "named only":
             composition = {el: v / (sum(named) or 1.0) for el, v in composition.items()}
-        materials.append(battery(i, draw(st.floats(0.01, 50.0)), composition))
+        elif style == "some":
+            composition["other"] = max(0.0, 1.0 - sum(named))
+            kept = draw(st.lists(st.sampled_from(ELEMENTS), max_size=4, unique=True))
+            composition = {el: composition[el] for el in kept}
+        for el in draw(st.sets(st.sampled_from(ELEMENTS))) & composition.keys():
+            composition[el] = -0.0
+        mass = draw(st.sampled_from([0.0, -0.0]) | st.floats(0.01, 50.0))
+        materials.append(battery(i, mass, composition))
     for i in range(draw(st.integers(0, 3))):
         materials.append(
             MaterialSpec(id=f"pet{i}", name="", category="plastic", mass_kg=5.0)
@@ -362,11 +375,22 @@ class TestReferenceFacility:
 
     @settings(deadline=None, max_examples=100)
     @given(seed=st.integers(0, 2**64 - 1), materials=battery_cells())
+    # -0.0 kg of each element: a total is 0.0 + -0.0, which is 0.0
+    @example(seed=0, materials=(battery(0, -0.0, {"cobalt": -0.0, "other": 1.0}),))
     def test_trace_matches_reference(self, seed, materials):
         s = ScenarioSpec(materials=materials, rng_seed=seed)
         f = one_station_facility(loss=0.05)
         got = simulate_recycling(s, f)
         assert repr(got) == repr(reference.simulate_recycling(s, f))
+
+    @pytest.mark.parametrize("name", ["battery_baseline.json", "battery_framework.json"])
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+    def test_fixture_traces_match_reference(self, name, seed):
+        # 1,000 cells through the fixture's own facility
+        s = load_scenario(str(resources.files("greenloop") / "fixtures" / name))
+        s = dataclasses.replace(s, rng_seed=seed)
+        got = simulate_recycling(s, s.facility)
+        assert repr(got) == repr(reference.simulate_recycling(s, s.facility))
 
 
 def random_facility(rng):
