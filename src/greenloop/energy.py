@@ -5,12 +5,19 @@ model weights convert both to kWh. meter books one ledger entry per stage
 of STAGE_ORDER: the model's stage_costs where it names the stage, else
 UNIT_COSTS times the stage's workload. This meters the toolkit's own
 workflow cost, a separate quantity from the twin's facility energy.
+
+Weights that validate against the fixed stage costs can still overflow
+against a run's workload, which is known only once the stages have run;
+meter refuses a ledger that is not finite, so no run writes one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
+
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -64,7 +71,11 @@ def energy_of(model: EnergyModel, usage: StageUsage) -> float:
 
 
 def meter(model: EnergyModel, workload: Mapping[str, float]) -> EnergyLedger:
-    """The ledger of a run whose stages handled workload[stage] units each."""
+    """The ledger of a run whose stages handled workload[stage] units each.
+
+    Raises ValidationError naming the first stage whose kWh, or the
+    running total through it, is not finite.
+    """
     stages = []
     total_kwh = 0.0
     for stage in STAGE_ORDER:
@@ -77,7 +88,30 @@ def meter(model: EnergyModel, workload: Mapping[str, float]) -> EnergyLedger:
         kwh = energy_of(model, usage)
         stages.append((usage, kwh))
         total_kwh += kwh
+        if not math.isfinite(total_kwh):
+            raise _overflow(model, workload, usage, kwh, total_kwh)
     return EnergyLedger(stages=tuple(stages), total_kwh=total_kwh)
+
+
+def _overflow(
+    model: EnergyModel, workload: Mapping[str, float], usage: StageUsage,
+    kwh: float, total_kwh: float,
+) -> ValidationError:
+    stage = usage.stage_name
+    if math.isfinite(kwh):
+        return ValidationError(
+            f"stage energy sums to {total_kwh} kWh through stage {stage!r}", locus="energy_model"
+        )
+    if stage in model.stage_costs:
+        return ValidationError(
+            f"fixed usage of stage {stage!r} prices to {kwh} kWh",
+            locus=f"energy_model.stage_costs[{stage!r}]",
+        )
+    return ValidationError(
+        f"stage {stage!r} prices to {kwh} kWh: {usage.compute_seconds:g} compute-seconds "
+        f"and {usage.transferred_mb:g} MB for a workload of {workload[stage]:g} units",
+        locus="energy_model",
+    )
 
 
 def ledger_to_dict(ledger: EnergyLedger) -> dict:

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import AbstractSet, Mapping
 
 from .carbon import EmissionFactor
-from .energy import STAGE_ORDER, EnergyModel, StageUsage, meter
+from .energy import STAGE_ORDER, EnergyModel, StageUsage, energy_of
 from .errors import CompileError, Diagnostic, ParseError, ValidationError
 from .routing import BinNode, CollectionGraph, EdgeAttrs
 from .serialize import read_json_checked, write_json
@@ -54,6 +54,9 @@ from .twin import ELEMENTS, FacilityModel, Station, WasteStreamConfig, step_budg
 
 MATERIAL_CATEGORIES = ("battery-cell", "plastic", "metal", "organic", "glass", "other")
 LIFECYCLE_STATES = ("collected", "disassembled", "recovered", "residual")
+_CATEGORY_SET = frozenset(MATERIAL_CATEGORIES)
+_LIFECYCLE_SET = frozenset(LIFECYCLE_STATES)
+_ELEMENT_SET = frozenset(ELEMENTS)
 CELLS_WITHOUT_FACILITY = "scenario has battery-cell materials but no facility to process them"
 
 
@@ -459,42 +462,44 @@ def validate_scenario(s: ScenarioSpec) -> list[Diagnostic]:
     """Check every value-level invariant; empty result means valid."""
     out: list[Diagnostic] = []
 
+    # a clean material costs set lookups only: a path is built for a diagnostic
     seen_ids: set[str] = set()
     for i, m in enumerate(s.materials):
-        path = f"materials[{i}]"
         if m.id in seen_ids:
-            out.append(Diagnostic(path=f"{path}.id", message=f"duplicate material id {m.id!r}"))
-        seen_ids.add(m.id)
-        if m.category not in MATERIAL_CATEGORIES:
             out.append(Diagnostic(
-                path=f"{path}.category",
+                path=f"materials[{i}].id", message=f"duplicate material id {m.id!r}"
+            ))
+        seen_ids.add(m.id)
+        if m.category not in _CATEGORY_SET:
+            out.append(Diagnostic(
+                path=f"materials[{i}].category",
                 message=f"unknown category {m.category!r}; expected one of {MATERIAL_CATEGORIES}",
             ))
         if m.mass_kg < 0:
             out.append(Diagnostic(
-                path=f"{path}.mass_kg", message=f"mass_kg must be >= 0, got {m.mass_kg}"
+                path=f"materials[{i}].mass_kg", message=f"mass_kg must be >= 0, got {m.mass_kg}"
             ))
-        if m.lifecycle_stage not in LIFECYCLE_STATES:
+        if m.lifecycle_stage not in _LIFECYCLE_SET:
             out.append(Diagnostic(
-                path=f"{path}.lifecycle_stage",
+                path=f"materials[{i}].lifecycle_stage",
                 message=f"unknown lifecycle_stage {m.lifecycle_stage!r}",
             ))
         total = 0.0
         for el, frac in m.composition.items():
-            if el not in ELEMENTS:
+            if el not in _ELEMENT_SET:
                 out.append(Diagnostic(
-                    path=f"{path}.composition",
+                    path=f"materials[{i}].composition",
                     message=f"unknown element {el!r}; expected one of {ELEMENTS}",
                 ))
             if not 0.0 <= frac <= 1.0:
                 out.append(Diagnostic(
-                    path=f"{path}.composition[{el!r}]",
+                    path=f"materials[{i}].composition[{el!r}]",
                     message=f"fraction must be in [0, 1], got {frac}",
                 ))
             total += frac
         if total > 1.0 + 1e-9:
             out.append(Diagnostic(
-                path=f"{path}.composition",
+                path=f"materials[{i}].composition",
                 message=f"material {m.id!r}: fractions sum > 1 ({total})",
             ))
 
@@ -602,19 +607,23 @@ def validate_scenario(s: ScenarioSpec) -> list[Diagnostic]:
                     path=f"energy_model.stage_costs[{stage!r}]",
                     message=f"unknown stage {stage!r}; expected one of {STAGE_ORDER}",
                 ))
-        # the fixed stage costs metered alone, priced and summed as a run prices them
-        fixed = meter(s.energy_model, dict.fromkeys(STAGE_ORDER, 0))
-        overflows = [
-            Diagnostic(
-                path=f"energy_model.stage_costs[{usage.stage_name!r}]",
-                message=f"fixed usage of stage {usage.stage_name!r} prices to {kwh} kWh",
-            )
-            for usage, kwh in fixed.stages if not math.isfinite(kwh)
-        ]
-        if not overflows and not math.isfinite(fixed.total_kwh):
+        # each fixed stage priced as meter prices it, and summed in run order
+        fixed_kwh = 0.0
+        overflows = []
+        for stage in STAGE_ORDER:
+            if stage not in s.energy_model.stage_costs:
+                continue
+            kwh = energy_of(s.energy_model, s.energy_model.stage_costs[stage])
+            fixed_kwh += kwh
+            if not math.isfinite(kwh):
+                overflows.append(Diagnostic(
+                    path=f"energy_model.stage_costs[{stage!r}]",
+                    message=f"fixed usage of stage {stage!r} prices to {kwh} kWh",
+                ))
+        if not overflows and not math.isfinite(fixed_kwh):
             overflows.append(Diagnostic(
                 path="energy_model.stage_costs",
-                message=f"fixed stage usage sums to {fixed.total_kwh} kWh",
+                message=f"fixed stage usage sums to {fixed_kwh} kWh",
             ))
         out += overflows
 

@@ -15,6 +15,17 @@ element drew before. numpy's RNG policy (NEP 19) does not promise that a
 sized draw yields what the scalar calls would, so the tests compare the
 trace with the scalar-call simulator kept in tests/reference_twin.py.
 
+The cells are pooled as whole columns: a mass column, one composition
+column per element (0.0 where a cell does not name it), and the split,
+jitter and overdraw fallback as elementwise array expressions, with no
+Python call per cell. Every per-cell sum is written as explicit adds from
+0.0, left to right in ELEMENTS order, and each element's total adds its
+column in cell-id order from 0.0. On floats that is what the builtin
+sum() does before Python 3.12; from 3.12 on sum() is compensated, so the
+pooled totals, unlike a sum() over the cells, do not depend on the
+interpreter. The station loop's sums over the four element flows still
+use sum().
+
 The bin side generates labeled sensor events: per time step each bin's
 fill level rises by a seeded increment and one deposit event is emitted,
 with the true category drawn from the configured mix and the six sensor
@@ -29,6 +40,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -192,25 +204,35 @@ DEFAULT_WASTE_STREAM = WasteStreamConfig(
 )
 
 
-def _element_masses(material, jitter: Sequence[float]) -> dict[str, float]:
-    """Per-element kg for one material, jittered by its row of the run's draw.
+def _cell_totals(cells: Sequence, jitter: np.ndarray) -> dict[str, float]:
+    """Per-element kg of the cells, each jittered by its row of the run's draw.
 
-    jitter holds one uniform draw per named element, in ELEMENTS order.
-    The jitter moves mass between the named elements and the unnamed
-    remainder, so each material's total mass is preserved exactly.
+    jitter holds one row of uniform draws per cell, one per named element
+    in ELEMENTS order. The jitter moves mass between the named elements
+    and the unnamed remainder, so each cell's total mass is preserved
+    exactly; a cell whose jitter would overdraw its remainder pool keeps
+    its base split. Each quantity is one column over the cells, and the
+    columns are summed in cell order from 0.0, as a loop over the cells
+    adding into running totals would.
     """
-    base = {el: material.mass_kg * material.composition.get(el, 0.0) for el in ELEMENTS}
-    unassigned = material.mass_kg - sum(base.values())
-    pool = base["other"] + max(0.0, unassigned)
-
-    jittered = {el: base[el] * (1.0 + u) for el, u in zip(NAMED_ELEMENTS, jitter)}
-    delta = sum(jittered.values()) - sum(base[el] for el in NAMED_ELEMENTS)
-    if pool - delta < 0:
-        # jitter would overdraw the remainder pool; fall back to base split
-        jittered = {el: base[el] for el in NAMED_ELEMENTS}
-        delta = 0.0
-    jittered["other"] = pool - delta
-    return jittered
+    mass = np.array([m.mass_kg for m in cells], dtype=float)
+    compositions = [m.composition for m in cells]
+    co, li, ni, ot = (
+        mass * np.array([c.get(el, 0.0) for c in compositions], dtype=float)
+        for el in ELEMENTS
+    )
+    unassigned = mass - (0.0 + co + li + ni + ot)
+    # max(0.0, x) in the form of the builtin: a NaN or -0.0 gives 0.0
+    pool = ot + np.where(unassigned > 0.0, unassigned, 0.0)
+    jittered = [base * (1.0 + u) for base, u in zip((co, li, ni), jitter.T)]
+    delta = (0.0 + jittered[0] + jittered[1] + jittered[2]) - (0.0 + co + li + ni)
+    overdrawn = pool - delta < 0
+    columns = np.zeros((len(cells) + 1, len(ELEMENTS)))
+    for k, (base, moved) in enumerate(zip((co, li, ni), jittered)):
+        columns[1:, k] = np.where(overdrawn, base, moved)
+    columns[1:, -1] = pool - np.where(overdrawn, 0.0, delta)
+    # cumsum adds row by row; the zero first row makes each total start at 0.0
+    return dict(zip(ELEMENTS, np.cumsum(columns, axis=0)[-1].tolist()))
 
 
 def step_budget_problem(total_kg: float, throughput_kg_per_step: float) -> str | None:
@@ -236,19 +258,14 @@ def simulate_recycling(s: "ScenarioSpec", f: FacilityModel) -> SimulationTrace:
     """
     rng = np.random.default_rng([s.rng_seed, 1])
     cells = sorted(
-        (m for m in s.materials if m.category == "battery-cell"), key=lambda m: m.id
+        (m for m in s.materials if m.category == "battery-cell"), key=attrgetter("id")
     )
     # One draw for the run: row i is what cell i's len(NAMED_ELEMENTS)
     # scalar uniform calls would have drawn, in the same stream order.
     jitter = rng.uniform(
         -JITTER_AMPLITUDE, JITTER_AMPLITUDE, size=(len(cells), len(NAMED_ELEMENTS))
-    ).tolist()
-
-    totals = {el: 0.0 for el in ELEMENTS}
-    for m, row in zip(cells, jitter):
-        masses = _element_masses(m, row)
-        for el in ELEMENTS:
-            totals[el] += masses[el]
+    )
+    totals = _cell_totals(cells, jitter)
     total_kg = sum(totals.values())
     problem = step_budget_problem(total_kg, f.throughput_kg_per_step)
     if problem:

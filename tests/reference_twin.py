@@ -9,6 +9,12 @@ the faster simulators are compared against: numpy's RNG policy (NEP 19)
 makes no promise about how `Generator.choice` turns its draws into an
 index, nor that a sized draw yields what the scalar calls would. The
 bodies are unchanged apart from their imports.
+
+greenloop.twin pools the cells as whole columns and writes each per-cell
+sum as explicit left-to-right adds from 0.0. The `sum()` calls in
+`_element_masses` equal those adds only before Python 3.12, whose `sum()`
+of floats is compensated; from 3.12 on this oracle may differ from the
+twin in the last bits.
 """
 
 from __future__ import annotations

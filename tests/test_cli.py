@@ -678,6 +678,29 @@ class TestValidateCalibrate:
             assert message in captured.err and f"(at {where})" in captured.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mode", ["baseline", "framework"])
+    def test_energy_overflow_on_the_run_workload_exit_4(self, tmp_path, capsys, mode):
+        # 1.79 fixed compute-seconds at 1e308 kWh each are finite, so the
+        # scenario validates; the 0.06 compute-seconds of the small graph's
+        # 300 bin events push the run's total past the float range
+        doc = json.loads((cli._FIXTURES / "waste_framework.json").read_text("utf-8"))
+        small_waste(doc)
+        doc["energy_model"] = {
+            "alpha": 1e308, "beta": 0.0,
+            "stage_costs": {"metrics": {"compute_seconds": 1.79}},
+        }
+        scenario = tmp_path / "overflow.json"
+        scenario.write_text(json.dumps(doc), "utf-8")
+        assert main(["validate", "--scenario", str(scenario)]) == 0
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scenario), "--mode", mode,
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == (
+            "error: stage energy sums to inf kWh through stage 'metrics' (at energy_model)\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize(
         "path, value",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from greenloop.errors import ValidationError
 from greenloop.energy import (
     STAGE_ORDER,
     UNIT_COSTS,
@@ -76,6 +77,35 @@ class TestMeter:
         assert doc["total_kwh"] == pytest.approx(1.0)
         assert doc["stages"][0]["stage"] == "preprocess"
         assert doc["stages"][0]["energy_kwh"] == pytest.approx(1.0)
+
+
+    @pytest.mark.parametrize("stage_costs, units, problem", [
+        pytest.param(
+            {}, 1e4,
+            "stage 'preprocess' prices to inf kWh: 2 compute-seconds and 20 MB "
+            "for a workload of 10000 units (at energy_model)",
+            id="workload-stage",
+        ),
+        pytest.param(
+            {"simulate": StageUsage("simulate", 1.0), "optimize": StageUsage("optimize", 2.0)},
+            0.0,
+            "fixed usage of stage 'optimize' prices to inf kWh "
+            "(at energy_model.stage_costs['optimize'])",
+            id="fixed-stage",
+        ),
+        pytest.param(
+            {"metrics": StageUsage("metrics", 1.79)}, 10.0,
+            "stage energy sums to inf kWh through stage 'metrics' (at energy_model)",
+            id="running-total",
+        ),
+    ])
+    def test_non_finite_ledger_raises_at_the_first_stage(self, stage_costs, units, problem):
+        # 1e308 kWh per compute-second: 2 s is past the float range, 1.79 s is
+        # not, but with the 0.03 s the other stages take on 10 units it is
+        model = EnergyModel(alpha=1e308, beta=0.0, stage_costs=stage_costs)
+        with pytest.raises(ValidationError) as caught:
+            meter(model, workload(units))
+        assert str(caught.value) == problem
 
 
 class TestProperties:
