@@ -17,10 +17,11 @@ trace with the scalar-call simulator kept in tests/reference_twin.py.
 
 The cells are pooled as whole columns: a mass column, one composition
 column per element (0.0 where a cell does not name it), and the split,
-jitter and overdraw fallback as elementwise array expressions, with no
-Python call per cell. Every per-cell sum is written as explicit adds from
-0.0, left to right in ELEMENTS order, and each element's total adds its
-column in cell-id order from 0.0. On floats that is what the builtin
+jitter and overdraw fallback as elementwise array expressions; reading
+each cell's mass and composition into those columns is the only work
+done per cell in Python. Every per-cell sum is written as explicit adds
+from 0.0, left to right in ELEMENTS order, and each element's total adds
+its column in cell-id order from 0.0. On floats that is what the builtin
 sum() does before Python 3.12; from 3.12 on sum() is compensated, so the
 pooled totals, unlike a sum() over the cells, do not depend on the
 interpreter. The station loop's sums over the four element flows still
