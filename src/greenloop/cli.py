@@ -37,7 +37,7 @@ from .errors import (
     TwinError,
     ValidationError,
 )
-from .pipeline import MODES, RunResult, compare_runs, run_full
+from .pipeline import MODES, RunResult, compare_runs, run_full, workload_diagnostics
 from .report import (
     comparison_csv,
     comparison_markdown,
@@ -356,6 +356,9 @@ def cmd_validate(args) -> int:
     # bypass load_scenario's fail-fast so every finding gets listed
     s = read_scenario(_scenario_path(args.scenario))
     diagnostics = validate_scenario(s)
+    # each mode's planned workload, priced once the fixed stage costs price finitely
+    if not any(d.path.startswith("energy_model") for d in diagnostics):
+        diagnostics += workload_diagnostics(s)
     for d in diagnostics:
         print(d)
     if diagnostics:

@@ -6,9 +6,11 @@ of STAGE_ORDER: the model's stage_costs where it names the stage, else
 UNIT_COSTS times the stage's workload. This meters the toolkit's own
 workflow cost, a separate quantity from the twin's facility energy.
 
-Weights that validate against the fixed stage costs can still overflow
-against a run's workload, which is known only once the stages have run;
 meter refuses a ledger that is not finite, so no run writes one.
+`greenloop validate` meters each mode's planned workload
+(pipeline.planned_workload: the part a scenario states before any stage
+runs), a lower bound on the run's; the facility's steps and activity
+entries are known only once the twin has run.
 """
 
 from __future__ import annotations

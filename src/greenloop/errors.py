@@ -30,6 +30,7 @@ class ValidationError(GreenloopError):
     """A scenario violates a type invariant; names the offending field."""
 
     def __init__(self, message: str, locus: str | None = None):
+        self.message = message
         self.locus = locus
         super().__init__(f"{message} (at {locus})" if locus else message)
 

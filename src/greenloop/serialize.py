@@ -1,8 +1,9 @@
 """Canonical JSON helpers.
 
-All persisted artifacts go through canonical_dumps so identical inputs
-produce identical bytes: sorted keys, fixed separators, repr-exact floats,
-trailing newline.
+All persisted artifacts are canonical JSON, so identical inputs produce
+identical bytes: sorted keys, fixed separators, repr-exact floats,
+trailing newline. canonical_dumps returns the text; write_json writes
+its UTF-8 bytes to a file.
 
 The bytes are defined by the standard library call
 ``json.dumps(obj, sort_keys=True, indent=1, ensure_ascii=False) + "\\n"``.
@@ -13,7 +14,7 @@ canonical_dumps writes the same text another way:
 
 - The fast path dispatches on the exact type of each value. Dicts with
   ``str`` keys, lists and tuples are written recursively into one list
-  of strings; ``str``, ``int``, ``float``, ``bool`` and ``None`` are
+  of strings, ROW_SLICE items at a time; ``str``, ``int``, ``float``, ``bool`` and ``None`` are
   encoded by the same functions the standard library uses.
 - The record path writes a list of plain dicts that share one key set in
   one step: one ``%`` template of the sorted, escaped keys per row,
@@ -21,24 +22,49 @@ canonical_dumps writes the same text another way:
   one column at a time; a column whose cells are all plain dicts is
   itself written by the record path one margin deeper, so the battery
   materials, each with its ``composition`` dict, are a single step too.
-  The type, length and key checks run over whole lists in C. A list
+  The type, length and key checks run over whole slices in C. A slice
   declines the record path, and is written item by item instead, when
   its rows, or the dicts in one of its columns, differ in key set, or
   hold an empty dict, a dict subclass, a non-``str`` key or a list.
+  Each row's text depends on that row alone, so slices of one list may
+  go either way and the text is the same.
 - Anything else (non-``str`` keys, subclasses such as ``numpy.float64``
   or ``IntEnum``, other containers, a reference cycle) sends the whole
   document to the standard library call, which stays the oracle: its
   output and its errors are what the caller gets.
+
+write_json streams: after each slice it writes the pending text to the
+file once that holds CHUNK_CHARS characters (about 1 MB). The 9.1 MB
+route tables would otherwise sit in memory three times over, as row
+strings, joined text and encoded bytes; with ROW_SLICE rows per slice
+the writer never holds more than one slice's cells and rows and about
+one chunk of text. A document shorter than one chunk is encoded in
+memory and written with one open and one write. No temporary file is
+made:
+
+- a fallback to the standard library after a chunk has been written
+  truncates the file and writes the standard library's text from the
+  start;
+- if the standard library raises too, or anything fails once the file
+  is open, the partial file is removed and the error propagates. A
+  document that fails before its first chunk leaves the path untouched.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, BinaryIO, Callable
+
+# write_json writes its text whenever about this many characters are
+# pending, and a list is written this many items at a time, so neither
+# the text nor the cells of a whole document or table are held at once.
+CHUNK_CHARS = 1 << 20
+ROW_SLICE = 4096
 
 _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -119,7 +145,7 @@ def _rows(items: list, inner: str) -> list[str] | None:
     return [template % row for row in zip(*columns)]
 
 
-def _write(obj: Any, out: list[str], indent: str) -> None:
+def _write(obj: Any, out: _Sink, indent: str) -> None:
     """Append the text of obj to out; indent is its line break and margin."""
     kind = type(obj)
     encode = _SCALARS.get(kind)
@@ -134,41 +160,116 @@ def _write(obj: Any, out: list[str], indent: str) -> None:
         if any(type(k) is not str for k in obj):
             raise _Unsupported
         sep = "{" + inner
-        for k in sorted(obj):
-            out.append(sep + encode_basestring(k) + ": ")
-            _write(obj[k], out, inner)
-            sep = "," + inner
+        keys = sorted(obj)
+        for start in range(0, len(keys), ROW_SLICE):
+            for k in keys[start : start + ROW_SLICE]:
+                out.append(sep + encode_basestring(k) + ": ")
+                _write(obj[k], out, inner)
+                sep = "," + inner
+            out.spill()
         out.append(indent + "}")
     elif kind is list or kind is tuple:
         if not obj:
             out.append("[]")
             return
-        rows = _rows(obj, inner) if type(obj[0]) is dict else None
-        if rows is not None:
-            out.append("[" + inner + ("," + inner).join(rows) + indent + "]")
-            return
         sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            _write(item, out, inner)
-            sep = "," + inner
+        for start in range(0, len(obj), ROW_SLICE):
+            part = obj[start : start + ROW_SLICE]
+            rows = _rows(part, inner) if type(part[0]) is dict else None
+            if rows is not None:
+                out.append(sep + ("," + inner).join(rows))
+                sep = "," + inner
+            else:
+                for item in part:
+                    out.append(sep)
+                    _write(item, out, inner)
+                    sep = "," + inner
+            out.spill()
         out.append(indent + "]")
     else:
         raise _Unsupported
 
 
+def _stdlib_dumps(obj: Any) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1, ensure_ascii=False) + "\n"
+
+
+class _Sink(list):
+    """The text of one document as a list of pieces.
+
+    Without a path the pieces are only kept. With one, spill() writes
+    them to path once they hold CHUNK_CHARS characters; the file is
+    opened on the first such write, or by finish() if none comes.
+    """
+
+    __slots__ = ("path", "file", "counted", "size")
+
+    def __init__(self, path: Path | str | None = None):
+        super().__init__()
+        self.path = path
+        self.file: BinaryIO | None = None
+        self.counted = 0  # pieces whose length is in size
+        self.size = 0
+
+    def spill(self) -> None:
+        if self.path is None:
+            return
+        self.size += sum(map(len, self[self.counted :]))
+        self.counted = len(self)
+        if self.size >= CHUNK_CHARS:
+            self._flush()
+
+    def _flush(self) -> None:
+        text = "".join(self)
+        self.clear()
+        self.counted = self.size = 0
+        if self.file is None:
+            self.file = open(self.path, "wb")
+        self.file.write(text.encode("utf-8"))
+
+    def restart(self, text: str) -> None:
+        """Replace everything written so far with text."""
+        self.clear()
+        self.counted = self.size = 0
+        if self.file is not None:
+            self.file.seek(0)
+            self.file.truncate()
+        self.append(text)
+
+    def finish(self) -> None:
+        self._flush()
+        self.file.close()
+
+    def discard(self) -> None:
+        """Close and remove the file, if this sink opened one."""
+        if self.file is not None:
+            self.file.close()
+            os.remove(self.path)
+
+
 def canonical_dumps(obj: Any) -> str:
-    out: list[str] = []
+    out = _Sink()
     try:
         _write(obj, out, "\n")
     except (_Unsupported, RecursionError):
-        return json.dumps(obj, sort_keys=True, indent=1, ensure_ascii=False) + "\n"
+        return _stdlib_dumps(obj)
     out.append("\n")
     return "".join(out)
 
 
 def write_json(path: Path | str, obj: Any) -> None:
-    Path(path).write_text(canonical_dumps(obj), encoding="utf-8")
+    """Write the bytes of canonical_dumps(obj) to path, CHUNK_CHARS at a time."""
+    out = _Sink(path)
+    try:
+        try:
+            _write(obj, out, "\n")
+            out.append("\n")
+        except (_Unsupported, RecursionError):
+            out.restart(_stdlib_dumps(obj))
+        out.finish()
+    except BaseException:
+        out.discard()
+        raise
 
 
 def read_json(path: Path | str) -> Any:

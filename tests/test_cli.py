@@ -680,11 +680,11 @@ class TestValidateCalibrate:
 
     @pytest.mark.parametrize("mode", ["baseline", "framework"])
     def test_energy_overflow_on_the_run_workload_exit_4(self, tmp_path, capsys, mode):
-        # 1.79 fixed compute-seconds at 1e308 kWh each are finite, so the
-        # scenario validates; the 0.06 compute-seconds of the small graph's
-        # 300 bin events push the run's total past the float range
-        doc = json.loads((cli._FIXTURES / "waste_framework.json").read_text("utf-8"))
-        small_waste(doc)
+        # 1.79 fixed compute-seconds at 1e308 kWh each are finite, and the
+        # battery scenario plans no other workload, so it validates; the
+        # 0.03 compute-seconds of the facility's 60 steps, which only the
+        # twin's run yields, push the run's total past the float range
+        doc = json.loads((cli._FIXTURES / "battery_framework.json").read_text("utf-8"))
         doc["energy_model"] = {
             "alpha": 1e308, "beta": 0.0,
             "stage_costs": {"metrics": {"compute_seconds": 1.79}},
@@ -700,6 +700,33 @@ class TestValidateCalibrate:
             "error: stage energy sums to inf kWh through stage 'metrics' (at energy_model)\n"
         )
         assert not out.exists()
+
+    def test_validate_flags_the_mode_whose_planned_workload_overflows(self, tmp_path, capsys):
+        # at 1e308 kWh per compute-second the framework plan's 25,000 route
+        # episodes overflow, the baseline's 50-bin tour does not
+        doc = json.loads((cli._FIXTURES / "waste_framework.json").read_text("utf-8"))
+        doc["energy_model"] = {"alpha": 1e308, "beta": 0.0}
+        scenario = tmp_path / "overflow.json"
+        scenario.write_text(json.dumps(doc), "utf-8")
+        assert main(["validate", "--scenario", str(scenario)]) == 4
+        assert capsys.readouterr().out == (
+            "energy_model: framework run: stage energy sums to inf kWh through stage 'route'\n"
+            "1 problem(s) found\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scenario), "--mode", "baseline",
+                     "--out", str(out)]) == 0
+        assert main(["run", "--scenario", str(scenario), "--mode", "framework",
+                     "--out", str(tmp_path / "refused")]) == 4
+        assert not (tmp_path / "refused").exists()
+
+    @pytest.mark.parametrize("name", [
+        "alloc_small.json", "battery_baseline.json", "battery_framework.json",
+        "waste_baseline.json", "waste_framework.json",
+    ])
+    def test_bundled_fixtures_validate(self, capsys, name):
+        assert main(["validate", "--scenario", str(cli._FIXTURES / name)]) == 0
+        assert capsys.readouterr().out == "ok\n"
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize(

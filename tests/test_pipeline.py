@@ -20,13 +20,16 @@ from greenloop.classify import evaluate_accuracy_records
 from greenloop.pipeline import (
     BIN_HORIZON,
     DISTRICT_MAX_BINS,
+    MODES,
     RunArtifacts,
     compare_runs,
     feedback_update,
     partition_districts,
+    planned_workload,
     run_full,
+    workload_diagnostics,
 )
-from greenloop.routing import CollectionGraph
+from greenloop.routing import CollectionGraph, RLConfig
 from greenloop.scenario import (
     MaterialSpec,
     ProcessSpec,
@@ -402,3 +405,48 @@ class TestStageUsageOverride:
         seconds, mb = UNIT_COSTS["optimize"]
         assert usage["optimize"] == StageUsage("optimize", seconds * 2, mb * 2)
         assert usage["metrics"] == StageUsage("metrics", 3.0, 0.0)
+
+
+class TestPlannedWorkload:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_run_meters_the_planned_stages(self, mode):
+        s = dataclasses.replace(city_scenario(5), **ALLOC)
+        planned = planned_workload(s, mode)
+        assert planned["preprocess"] == 5 * BIN_HORIZON and planned["optimize"] == 2
+        seconds = {
+            u.stage_name: u.compute_seconds for u, _ in run_full(s, mode)[0].pipeline_energy.stages
+        }
+        for stage in ("preprocess", "optimize", "route", "metrics"):
+            assert seconds[stage] == UNIT_COSTS[stage][0] * planned[stage]
+
+    def test_twin_stages_are_known_only_after_the_run(self):
+        s = mini_battery_scenario()
+        assert planned_workload(s, "framework")["simulate"] == 0.0
+        usage = {u.stage_name: u for u, _ in run_full(s, "framework")[0].pipeline_energy.stages}
+        assert usage["simulate"].compute_seconds > 0 and usage["carbon"].compute_seconds > 0
+
+    @pytest.mark.parametrize("n_bins", [1, 9, 10, 11, 20, 23, 50])
+    def test_route_counts_the_partitioned_districts(self, n_bins):
+        doc = json.loads(
+            (resources.files("greenloop") / "fixtures" / "waste_framework.json").read_text("utf-8")
+        )
+        graph = doc["collection_graph"]
+        graph["nodes"] = graph["nodes"][: n_bins + 1]
+        kept = {node["id"] for node in graph["nodes"]}
+        graph["edges"] = [e for e in graph["edges"] if e["a"] in kept and e["b"] in kept]
+        s = parse_scenario(doc)
+        districts = partition_districts(s.collection_graph)
+        assert len(s.collection_graph.bin_ids()) == n_bins
+        assert planned_workload(s, "framework")["route"] == RLConfig().episodes * len(districts)
+        assert planned_workload(s, "baseline")["route"] == n_bins
+
+    def test_diagnostics_name_each_mode_that_overflows(self):
+        # 1e308 kWh per compute-second: the framework plan's 1.25 route
+        # seconds overflow on top of 5,000 bin events, the baseline's 0.0025 do not
+        s = dataclasses.replace(
+            load_fixture("waste_framework.json"), energy_model=EnergyModel(alpha=1e308, beta=0.0)
+        )
+        (d,) = workload_diagnostics(s)
+        assert d.path == "energy_model"
+        assert d.message == "framework run: stage energy sums to inf kWh through stage 'route'"
+        assert workload_diagnostics(load_fixture("waste_framework.json")) == []

@@ -1,18 +1,30 @@
-"""canonical_dumps against its oracle, the standard library's indent encoder."""
+"""canonical_dumps and write_json against their oracle, the standard
+library's indent encoder."""
 
+import contextlib
 import enum
 import json
+import os
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenloop.serialize import canonical_dumps
+from greenloop import serialize
+from greenloop.serialize import canonical_dumps, write_json
 
 
 def oracle(obj):
     return json.dumps(obj, sort_keys=True, indent=1, ensure_ascii=False) + "\n"
+
+
+def oracle_bytes(obj):
+    return oracle(obj).encode("utf-8")
 
 
 def outcome(encode, obj):
@@ -20,6 +32,57 @@ def outcome(encode, obj):
         return "ok", encode(obj)
     except Exception as exc:  # noqa: BLE001 - the exception type is compared
         return "raised", type(exc)
+
+
+class SpyFile:
+    """A file whose writes are logged."""
+
+    def __init__(self, file, calls):
+        self.file = file
+        self.calls = calls
+
+    def write(self, data):
+        self.calls.append(("write", len(data)))
+        return self.file.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+
+@contextlib.contextmanager
+def file_calls():
+    """The opens and writes write_json makes, as a list of tuples."""
+    calls = []
+
+    def spy_open(path, mode):
+        calls.append(("open", Path(path).name, mode))
+        return SpyFile(open(path, mode), calls)
+
+    with mock.patch.object(serialize, "open", spy_open, create=True):
+        yield calls
+
+
+@contextlib.contextmanager
+def small_chunks(chars=64, items=3):
+    with mock.patch.object(serialize, "CHUNK_CHARS", chars), \
+            mock.patch.object(serialize, "ROW_SLICE", items):
+        yield
+
+
+def written(obj):
+    """write_json's outcome: ("ok", the file's bytes) or ("raised", the error type).
+
+    Asserts that a failed write leaves no file and a good one only its own.
+    """
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "doc.json"
+        try:
+            write_json(path, obj)
+        except Exception as exc:  # noqa: BLE001 - the exception type is compared
+            assert os.listdir(folder) == []
+            return "raised", type(exc)
+        assert os.listdir(folder) == ["doc.json"]
+        return "ok", path.read_bytes()
 
 
 class Level(enum.IntEnum):
@@ -111,21 +174,25 @@ class TestMatchesStdlib:
     @given(doc=documents)
     def test_fast_path_documents(self, doc):
         assert canonical_dumps(doc) == oracle(doc)
+        assert written(doc) == ("ok", oracle_bytes(doc))
 
     @settings(deadline=None, max_examples=200)
     @given(rows=record_lists(scalars))
     def test_record_lists(self, rows):
         assert outcome(canonical_dumps, rows) == outcome(oracle, rows)
+        assert written(rows) == outcome(oracle_bytes, rows)
 
     @settings(deadline=None, max_examples=80)
     @given(rows=record_lists(scalars, depth=2))
     def test_nested_record_lists(self, rows):
         assert outcome(canonical_dumps, rows) == outcome(oracle, rows)
+        assert written(rows) == outcome(oracle_bytes, rows)
 
     @settings(deadline=None, max_examples=200)
     @given(doc=odd_documents)
     def test_subclasses_and_non_str_keys(self, doc):
         assert outcome(canonical_dumps, doc) == outcome(oracle, doc)
+        assert written(doc) == outcome(oracle_bytes, doc)
 
     @pytest.mark.parametrize(
         "doc",
@@ -163,6 +230,7 @@ class TestMatchesStdlib:
     )
     def test_edge_cases(self, doc):
         assert canonical_dumps(doc) == oracle(doc)
+        assert written(doc) == ("ok", oracle_bytes(doc))
 
 
 class TestErrors:
@@ -182,6 +250,7 @@ class TestErrors:
             oracle(doc)
         with pytest.raises(expected.type):
             canonical_dumps(doc)
+        assert written(doc) == ("raised", expected.type)
 
     def test_cyclic_list(self):
         doc = [1]
@@ -200,3 +269,142 @@ class TestErrors:
         row["self"] = row
         with pytest.raises(ValueError, match="Circular reference detected"):
             canonical_dumps([row])
+
+
+def ring(n, start=0):
+    """n record rows, each naming one row to its side (keys differ by cell type only)."""
+    return [{"at": i, "next": f"r{i + 1}", "w": i / 7} for i in range(start, start + n)]
+
+
+LONG = ["chunk filler " * 4] * 8  # well past 64 characters of text
+
+
+class TestStreamedWrites:
+    """write_json with CHUNK_CHARS and ROW_SLICE patched small, so every
+    document spans many slices and chunks."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(doc=documents)
+    def test_documents(self, doc):
+        with small_chunks():
+            assert written(doc) == ("ok", oracle_bytes(doc))
+
+    @settings(deadline=None, max_examples=100)
+    @given(rows=record_lists(scalars, depth=2))
+    def test_record_lists(self, rows):
+        with small_chunks(items=2):
+            assert written(rows) == outcome(oracle_bytes, rows)
+
+    @settings(deadline=None, max_examples=100)
+    @given(doc=odd_documents)
+    def test_subclasses_and_non_str_keys(self, doc):
+        with small_chunks():
+            assert written(doc) == outcome(oracle_bytes, doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # the key set changes after the first slice: a slice of its own...
+            ring(3) + [{"at": 3, "w": 0.5}, {"at": 4, "w": 1.5}, {"at": 5, "w": 2.5}],
+            # ...or within one
+            ring(4) + [{"at": 4, "v": 0.5}, {"at": 5, "w": 1.5}],
+            # a cell type changes after the first slice
+            ring(3) + [{"at": "3", "next": None, "w": True}] + ring(3, 4),
+            ring(3) + [{"at": 3, "next": "r4", "w": [1]}] + ring(2, 4),
+            # a nested dict column changes its keys, or stops being one
+            [{"c": {"x": i}} for i in range(3)] + [{"c": {"y": i}} for i in range(3)],
+            [{"c": {"x": i}} for i in range(4)] + [{"c": i} for i in range(2)],
+            [{"c": i} for i in range(3)] + [{"c": {"x": i}} for i in range(3)],
+            [{"c": {"d": {"e": i}}} for i in range(3)] + [{"c": {"d": {}}}],
+            # the first slice declines and a later one takes the record path
+            [{"a": 1}, {"b": 2}, {"a": 3}] + ring(3),
+            {"big": {f"k{i:02d}": LONG for i in range(10)}, "rows": ring(10)},
+        ],
+    )
+    def test_record_lists_that_change_after_the_first_slice(self, doc):
+        with small_chunks():
+            assert written(doc) == ("ok", oracle_bytes(doc))
+            assert canonical_dumps(doc) == oracle(doc)
+
+    def test_unsupported_value_after_the_first_chunk_rewrites_the_file(self):
+        doc = {"a": LONG, "b": ring(6), "z": np.float64(0.1)}
+        with small_chunks(), file_calls() as calls:
+            assert written(doc) == ("ok", oracle_bytes(doc))
+        # chunks were written before the fast path gave up
+        assert calls[0] == ("open", "doc.json", "wb") and len(calls) > 3
+
+    @pytest.mark.parametrize("late", ["set", "cycle"])
+    def test_error_after_the_first_chunk_removes_the_file(self, late):
+        doc = {"a": LONG, "b": ring(6)}
+        if late == "set":
+            doc["z"] = {1, 2}
+        else:
+            doc["z"] = [doc]
+        with pytest.raises(Exception) as expected:
+            oracle(doc)
+        with small_chunks(), file_calls() as calls:
+            assert written(doc) == ("raised", expected.type)
+        assert calls[0] == ("open", "doc.json", "wb") and len(calls) > 2
+
+
+class TestWriteJson:
+    def test_short_document_is_one_open_and_one_write(self, tmp_path):
+        doc = {"version": 1, "levels": {"p1": 2.5, "p2": 0.0}}
+        path = tmp_path / "small.json"
+        with file_calls() as calls:
+            write_json(path, doc)
+        data = oracle_bytes(doc)
+        assert calls == [("open", "small.json", "wb"), ("write", len(data))]
+        assert path.read_bytes() == data
+        assert os.listdir(tmp_path) == ["small.json"]
+
+    def test_long_document_is_written_in_chunks(self, tmp_path):
+        doc = {"rows": ring(40_000)}
+        path = tmp_path / "long.json"
+        with file_calls() as calls:
+            write_json(path, doc)
+        data = oracle_bytes(doc)
+        assert path.read_bytes() == data
+        assert calls[0] == ("open", "long.json", "wb")
+        writes = [size for _, size in calls[1:]]
+        assert sum(writes) == len(data) and len(writes) > 1
+        # a chunk is written once it holds CHUNK_CHARS, after one slice at most
+        assert max(writes) < 2 * serialize.CHUNK_CHARS
+
+    def test_unencodable_long_document_leaves_nothing(self, tmp_path):
+        doc = {"rows": ring(40_000), "z": {1, 2}}
+        path = tmp_path / "doc.json"
+        with pytest.raises(TypeError, match="not JSON serializable"), file_calls() as calls:
+            write_json(path, doc)
+        assert calls[0] == ("open", "doc.json", "wb") and len(calls) > 1
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_short_document_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"old")
+        with pytest.raises(TypeError):
+            write_json(path, {"z": {1, 2}})
+        assert path.read_bytes() == b"old"
+
+    def test_traced_peak_is_below_half_the_document(self, tmp_path):
+        doc = {
+            "version": 1,
+            "tables": [
+                {"version": 1, "entries": [
+                    {"current": f"b{i % 50:02d}", "visited": i * 7919,
+                     "action": f"b{i * 3 % 50:02d}", "value": i / 7}
+                    for i in range(t * 20_000, (t + 1) * 20_000)
+                ]}
+                for t in range(4)
+            ],
+        }
+        path = tmp_path / "qtables.json"
+        tracemalloc.start()
+        try:
+            write_json(path, doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size >= 8_000_000
+        assert peak < size / 2
