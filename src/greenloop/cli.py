@@ -46,7 +46,7 @@ from .report import (
     run_result_from_dict,
     run_result_to_dict,
 )
-from .routing import qtable_to_dict
+from .routing import QTable, qtable_to_dict, qtable_to_records
 from .scenario import (
     ScenarioSpec,
     is_rng_seed,
@@ -57,7 +57,14 @@ from .scenario import (
     scenario_to_dict,
     validate_scenario,
 )
-from .serialize import canonical_dumps, content_hash, digest, read_json_checked, write_json
+from .serialize import (
+    canonical_dumps,
+    content_hash,
+    digest,
+    read_json_checked,
+    stream_json,
+    write_json,
+)
 from .twin import ELEMENTS, calibrate_facility
 
 _FIXTURES = resources.files("greenloop") / "fixtures"
@@ -201,7 +208,23 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
+def _write_qtables(path: Path, tables: Sequence[QTable]) -> None:
+    """Write {"version": 1, "tables": [qtable_to_dict(q) for q in tables]}.
+
+    The entries are written straight from each table's columns; only when
+    stream_json declines a column are the entry dicts built and written by
+    write_json. Either way the bytes are the same.
+    """
+    if not stream_json(path, {"version": 1, "tables": list(map(qtable_to_records, tables))}):
+        write_json(path, {"version": 1, "tables": [qtable_to_dict(q) for q in tables]})
+
+
 def cmd_run(args) -> int:
+    """Run a scenario and persist its metrics and artifacts in a run directory.
+
+    qtables.json, the largest artifact, is written from the Q tables
+    themselves (_write_qtables), so its ~81k entries never exist as dicts.
+    """
     s = load_scenario(_scenario_path(args.scenario))
     seed = args.seed if args.seed is not None else s.rng_seed
     s = dataclasses.replace(s, rng_seed=seed)
@@ -231,13 +254,7 @@ def cmd_run(args) -> int:
         write_json(run_dir / "classifier.json", model_to_dict(artifacts.classifier))
     if artifacts.district_qtables:
         paths["qtables"] = "qtables.json"
-        write_json(
-            run_dir / "qtables.json",
-            {
-                "version": 1,
-                "tables": [qtable_to_dict(q) for q in artifacts.district_qtables],
-            },
-        )
+        _write_qtables(run_dir / "qtables.json", artifacts.district_qtables)
     if artifacts.district_routes:
         paths["routes"] = "routes.json"
         write_json(

@@ -9,8 +9,8 @@ workflow cost, a separate quantity from the twin's facility energy.
 meter refuses a ledger that is not finite, so no run writes one.
 `greenloop validate` meters each mode's planned workload
 (pipeline.planned_workload: the part a scenario states before any stage
-runs), a lower bound on the run's; the facility's steps and activity
-entries are known only once the twin has run.
+runs), a lower bound on the run's; of the facility's steps it counts the
+whole throughput chunks of the unjittered cell mass, at one step each.
 """
 
 from __future__ import annotations

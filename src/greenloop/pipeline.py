@@ -50,7 +50,14 @@ from .routing import (
 )
 from .scenario import CELLS_WITHOUT_FACILITY, ScenarioSpec, compile_to_lp
 from .solver import SolveStatus, SolverError, solve_milp
-from .twin import SimulationTrace, recovery_rates, simulate_bins, simulate_recycling
+from .twin import (
+    END_KG,
+    MAX_FACILITY_STEPS,
+    SimulationTrace,
+    recovery_rates,
+    simulate_bins,
+    simulate_recycling,
+)
 
 BIN_HORIZON = 100
 TRAIN_SPLIT = 0.7
@@ -196,9 +203,14 @@ def planned_workload(s: ScenarioSpec, mode: str) -> dict[str, float]:
     one unit per process. route: RLConfig().episodes per district in
     framework mode (partition_districts fills each district to
     DISTRICT_MAX_BINS bins but the last), one unit per bin in baseline
-    mode. metrics: 1. simulate and carbon count the facility's steps and
-    activity entries, which only the twin's run yields, so they are 0
-    here and run_full fills them in.
+    mode. metrics: 1. When s has battery cells, carbon is exact: one
+    activity entry per facility station, as simulate_recycling books them.
+    simulate is a lower bound there: the jitter keeps the cells' total
+    mass, and each throughput-sized chunk of it takes a step at the first
+    station at least, so the twin takes at least the whole chunks in the
+    unjittered mass, less those its end tolerance (twin.END_KG) may leave.
+    run_full meters the counted simulate and carbon workload, which is
+    never below this.
     """
     g = s.collection_graph
     bins = len(g.bin_ids()) if g is not None else 0
@@ -206,12 +218,21 @@ def planned_workload(s: ScenarioSpec, mode: str) -> dict[str, float]:
         route = RLConfig().episodes * -(-bins // DISTRICT_MAX_BINS)
     else:
         route = bins
+    simulate = carbon = 0.0
+    f = s.facility
+    if f is not None and any(m.category == "battery-cell" for m in s.materials):
+        carbon = float(len(f.stations))
+        t = f.throughput_kg_per_step
+        chunks = sum(m.mass_kg for m in s.materials if m.category == "battery-cell") / t
+        # past the step budget the twin refuses before it takes a step
+        if f.stations and chunks <= MAX_FACILITY_STEPS:
+            simulate = float(max(math.floor(chunks) - math.floor(END_KG / t), 0))
     return {
         "preprocess": float(bins * BIN_HORIZON),
-        "simulate": 0.0,
+        "simulate": simulate,
         "optimize": float(len(s.processes)),
         "route": float(route),
-        "carbon": 0.0,
+        "carbon": carbon,
         "metrics": 1.0,
     }
 
@@ -231,6 +252,22 @@ def workload_diagnostics(s: ScenarioSpec) -> list[Diagnostic]:
     return out
 
 
+def _preprocess(s: ScenarioSpec, framework: bool) -> tuple[SoftmaxModel | None, float | None]:
+    """preprocess: generate the sensor stream, split it, fit the classifier.
+
+    Returns the classifier (None in baseline mode, which applies the
+    weight rule) and its held-out accuracy. The bin events and records
+    are dropped on return, so they do not stay alive through the later
+    stages.
+    """
+    train_recs, eval_recs = _split_records(simulate_bins(s, BIN_HORIZON).events)
+    if framework:
+        classifier = train_on_records(train_recs, s.rng_seed)
+        return classifier, evaluate_accuracy_records(classifier, eval_recs)
+    hits = sum(1 for rec, label in eval_recs if rule_classify(rec) == label)
+    return None, hits / len(eval_recs) if eval_recs else None
+
+
 def run_full(s: ScenarioSpec, mode: str) -> tuple[RunResult, RunArtifacts]:
     """Execute all pipeline stages; returns metrics plus reusable artifacts."""
     if mode not in MODES:
@@ -245,19 +282,8 @@ def run_full(s: ScenarioSpec, mode: str) -> tuple[RunResult, RunArtifacts]:
     g = s.collection_graph
     bins = g.bin_ids() if g is not None else ()  # preprocess and route need bins
 
-    # preprocess: generate the sensor stream, split it, fit the classifier
-    classifier: SoftmaxModel | None = None
-    accuracy: float | None = None
-    events = ()
-    if bins:
-        events = simulate_bins(s, BIN_HORIZON).events
-        train_recs, eval_recs = _split_records(events)
-        if framework:
-            classifier = train_on_records(train_recs, s.rng_seed)
-            accuracy = evaluate_accuracy_records(classifier, eval_recs)
-        else:
-            hits = sum(1 for rec, label in eval_recs if rule_classify(rec) == label)
-            accuracy = hits / len(eval_recs) if eval_recs else None
+    # preprocess: fit the classifier on the sensor stream, then let the stream go
+    classifier, accuracy = _preprocess(s, framework) if bins else (None, None)
 
     # simulate: push battery-cell mass through the facility
     trace: SimulationTrace | None = None

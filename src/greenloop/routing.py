@@ -45,6 +45,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import DisconnectedGraph, MissingEdge, StateSpaceTooLarge
+from .serialize import Records
 
 MAX_TABULAR_BINS = 16
 LEARNING_RATE = 0.1
@@ -372,6 +373,23 @@ def qtable_to_dict(q: QTable, version: int = 1) -> dict:
         {"current": current, "visited": visited, "action": action, "value": v}
         for (current, visited, action), v in zip(keys, map(values.__getitem__, keys))
     ]
+    return {"version": version, "entries": entries}
+
+
+def qtable_to_records(q: QTable, version: int = 1) -> dict:
+    """qtable_to_dict(q, version) with its entries held as columns of q.
+
+    serialize.stream_json writes it as the same bytes, reading each slice
+    of the sorted keys into current, visited, action and value columns, so
+    no entry dict is built.
+    """
+    values = q.values
+
+    def columns(keys):
+        current, visited, action = zip(*keys)
+        return action, current, list(map(values.__getitem__, keys)), visited
+
+    entries = Records(("action", "current", "value", "visited"), sorted(values), columns)
     return {"version": version, "entries": entries}
 
 

@@ -34,20 +34,26 @@ canonical_dumps writes the same text another way:
   output and its errors are what the caller gets.
 
 write_json streams: after each slice it writes the pending text to the
-file once that holds CHUNK_CHARS characters (about 1 MB). The 9.1 MB
-route tables would otherwise sit in memory three times over, as row
-strings, joined text and encoded bytes; with ROW_SLICE rows per slice
-the writer never holds more than one slice's cells and rows and about
-one chunk of text. A document shorter than one chunk is encoded in
-memory and written with one open and one write. No temporary file is
-made:
+file once that holds CHUNK_CHARS characters (about 1 MB), so the writer
+never holds more than one slice's cells and rows and about one chunk of
+text. A document shorter than one chunk is encoded in memory and written
+with one open and one write. No temporary file is made:
 
-- a fallback to the standard library after a chunk has been written
-  truncates the file and writes the standard library's text from the
-  start;
+- stream_json writes the fast path's text and returns False, with the
+  partial file removed, if the fast path gives up; write_json then
+  writes the standard library's text from the start;
 - if the standard library raises too, or anything fails once the file
   is open, the partial file is removed and the error propagates. A
   document that fails before its first chunk leaves the path untouched.
+
+A list of records need not exist as dicts to be written. stream_json
+also takes Records, which hold a list of records as column slices drawn
+on demand; each slice goes through the record path's cell encoders and
+row template, so its text is the one the dicts would have. The 81k route
+table entries are written this way (routing.qtable_to_records), so the
+largest artifact never exists as entry dicts, row strings for all its
+rows, or whole text. stream_json returns False when a column declines,
+and the caller writes the dicts instead.
 """
 
 from __future__ import annotations
@@ -55,10 +61,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import dataclass
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, BinaryIO, Callable
+from typing import Any, BinaryIO, Callable, Iterable, Sequence
 
 # write_json writes its text whenever about this many characters are
 # pending, and a list is written this many items at a time, so neither
@@ -87,14 +94,61 @@ class _Unsupported(Exception):
     """The fast path cannot write this value; the standard library will."""
 
 
+def _cells(column: Sequence, field: str) -> list[str] | None:
+    """Text of each cell of one record column, written at the margin field.
+
+    A column whose cells are all plain dicts is written by _rows; any other
+    column must hold scalars only. None when the column holds anything
+    else, or when _rows declines its dicts.
+    """
+    types = set(map(type, column))
+    if len(types) == 1:
+        (kind,) = types
+        if kind is dict:
+            return _rows(column, field)
+        if kind is float:
+            cells = list(map(float.__repr__, column))
+            if not _FLOAT_SPECIALS.keys().isdisjoint(cells):
+                cells = list(map(_encode_float, column))
+            return cells
+        encode = _SCALARS.get(kind)
+        return None if encode is None else list(map(encode, column))
+    if types <= _SCALARS.keys():
+        return [_SCALARS[type(v)](v) for v in column]
+    return None
+
+
+def _record_text(keys: Sequence[str], columns: Iterable[Sequence], inner: str) -> list[str] | None:
+    """Text of each record, at the margin inner, from one column of cells per key.
+
+    keys are the records' keys in sorted order and columns yields their
+    columns in that order. None when _cells declines a column.
+    """
+    field = inner + " "
+    encoded = []
+    for column in columns:
+        cells = _cells(column, field)
+        if cells is None:
+            return None
+        encoded.append(cells)
+    template = (
+        "{"
+        + field
+        + ("," + field).join(
+            encode_basestring(k).replace("%", "%%") + ": %s" for k in keys
+        )
+        + inner
+        + "}"
+    )
+    return [template % row for row in zip(*encoded)]
+
+
 def _rows(items: list, inner: str) -> list[str] | None:
     """Text of each item of a list of plain dicts sharing one key set.
 
-    Each row is written at the margin inner. A column whose cells are all
-    plain dicts is written by _rows one margin deeper; any other column
-    must hold scalars only. None when the items are not all plain dicts
-    with the first one's nonempty set of str keys, when a column holds
-    anything else, or when _rows declines a column of dicts.
+    Each row is written at the margin inner. None when the items are not
+    all plain dicts with the first one's nonempty set of str keys, or when
+    _record_text declines one of their columns.
     """
     first = items[0]
     if (
@@ -105,44 +159,25 @@ def _rows(items: list, inner: str) -> list[str] | None:
     ):
         return None
     keys = sorted(first)
-    field = inner + " "
-    columns = []
     try:
-        for k in keys:
-            column = list(map(itemgetter(k), items))
-            types = set(map(type, column))
-            if len(types) == 1:
-                (kind,) = types
-                if kind is dict:
-                    cells = _rows(column, field)
-                    if cells is None:
-                        return None
-                elif kind is float:
-                    cells = list(map(float.__repr__, column))
-                    if not _FLOAT_SPECIALS.keys().isdisjoint(cells):
-                        cells = list(map(_encode_float, column))
-                else:
-                    encode = _SCALARS.get(kind)
-                    if encode is None:
-                        return None
-                    cells = list(map(encode, column))
-            elif types <= _SCALARS.keys():
-                cells = [_SCALARS[type(v)](v) for v in column]
-            else:
-                return None
-            columns.append(cells)
+        return _record_text(keys, (list(map(itemgetter(k), items)) for k in keys), inner)
     except KeyError:
         return None
-    template = (
-        "{"
-        + field
-        + ("," + field).join(
-            encode_basestring(k).replace("%", "%%") + ": %s" for k in keys
-        )
-        + inner
-        + "}"
-    )
-    return [template % row for row in zip(*columns)]
+
+
+@dataclass(frozen=True)
+class Records:
+    """A list of records that stream_json writes from columns, never as dicts.
+
+    rows holds one item per record and columns(part) turns a slice of
+    rows into one column of cells per key, in the order of keys, which
+    are the records' keys sorted. The text is that of the list of dicts
+    pairing keys with each row of the columns.
+    """
+
+    keys: tuple[str, ...]
+    rows: Sequence
+    columns: Callable[[Sequence], Sequence[Sequence]]
 
 
 def _write(obj: Any, out: _Sink, indent: str) -> None:
@@ -168,16 +203,23 @@ def _write(obj: Any, out: _Sink, indent: str) -> None:
                 sep = "," + inner
             out.spill()
         out.append(indent + "}")
-    elif kind is list or kind is tuple:
-        if not obj:
+    elif kind is list or kind is tuple or kind is Records:
+        items = obj.rows if kind is Records else obj
+        if not items:
             out.append("[]")
             return
         sep = "[" + inner
-        for start in range(0, len(obj), ROW_SLICE):
-            part = obj[start : start + ROW_SLICE]
-            rows = _rows(part, inner) if type(part[0]) is dict else None
+        for start in range(0, len(items), ROW_SLICE):
+            part = items[start : start + ROW_SLICE]
+            if kind is Records:
+                rows = _record_text(obj.keys, obj.columns(part), inner)
+                if rows is None:
+                    raise _Unsupported
+            else:
+                rows = _rows(part, inner) if type(part[0]) is dict else None
             if rows is not None:
                 out.append(sep + ("," + inner).join(rows))
+                del rows  # the joined text is all the sink keeps of this slice
                 sep = "," + inner
             else:
                 for item in part:
@@ -227,15 +269,6 @@ class _Sink(list):
             self.file = open(self.path, "wb")
         self.file.write(text.encode("utf-8"))
 
-    def restart(self, text: str) -> None:
-        """Replace everything written so far with text."""
-        self.clear()
-        self.counted = self.size = 0
-        if self.file is not None:
-            self.file.seek(0)
-            self.file.truncate()
-        self.append(text)
-
     def finish(self) -> None:
         self._flush()
         self.file.close()
@@ -257,15 +290,36 @@ def canonical_dumps(obj: Any) -> str:
     return "".join(out)
 
 
-def write_json(path: Path | str, obj: Any) -> None:
-    """Write the bytes of canonical_dumps(obj) to path, CHUNK_CHARS at a time."""
+def stream_json(path: Path | str, obj: Any) -> bool:
+    """Write the bytes of canonical_dumps(obj) to path, CHUNK_CHARS at a time.
+
+    obj may hold Records, each written as its list of records. False when
+    the fast path declines obj, or _record_text a column of a Records; the
+    caller then writes the document another way, and path holds nothing
+    this call wrote. Any error removes the file this call opened.
+    """
     out = _Sink(path)
     try:
         try:
             _write(obj, out, "\n")
-            out.append("\n")
         except (_Unsupported, RecursionError):
-            out.restart(_stdlib_dumps(obj))
+            out.discard()
+            return False
+        out.append("\n")
+        out.finish()
+    except BaseException:
+        out.discard()
+        raise
+    return True
+
+
+def write_json(path: Path | str, obj: Any) -> None:
+    """Write the bytes of canonical_dumps(obj) to path, CHUNK_CHARS at a time."""
+    if stream_json(path, obj):
+        return
+    out = _Sink(path)
+    out.append(_stdlib_dumps(obj))
+    try:
         out.finish()
     except BaseException:
         out.discard()

@@ -60,6 +60,8 @@ JITTER_AMPLITUDE = 0.05
 # TraceStep per station, so the budget bounds time and memory alike; the
 # bundled battery fixtures take 30.
 MAX_FACILITY_STEPS = 100_000
+# A facility run ends once no more than this many kg are left to process.
+END_KG = 1e-12
 
 
 @dataclass(frozen=True)
@@ -280,7 +282,7 @@ def simulate_recycling(s: "ScenarioSpec", f: FacilityModel) -> SimulationTrace:
 
     remaining = total_kg
     step_index = 0
-    while remaining > 1e-12:
+    while remaining > END_KG:
         chunk_kg = min(f.throughput_kg_per_step, remaining)
         share = chunk_kg / total_kg
         flow = {el: totals[el] * share for el in ELEMENTS}

@@ -680,10 +680,10 @@ class TestValidateCalibrate:
 
     @pytest.mark.parametrize("mode", ["baseline", "framework"])
     def test_energy_overflow_on_the_run_workload_exit_4(self, tmp_path, capsys, mode):
-        # 1.79 fixed compute-seconds at 1e308 kWh each are finite, and the
-        # battery scenario plans no other workload, so it validates; the
-        # 0.03 compute-seconds of the facility's 60 steps, which only the
-        # twin's run yields, push the run's total past the float range
+        # 1.79 fixed compute-seconds at 1e308 kWh each are finite; the
+        # 0.015 compute-seconds of the 30 steps the plan counts for the
+        # facility's 30 chunks push the total past the float range, so
+        # validate refuses what run refuses, with its 60 counted steps
         doc = json.loads((cli._FIXTURES / "battery_framework.json").read_text("utf-8"))
         doc["energy_model"] = {
             "alpha": 1e308, "beta": 0.0,
@@ -691,7 +691,12 @@ class TestValidateCalibrate:
         }
         scenario = tmp_path / "overflow.json"
         scenario.write_text(json.dumps(doc), "utf-8")
-        assert main(["validate", "--scenario", str(scenario)]) == 0
+        assert main(["validate", "--scenario", str(scenario)]) == 4
+        assert capsys.readouterr().out == (
+            "energy_model: baseline run: stage energy sums to inf kWh through stage 'metrics'\n"
+            "energy_model: framework run: stage energy sums to inf kWh through stage 'metrics'\n"
+            "2 problem(s) found\n"
+        )
         out = tmp_path / "out"
         assert main(["run", "--scenario", str(scenario), "--mode", mode,
                      "--out", str(out)]) == 4

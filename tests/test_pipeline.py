@@ -6,6 +6,8 @@ import math
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenloop.carbon import EmissionFactor
 from greenloop.energy import STAGE_ORDER, UNIT_COSTS, EnergyModel, StageUsage
@@ -419,11 +421,50 @@ class TestPlannedWorkload:
         for stage in ("preprocess", "optimize", "route", "metrics"):
             assert seconds[stage] == UNIT_COSTS[stage][0] * planned[stage]
 
-    def test_twin_stages_are_known_only_after_the_run(self):
-        s = mini_battery_scenario()
-        assert planned_workload(s, "framework")["simulate"] == 0.0
-        usage = {u.stage_name: u for u, _ in run_full(s, "framework")[0].pipeline_energy.stages}
-        assert usage["simulate"].compute_seconds > 0 and usage["carbon"].compute_seconds > 0
+    @pytest.mark.parametrize("mode", MODES)
+    def test_twin_stages_are_planned_from_the_cells(self, mode):
+        # 15,000 kg at 500 kg per step: 30 chunks, each through both stations
+        s = load_fixture("battery_framework.json")
+        planned = planned_workload(s, mode)
+        trace = simulate_recycling(s, s.facility)
+        assert planned["simulate"] == 30 and len(trace.steps) == 60
+        assert planned["carbon"] == len(trace.activity_ledger.entries) == 2
+        # the run meters what it counted, not the plan
+        seconds = {
+            u.stage_name: u.compute_seconds for u, _ in run_full(s, mode)[0].pipeline_energy.stages
+        }
+        assert seconds["simulate"] == UNIT_COSTS["simulate"][0] * 60
+        assert seconds["carbon"] == UNIT_COSTS["carbon"][0] * 2
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        exponent=st.integers(-14, 3),
+        scale=st.floats(1.0, 10.0),
+        chunks=st.lists(st.floats(0.0, 20.0) | st.integers(0, 20).map(float), min_size=1, max_size=6),
+        stations=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counted_steps_are_never_below_the_plan(self, exponent, scale, chunks, stations, seed):
+        # each cell holds a drawn number of chunks, whole ones included, at
+        # throughputs down to where the twin's end tolerance is many chunks
+        throughput = scale * 10.0**exponent
+        base = mini_battery_scenario()
+        facility = FacilityModel(
+            stations=tuple(
+                dataclasses.replace(base.facility.stations[0], id=f"s{i}") for i in range(stations)
+            ),
+            throughput_kg_per_step=throughput,
+        )
+        s = dataclasses.replace(
+            base,
+            materials=tuple(battery(i, c * throughput) for i, c in enumerate(chunks)),
+            facility=facility,
+            rng_seed=seed,
+        )
+        planned = planned_workload(s, "framework")
+        trace = simulate_recycling(s, facility)
+        assert len(trace.steps) >= planned["simulate"]
+        assert len(trace.activity_ledger.entries) == planned["carbon"] == stations
 
     @pytest.mark.parametrize("n_bins", [1, 9, 10, 11, 20, 23, 50])
     def test_route_counts_the_partitioned_districts(self, n_bins):

@@ -7,6 +7,7 @@ import json
 import os
 import tempfile
 import tracemalloc
+from importlib import resources
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenloop import serialize
-from greenloop.serialize import canonical_dumps, write_json
+from greenloop.cli import _write_qtables
+from greenloop.pipeline import partition_districts
+from greenloop.routing import (
+    QTable,
+    RLConfig,
+    qtable_from_dict,
+    qtable_to_dict,
+    qtable_to_records,
+    train_routing,
+)
+from greenloop.scenario import parse_scenario
+from greenloop.serialize import canonical_dumps, stream_json, write_json
 
 
 def oracle(obj):
@@ -170,12 +182,19 @@ odd_documents = st.recursive(
 
 
 class TestMatchesStdlib:
+    """Drawn documents against the oracle. Except for the flat record
+    lists, each is written at the real chunk and slice sizes and again
+    with both patched small, so it spans many slices and chunks too."""
+
     @settings(deadline=None, max_examples=300)
     @given(doc=documents)
     def test_fast_path_documents(self, doc):
         assert canonical_dumps(doc) == oracle(doc)
         # a lone surrogate has text but no UTF-8 bytes: both raise alike
-        assert written(doc) == outcome(oracle_bytes, doc)
+        expected = outcome(oracle_bytes, doc)
+        assert written(doc) == expected
+        with small_chunks():
+            assert written(doc) == expected
 
     @settings(deadline=None, max_examples=200)
     @given(rows=record_lists(scalars))
@@ -183,17 +202,23 @@ class TestMatchesStdlib:
         assert outcome(canonical_dumps, rows) == outcome(oracle, rows)
         assert written(rows) == outcome(oracle_bytes, rows)
 
-    @settings(deadline=None, max_examples=80)
+    @settings(deadline=None, max_examples=100)
     @given(rows=record_lists(scalars, depth=2))
     def test_nested_record_lists(self, rows):
         assert outcome(canonical_dumps, rows) == outcome(oracle, rows)
-        assert written(rows) == outcome(oracle_bytes, rows)
+        expected = outcome(oracle_bytes, rows)
+        assert written(rows) == expected
+        with small_chunks(items=2):
+            assert written(rows) == expected
 
     @settings(deadline=None, max_examples=200)
     @given(doc=odd_documents)
     def test_subclasses_and_non_str_keys(self, doc):
         assert outcome(canonical_dumps, doc) == outcome(oracle, doc)
-        assert written(doc) == outcome(oracle_bytes, doc)
+        expected = outcome(oracle_bytes, doc)
+        assert written(doc) == expected
+        with small_chunks():
+            assert written(doc) == expected
 
     @pytest.mark.parametrize(
         "doc",
@@ -289,25 +314,8 @@ LONG = ["chunk filler " * 4] * 8  # well past 64 characters of text
 
 class TestStreamedWrites:
     """write_json with CHUNK_CHARS and ROW_SLICE patched small, so every
-    document spans many slices and chunks."""
-
-    @settings(deadline=None, max_examples=150)
-    @given(doc=documents)
-    def test_documents(self, doc):
-        with small_chunks():
-            assert written(doc) == outcome(oracle_bytes, doc)
-
-    @settings(deadline=None, max_examples=100)
-    @given(rows=record_lists(scalars, depth=2))
-    def test_record_lists(self, rows):
-        with small_chunks(items=2):
-            assert written(rows) == outcome(oracle_bytes, rows)
-
-    @settings(deadline=None, max_examples=100)
-    @given(doc=odd_documents)
-    def test_subclasses_and_non_str_keys(self, doc):
-        with small_chunks():
-            assert written(doc) == outcome(oracle_bytes, doc)
+    document spans many slices and chunks (the drawn documents are in
+    TestMatchesStdlib)."""
 
     @pytest.mark.parametrize(
         "doc",
@@ -410,6 +418,128 @@ class TestWriteJson:
         tracemalloc.start()
         try:
             write_json(path, doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size >= 8_000_000
+        assert peak < size / 2
+
+
+def trained_tables():
+    """Two fixture districts' tables, and the first again after warm-started training."""
+    text = (resources.files("greenloop") / "fixtures" / "waste_framework.json").read_text("utf-8")
+    districts = partition_districts(parse_scenario(json.loads(text)).collection_graph)
+    cold = [train_routing(d, RLConfig(episodes=150, rng_seed=i)) for i, d in enumerate(districts[:2])]
+    warm = train_routing(districts[0], RLConfig(episodes=50, rng_seed=7), initial=cold[0])
+    return [*cold, warm]
+
+
+ODD_VALUES = QTable({
+    ("b0", 0, "b1"): float("nan"),
+    ("b0", 0, "b2"): float("inf"),
+    ("b0", 1, "b2"): float("-inf"),
+    ("b1", 2**63, "b2"): -0.0,
+    ("b1", 2**64 + 5, "b0"): 1e-300,
+    ("bé\"%s", 3, "\U0001f600\n"): 2.5,
+})
+# current and action as qtable_from_dict reads them from other JSON types
+NON_STR = qtable_from_dict({"entries": [
+    {"current": 3, "visited": 0, "action": 7, "value": 1},
+    {"current": 3, "visited": 1, "action": None, "value": -2.5},
+    {"current": 3, "visited": 2, "action": True, "value": 0},
+    {"current": 4, "visited": 0, "action": "b1", "value": 1e308},
+    {"current": 4, "visited": 1, "action": 1.5, "value": 3},
+]})
+
+
+def route_table_bytes(write, tables):
+    """The bytes write(path, tables) leaves, asserting it leaves one file."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "qtables.json"
+        write(path, tables)
+        assert os.listdir(folder) == ["qtables.json"]
+        return path.read_bytes()
+
+
+def entry_dicts(path, tables, version=1):
+    write_json(path, {"version": version, "tables": [qtable_to_dict(q, version) for q in tables]})
+
+
+class TestRouteTables:
+    """qtables.json written from the Q tables' columns against write_json
+    over qtable_to_dict's entry dicts."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        return trained_tables()
+
+    @pytest.mark.parametrize("chunks", [{}, {"chars": 64, "items": 3}, {"chars": 700, "items": 50}])
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize(
+        "case", ["trained", "none", "empty", "odd values", "non-str", "all"]
+    )
+    def test_columns_write_the_entry_dicts_bytes(self, trained, case, version, chunks):
+        tables = {
+            "trained": trained,
+            "none": [],
+            "empty": [QTable()],
+            "odd values": [ODD_VALUES],
+            "non-str": [NON_STR],
+            "all": [QTable(), *trained, ODD_VALUES, NON_STR, QTable()],
+        }[case]
+
+        def columns(path, tables):
+            doc = {"version": version, "tables": [qtable_to_records(q, version) for q in tables]}
+            assert stream_json(path, doc)
+
+        doc = {"version": version, "tables": [qtable_to_dict(q, version) for q in tables]}
+        with small_chunks(**chunks) if chunks else contextlib.nullcontext():
+            want = route_table_bytes(lambda p, t: entry_dicts(p, t, version), tables)
+            assert want == oracle_bytes(doc)
+            assert route_table_bytes(columns, tables) == want
+            if version == 1:
+                assert route_table_bytes(_write_qtables, tables) == want
+
+    @pytest.mark.parametrize(
+        "odd",
+        [
+            QTable({(("b", 0), 0, "b1"): 1.0, (("b", 0), 1, "b2"): 2.0}),  # tuple currents
+            QTable({("b0", 0, "b1"): np.float64(0.1), ("b0", 1, "b2"): 2.0}),
+            QTable({("b0", 0, "b1"): 1.0, ("b0", 1, "b2"): {"x": [1]}}),
+        ],
+    )
+    def test_a_declined_column_falls_back_to_the_entry_dicts(self, trained, odd):
+        tables = [*trained, odd]
+        with small_chunks(), file_calls() as calls:
+            want = route_table_bytes(entry_dicts, tables)
+            calls.clear()
+            assert route_table_bytes(_write_qtables, tables) == want
+        # chunks were streamed from the columns before the odd table declined
+        opens = [i for i, call in enumerate(calls) if call[0] == "open"]
+        assert opens[0] == 0 and len(opens) > 1 and opens[1] > 2
+
+    def test_unorderable_keys_raise_before_any_file(self, trained, tmp_path):
+        odd = QTable({("b0", 0, "b1"): 1.0, (1, 0, "b1"): 2.0})
+        with pytest.raises(TypeError) as expected:
+            qtable_to_dict(odd)
+        path = tmp_path / "qtables.json"
+        with small_chunks(), pytest.raises(expected.type, match=str(expected.value)):
+            _write_qtables(path, [*trained, odd])
+        assert os.listdir(tmp_path) == []
+
+    def test_traced_peak_is_below_half_the_file(self, tmp_path):
+        tables = [
+            QTable({
+                (f"b{i % 50:02d}", i * 7919, f"b{i * 3 % 50:02d}"): i / 7
+                for i in range(t * 20_000, (t + 1) * 20_000)
+            })
+            for t in range(4)
+        ]
+        path = tmp_path / "qtables.json"
+        tracemalloc.start()
+        try:
+            _write_qtables(path, tables)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
