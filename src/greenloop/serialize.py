@@ -300,13 +300,12 @@ def stream_json(path: Path | str, obj: Any) -> bool:
     """
     out = _Sink(path)
     try:
-        try:
-            _write(obj, out, "\n")
-        except (_Unsupported, RecursionError):
-            out.discard()
-            return False
+        _write(obj, out, "\n")
         out.append("\n")
         out.finish()
+    except (_Unsupported, RecursionError):
+        out.discard()
+        return False
     except BaseException:
         out.discard()
         raise
