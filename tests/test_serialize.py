@@ -182,19 +182,12 @@ odd_documents = st.recursive(
 
 
 class TestMatchesStdlib:
-    """Drawn documents against the oracle. Except for the flat record
-    lists, each is written at the real chunk and slice sizes and again
-    with both patched small, so it spans many slices and chunks too."""
-
     @settings(deadline=None, max_examples=300)
     @given(doc=documents)
     def test_fast_path_documents(self, doc):
         assert canonical_dumps(doc) == oracle(doc)
         # a lone surrogate has text but no UTF-8 bytes: both raise alike
-        expected = outcome(oracle_bytes, doc)
-        assert written(doc) == expected
-        with small_chunks():
-            assert written(doc) == expected
+        assert written(doc) == outcome(oracle_bytes, doc)
 
     @settings(deadline=None, max_examples=200)
     @given(rows=record_lists(scalars))
@@ -202,23 +195,17 @@ class TestMatchesStdlib:
         assert outcome(canonical_dumps, rows) == outcome(oracle, rows)
         assert written(rows) == outcome(oracle_bytes, rows)
 
-    @settings(deadline=None, max_examples=100)
+    @settings(deadline=None, max_examples=80)
     @given(rows=record_lists(scalars, depth=2))
     def test_nested_record_lists(self, rows):
         assert outcome(canonical_dumps, rows) == outcome(oracle, rows)
-        expected = outcome(oracle_bytes, rows)
-        assert written(rows) == expected
-        with small_chunks(items=2):
-            assert written(rows) == expected
+        assert written(rows) == outcome(oracle_bytes, rows)
 
     @settings(deadline=None, max_examples=200)
     @given(doc=odd_documents)
     def test_subclasses_and_non_str_keys(self, doc):
         assert outcome(canonical_dumps, doc) == outcome(oracle, doc)
-        expected = outcome(oracle_bytes, doc)
-        assert written(doc) == expected
-        with small_chunks():
-            assert written(doc) == expected
+        assert written(doc) == outcome(oracle_bytes, doc)
 
     @pytest.mark.parametrize(
         "doc",
@@ -314,8 +301,25 @@ LONG = ["chunk filler " * 4] * 8  # well past 64 characters of text
 
 class TestStreamedWrites:
     """write_json with CHUNK_CHARS and ROW_SLICE patched small, so every
-    document spans many slices and chunks (the drawn documents are in
-    TestMatchesStdlib)."""
+    document spans many slices and chunks."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(doc=documents)
+    def test_documents(self, doc):
+        with small_chunks():
+            assert written(doc) == outcome(oracle_bytes, doc)
+
+    @settings(deadline=None, max_examples=100)
+    @given(rows=record_lists(scalars, depth=2))
+    def test_record_lists(self, rows):
+        with small_chunks(items=2):
+            assert written(rows) == outcome(oracle_bytes, rows)
+
+    @settings(deadline=None, max_examples=100)
+    @given(doc=odd_documents)
+    def test_subclasses_and_non_str_keys(self, doc):
+        with small_chunks():
+            assert written(doc) == outcome(oracle_bytes, doc)
 
     @pytest.mark.parametrize(
         "doc",
