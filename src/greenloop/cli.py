@@ -6,6 +6,13 @@ The scenario hash is the digest of the run's scenario.json bytes.
 Re-running the same invocation rewrites byte-identical metrics and
 artifacts; only the manifest's creation timestamp moves. Reports and
 charts are pure functions of their inputs and never embed timestamps.
+
+The argument parser is built once per process (build_parser is cached),
+since building it takes over ten times as long as one parse.
+Each parse still starts from a fresh namespace, so nothing one call sets
+reaches the next. The parser holds no command function: main looks up
+cmd_<command> among the module's names at call time, so a cmd_* replaced
+after the first call, by a test or a tracer, is the one that runs.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import math
 import sys
@@ -421,7 +429,9 @@ def _seed(text: str) -> int:
     return seed
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; main dispatches by name."""
     with_out = argparse.ArgumentParser(add_help=False)
     with_out.add_argument("--out", default="out", help="output directory (default: out)")
 
@@ -438,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario file or bundled fixture name")
     p.add_argument("--mode", required=True, choices=MODES)
     p.add_argument("--seed", type=_seed, default=None, help="override the scenario rng seed")
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", parents=[with_out], help="compare two persisted runs")
     p.add_argument("--baseline", required=True, help="baseline manifest file or run dir")
@@ -450,36 +459,32 @@ def build_parser() -> argparse.ArgumentParser:
         help="reference deltas to annotate against (default: auto)",
     )
     p.add_argument("--format", choices=("md", "csv"), default="md", help="stdout table format")
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("chart", parents=[with_out], help="render an SVG bar chart")
     p.add_argument("--baseline", required=True, help="baseline manifest file or run dir")
     p.add_argument("--framework", required=True, help="framework manifest file or run dir")
     p.add_argument("--kind", choices=CHART_KINDS, default="recovery")
     p.add_argument("--output", default=None, help="SVG path (default: OUT/chart_KIND.svg)")
-    p.set_defaults(func=cmd_chart)
 
-    p = sub.add_parser(
-        "table3", parents=[with_out], help="render the method-comparison table"
-    )
-    p.set_defaults(func=cmd_table3)
+    sub.add_parser("table3", parents=[with_out], help="render the method-comparison table")
 
     p = sub.add_parser("validate", help="lint a scenario file")
     p.add_argument("--scenario", required=True, help="scenario file or bundled fixture name")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser(
         "calibrate", parents=[with_out], help="tune facility efficiencies to targets"
     )
     p.add_argument("--scenario", required=True, help="scenario file or bundled fixture name")
-    p.set_defaults(func=cmd_calibrate)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up at call time, so a cmd_* replaced after the parser was
+    # built is the one that runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except GreenloopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)

@@ -14,11 +14,25 @@ carry finite bounds so branch-and-bound terminates.
 
 solve_milp builds the bound-independent part of the standard form once
 per call: the rows, one unit row per variable with a finite upper bound,
-the slack block and the objective. Each node then fills only its shifted
-right-hand side and one tableau array; nothing outlives the call. The
-floats stay exactly those of a tableau built from scratch for the node,
-which tests/reference_solver.py does: each row's shift is its own np.dot
-(a matrix product may sum in another order), pricing out a basis
+the slack block and the objective. The form also holds a read-only
+template, the starting tableau of a node whose slack basis is feasible
+with a zero right-hand side. Such a node (most of them) copies it, writes
+its right-hand side and goes straight to phase 2: with only slacks basic,
+pricing out subtracts nothing, so the template's last row is exactly the
+phase-2 row a from-scratch build would make. A node with a negative
+shifted right-hand side builds a tableau with artificial columns and runs
+phase 1 first. Nothing outlives the call.
+
+A tableau is one array: the constraint rows, then the reduced-cost row,
+which each phase writes in place. A pivot divides the pivot row by its
+pivot element and subtracts factors[:, None] * prow from the whole array
+through one buffer per node, the objective row's factor being its own
+entry in the pivot column. Each element still takes one IEEE multiply and
+one subtract, as when the cost row was updated on its own.
+
+The floats stay exactly those of a tableau built from scratch for the
+node, which tests/reference_solver.py does: each row's shift is its own
+np.dot (a matrix product may sum in another order), pricing out a basis
 subtracts only the rows of basic columns with a nonzero cost (basic
 columns are unit columns), the entering and ratio scans compare Python
 floats, which are the same IEEE doubles as numpy's, and a pivot forms
@@ -119,23 +133,29 @@ class Violation:
         return f"{self.kind}[{self.index}] violated by {self.residual:.6g}"
 
 
-@dataclass
 class _Tableau:
-    """Mutable simplex tableau: rows of [A | rhs], basis index per row."""
+    """Mutable simplex tableau in one array: the rows of [A | rhs], then the
+    reduced-cost row, whose last entry is -objective. body and obj are views
+    of those rows; buf holds a pivot's products."""
 
-    body: np.ndarray  # (m, total_cols + 1)
-    obj: np.ndarray  # (total_cols + 1,) reduced-cost row, last entry = -objective
-    basis: list[int]
-    eligible: int  # columns below this index may enter the basis
+    def __init__(self, tab: np.ndarray, basis: list[int], eligible: int):
+        self.tab = tab  # (m + 1, total_cols + 1)
+        self.body = tab[:-1]
+        self.obj = tab[-1]
+        self.buf = np.empty_like(tab)
+        self.basis = basis
+        self.eligible = eligible  # columns below this index may enter the basis
 
 
 def _pivot(t: _Tableau, row: int, col: int) -> None:
-    prow = t.body[row]
+    tab = t.tab
+    prow = tab[row]
     prow /= prow[col]
-    factors = t.body[:, col].copy()
+    # The objective row's factor is its own obj[col]: one subtraction
+    # updates the constraint rows and the reduced costs.
+    factors = tab[:, col].copy()
     factors[row] = 0.0
-    t.body -= factors[:, None] * prow
-    t.obj -= t.obj[col] * prow
+    tab -= np.multiply(factors[:, None], prow, out=t.buf)
     t.basis[row] = col
 
 
@@ -143,14 +163,17 @@ def _simplex(t: _Tableau, max_iters: int):
     """Run Bland-rule simplex until optimal. Returns (status, pivots)."""
     pivots = 0
     basis = t.basis
+    body = t.body
+    reduced = t.obj[: t.eligible]
+    rhs_col = body[:, -1]
     while True:
-        improving = t.obj[: t.eligible] < -_PIVOT_TOL
+        improving = reduced < -_PIVOT_TOL
         entering = int(improving.argmax())
         if not improving[entering]:
             return SolveStatus.OPTIMAL, pivots
         # Leaving row: min ratio, ties to the lowest basic-variable index.
-        col = t.body[:, entering].tolist()
-        rhs = t.body[:, -1].tolist()
+        col = body[:, entering].tolist()
+        rhs = rhs_col.tolist()
         best_ratio = math.inf
         leave = -1
         for i, a in enumerate(col):
@@ -178,12 +201,15 @@ class _StandardForm:
     Rows are the LP's own rows, then one unit row per boxed variable (finite
     upper bound), each with a slack column. Branching changes bounds only,
     never which variables are boxed, so one form serves every node.
+    slack_tab is the starting tableau of a node whose slack basis is
+    feasible, less its right-hand side: it is read-only, and a node pivots
+    a copy.
     """
 
     rows: tuple[np.ndarray, ...]  # the LP's rows, one array each for np.dot
     rhs: tuple[float, ...]
     boxed: np.ndarray  # indices of the variables with a finite upper bound
-    a_slack: np.ndarray  # (m, n + m): every row's coefficients, then identity
+    slack_tab: np.ndarray  # (m + 1, n + m + 1): [A | I | 0] rows, then [c | 0 | 0]
     c: np.ndarray
 
 
@@ -195,17 +221,20 @@ def _standard_form(lp: LinearProgram) -> _StandardForm:
     )
     k = len(rows)
     m = k + boxed.shape[0]
-    a_slack = np.zeros((m, n + m))
+    c = np.array(lp.objective, dtype=float)
+    slack_tab = np.zeros((m + 1, n + m + 1))
     for i, a in enumerate(rows):
-        a_slack[i, :n] = a
-    a_slack[np.arange(k, m), boxed] = 1.0
-    a_slack[:, n:] = np.eye(m)
+        slack_tab[i, :n] = a
+    slack_tab[np.arange(k, m), boxed] = 1.0
+    slack_tab[:m, n : n + m] = np.eye(m)
+    slack_tab[m, :n] = c
+    slack_tab.flags.writeable = False
     return _StandardForm(
         rows=rows,
         rhs=tuple(r for _, r in lp.rows),
         boxed=boxed,
-        a_slack=a_slack,
-        c=np.array(lp.objective, dtype=float),
+        slack_tab=slack_tab,
+        c=c,
     )
 
 
@@ -215,7 +244,7 @@ def _solve(
     """Solve the form's LP over the box lower <= x <= upper."""
     c = form.c
     n = c.shape[0]
-    m = form.a_slack.shape[0]
+    m = form.slack_tab.shape[0] - 1
     lo = np.array(lower, dtype=float)
     if m == 0:
         # No constraints at all: each y_j sits at 0 unless pushing it up helps.
@@ -233,36 +262,41 @@ def _solve(
     boxed = form.boxed
     b_vec[k:] = np.array(upper, dtype=float)[boxed] - lo[boxed]
 
-    # Flip rows with negative rhs (their zeros become -0.0, as the slack
-    # block's do) and give each an artificial column, basic in its row.
+    iterations = 0
     art_rows = np.flatnonzero(b_vec < 0)
     n_art = art_rows.shape[0]
-    total = n + m + n_art
-    body = np.zeros((m, total + 1))
-    body[:, : n + m] = form.a_slack
-    body[art_rows, : n + m] *= -1.0
-    body[art_rows, n + m + np.arange(n_art)] = 1.0
-    body[:, -1] = np.abs(b_vec)
-    basis = list(range(n, n + m))
-    for a, i in enumerate(art_rows.tolist()):
-        basis[i] = n + m + a
+    if not n_art:
+        # The slack basis is feasible: the template already holds phase 2's
+        # row, since no original variable is basic to price out.
+        tab = form.slack_tab.copy()
+        tab[:m, -1] = np.abs(b_vec)
+        t = _Tableau(tab, list(range(n, n + m)), n + m)
+    else:
+        # Flip rows with negative rhs (their zeros become -0.0, as the slack
+        # block's do) and give each an artificial column, basic in its row.
+        total = n + m + n_art
+        tab = np.zeros((m + 1, total + 1))
+        body = tab[:m]
+        body[:, : n + m] = form.slack_tab[:m, :-1]
+        body[art_rows, : n + m] *= -1.0
+        body[art_rows, n + m + np.arange(n_art)] = 1.0
+        body[:, -1] = np.abs(b_vec)
+        basis = list(range(n, n + m))
+        for a, i in enumerate(art_rows.tolist()):
+            basis[i] = n + m + a
+        t = _Tableau(tab, basis, total)
 
-    t = _Tableau(body=body, obj=np.zeros(total + 1), basis=basis, eligible=total)
-
-    iterations = 0
-    if n_art:
         # Phase 1: minimize the artificial sum. Basic columns are unit
         # columns, so pricing out the basis subtracts each artificial row.
-        phase1 = np.zeros(total + 1)
-        phase1[n + m : total] = 1.0
+        obj = t.obj
+        obj[n + m : total] = 1.0
         for i in art_rows.tolist():
-            phase1 -= body[i]
-        t.obj = phase1
+            obj -= body[i]
         status, pivots = _simplex(t, MAX_ITERATIONS)
         iterations += pivots
         if status is SolveStatus.ITERATION_LIMIT:
             return MilpSolution(status, (), math.nan, iterations=iterations)
-        if -t.obj[-1] > 1e-8:
+        if -obj[-1] > 1e-8:
             return MilpSolution(
                 SolveStatus.INFEASIBLE, (), math.nan, iterations=iterations
             )
@@ -270,21 +304,21 @@ def _solve(
         for i, bv in enumerate(t.basis):
             if bv >= n + m:
                 for j in range(n + m):
-                    if abs(t.body[i, j]) > _PIVOT_TOL:
+                    if abs(body[i, j]) > _PIVOT_TOL:
                         _pivot(t, i, j)
                         iterations += 1
                         break
         t.eligible = n + m
 
-    # Phase 2: original objective over shifted variables, priced out the
-    # same way: only basic original variables with a nonzero cost count.
-    phase2 = np.zeros(total + 1)
-    phase2[:n] = c
-    cost = c.tolist()
-    for i, bv in enumerate(t.basis):
-        if bv < n and cost[bv] != 0.0:
-            phase2 -= cost[bv] * t.body[i]
-    t.obj = phase2
+        # Phase 2: original objective over shifted variables, priced out the
+        # same way: only basic original variables with a nonzero cost count.
+        obj.fill(0.0)
+        obj[:n] = c
+        cost = c.tolist()
+        for i, bv in enumerate(t.basis):
+            if bv < n and cost[bv] != 0.0:
+                obj -= cost[bv] * body[i]
+
     status, pivots = _simplex(t, MAX_ITERATIONS - iterations)
     iterations += pivots
     if status is not SolveStatus.OPTIMAL:
@@ -441,31 +475,3 @@ def check_solution(lp: LinearProgram, sol: MilpSolution) -> list[Violation]:
             if frac > INT_TOL:
                 out.append(Violation("integrality", j, float(frac)))
     return out
-
-
-def enumerate_integer_optimum(lp: LinearProgram) -> tuple[float, tuple[float, ...]]:
-    """Brute-force oracle: best objective over the bounded integer lattice.
-
-    Continuous variables are not supported; every variable must be integer
-    with finite bounds. Returns (inf, ()) when no lattice point is feasible.
-    """
-    n = lp.num_vars
-    if not all(lp.integer_mask):
-        raise SolverError("enumeration oracle requires all-integer instances")
-    axes = []
-    for j in range(n):
-        lo = math.ceil(lp.lower_bounds[j] - 1e-9)
-        hi = math.floor(lp.upper_bounds[j] + 1e-9)
-        if lo > hi:
-            return math.inf, ()
-        axes.append(np.arange(lo, hi + 1, dtype=float))
-    grids = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    feasible = np.ones(points.shape[0], dtype=bool)
-    for coeffs, rhs in lp.rows:
-        feasible &= points @ np.array(coeffs) <= rhs + 1e-9
-    if not feasible.any():
-        return math.inf, ()
-    objs = points[feasible] @ np.array(lp.objective)
-    k = int(np.argmin(objs))
-    return float(objs[k]), tuple(points[feasible][k].tolist())

@@ -11,6 +11,9 @@ and return the same floats, node counts and pivot counts. The bodies are
 unchanged apart from their imports. The limits and tolerances are bound
 from greenloop.solver at import, so a test that patches a limit in
 greenloop.solver patches this module's name too.
+
+`enumerate_integer_optimum` is the brute-force oracle both solvers are
+checked against on small all-integer instances.
 """
 
 from __future__ import annotations
@@ -307,3 +310,30 @@ def solve_milp(lp: LinearProgram) -> MilpSolution:
         )
     return MilpSolution(SolveStatus.INFEASIBLE, (), math.nan, nodes, iterations)
 
+
+def enumerate_integer_optimum(lp: LinearProgram) -> tuple[float, tuple[float, ...]]:
+    """Brute-force oracle: best objective over the bounded integer lattice.
+
+    Continuous variables are not supported; every variable must be integer
+    with finite bounds. Returns (inf, ()) when no lattice point is feasible.
+    """
+    n = lp.num_vars
+    if not all(lp.integer_mask):
+        raise SolverError("enumeration oracle requires all-integer instances")
+    axes = []
+    for j in range(n):
+        lo = math.ceil(lp.lower_bounds[j] - 1e-9)
+        hi = math.floor(lp.upper_bounds[j] + 1e-9)
+        if lo > hi:
+            return math.inf, ()
+        axes.append(np.arange(lo, hi + 1, dtype=float))
+    grids = np.meshgrid(*axes, indexing="ij")
+    points = np.stack([g.ravel() for g in grids], axis=1)
+    feasible = np.ones(points.shape[0], dtype=bool)
+    for coeffs, rhs in lp.rows:
+        feasible &= points @ np.array(coeffs) <= rhs + 1e-9
+    if not feasible.any():
+        return math.inf, ()
+    objs = points[feasible] @ np.array(lp.objective)
+    k = int(np.argmin(objs))
+    return float(objs[k]), tuple(points[feasible][k].tolist())

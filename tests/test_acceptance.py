@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
+from reference_solver import enumerate_integer_optimum
 
 from greenloop.carbon import (
     LIFECYCLE_STAGES,
@@ -41,12 +42,7 @@ from greenloop.classify import evaluate_accuracy_records
 from greenloop.scenario import MaterialSpec, ScenarioSpec, parse_scenario, scenario_to_dict
 from greenloop import serialize
 from greenloop.serialize import canonical_dumps
-from greenloop.solver import (
-    LinearProgram,
-    SolveStatus,
-    enumerate_integer_optimum,
-    solve_milp,
-)
+from greenloop.solver import LinearProgram, SolveStatus, solve_milp
 from greenloop.twin import (
     FacilityModel,
     Station,

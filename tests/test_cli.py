@@ -1050,6 +1050,51 @@ class TestOptions:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestParserReuse:
+    """main builds its parser once per process: nothing one call parses
+    reaches the next, and the command runs as named at call time."""
+
+    GOOD = ["run", "--scenario", "alloc_small.json", "--mode", "baseline"]
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_seed_does_not_leak_into_the_next_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*self.GOOD, "--seed", "7", "--out", str(out)]) == 0
+        assert main([*self.GOOD, "--out", str(out)]) == 0
+        # alloc_small.json's own rng_seed is 11
+        assert re.findall(r", seed (\d+)\)", capsys.readouterr().out) == ["7", "11"]
+
+    def test_usage_error_between_good_calls_changes_neither(self, tmp_path, capsys):
+        assert main([*self.GOOD, "--out", str(tmp_path / "before")]) == 0
+        with pytest.raises(SystemExit) as info:
+            # --seed and --out parse before --mode fails
+            main(["run", "--scenario", "alloc_small.json", "--seed", "9",
+                  "--out", str(tmp_path / "bad"), "--mode", "warp"])
+        assert info.value.code == 2
+        assert main([*self.GOOD, "--out", str(tmp_path / "after")]) == 0
+        (before,) = (tmp_path / "before").iterdir()
+        (after,) = (tmp_path / "after").iterdir()
+        assert before.name == after.name
+        assert (before / "metrics.json").read_bytes() == (after / "metrics.json").read_bytes()
+        assert read_json(after / "manifest.json")["seed"] == 11
+        assert not (tmp_path / "bad").exists()
+
+    def test_command_patched_after_the_first_call_runs(self, tmp_path, monkeypatch):
+        assert main([*self.GOOD, "--out", str(tmp_path / "out")]) == 0
+        seen = []
+
+        def fake_run(args):
+            seen.append(args.seed)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_run", fake_run)
+        assert main([*self.GOOD, "--seed", "5", "--out", str(tmp_path / "fake")]) == 0
+        assert seen == [5]
+        assert not (tmp_path / "fake").exists()
+
+
 class TestHelp:
     def test_exit_codes_documented(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -9,6 +9,7 @@ from importlib import resources
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_solver import enumerate_integer_optimum
 
 from greenloop import twin
 from greenloop.errors import CompileError, ParseError, ValidationError
@@ -37,7 +38,7 @@ from greenloop.scenario import (
     validate_scenario,
 )
 from greenloop.serialize import canonical_dumps
-from greenloop.solver import SolveStatus, enumerate_integer_optimum, solve_milp
+from greenloop.solver import SolveStatus, solve_milp
 from greenloop.carbon import EmissionFactor
 
 

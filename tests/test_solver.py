@@ -18,7 +18,6 @@ from greenloop.solver import (
     MilpSolution,
     SolveStatus,
     check_solution,
-    enumerate_integer_optimum,
     solve_lp,
     solve_milp,
 )
@@ -215,7 +214,7 @@ def degenerate_instances(draw):
 
 def oracle_mismatch(instance):
     """How solve_milp disagrees with the enumeration oracle, or None."""
-    expected_obj, _ = enumerate_integer_optimum(instance)
+    expected_obj, _ = reference.enumerate_integer_optimum(instance)
     sol = solve_milp(instance)
     if math.isinf(expected_obj):
         if sol.status is not SolveStatus.INFEASIBLE:
@@ -481,3 +480,49 @@ class TestLimits:
         err = capsys.readouterr().err
         assert "allocation solve ended ITERATION_LIMIT" in err
         assert not out.exists()
+
+
+# The root's slack basis is feasible, so it starts from the form's template.
+# The up-branch y >= 4 shifts the first row's bound to -7.5: that node runs
+# phase 1 and then phase 2 in a wider tableau.
+TEMPLATE_THEN_PHASE1 = lp(
+    [-2.0, -2.0],
+    rows=[([-2.0, 3.0], 4.5), ([1.0, 1.0], 8.5)],
+    upper=[5.0, 5.0],
+    integer=[True, True],
+)
+
+
+class TestSlackTemplate:
+    def test_template_never_pivoted_in_place(self):
+        form = solver._standard_form(LIMIT_KNAPSACK)
+        template = form.slack_tab.tobytes()
+        boxes = [
+            ((0.0,) * 4, (2.0,) * 4),  # the root: slack basis feasible
+            ((0.0,) * 4, (1.0, 2.0, 2.0, 2.0)),
+            ((2.0, 0.0, 0.0, 1.0), (2.0,) * 4),  # row 0's bound shifts to -1.5
+            ((1.0, 0.0, 0.0, 0.0), (2.0,) * 4),
+        ]
+        first = solver._solve(form, *boxes[0])
+        assert first.iterations > 0
+        for lower, upper in boxes[1:]:
+            solver._solve(form, lower, upper)
+        assert repr(solver._solve(form, *boxes[0])) == repr(first)
+        assert form.slack_tab.tobytes() == template
+
+    def test_template_root_and_phase1_branch_match_reference(self, monkeypatch):
+        starts = []
+        simplex = solver._simplex
+
+        def recording_simplex(t, max_iters):
+            starts.append((t.tab.shape[1], t.eligible))
+            return simplex(t, max_iters)
+
+        monkeypatch.setattr(solver, "_simplex", recording_simplex)
+        sol = solve_milp(TEMPLATE_THEN_PHASE1)
+        width = solver._standard_form(TEMPLATE_THEN_PHASE1).slack_tab.shape[1]
+        # the root runs phase 2 at once on the template's width; a wider
+        # tableau (artificial columns) later reaches phase 2 as well
+        assert starts[0] == (width, width - 1)
+        assert any(w > width and e == width - 1 for w, e in starts)
+        assert repr(sol) == repr(reference.solve_milp(TEMPLATE_THEN_PHASE1))
