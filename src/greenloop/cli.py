@@ -7,12 +7,12 @@ Re-running the same invocation rewrites byte-identical metrics and
 artifacts; only the manifest's creation timestamp moves. Reports and
 charts are pure functions of their inputs and never embed timestamps.
 
-The argument parser is built once per process (build_parser is cached),
-since building it takes over ten times as long as one parse.
-Each parse still starts from a fresh namespace, so nothing one call sets
-reaches the next. The parser holds no command function: main looks up
-cmd_<command> among the module's names at call time, so a cmd_* replaced
-after the first call, by a test or a tracer, is the one that runs.
+The argument parser is built once per process (build_parser is cached):
+building it takes over ten times as long as one parse. Each parse still
+starts from a fresh namespace, so nothing one call sets reaches the next.
+The parser holds no command function: main looks up cmd_<command> among
+the module's names at call time, so a cmd_* replaced after the first
+call, by a test or a tracer, is the one that runs.
 """
 
 from __future__ import annotations
