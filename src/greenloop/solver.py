@@ -16,12 +16,27 @@ solve_milp builds the bound-independent part of the standard form once
 per call: the rows, one unit row per variable with a finite upper bound,
 the slack block and the objective. The form also holds a read-only
 template, the starting tableau of a node whose slack basis is feasible
-with a zero right-hand side. Such a node (most of them) copies it, writes
-its right-hand side and goes straight to phase 2: with only slacks basic,
+with a zero right-hand side. A cold node copies it, writes its
+right-hand side and goes straight to phase 2: with only slacks basic,
 pricing out subtracts nothing, so the template's last row is exactly the
-phase-2 row a from-scratch build would make. A node with a negative
+phase-2 row a from-scratch build would make. A cold node with a negative
 shifted right-hand side builds a tableau with artificial columns and runs
 phase 1 first. Nothing outlives the call.
+
+Only the root, and children that cannot be warm-started, are cold. A
+child starts from a copy of its parent's optimal tableau. Its branch
+moves one bound of x_j: raising the lower bound shifts the right-hand
+side by delta times x_j's column, lowering the upper bound lowers x_j's
+unit row by delta. Either way the tableau's right-hand side moves by
+delta times one tableau column, which for a fractional x_j is a unit
+column, so one entry moves, and the reduced costs stay optimal. A dual
+simplex (Lemke 1954, Naval Research Logistics Quarterly) with Bland's
+rule restores primal feasibility, and phase 2 absorbs any drift. The
+siblings share their parent's array and basis until both have left the
+heap. Held arrays count against WARM_START_BYTES, and children past it
+are cold, so a wide search front cannot hold a tableau per pending
+node. Children of a parent that keeps an artificial variable basic are
+cold too; a parent's nonbasic artificial columns are dropped.
 
 A tableau is one array: the constraint rows, then the reduced-cost row,
 which each phase writes in place. A pivot divides the pivot row by its
@@ -30,20 +45,23 @@ through one buffer per node, the objective row's factor being its own
 entry in the pivot column. Each element still takes one IEEE multiply and
 one subtract, as when the cost row was updated on its own.
 
-The floats stay exactly those of a tableau built from scratch for the
-node, which tests/reference_solver.py does: each row's shift is its own
-np.dot (a matrix product may sum in another order), pricing out a basis
-subtracts only the rows of basic columns with a nonzero cost (basic
-columns are unit columns), the entering and ratio scans compare Python
-floats, which are the same IEEE doubles as numpy's, and a pivot forms
-each product once, as np.outer does. A node thus takes the same pivots
-and returns the same bits.
+The floats of solve_lp and of every cold node stay exactly those of a
+tableau built from scratch for the node, which tests/reference_solver.py
+does: each row's shift is its own np.dot (a matrix product may sum in
+another order), pricing out a basis subtracts only the rows of basic
+columns with a nonzero cost (basic columns are unit columns), the
+entering and ratio scans compare Python floats, which are the same IEEE
+doubles as numpy's, and a pivot forms each product once, as np.outer
+does. Such a node thus takes the same pivots and returns the same bits.
+A warm node reaches an optimum of the same LP by other pivots; where
+optima tie, it may return another vertex.
 
 Limits and tolerances are module constants. A solve ends with status
-IterationLimit after MAX_ITERATIONS simplex pivots per LP or MAX_NODES
-branch-and-bound nodes; FEAS_TOL bounds row and bound residuals and
-INT_TOL the distance from an integer. MilpSolution reports the pivots and
-nodes a solve took as iterations and nodes_explored.
+IterationLimit after MAX_ITERATIONS simplex pivots per LP (dual pivots
+included) or MAX_NODES branch-and-bound nodes; WARM_START_BYTES bounds
+the tableaus held for warm starts; FEAS_TOL bounds row and bound
+residuals and INT_TOL the distance from an integer. MilpSolution reports
+the pivots and nodes a solve took as iterations and nodes_explored.
 """
 
 from __future__ import annotations
@@ -60,6 +78,7 @@ from .errors import SolverError
 
 MAX_ITERATIONS = 10_000
 MAX_NODES = 100_000
+WARM_START_BYTES = 8 << 20
 FEAS_TOL = 1e-7
 INT_TOL = 1e-6
 _PIVOT_TOL = 1e-9
@@ -135,8 +154,9 @@ class Violation:
 
 class _Tableau:
     """Mutable simplex tableau in one array: the rows of [A | rhs], then the
-    reduced-cost row, whose last entry is -objective. body and obj are views
-    of those rows; buf holds a pivot's products."""
+    reduced-cost row, whose last entry is -objective (up to a constant on a
+    warm-started node). body and obj are views of those rows; buf holds a
+    pivot's products."""
 
     def __init__(self, tab: np.ndarray, basis: list[int], eligible: int):
         self.tab = tab  # (m + 1, total_cols + 1)
@@ -238,21 +258,14 @@ def _standard_form(lp: LinearProgram) -> _StandardForm:
     )
 
 
-def _solve(
-    form: _StandardForm, lower: Sequence[float], upper: Sequence[float]
-) -> MilpSolution:
-    """Solve the form's LP over the box lower <= x <= upper."""
+def _cold_start(
+    form: _StandardForm, lo: np.ndarray, upper: Sequence[float]
+) -> tuple[_Tableau, int] | MilpSolution:
+    """A node's tableau built from the slack basis, ready for phase 2, and
+    the pivots phase 1 took; or phase 1's verdict. The form has a row."""
     c = form.c
     n = c.shape[0]
     m = form.slack_tab.shape[0] - 1
-    lo = np.array(lower, dtype=float)
-    if m == 0:
-        # No constraints at all: each y_j sits at 0 unless pushing it up helps.
-        if np.any(c < -FEAS_TOL):
-            return MilpSolution(SolveStatus.UNBOUNDED, (), math.nan)
-        return MilpSolution(
-            SolveStatus.OPTIMAL, tuple(lo.tolist()), float(np.dot(c, lo))
-        )
 
     # Shift x = y + lb so y >= 0; a boxed variable's row bounds y by ub - lb.
     # Each row keeps its own np.dot: a matrix product may sum in another order.
@@ -262,7 +275,6 @@ def _solve(
     boxed = form.boxed
     b_vec[k:] = np.array(upper, dtype=float)[boxed] - lo[boxed]
 
-    iterations = 0
     art_rows = np.flatnonzero(b_vec < 0)
     n_art = art_rows.shape[0]
     if not n_art:
@@ -270,63 +282,67 @@ def _solve(
         # row, since no original variable is basic to price out.
         tab = form.slack_tab.copy()
         tab[:m, -1] = np.abs(b_vec)
-        t = _Tableau(tab, list(range(n, n + m)), n + m)
-    else:
-        # Flip rows with negative rhs (their zeros become -0.0, as the slack
-        # block's do) and give each an artificial column, basic in its row.
-        total = n + m + n_art
-        tab = np.zeros((m + 1, total + 1))
-        body = tab[:m]
-        body[:, : n + m] = form.slack_tab[:m, :-1]
-        body[art_rows, : n + m] *= -1.0
-        body[art_rows, n + m + np.arange(n_art)] = 1.0
-        body[:, -1] = np.abs(b_vec)
-        basis = list(range(n, n + m))
-        for a, i in enumerate(art_rows.tolist()):
-            basis[i] = n + m + a
-        t = _Tableau(tab, basis, total)
+        return _Tableau(tab, list(range(n, n + m)), n + m), 0
 
-        # Phase 1: minimize the artificial sum. Basic columns are unit
-        # columns, so pricing out the basis subtracts each artificial row.
-        obj = t.obj
-        obj[n + m : total] = 1.0
-        for i in art_rows.tolist():
-            obj -= body[i]
-        status, pivots = _simplex(t, MAX_ITERATIONS)
-        iterations += pivots
-        if status is SolveStatus.ITERATION_LIMIT:
-            return MilpSolution(status, (), math.nan, iterations=iterations)
-        if -obj[-1] > 1e-8:
-            return MilpSolution(
-                SolveStatus.INFEASIBLE, (), math.nan, iterations=iterations
-            )
-        # Drive leftover artificials out of the basis where possible.
-        for i, bv in enumerate(t.basis):
-            if bv >= n + m:
-                for j in range(n + m):
-                    if abs(body[i, j]) > _PIVOT_TOL:
-                        _pivot(t, i, j)
-                        iterations += 1
-                        break
-        t.eligible = n + m
+    # Flip rows with negative rhs (their zeros become -0.0, as the slack
+    # block's do) and give each an artificial column, basic in its row.
+    total = n + m + n_art
+    tab = np.zeros((m + 1, total + 1))
+    body = tab[:m]
+    body[:, : n + m] = form.slack_tab[:m, :-1]
+    body[art_rows, : n + m] *= -1.0
+    body[art_rows, n + m + np.arange(n_art)] = 1.0
+    body[:, -1] = np.abs(b_vec)
+    basis = list(range(n, n + m))
+    for a, i in enumerate(art_rows.tolist()):
+        basis[i] = n + m + a
+    t = _Tableau(tab, basis, total)
 
-        # Phase 2: original objective over shifted variables, priced out the
-        # same way: only basic original variables with a nonzero cost count.
-        obj.fill(0.0)
-        obj[:n] = c
-        cost = c.tolist()
-        for i, bv in enumerate(t.basis):
-            if bv < n and cost[bv] != 0.0:
-                obj -= cost[bv] * body[i]
+    # Phase 1: minimize the artificial sum. Basic columns are unit
+    # columns, so pricing out the basis subtracts each artificial row.
+    obj = t.obj
+    obj[n + m : total] = 1.0
+    for i in art_rows.tolist():
+        obj -= body[i]
+    status, iterations = _simplex(t, MAX_ITERATIONS)
+    if status is SolveStatus.ITERATION_LIMIT:
+        return MilpSolution(status, (), math.nan, iterations=iterations)
+    if -obj[-1] > 1e-8:
+        return MilpSolution(SolveStatus.INFEASIBLE, (), math.nan, iterations=iterations)
+    # Drive leftover artificials out of the basis where possible.
+    for i, bv in enumerate(t.basis):
+        if bv >= n + m:
+            for j in range(n + m):
+                if abs(body[i, j]) > _PIVOT_TOL:
+                    _pivot(t, i, j)
+                    iterations += 1
+                    break
+    t.eligible = n + m
 
+    # Phase 2: original objective over shifted variables, priced out the
+    # same way: only basic original variables with a nonzero cost count.
+    obj.fill(0.0)
+    obj[:n] = c
+    cost = c.tolist()
+    for i, bv in enumerate(t.basis):
+        if bv < n and cost[bv] != 0.0:
+            obj -= cost[bv] * body[i]
+    return t, iterations
+
+
+def _phase2(
+    form: _StandardForm, t: _Tableau, iterations: int, lo: np.ndarray
+) -> MilpSolution:
+    """Run phase 2 on a primal feasible tableau and read off x = y + lo."""
     status, pivots = _simplex(t, MAX_ITERATIONS - iterations)
     iterations += pivots
     if status is not SolveStatus.OPTIMAL:
         return MilpSolution(status, (), math.nan, iterations=iterations)
 
-    y = np.zeros(n)
+    c = form.c
+    y = np.zeros(c.shape[0])
     for i, bv in enumerate(t.basis):
-        if bv < n:
+        if bv < c.shape[0]:
             y[bv] = t.body[i, -1]
     y[np.abs(y) < 1e-12] = 0.0
     x = y + lo
@@ -336,6 +352,86 @@ def _solve(
         float(np.dot(c, x)),
         iterations=iterations,
     )
+
+
+def _solve(
+    form: _StandardForm, lower: Sequence[float], upper: Sequence[float]
+) -> MilpSolution:
+    """Solve the form's LP over the box lower <= x <= upper from scratch."""
+    c = form.c
+    lo = np.array(lower, dtype=float)
+    if form.slack_tab.shape[0] == 1:
+        # No constraints at all: each y_j sits at 0 unless pushing it up helps.
+        if np.any(c < -FEAS_TOL):
+            return MilpSolution(SolveStatus.UNBOUNDED, (), math.nan)
+        return MilpSolution(
+            SolveStatus.OPTIMAL, tuple(lo.tolist()), float(np.dot(c, lo))
+        )
+    start = _cold_start(form, lo, upper)
+    if isinstance(start, MilpSolution):
+        return start
+    return _phase2(form, *start, lo)
+
+
+def _dual_simplex(t: _Tableau, max_iters: int):
+    """Restore primal feasibility of a dual feasible tableau by the dual
+    simplex with Bland's rule. Returns (status, pivots)."""
+    pivots = 0
+    basis = t.basis
+    body = t.body
+    reduced = t.obj[: t.eligible]
+    rhs_col = body[:, -1]
+    while True:
+        # Leaving row: a negative right-hand side, lowest basic index first.
+        infeasible = (rhs_col < -_PIVOT_TOL).nonzero()[0].tolist()
+        if not infeasible:
+            return SolveStatus.OPTIMAL, pivots
+        leave = min(infeasible, key=basis.__getitem__)
+        # Entering column: min reduced / -a over a < 0, ties to the lowest
+        # index. A row with no negative entry cannot reach its bound.
+        row = body[leave, : t.eligible]
+        candidates = (row < -_PIVOT_TOL).nonzero()[0]
+        if not candidates.shape[0]:
+            return SolveStatus.INFEASIBLE, pivots
+        ratios = reduced[candidates] / -row[candidates]
+        _pivot(t, leave, int(candidates[ratios.argmin()]))
+        pivots += 1
+        if pivots >= max_iters:
+            return SolveStatus.ITERATION_LIMIT, pivots
+
+
+class _Parent:
+    """A solved node's final tableau, less its artificial columns, and its
+    basis, held until both children have left the heap."""
+
+    __slots__ = ("tab", "basis", "pending")
+
+    def __init__(self, tab: np.ndarray, basis: list[int], pending: int):
+        self.tab = tab
+        self.basis = basis
+        self.pending = pending
+
+
+def _warm_start(
+    parent: _Parent, col: int, delta: float
+) -> tuple[_Tableau, int] | MilpSolution:
+    """A child's tableau, primal feasible again, from a copy of its
+    parent's, and the dual pivots that took; or the dual simplex's verdict.
+
+    col is x_j on the up branch, whose lower bound rises by delta, and the
+    slack of x_j's unit row on the down branch, whose upper bound drops by
+    delta. Either way the right-hand side moves by -delta times tableau
+    column col, and the reduced costs, still optimal, stay as they are.
+    On the up branch the objective row's last entry, which phase 2 never
+    reads, is left off -c.y by c_j * delta.
+    """
+    tab = parent.tab.copy()
+    tab[:, -1] -= delta * tab[:, col]
+    t = _Tableau(tab, list(parent.basis), tab.shape[1] - 1)
+    status, pivots = _dual_simplex(t, MAX_ITERATIONS)
+    if status is not SolveStatus.OPTIMAL:
+        return MilpSolution(status, (), math.nan, iterations=pivots)
+    return t, pivots
 
 
 def solve_lp(lp: LinearProgram) -> MilpSolution:
@@ -367,6 +463,15 @@ def solve_milp(lp: LinearProgram) -> MilpSolution:
     Branches on the most-fractional variable (ties to the lowest index);
     nodes are explored in best-relaxation-bound order (ties FIFO). Every
     integer variable needs finite bounds.
+
+    The root is solved from the slack basis. A child starts from a copy of
+    its parent's optimal tableau, which the two siblings share until both
+    have left the heap, and a dual simplex makes it primal feasible again.
+    Children are solved from the slack basis instead when their parent's
+    tableau keeps an artificial variable basic, or when holding it would
+    take the held tableaus past WARM_START_BYTES. A warm node's relaxation
+    has the optimum a cold one would find; where its optima tie, it may
+    return another vertex, and the search may branch elsewhere.
     """
     for j, is_int in enumerate(lp.integer_mask):
         if is_int and not math.isfinite(lp.upper_bounds[j]):
@@ -379,9 +484,16 @@ def solve_milp(lp: LinearProgram) -> MilpSolution:
         return replace(sol, nodes_explored=1 if sol.status is SolveStatus.OPTIMAL else 0)
 
     form = _standard_form(lp)
+    n = lp.num_vars
+    width = form.slack_tab.shape[1]  # n + m + 1: no artificial columns
+    # The slack column of each boxed variable's unit row.
+    unit_slack = {j: n + len(form.rows) + r for r, j in enumerate(form.boxed.tolist())}
     counter = 0
-    heap: list[tuple[float, int, tuple[float, ...], tuple[float, ...]]] = []
-    heapq.heappush(heap, (-math.inf, counter, lp.lower_bounds, lp.upper_bounds))
+    # (bound, FIFO order, lower, upper, parent or None, branch column, delta)
+    heap: list[tuple] = [
+        (-math.inf, counter, lp.lower_bounds, lp.upper_bounds, None, 0, 0.0)
+    ]
+    held_bytes = 0
 
     best_obj = math.inf
     best_values: tuple[float, ...] = ()
@@ -390,7 +502,11 @@ def solve_milp(lp: LinearProgram) -> MilpSolution:
     hit_node_limit = False
 
     while heap:
-        bound, _, los, his = heapq.heappop(heap)
+        bound, _, los, his, parent, col, delta = heapq.heappop(heap)
+        if parent is not None:
+            parent.pending -= 1
+            if not parent.pending:
+                held_bytes -= parent.tab.nbytes
         if bound >= best_obj - 1e-9:
             continue
         if nodes >= MAX_NODES:
@@ -398,7 +514,16 @@ def solve_milp(lp: LinearProgram) -> MilpSolution:
             break
         nodes += 1
 
-        relax = _solve(form, los, his)
+        lo = np.array(los, dtype=float)
+        if parent is None:
+            start = _cold_start(form, lo, his)
+        else:
+            start = _warm_start(parent, col, delta)
+        if isinstance(start, MilpSolution):
+            relax = start
+        else:
+            t = start[0]
+            relax = _phase2(form, *start, lo)
         iterations += relax.iterations
         if relax.status is SolveStatus.ITERATION_LIMIT:
             return MilpSolution(
@@ -428,19 +553,39 @@ def solve_milp(lp: LinearProgram) -> MilpSolution:
             continue
 
         xj = values[branch_j]
-        down_his = list(his)
-        down_his[branch_j] = math.floor(xj)
-        up_los = list(los)
-        up_los[branch_j] = math.ceil(xj)
-        for child_los, child_his in (
-            (los, tuple(down_his)),
-            (tuple(up_los), his),
+        children = []
+        down_hi = math.floor(xj)
+        if los[branch_j] <= down_hi:
+            down_his = list(his)
+            down_his[branch_j] = down_hi
+            children.append(
+                (los, tuple(down_his), unit_slack[branch_j], his[branch_j] - down_hi)
+            )
+        up_lo = math.ceil(xj)
+        if up_lo <= his[branch_j]:
+            up_los = list(los)
+            up_los[branch_j] = up_lo
+            children.append((tuple(up_los), his, branch_j, up_lo - los[branch_j]))
+
+        held = None
+        tab = t.tab
+        if tab.shape[1] > width and max(t.basis) < width - 1:
+            # Phase 1's artificial columns, all nonbasic, drop out.
+            tab = np.delete(tab, np.s_[width - 1 : -1], axis=1)
+        if (
+            children
+            and tab.shape[1] == width
+            and held_bytes + tab.nbytes <= WARM_START_BYTES
         ):
-            if child_los[branch_j] <= child_his[branch_j]:
-                counter += 1
-                heapq.heappush(
-                    heap, (relax.objective_value, counter, child_los, child_his)
-                )
+            held = _Parent(tab, t.basis, len(children))
+            held_bytes += tab.nbytes
+        for child_los, child_his, child_col, child_delta in children:
+            counter += 1
+            heapq.heappush(
+                heap,
+                (relax.objective_value, counter, child_los, child_his,
+                 held, child_col, child_delta),
+            )
 
     if hit_node_limit:
         status = SolveStatus.ITERATION_LIMIT

@@ -6,11 +6,13 @@ node went through `dataclasses.replace` and a fresh `solve_lp`, which
 stacked the constraint rows, the unit rows of the finite upper bounds, an
 identity block of slacks and one column per artificial variable, and the
 simplex read the tableau one numpy scalar at a time. They are kept as the
-oracle the faster kernel is compared against: it must take the same pivots
-and return the same floats, node counts and pivot counts. The bodies are
-unchanged apart from their imports. The limits and tolerances are bound
-from greenloop.solver at import, so a test that patches a limit in
-greenloop.solver patches this module's name too.
+oracle the faster kernel is compared against: its solve_lp, and its
+solve_milp with warm starts off (WARM_START_BYTES 0, every node cold),
+must take the same pivots and return the same floats, node counts and
+pivot counts. The bodies are unchanged apart from their imports. The
+limits and tolerances are bound from greenloop.solver at import, so a
+test that patches a limit in greenloop.solver patches this module's name
+too.
 
 `enumerate_integer_optimum` is the brute-force oracle both solvers are
 checked against on small all-integer instances.

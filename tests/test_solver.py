@@ -1,8 +1,9 @@
 """Solver unit tests: simplex vertices, branch-and-bound vs brute force,
-bit-identity with the per-node reference in reference_solver, and the
-node and pivot limits."""
+bit-identity with the per-node reference in reference_solver, warm-started
+nodes against cold ones, and the node, pivot and memory limits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,11 +294,19 @@ class TestCheckSolution:
         assert not [v for v in violations if v.kind in ("lower", "upper", "integrality")]
 
 
+def cold_solve_milp(instance):
+    """solve_milp with every node solved from the slack basis."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "WARM_START_BYTES", 0)
+        return solve_milp(instance)
+
+
 def same_as_reference(instance):
-    """solve_lp and solve_milp return what the per-node reference returns,
-    down to the float bits, the node count and the pivot count."""
+    """solve_lp, and solve_milp with every node cold, return what the
+    per-node reference returns, down to the float bits, the node count and
+    the pivot count."""
     assert repr(solve_lp(instance)) == repr(reference.solve_lp(instance))
-    assert repr(solve_milp(instance)) == repr(reference.solve_milp(instance))
+    assert repr(cold_solve_milp(instance)) == repr(reference.solve_milp(instance))
 
 
 HALVES = st.integers(-8, 8).map(lambda k: k / 2)
@@ -370,7 +379,8 @@ def alloc_knapsacks(draw):
 
 class TestReferenceEquivalence:
     """The kernel that builds each MILP's standard form once takes the same
-    pivots and returns the same bits as rebuilding every node's tableau."""
+    pivots and returns the same bits as rebuilding every node's tableau,
+    when no node is warm-started."""
 
     @settings(deadline=None, max_examples=150)
     @given(instance=boxed_instances())
@@ -393,8 +403,8 @@ class TestReferenceEquivalence:
         same_as_reference(instance)
 
 
-# 15 nodes and 50 pivots to optimality; the first incumbent, (1, 0, 0, 1),
-# is found at node 12.
+# 15 nodes to optimality, in 23 pivots with warm-started children and 50
+# with every node cold; the first incumbent, (1, 0, 0, 1), is found at node 12.
 LIMIT_KNAPSACK = lp(
     [-5.0, -4.0, -3.0, -7.0],
     rows=[([2.0, 3.0, 1.0, 4.0], 6.5), ([3.0, 1.0, 2.0, 2.0], 5.5)],
@@ -422,7 +432,7 @@ class TestLimits:
         sol = solve_milp(LIMIT_KNAPSACK)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.values == (1.0, 0.0, 0.0, 1.0)
-        assert (sol.nodes_explored, sol.iterations) == (15, 50) == (15, len(pivot_count))
+        assert (sol.nodes_explored, sol.iterations) == (15, 23) == (15, len(pivot_count))
 
     @pytest.mark.parametrize("limit", [1, 11, 12, 14])
     def test_node_limit_returns_incumbent(self, monkeypatch, pivot_count, limit):
@@ -432,18 +442,24 @@ class TestLimits:
         assert sol.status is SolveStatus.ITERATION_LIMIT
         assert sol.nodes_explored == limit
         assert sol.iterations == len(pivot_count)
+        # with every node cold, the pivots are the per-node reference's
+        monkeypatch.setattr(solver, "WARM_START_BYTES", 0)
+        cold = solve_milp(LIMIT_KNAPSACK)
+        assert (cold.status, cold.values, cold.nodes_explored) == (
+            sol.status, sol.values, sol.nodes_explored
+        )
         ref = reference.solve_milp(LIMIT_KNAPSACK)
         if limit >= 12:
             assert sol.values == (1.0, 0.0, 0.0, 1.0)
             assert sol.objective_value == -12.0
             assert check_solution(LIMIT_KNAPSACK, sol) == []
-            assert repr(sol) == repr(ref)
+            assert repr(cold) == repr(ref)
         else:
             # no incumbent yet: no objective value, as on every other exit
             # without a solution (the reference reports inf here)
             assert sol.values == ()
             assert math.isnan(sol.objective_value)
-            assert (sol.status, sol.values, sol.nodes_explored, sol.iterations) == (
+            assert (cold.status, cold.values, cold.nodes_explored, cold.iterations) == (
                 ref.status, ref.values, ref.nodes_explored, ref.iterations
             )
 
@@ -472,7 +488,7 @@ class TestLimits:
 
     @pytest.mark.parametrize("limit", ["MAX_NODES", "MAX_ITERATIONS"])
     def test_run_on_a_limited_solve_exits_5(self, tmp_path, monkeypatch, capsys, limit):
-        # alloc_small takes 3 nodes and 5 pivots to optimality.
+        # alloc_small takes 3 nodes and 4 pivots to optimality (5 all cold).
         monkeypatch.setattr(solver, limit, 1)
         out = tmp_path / "out"
         assert main(["run", "--scenario", "alloc_small.json", "--mode", "framework",
@@ -511,6 +527,7 @@ class TestSlackTemplate:
         assert form.slack_tab.tobytes() == template
 
     def test_template_root_and_phase1_branch_match_reference(self, monkeypatch):
+        monkeypatch.setattr(solver, "WARM_START_BYTES", 0)
         starts = []
         simplex = solver._simplex
 
@@ -526,3 +543,96 @@ class TestSlackTemplate:
         assert starts[0] == (width, width - 1)
         assert any(w > width and e == width - 1 for w, e in starts)
         assert repr(sol) == repr(reference.solve_milp(TEMPLATE_THEN_PHASE1))
+
+
+def warm_matches_cold(instance):
+    """Warm-started children reach what cold ones reach: the same status and
+    optimum, and a feasible incumbent. Values may differ where optima tie."""
+    warm = solve_milp(instance)
+    cold = cold_solve_milp(instance)
+    assert warm.status is cold.status
+    if cold.status is SolveStatus.OPTIMAL:
+        tol = 1e-9 * max(1.0, abs(cold.objective_value))
+        assert abs(warm.objective_value - cold.objective_value) <= tol
+        assert check_solution(instance, warm) == []
+
+
+# min -sum(x) over 21 binaries with 2 sum(x) <= 21: every relaxation ties at
+# -10.5, so best-first search keeps a wide front of pending nodes, and the
+# first incumbent, -10, comes only at node 2,048.
+BINARY_KNAPSACK = lp([-1.0] * 21, rows=[([2.0] * 21, 21.0)], upper=[1.0] * 21,
+                     integer=[True] * 21)
+
+
+class TestWarmStart:
+    """Children started from their parent's tableau by the dual simplex,
+    against every node solved from the slack basis."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(instance=boxed_instances())
+    def test_boxed_instances(self, instance):
+        warm_matches_cold(instance)
+
+    @settings(deadline=None, max_examples=60)
+    @given(instance=degenerate_instances())
+    def test_degenerate_instances(self, instance):
+        warm_matches_cold(instance)
+
+    @settings(deadline=None, max_examples=60)
+    @given(instance=covering_instances())
+    def test_negative_rhs_instances(self, instance):
+        """Each root runs phase 1, so its children start from a tableau whose
+        artificial columns were dropped."""
+        warm_matches_cold(instance)
+
+    @settings(deadline=None, max_examples=20)
+    @given(instance=alloc_knapsacks())
+    def test_alloc_shaped_knapsacks(self, instance):
+        warm_matches_cold(instance)
+
+    def test_every_child_starts_warm(self, monkeypatch):
+        starts = []
+        cold_start, warm_start = solver._cold_start, solver._warm_start
+
+        def counting_cold(*args):
+            starts.append("cold")
+            return cold_start(*args)
+
+        def counting_warm(*args):
+            starts.append("warm")
+            return warm_start(*args)
+
+        monkeypatch.setattr(solver, "_cold_start", counting_cold)
+        monkeypatch.setattr(solver, "_warm_start", counting_warm)
+        sol = solve_milp(LIMIT_KNAPSACK)
+        assert sol.nodes_explored == 15
+        assert starts == ["cold"] + ["warm"] * 14
+
+    def test_held_tableaus_stay_within_the_budget(self, monkeypatch):
+        budget = 64 << 10  # 8 of the knapsack's 8 KB tableaus
+        monkeypatch.setattr(solver, "MAX_NODES", 1100)
+        cold_starts = [0]
+        cold_start = solver._cold_start
+
+        def counting_cold(*args):
+            cold_starts[0] += 1
+            return cold_start(*args)
+
+        sols, peaks = [], []
+        for held in (0, budget):
+            monkeypatch.setattr(solver, "WARM_START_BYTES", held)
+            tracemalloc.start()
+            try:
+                sols.append(solve_milp(BINARY_KNAPSACK))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            monkeypatch.setattr(solver, "_cold_start", counting_cold)
+        cold, warm = sols
+        assert warm.status is cold.status is SolveStatus.ITERATION_LIMIT
+        # no incumbent on either side before node 2,048
+        assert warm.values == cold.values == ()
+        assert math.isnan(warm.objective_value) and math.isnan(cold.objective_value)
+        assert peaks[1] <= peaks[0] + budget
+        # the budget binds: past it, children start from the slack basis
+        assert cold_starts[0] > 1
