@@ -54,7 +54,8 @@ from .report import (
     run_result_from_dict,
     run_result_to_dict,
 )
-from .routing import QTable, qtable_to_dict, qtable_to_records
+# qtable_to_dict is unused here but kept: the benchmark's tracer wraps cli.qtable_to_dict
+from .routing import qtable_to_dict, qtable_to_records  # noqa: F401
 from .scenario import (
     ScenarioSpec,
     is_rng_seed,
@@ -70,7 +71,6 @@ from .serialize import (
     content_hash,
     digest,
     read_json_checked,
-    stream_json,
     write_json,
 )
 from .twin import ELEMENTS, calibrate_facility
@@ -216,22 +216,13 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
-def _write_qtables(path: Path, tables: Sequence[QTable]) -> None:
-    """Write {"version": 1, "tables": [qtable_to_dict(q) for q in tables]}.
-
-    The entries are written straight from each table's columns; only when
-    stream_json declines a column are the entry dicts built and written by
-    write_json. Either way the bytes are the same.
-    """
-    if not stream_json(path, {"version": 1, "tables": list(map(qtable_to_records, tables))}):
-        write_json(path, {"version": 1, "tables": [qtable_to_dict(q) for q in tables]})
-
-
 def cmd_run(args) -> int:
     """Run a scenario and persist its metrics and artifacts in a run directory.
 
-    qtables.json, the largest artifact, is written from the Q tables
-    themselves (_write_qtables), so its ~81k entries never exist as dicts.
+    Every artifact after scenario.json is written by write_json. The
+    route tables go as qtable_to_records, so qtables.json, the largest
+    artifact, is written from the Q tables' columns and its ~81k entries
+    never exist as dicts.
     """
     s = load_scenario(_scenario_path(args.scenario))
     seed = args.seed if args.seed is not None else s.rng_seed
@@ -253,29 +244,18 @@ def cmd_run(args) -> int:
     run_dir = Path(args.out) / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    metrics_doc = run_result_to_dict(result)
-    paths = {"scenario": "scenario.json", "metrics": "metrics.json"}
-    (run_dir / "scenario.json").write_bytes(scenario_bytes)
-    write_json(run_dir / "metrics.json", metrics_doc)
+    docs = {"metrics": run_result_to_dict(result)}
     if artifacts.classifier is not None:
-        paths["classifier"] = "classifier.json"
-        write_json(run_dir / "classifier.json", model_to_dict(artifacts.classifier))
+        docs["classifier"] = model_to_dict(artifacts.classifier)
     if artifacts.district_qtables:
-        paths["qtables"] = "qtables.json"
-        _write_qtables(run_dir / "qtables.json", artifacts.district_qtables)
+        docs["qtables"] = {
+            "version": 1,
+            "tables": [qtable_to_records(q) for q in artifacts.district_qtables],
+        }
     if artifacts.district_routes:
-        paths["routes"] = "routes.json"
-        write_json(
-            run_dir / "routes.json",
-            {"version": 1, "routes": [list(r) for r in artifacts.district_routes]},
-        )
+        docs["routes"] = {"version": 1, "routes": [list(r) for r in artifacts.district_routes]}
     if artifacts.allocation is not None:
-        paths["allocation"] = "allocation.json"
-        write_json(
-            run_dir / "allocation.json",
-            {"version": 1, "levels": dict(sorted(artifacts.allocation.items()))},
-        )
-
+        docs["allocation"] = {"version": 1, "levels": dict(sorted(artifacts.allocation.items()))}
     manifest = {
         "version": 1,
         "run_id": run_id,
@@ -284,10 +264,12 @@ def cmd_run(args) -> int:
         "tool_version": __version__,
         "scenario_hash": scenario_hash,
         "created_at": _timestamp(),
-        "artifacts": paths,
-        "metrics": metrics_doc,
+        "artifacts": {"scenario": "scenario.json", **{name: f"{name}.json" for name in docs}},
+        "metrics": docs["metrics"],
     }
-    write_json(run_dir / "manifest.json", manifest)
+    (run_dir / "scenario.json").write_bytes(scenario_bytes)
+    for name, doc in [*docs.items(), ("manifest", manifest)]:
+        write_json(run_dir / f"{name}.json", doc)
     print(f"run {run_id} ({args.mode}, seed {seed}) -> {run_dir / 'manifest.json'}")
     return 0
 

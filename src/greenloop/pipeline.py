@@ -279,6 +279,9 @@ def run_full(s: ScenarioSpec, mode: str) -> tuple[RunResult, RunArtifacts]:
         raise ModeUnsupported(CELLS_WITHOUT_FACILITY)
 
     workload = planned_workload(s, mode)  # simulate and carbon are counted below
+    # the counted workload is never below the plan, so a plan whose ledger
+    # overflows is refused before any stage runs
+    meter(s.energy_model or EnergyModel(), workload)
     g = s.collection_graph
     bins = g.bin_ids() if g is not None else ()  # preprocess and route need bins
 

@@ -379,9 +379,11 @@ def qtable_to_dict(q: QTable, version: int = 1) -> dict:
 def qtable_to_records(q: QTable, version: int = 1) -> dict:
     """qtable_to_dict(q, version) with its entries held as columns of q.
 
-    serialize.stream_json writes it as the same bytes, reading each slice
-    of the sorted keys into current, visited, action and value columns, so
-    no entry dict is built.
+    serialize.write_json and canonical_dumps write it as the same bytes,
+    reading each slice of the sorted keys into current, visited, action
+    and value columns, so no entry dict is built. Only when a column
+    declines (a tuple current, a numpy.float64 value) does the standard
+    library fallback build the entry dicts.
     """
     values = q.values
 

@@ -39,21 +39,22 @@ never holds more than one slice's cells and rows and about one chunk of
 text. A document shorter than one chunk is encoded in memory and written
 with one open and one write. No temporary file is made:
 
-- stream_json writes the fast path's text and returns False, with the
-  partial file removed, if the fast path gives up; write_json then
+- if the fast path gives up, write_json removes the partial file and
   writes the standard library's text from the start;
 - if the standard library raises too, or anything fails once the file
   is open, the partial file is removed and the error propagates. A
   document that fails before its first chunk leaves the path untouched.
 
-A list of records need not exist as dicts to be written. stream_json
-also takes Records, which hold a list of records as column slices drawn
+A list of records need not exist as dicts to be written. Both functions
+also take Records, which hold a list of records as column slices drawn
 on demand; each slice goes through the record path's cell encoders and
 row template, so its text is the one the dicts would have. The 81k route
 table entries are written this way (routing.qtable_to_records), so the
 largest artifact never exists as entry dicts, row strings for all its
-rows, or whole text. stream_json returns False when a column declines,
-and the caller writes the dicts instead.
+rows, or whole text. When a column declines, the standard library call
+takes the document, and its ``default`` hook expands each Records into
+the entry dicts it stands for; the text is the same, and any other value
+it cannot serialize raises the standard library's own TypeError.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def _rows(items: list, inner: str) -> list[str] | None:
 
 @dataclass(frozen=True)
 class Records:
-    """A list of records that stream_json writes from columns, never as dicts.
+    """A list of records that write_json writes from columns, never as dicts.
 
     rows holds one item per record and columns(part) turns a slice of
     rows into one column of cells per key, in the order of keys, which
@@ -232,8 +233,20 @@ def _write(obj: Any, out: _Sink, indent: str) -> None:
         raise _Unsupported
 
 
+def _entries(obj: Any) -> list[dict]:
+    """The list of dicts a Records stands for; the standard library's error otherwise."""
+    if type(obj) is not Records:
+        return json.JSONEncoder().default(obj)
+    rows = obj.rows
+    return [
+        dict(zip(obj.keys, row))
+        for start in range(0, len(rows), ROW_SLICE)
+        for row in zip(*obj.columns(rows[start : start + ROW_SLICE]))
+    ]
+
+
 def _stdlib_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1, ensure_ascii=False) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=1, ensure_ascii=False, default=_entries) + "\n"
 
 
 class _Sink(list):
@@ -290,35 +303,17 @@ def canonical_dumps(obj: Any) -> str:
     return "".join(out)
 
 
-def stream_json(path: Path | str, obj: Any) -> bool:
-    """Write the bytes of canonical_dumps(obj) to path, CHUNK_CHARS at a time.
-
-    obj may hold Records, each written as its list of records. False when
-    the fast path declines obj, or _record_text a column of a Records; the
-    caller then writes the document another way, and path holds nothing
-    this call wrote. Any error removes the file this call opened.
-    """
-    out = _Sink(path)
-    try:
-        _write(obj, out, "\n")
-        out.append("\n")
-        out.finish()
-    except (_Unsupported, RecursionError):
-        out.discard()
-        return False
-    except BaseException:
-        out.discard()
-        raise
-    return True
-
-
 def write_json(path: Path | str, obj: Any) -> None:
     """Write the bytes of canonical_dumps(obj) to path, CHUNK_CHARS at a time."""
-    if stream_json(path, obj):
-        return
     out = _Sink(path)
-    out.append(_stdlib_dumps(obj))
     try:
+        try:
+            _write(obj, out, "\n")
+            out.append("\n")
+        except (_Unsupported, RecursionError):
+            out.discard()
+            out = _Sink(path)
+            out.append(_stdlib_dumps(obj))
         out.finish()
     except BaseException:
         out.discard()

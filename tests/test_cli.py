@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from greenloop import cli, errors
+from greenloop import cli, errors, pipeline
 from greenloop.cli import main
 from greenloop.serialize import read_json
 
@@ -131,6 +131,31 @@ class TestRun:
         assert manifest["scenario_hash"] == hashlib.sha256(written).hexdigest()[:16]
         assert main(argv) == 0
         assert [p.parent.name for p in tmp_path.glob("*/manifest.json")] == [manifest["run_id"]]
+
+    @pytest.mark.parametrize("fixture, edit", [
+        ("waste_framework.json", small_waste), ("alloc_small.json", None),
+    ])
+    def test_every_artifact_but_the_scenario_goes_through_write_json(
+        self, tmp_path, monkeypatch, fixture, edit
+    ):
+        doc = json.loads((cli._FIXTURES / fixture).read_text("utf-8"))
+        if edit is not None:
+            edit(doc)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc), "utf-8")
+        seen = []
+        write_json = cli.write_json
+
+        def recorder(path, obj):
+            seen.append(Path(path).name)
+            return write_json(path, obj)
+
+        monkeypatch.setattr(cli, "write_json", recorder)
+        assert main(["run", "--scenario", str(scenario), "--mode", "framework",
+                     "--out", str(tmp_path / "out")]) == 0
+        (manifest,) = (tmp_path / "out").glob("*/manifest.json")
+        artifacts = set(read_json(manifest)["artifacts"].values()) - {"scenario.json"}
+        assert sorted(seen[:-1]) == sorted(artifacts) and seen[-1] == "manifest.json"
 
     def test_missing_scenario_exit_3(self, tmp_path, capsys):
         code = main(
@@ -724,6 +749,26 @@ class TestValidateCalibrate:
         assert main(["run", "--scenario", str(scenario), "--mode", "framework",
                      "--out", str(tmp_path / "refused")]) == 4
         assert not (tmp_path / "refused").exists()
+
+    def test_run_refuses_an_overflowing_plan_before_any_stage(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        doc = json.loads((cli._FIXTURES / "waste_framework.json").read_text("utf-8"))
+        doc["energy_model"] = {"alpha": 1e308, "beta": 0.0}
+        scenario = tmp_path / "overflow.json"
+        scenario.write_text(json.dumps(doc), "utf-8")
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(pipeline, "simulate_bins", unreached)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scenario), "--mode", "framework",
+                     "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "error: stage energy sums to inf kWh through stage 'route' (at energy_model)\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", [
         "alloc_small.json", "battery_baseline.json", "battery_framework.json",

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenloop import serialize
-from greenloop.cli import _write_qtables
 from greenloop.pipeline import partition_districts
 from greenloop.routing import (
     QTable,
@@ -28,7 +27,7 @@ from greenloop.routing import (
     train_routing,
 )
 from greenloop.scenario import parse_scenario
-from greenloop.serialize import canonical_dumps, stream_json, write_json
+from greenloop.serialize import canonical_dumps, write_json
 
 
 def oracle(obj):
@@ -457,6 +456,15 @@ NON_STR = qtable_from_dict({"entries": [
 ]})
 
 
+# tables whose columns the record path declines: tuple currents, a
+# numpy.float64 value, a dict value holding a list
+DECLINED = [
+    QTable({(("b", 0), 0, "b1"): 1.0, (("b", 0), 1, "b2"): 2.0}),
+    QTable({("b0", 0, "b1"): np.float64(0.1), ("b0", 1, "b2"): 2.0}),
+    QTable({("b0", 0, "b1"): 1.0, ("b0", 1, "b2"): {"x": [1]}}),
+]
+
+
 def route_table_bytes(write, tables):
     """The bytes write(path, tables) leaves, asserting it leaves one file."""
     with tempfile.TemporaryDirectory() as folder:
@@ -468,6 +476,22 @@ def route_table_bytes(write, tables):
 
 def entry_dicts(path, tables, version=1):
     write_json(path, {"version": version, "tables": [qtable_to_dict(q, version) for q in tables]})
+
+
+def run_tables(path, tables):
+    """qtables.json as cmd_run writes it: write_json over the tables' columns."""
+    write_json(path, {"version": 1, "tables": [qtable_to_records(q) for q in tables]})
+
+
+@contextlib.contextmanager
+def no_stdlib():
+    """json.dumps patched to raise, so only the fast path can write."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fell back to json.dumps")
+
+    with mock.patch.object(serialize.json, "dumps", refuse):
+        yield
 
 
 class TestRouteTables:
@@ -495,7 +519,8 @@ class TestRouteTables:
 
         def columns(path, tables):
             doc = {"version": version, "tables": [qtable_to_records(q, version) for q in tables]}
-            assert stream_json(path, doc)
+            with no_stdlib():  # no column declines
+                write_json(path, doc)
 
         doc = {"version": version, "tables": [qtable_to_dict(q, version) for q in tables]}
         with small_chunks(**chunks) if chunks else contextlib.nullcontext():
@@ -503,25 +528,38 @@ class TestRouteTables:
             assert want == oracle_bytes(doc)
             assert route_table_bytes(columns, tables) == want
             if version == 1:
-                assert route_table_bytes(_write_qtables, tables) == want
+                assert route_table_bytes(run_tables, tables) == want
 
-    @pytest.mark.parametrize(
-        "odd",
-        [
-            QTable({(("b", 0), 0, "b1"): 1.0, (("b", 0), 1, "b2"): 2.0}),  # tuple currents
-            QTable({("b0", 0, "b1"): np.float64(0.1), ("b0", 1, "b2"): 2.0}),
-            QTable({("b0", 0, "b1"): 1.0, ("b0", 1, "b2"): {"x": [1]}}),
-        ],
-    )
+    @pytest.mark.parametrize("odd", DECLINED)
     def test_a_declined_column_falls_back_to_the_entry_dicts(self, trained, odd):
         tables = [*trained, odd]
         with small_chunks(), file_calls() as calls:
             want = route_table_bytes(entry_dicts, tables)
             calls.clear()
-            assert route_table_bytes(_write_qtables, tables) == want
+            assert route_table_bytes(run_tables, tables) == want
         # chunks were streamed from the columns before the odd table declined
         opens = [i for i, call in enumerate(calls) if call[0] == "open"]
         assert opens[0] == 0 and len(opens) > 1 and opens[1] > 2
+        # the standard library's text, with each Records expanded to its entry dicts
+        text = oracle({"version": 1, "tables": [qtable_to_dict(q) for q in tables]})
+        assert want == text.encode("utf-8")
+        doc = {"version": 1, "tables": [qtable_to_records(q) for q in tables]}
+        assert canonical_dumps(doc) == text
+
+    @pytest.mark.parametrize("beside", ["nothing", "declined", "streamed"])
+    def test_an_unserializable_value_raises_the_stdlib_error(self, trained, beside, tmp_path):
+        tables = {"nothing": [], "declined": DECLINED[:1], "streamed": trained[:1]}[beside]
+        doc = {"tables": [qtable_to_dict(q) for q in tables], "z": {1, 2}}
+        with pytest.raises(TypeError) as expected:
+            oracle(doc)
+        assert str(expected.value) == "Object of type set is not JSON serializable"
+        doc["tables"] = [qtable_to_records(q) for q in tables]
+        with pytest.raises(TypeError) as dumped:
+            canonical_dumps(doc)
+        with pytest.raises(TypeError) as wrote:
+            write_json(tmp_path / "doc.json", doc)
+        assert str(dumped.value) == str(wrote.value) == str(expected.value)
+        assert os.listdir(tmp_path) == []
 
     def test_unorderable_keys_raise_before_any_file(self, trained, tmp_path):
         odd = QTable({("b0", 0, "b1"): 1.0, (1, 0, "b1"): 2.0})
@@ -529,7 +567,7 @@ class TestRouteTables:
             qtable_to_dict(odd)
         path = tmp_path / "qtables.json"
         with small_chunks(), pytest.raises(expected.type, match=str(expected.value)):
-            _write_qtables(path, [*trained, odd])
+            run_tables(path, [*trained, odd])
         assert os.listdir(tmp_path) == []
 
     def test_traced_peak_is_below_half_the_file(self, tmp_path):
@@ -543,7 +581,7 @@ class TestRouteTables:
         path = tmp_path / "qtables.json"
         tracemalloc.start()
         try:
-            _write_qtables(path, tables)
+            run_tables(path, tables)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
