@@ -54,8 +54,7 @@ from .report import (
     run_result_from_dict,
     run_result_to_dict,
 )
-# qtable_to_dict is unused here but kept: the benchmark's tracer wraps cli.qtable_to_dict
-from .routing import qtable_to_dict, qtable_to_records  # noqa: F401
+from .routing import qtable_to_dict
 from .scenario import (
     ScenarioSpec,
     is_rng_seed,
@@ -220,9 +219,9 @@ def cmd_run(args) -> int:
     """Run a scenario and persist its metrics and artifacts in a run directory.
 
     Every artifact after scenario.json is written by write_json. The
-    route tables go as qtable_to_records, so qtables.json, the largest
-    artifact, is written from the Q tables' columns and its ~81k entries
-    never exist as dicts.
+    route tables go as qtable_to_dict, whose entries are Records, so
+    qtables.json, the largest artifact, is written from the Q tables'
+    columns and its ~81k entries never exist as dicts.
     """
     s = load_scenario(_scenario_path(args.scenario))
     seed = args.seed if args.seed is not None else s.rng_seed
@@ -250,7 +249,7 @@ def cmd_run(args) -> int:
     if artifacts.district_qtables:
         docs["qtables"] = {
             "version": 1,
-            "tables": [qtable_to_records(q) for q in artifacts.district_qtables],
+            "tables": [qtable_to_dict(q) for q in artifacts.district_qtables],
         }
     if artifacts.district_routes:
         docs["routes"] = {"version": 1, "routes": [list(r) for r in artifacts.district_routes]}

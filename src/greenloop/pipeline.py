@@ -460,6 +460,28 @@ def compare_runs(
     return ImprovementReport(deltas=tuple(deltas), annotations=tuple(annotations))
 
 
+def _retrain(
+    s: ScenarioSpec, classifier: SoftmaxModel, fseed: int
+) -> tuple[SoftmaxModel, tuple[str, ...]]:
+    """Refit the classifier on the prior training split plus a fresh batch.
+
+    Returns the retrained model and, if its held-out accuracy on the
+    original evaluation split fell below the prior model's, a diagnostic.
+    As in _preprocess, the bin events and records are dropped on return.
+    """
+    train_recs, eval_recs = _split_records(simulate_bins(s, BIN_HORIZON).events)
+    fresh = dataclasses.replace(s, rng_seed=fseed)
+    combined = train_recs + _labeled(simulate_bins(fresh, BIN_HORIZON).events)
+    retrained = train_on_records(combined, s.rng_seed)
+    before = evaluate_accuracy_records(classifier, eval_recs)
+    after = evaluate_accuracy_records(retrained, eval_recs)
+    if after < before:
+        return retrained, (
+            f"held-out classification accuracy regressed from {before:.4f} to {after:.4f}",
+        )
+    return retrained, ()
+
+
 def feedback_update(
     s: ScenarioSpec, artifacts: RunArtifacts
 ) -> tuple[RunArtifacts, tuple[str, ...]]:
@@ -470,8 +492,9 @@ def feedback_update(
     that batch; route tables continue Q-learning from their stored values
     for FEEDBACK_EPISODES per district. Held-out accuracy is re-measured on
     the original evaluation split and a diagnostic is returned if it
-    regressed. The graph's districts are checked against the stored tables
-    before anything is simulated or trained.
+    regressed; the retraining streams and records are dropped before the
+    route tables learn. The graph's districts are checked against the
+    stored tables before anything is simulated or trained.
     """
     if artifacts.classifier is None and not artifacts.district_qtables:
         raise MissingArtifacts("prior artifacts carry no classifier or route tables")
@@ -488,22 +511,11 @@ def feedback_update(
         )
 
     fseed = s.rng_seed + 1
-    diagnostics: list[str] = []
+    diagnostics: tuple[str, ...] = ()
 
     classifier = artifacts.classifier
     if classifier is not None:
-        train_recs, eval_recs = _split_records(simulate_bins(s, BIN_HORIZON).events)
-        fresh = dataclasses.replace(s, rng_seed=fseed)
-        combined = train_recs + _labeled(simulate_bins(fresh, BIN_HORIZON).events)
-        retrained = train_on_records(combined, s.rng_seed)
-        before = evaluate_accuracy_records(classifier, eval_recs)
-        after = evaluate_accuracy_records(retrained, eval_recs)
-        if after < before:
-            diagnostics.append(
-                f"held-out classification accuracy regressed from "
-                f"{before:.4f} to {after:.4f}"
-            )
-        classifier = retrained
+        classifier, diagnostics = _retrain(s, classifier, fseed)
 
     if qtables:
         qtables, routes, _ = _train_districts(
@@ -517,4 +529,4 @@ def feedback_update(
         district_qtables=qtables,
         district_routes=routes,
     )
-    return updated, tuple(diagnostics)
+    return updated, diagnostics

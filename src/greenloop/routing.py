@@ -27,6 +27,10 @@ exploit step is `index(max)` over the row's values and a bootstrap is the
 per-action table lookups; each update writes the row slot and the table
 entry together.
 
+qtable_to_dict's entries are a serialize.Records, which write_json writes
+from the table's columns without building an entry dict; qtable_from_dict
+reads the written JSON back.
+
 Every non-depot node is treated as requiring service. The tabular table
 caps at 16 bins; larger cities are split into districts upstream.
 
@@ -365,25 +369,11 @@ def brute_force_route(g: CollectionGraph) -> tuple[tuple[str, ...], float]:
 
 
 def qtable_to_dict(q: QTable, version: int = 1) -> dict:
-    # Keys are unique, so sorting them orders the entries as sorting the
-    # items would, without building and comparing (key, value) pairs.
-    values = q.values
-    keys = sorted(values)
-    entries = [
-        {"current": current, "visited": visited, "action": action, "value": v}
-        for (current, visited, action), v in zip(keys, map(values.__getitem__, keys))
-    ]
-    return {"version": version, "entries": entries}
+    """{"version": version, "entries": Records over the table's sorted keys}.
 
-
-def qtable_to_records(q: QTable, version: int = 1) -> dict:
-    """qtable_to_dict(q, version) with its entries held as columns of q.
-
-    serialize.write_json and canonical_dumps write it as the same bytes,
-    reading each slice of the sorted keys into current, visited, action
-    and value columns, so no entry dict is built. Only when a column
-    declines (a tuple current, a numpy.float64 value) does the standard
-    library fallback build the entry dicts.
+    write_json and canonical_dumps write the entries as the bytes of their
+    {"action", "current", "value", "visited"} dicts, from columns of each
+    slice of keys, so no entry dict is built; json.dumps cannot write them.
     """
     values = q.values
 

@@ -17,8 +17,8 @@ canonical_dumps writes the same text another way:
   of strings, ROW_SLICE items at a time; ``str``, ``int``, ``float``, ``bool`` and ``None`` are
   encoded by the same functions the standard library uses.
 - The record path writes a list of plain dicts that share one key set in
-  one step: one ``%`` template of the sorted, escaped keys per row,
-  filled from column-wise encoded cells. A column of scalars is encoded
+  one step: each row is one join of the fixed fragments of the sorted,
+  escaped keys with that row's column-wise encoded cells. A column of scalars is encoded
   one column at a time; a column whose cells are all plain dicts is
   itself written by the record path one margin deeper, so the battery
   materials, each with its ``composition`` dict, are a single step too.
@@ -48,10 +48,10 @@ with one open and one write. No temporary file is made:
 A list of records need not exist as dicts to be written. Both functions
 also take Records, which hold a list of records as column slices drawn
 on demand; each slice goes through the record path's cell encoders and
-row template, so its text is the one the dicts would have. The 81k route
-table entries are written this way (routing.qtable_to_records), so the
-largest artifact never exists as entry dicts, row strings for all its
-rows, or whole text. When a column declines, the standard library call
+row joins, so its text is the one the dicts would have. The 81k route
+table entries are written this way (routing.qtable_to_dict gives its
+entries as Records), so the largest artifact never exists as entry dicts,
+row strings for all its rows, or whole text. When a column declines, the standard library call
 takes the document, and its ``default`` hook expands each Records into
 the entry dicts it stands for; the text is the same, and any other value
 it cannot serialize raises the standard library's own TypeError.
@@ -63,6 +63,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
@@ -126,22 +127,19 @@ def _record_text(keys: Sequence[str], columns: Iterable[Sequence], inner: str) -
     columns in that order. None when _cells declines a column.
     """
     field = inner + " "
-    encoded = []
-    for column in columns:
+    # a row joins the fixed fragment before each key's cell, the cells, and
+    # the closing margin: zip lines them up as one tuple per row
+    parts: list[Iterable[str]] = []
+    sep = "{" + field
+    cells: list[str] = []
+    for k, column in zip(keys, columns):
         cells = _cells(column, field)
         if cells is None:
             return None
-        encoded.append(cells)
-    template = (
-        "{"
-        + field
-        + ("," + field).join(
-            encode_basestring(k).replace("%", "%%") + ": %s" for k in keys
-        )
-        + inner
-        + "}"
-    )
-    return [template % row for row in zip(*encoded)]
+        parts += (repeat(sep + encode_basestring(k) + ": "), cells)
+        sep = "," + field
+    parts.append(repeat(inner + "}", len(cells)))
+    return list(map("".join, zip(*parts)))
 
 
 def _rows(items: list, inner: str) -> list[str] | None:

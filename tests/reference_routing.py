@@ -7,6 +7,10 @@ update order are unchanged; only the table is a bare dict, and
 ``to_tuple_keys`` converts it to the library's key form. The learning rate,
 discount and exploration bounds are read from greenloop.routing's constants
 at each call, so a test that patches them changes both trainers alike.
+
+``entry_dicts`` is the route-table document as greenloop.routing built it
+before qtable_to_dict's entries became column-backed Records: a list of
+one dict per entry, the oracle that the written bytes are compared with.
 """
 
 from __future__ import annotations
@@ -166,3 +170,15 @@ def greedy_route(values: dict, g: CollectionGraph) -> tuple[str, ...]:
         state = RouteState(action, state.visited | bit[action])
     route.append(depot)
     return tuple(route)
+
+
+def entry_dicts(q, version: int = 1) -> dict:
+    # Keys are unique, so sorting them orders the entries as sorting the
+    # items would, without building and comparing (key, value) pairs.
+    values = q.values
+    keys = sorted(values)
+    entries = [
+        {"current": current, "visited": visited, "action": action, "value": v}
+        for (current, visited, action), v in zip(keys, map(values.__getitem__, keys))
+    ]
+    return {"version": version, "entries": entries}

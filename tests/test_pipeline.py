@@ -1,8 +1,10 @@
 """Pipeline orchestration tests: modes, stages, comparison, feedback."""
 
 import dataclasses
+import gc
 import json
 import math
+import weakref
 from importlib import resources
 
 import pytest
@@ -370,6 +372,46 @@ class TestFeedback:
             assert after < before
         else:
             assert after >= before
+
+    @pytest.mark.parametrize("entry", ["feedback_update", "run_full"])
+    def test_sensor_stream_is_freed_before_route_learning(self, entry, monkeypatch):
+        """No sensor record the classifier saw is alive once routes learn."""
+
+        class Record(dict):
+            """A sensor record a weak reference can watch."""
+
+        watched = []
+        real_simulate = pipeline.simulate_bins
+
+        def simulate(s, horizon):
+            stream = real_simulate(s, horizon)
+            events = []
+            for ev in stream.events:
+                rec = Record(ev.sensor_record)
+                watched.append(weakref.ref(rec))
+                events.append(dataclasses.replace(ev, sensor_record=rec))
+            return dataclasses.replace(stream, events=tuple(events))
+
+        def checked(real):
+            def learn(*args, **kwargs):
+                gc.collect()
+                alive = sum(ref() is not None for ref in watched)
+                assert watched and alive == 0, f"{alive} of {len(watched)} records alive"
+                return real(*args, **kwargs)
+
+            return learn
+
+        s = city_scenario()
+        _, artifacts = run_full(s, "framework")
+        monkeypatch.setattr(pipeline, "simulate_bins", simulate)
+        if entry == "feedback_update":
+            monkeypatch.setattr(pipeline, "_train_districts", checked(pipeline._train_districts))
+            updated, _ = feedback_update(s, artifacts)
+            assert updated.version == 2
+        else:
+            monkeypatch.setattr(pipeline, "train_routing", checked(pipeline.train_routing))
+            result, _ = run_full(s, "framework")
+            assert result.transport_emissions_kg is not None
 
     def test_district_count_mismatch(self, monkeypatch):
         """The stored tables are checked before anything is simulated or trained."""

@@ -30,6 +30,7 @@ from greenloop.routing import (
     train_routing,
 )
 from greenloop.scenario import parse_scenario
+from greenloop.serialize import canonical_dumps
 
 
 def complete_graph(distances, rate=1.0, depot="depot"):
@@ -333,15 +334,15 @@ class TestProperties:
 class TestPersistence:
     def test_round_trip(self):
         q = train_routing(FOUR_BIN, RLConfig(rng_seed=5, episodes=300))
-        doc = qtable_to_dict(q)
+        doc = json.loads(canonical_dumps(qtable_to_dict(q)))
         assert doc["version"] == 1
         back = qtable_from_dict(doc)
         assert back.values == q.values
 
     def test_entries_sorted_for_stable_serialization(self):
         q = train_routing(FOUR_BIN, RLConfig(rng_seed=5, episodes=50))
-        a = qtable_to_dict(q)
-        b = qtable_to_dict(QTable(dict(reversed(list(q.values.items())))))
+        a = canonical_dumps(qtable_to_dict(q))
+        b = canonical_dumps(qtable_to_dict(QTable(dict(reversed(list(q.values.items()))))))
         assert a == b
 
 

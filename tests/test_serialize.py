@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_routing as reference
 from greenloop import serialize
 from greenloop.pipeline import partition_districts
 from greenloop.routing import (
@@ -23,7 +24,6 @@ from greenloop.routing import (
     RLConfig,
     qtable_from_dict,
     qtable_to_dict,
-    qtable_to_records,
     train_routing,
 )
 from greenloop.scenario import parse_scenario
@@ -475,12 +475,13 @@ def route_table_bytes(write, tables):
 
 
 def entry_dicts(path, tables, version=1):
-    write_json(path, {"version": version, "tables": [qtable_to_dict(q, version) for q in tables]})
+    doc = {"version": version, "tables": [reference.entry_dicts(q, version) for q in tables]}
+    write_json(path, doc)
 
 
 def run_tables(path, tables):
     """qtables.json as cmd_run writes it: write_json over the tables' columns."""
-    write_json(path, {"version": 1, "tables": [qtable_to_records(q) for q in tables]})
+    write_json(path, {"version": 1, "tables": [qtable_to_dict(q) for q in tables]})
 
 
 @contextlib.contextmanager
@@ -496,7 +497,7 @@ def no_stdlib():
 
 class TestRouteTables:
     """qtables.json written from the Q tables' columns against write_json
-    over qtable_to_dict's entry dicts."""
+    over the entry dicts of reference.entry_dicts."""
 
     @pytest.fixture(scope="class")
     def trained(self):
@@ -518,11 +519,11 @@ class TestRouteTables:
         }[case]
 
         def columns(path, tables):
-            doc = {"version": version, "tables": [qtable_to_records(q, version) for q in tables]}
+            doc = {"version": version, "tables": [qtable_to_dict(q, version) for q in tables]}
             with no_stdlib():  # no column declines
                 write_json(path, doc)
 
-        doc = {"version": version, "tables": [qtable_to_dict(q, version) for q in tables]}
+        doc = {"version": version, "tables": [reference.entry_dicts(q, version) for q in tables]}
         with small_chunks(**chunks) if chunks else contextlib.nullcontext():
             want = route_table_bytes(lambda p, t: entry_dicts(p, t, version), tables)
             assert want == oracle_bytes(doc)
@@ -541,19 +542,19 @@ class TestRouteTables:
         opens = [i for i, call in enumerate(calls) if call[0] == "open"]
         assert opens[0] == 0 and len(opens) > 1 and opens[1] > 2
         # the standard library's text, with each Records expanded to its entry dicts
-        text = oracle({"version": 1, "tables": [qtable_to_dict(q) for q in tables]})
+        text = oracle({"version": 1, "tables": [reference.entry_dicts(q) for q in tables]})
         assert want == text.encode("utf-8")
-        doc = {"version": 1, "tables": [qtable_to_records(q) for q in tables]}
+        doc = {"version": 1, "tables": [qtable_to_dict(q) for q in tables]}
         assert canonical_dumps(doc) == text
 
     @pytest.mark.parametrize("beside", ["nothing", "declined", "streamed"])
     def test_an_unserializable_value_raises_the_stdlib_error(self, trained, beside, tmp_path):
         tables = {"nothing": [], "declined": DECLINED[:1], "streamed": trained[:1]}[beside]
-        doc = {"tables": [qtable_to_dict(q) for q in tables], "z": {1, 2}}
+        doc = {"tables": [reference.entry_dicts(q) for q in tables], "z": {1, 2}}
         with pytest.raises(TypeError) as expected:
             oracle(doc)
         assert str(expected.value) == "Object of type set is not JSON serializable"
-        doc["tables"] = [qtable_to_records(q) for q in tables]
+        doc["tables"] = [qtable_to_dict(q) for q in tables]
         with pytest.raises(TypeError) as dumped:
             canonical_dumps(doc)
         with pytest.raises(TypeError) as wrote:
@@ -564,7 +565,7 @@ class TestRouteTables:
     def test_unorderable_keys_raise_before_any_file(self, trained, tmp_path):
         odd = QTable({("b0", 0, "b1"): 1.0, (1, 0, "b1"): 2.0})
         with pytest.raises(TypeError) as expected:
-            qtable_to_dict(odd)
+            reference.entry_dicts(odd)
         path = tmp_path / "qtables.json"
         with small_chunks(), pytest.raises(expected.type, match=str(expected.value)):
             run_tables(path, [*trained, odd])
