@@ -22,7 +22,6 @@ import dataclasses
 import datetime
 import functools
 import json
-import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -57,6 +56,7 @@ from .report import (
 from .routing import qtable_to_dict
 from .scenario import (
     ScenarioSpec,
+    finite_float,
     is_rng_seed,
     load_scenario,
     parse_scenario,
@@ -202,12 +202,12 @@ def _load_expectations(arg: str, baseline, framework):
             raise ManifestUnreadable(
                 f"expectations {arg}: {metric!r} needs a 'form' of 'pp' or 'relative'"
             )
-        value = entry.get("value")
-        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (numeric and math.isfinite(value)):
+        try:
+            finite_float(entry.get("value"))
+        except (TypeError, ValueError):
             raise ManifestUnreadable(
                 f"expectations {arg}: {metric!r} needs a finite numeric 'value'"
-            )
+            ) from None
     return doc
 
 

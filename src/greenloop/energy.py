@@ -37,18 +37,17 @@ class EnergyModel:
 
 @dataclass(frozen=True)
 class StageUsage:
-    stage_name: str
     compute_seconds: float = 0.0
     transferred_mb: float = 0.0
 
     def __post_init__(self):
         if self.compute_seconds < 0 or self.transferred_mb < 0:
-            raise ValueError(f"stage {self.stage_name}: usage must be >= 0")
+            raise ValueError("usage must be >= 0")
 
 
 @dataclass(frozen=True)
 class EnergyLedger:
-    stages: tuple[tuple[StageUsage, float], ...] = ()
+    stages: tuple[tuple[str, StageUsage, float], ...] = ()
     total_kwh: float = 0.0
 
 
@@ -81,25 +80,22 @@ def meter(model: EnergyModel, workload: Mapping[str, float]) -> EnergyLedger:
     stages = []
     total_kwh = 0.0
     for stage in STAGE_ORDER:
-        if stage in model.stage_costs:
-            fixed = model.stage_costs[stage]
-            usage = StageUsage(stage, fixed.compute_seconds, fixed.transferred_mb)
-        else:
+        usage = model.stage_costs.get(stage)
+        if usage is None:
             seconds, mb = UNIT_COSTS[stage]
-            usage = StageUsage(stage, seconds * workload[stage], mb * workload[stage])
+            usage = StageUsage(seconds * workload[stage], mb * workload[stage])
         kwh = energy_of(model, usage)
-        stages.append((usage, kwh))
+        stages.append((stage, usage, kwh))
         total_kwh += kwh
         if not math.isfinite(total_kwh):
-            raise _overflow(model, workload, usage, kwh, total_kwh)
+            raise _overflow(model, workload, stage, usage, kwh, total_kwh)
     return EnergyLedger(stages=tuple(stages), total_kwh=total_kwh)
 
 
 def _overflow(
-    model: EnergyModel, workload: Mapping[str, float], usage: StageUsage,
+    model: EnergyModel, workload: Mapping[str, float], stage: str, usage: StageUsage,
     kwh: float, total_kwh: float,
 ) -> ValidationError:
-    stage = usage.stage_name
     if math.isfinite(kwh):
         return ValidationError(
             f"stage energy sums to {total_kwh} kWh through stage {stage!r}", locus="energy_model"
@@ -121,12 +117,12 @@ def ledger_to_dict(ledger: EnergyLedger) -> dict:
         "total_kwh": ledger.total_kwh,
         "stages": [
             {
-                "stage": usage.stage_name,
+                "stage": stage,
                 "compute_seconds": usage.compute_seconds,
                 "transferred_mb": usage.transferred_mb,
                 "energy_kwh": kwh,
             }
-            for usage, kwh in ledger.stages
+            for stage, usage, kwh in ledger.stages
         ],
     }
 
@@ -134,11 +130,8 @@ def ledger_to_dict(ledger: EnergyLedger) -> dict:
 def ledger_from_dict(doc: dict) -> EnergyLedger:
     stages = tuple(
         (
-            StageUsage(
-                stage_name=entry["stage"],
-                compute_seconds=entry["compute_seconds"],
-                transferred_mb=entry["transferred_mb"],
-            ),
+            entry["stage"],
+            StageUsage(entry["compute_seconds"], entry["transferred_mb"]),
             entry["energy_kwh"],
         )
         for entry in doc["stages"]

@@ -13,7 +13,7 @@ from typing import Mapping
 
 from .energy import ledger_from_dict, ledger_to_dict
 from .pipeline import ImprovementReport, MetricDelta, RunResult
-from .scenario import ScenarioSpec
+from .scenario import ScenarioSpec, finite_float
 
 KWH_TO_GJ = 0.0036
 
@@ -58,9 +58,11 @@ def run_result_to_dict(r: RunResult) -> dict:
 
 
 def _number(name: str, value):
-    """A numeric metric value as stored; bools and non-numbers raise TypeError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"metric {name!r} must be a number, got {value!r}")
+    """A numeric metric value as stored, once scenario.finite_float takes it."""
+    try:
+        finite_float(value)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"metric {name!r} {exc}") from None
     return value
 
 
@@ -69,7 +71,7 @@ def _optional_number(name: str, value):
 
 
 def run_result_from_dict(doc: Mapping) -> RunResult:
-    """The run a metrics document records; a non-numeric metric raises TypeError."""
+    """The run a metrics document records; a metric finite_float refuses raises its error."""
     return RunResult(
         mode=doc["mode"],
         seed=doc["seed"],

@@ -137,27 +137,32 @@ def _build(cls, locus: str, **fields):
         raise ValidationError(str(exc), locus=locus) from exc
 
 
-def _finite(raw, locus: str, key: str, item: str | None = None) -> float:
-    """raw as a float; NaN, an infinity or an int past the float range fail.
-
-    The error names doc[key], or doc[key][item] when item is given. A finite
-    plain float, which JSON decodes most numbers to, returns first: a scenario
-    can hold thousands of numbers.
-    """
+def finite_float(raw) -> float:
+    """raw as a float, the rule for every number read from JSON: a bool or
+    non-number raises TypeError, and NaN, an infinity or an int past the float
+    range ValueError. A finite float, which JSON decodes most numbers to,
+    returns first: a scenario can hold thousands."""
     if type(raw) is float and math.isfinite(raw):
         return raw
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        problem = "must be a number"
-    else:
-        try:
-            v = float(raw)
-        except OverflowError:
-            v = math.inf
-        if math.isfinite(v):
-            return v
-        problem = "must be finite"
-    name = repr(key) if item is None else f"{key}[{item!r}]"
-    raise ParseError(f"{name} {problem}", locus=locus)
+        raise TypeError("must be a number")
+    try:
+        v = float(raw)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ValueError("must be finite")
+    return v
+
+
+def _finite(raw, locus: str, key: str, item: str | None = None) -> float:
+    """finite_float(raw); its error is a ParseError naming doc[key], or
+    doc[key][item] when item is given."""
+    try:
+        return finite_float(raw)
+    except (TypeError, ValueError) as exc:
+        name = repr(key) if item is None else f"{key}[{item!r}]"
+        raise ParseError(f"{name} {exc}", locus=locus) from None
 
 
 def _number(doc: Mapping, key: str, locus: str, default: float | None = None) -> float:
@@ -216,22 +221,16 @@ def _edges(doc: Mapping, key: str, locus: str) -> dict[tuple[str, str], EdgeAttr
 
 def _stage_costs(doc: Mapping, key: str, locus: str) -> dict[str, StageUsage]:
     """Each stage's fixed usage, a missing quantity read as 0."""
-    costs = {}
-    for stage, usage in _object(doc, key, locus).items():
-        ul = f"{locus}.{key}[{stage!r}]"
-        _section(usage, ul, set(), {"compute_seconds", "transferred_mb"})
-        costs[stage] = _build(
-            StageUsage, ul,
-            stage_name=stage,
-            compute_seconds=_number(usage, "compute_seconds", ul, 0.0),
-            transferred_mb=_number(usage, "transferred_mb", ul, 0.0),
-        )
-    return costs
+    return {
+        stage: STAGE_USAGE.parse(usage, f"{locus}.{key}[{stage!r}]")
+        for stage, usage in _object(doc, key, locus).items()
+    }
 
 
 # How a value read by one of these readers is written back: a map as a
 # plain dict copy, a map of maps as nested copies, the edges as a list
-# sorted by (a, b). The value of any other reader is written as is.
+# sorted by (a, b), each stage's usage by its record. The value of any
+# other reader is written as is.
 _WRITE_BACK = {
     _number_map: dict,
     _number_maps: lambda m: {k: dict(v) for k, v in m.items()},
@@ -240,10 +239,7 @@ _WRITE_BACK = {
          "emission_rate_kg_per_km": at.emission_rate_kg_per_km}
         for (a, b), at in sorted(edges.items())
     ],
-    _stage_costs: lambda costs: {
-        stage: {"compute_seconds": u.compute_seconds, "transferred_mb": u.transferred_mb}
-        for stage, u in costs.items()
-    },
+    _stage_costs: lambda costs: {stage: STAGE_USAGE.to_dict(u) for stage, u in costs.items()},
 }
 
 
@@ -394,13 +390,16 @@ WASTE_STREAM = _Record(WasteStreamConfig, (
     ("fill_increment_std", _number, REQUIRED), ("feature_means", _number_maps, REQUIRED),
     ("feature_stds", _number_map, REQUIRED),
 ))
+STAGE_USAGE = _Record(StageUsage, (
+    ("compute_seconds", _number, 0.0), ("transferred_mb", _number, 0.0),
+))
 # stage_costs is read before the weights, so a bad stage cost reports first
 ENERGY_MODEL = _Record(EnergyModel, (
     ("stage_costs", _stage_costs, {}), ("alpha", _number, REQUIRED), ("beta", _number, REQUIRED),
 ))
 RECORDS = (
     MATERIAL, PROCESS, LIMIT, FACTOR, NODE, GRAPH, STATION, FACILITY, WASTE_STREAM,
-    ENERGY_MODEL,
+    STAGE_USAGE, ENERGY_MODEL,
 )
 
 

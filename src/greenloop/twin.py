@@ -381,6 +381,9 @@ def simulate_bins(s: "ScenarioSpec", horizon: int) -> BinEventStream:
     means = np.array([[cfg.feature_means[c][f] for f in FEATURES] for c in categories])
     stds = np.array([cfg.feature_stds[f] for f in FEATURES])
 
+    # abs: Generator.normal refuses a scale of -0.0, which the config admits as 0
+    fill_std = abs(cfg.fill_increment_std)
+
     # Three Generator calls per event: standard_normal(6) yields what six
     # scalar draws would, in FEATURES order. The readings means + stds * z
     # are then one array expression for all events, value by value the
@@ -389,7 +392,7 @@ def simulate_bins(s: "ScenarioSpec", horizon: int) -> BinEventStream:
     z = []
     for t in range(horizon):
         for b in bins:
-            inc = max(0.0, float(rng.normal(cfg.fill_increment_mean, cfg.fill_increment_std)))
+            inc = max(0.0, float(rng.normal(cfg.fill_increment_mean, fill_std)))
             fills[b.id] = min(1.0, fills[b.id] + inc)
             drawn.append((t, b.id, fills[b.id], bisect_right(cdf, rng.random())))
             z.append(rng.standard_normal(len(FEATURES)))

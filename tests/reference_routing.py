@@ -8,6 +8,9 @@ update order are unchanged; only the table is a bare dict, and
 discount and exploration bounds are read from greenloop.routing's constants
 at each call, so a test that patches them changes both trainers alike.
 
+``optimal_route`` is a Held-Karp dynamic program over the same legs as
+routing.brute_force_route, fast enough for a district of the fixtures.
+
 ``entry_dicts`` is the route-table document as greenloop.routing built it
 before qtable_to_dict's entries became column-backed Records: a list of
 one dict per entry, the oracle that the written bytes are compared with.
@@ -182,3 +185,54 @@ def entry_dicts(q, version: int = 1) -> dict:
         for (current, visited, action), v in zip(keys, map(values.__getitem__, keys))
     ]
     return {"version": version, "entries": entries}
+
+
+def optimal_route(g: CollectionGraph) -> tuple[tuple[str, ...], float]:
+    """The cheapest complete loop and its kg CO2, by Held-Karp.
+
+    The legs are routing._legs, so a listed (a, b) edge takes precedence
+    over the mirror of a listed (b, a), and a loop that needs a missing leg
+    is never completed; with no complete loop the result is ((depot, depot),
+    inf), as brute_force_route returns. Each path's cost is summed from the
+    depot in route order, as route_emissions sums it; float addition is
+    monotone, so the least cost is the exact float brute_force_route finds,
+    though a tied loop may be another one.
+    """
+    bins = g.bin_ids()
+    depot = g.depot
+    if not bins:
+        return (depot, depot), 0.0
+    legs = routing._legs(g)
+    # best[(visited, last)]: (cost, previous last) of the cheapest path
+    # from the depot through the visited bitmask of bins, ending at bins[last]
+    best = {
+        (1 << i, i): (0.0 + legs[(depot, b)], None)
+        for i, b in enumerate(bins) if (depot, b) in legs
+    }
+    n = len(bins)
+    for visited in range(1, 1 << n):  # every subset before its supersets
+        for last in range(n):
+            if (visited, last) not in best:
+                continue
+            cost = best[(visited, last)][0]
+            for nxt in range(n):
+                leg = legs.get((bins[last], bins[nxt]))
+                if visited >> nxt & 1 or leg is None:
+                    continue
+                key = (visited | 1 << nxt, nxt)
+                if key not in best or cost + leg < best[key][0]:
+                    best[key] = (cost + leg, last)
+    full = (1 << n) - 1
+    closing = [
+        (best[(full, last)][0] + legs[(bins[last], depot)], last)
+        for last in range(n) if (full, last) in best and (bins[last], depot) in legs
+    ]
+    if not closing:
+        return (depot, depot), float("inf")
+    cost, last = min(closing)
+    order = []
+    visited = full
+    while last is not None:
+        order.append(bins[last])
+        visited, last = visited & ~(1 << last), best[(visited, last)][1]
+    return (depot, *reversed(order), depot), cost

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
+from reference_routing import optimal_route
 from reference_solver import enumerate_integer_optimum
 
 from greenloop.carbon import (
@@ -26,7 +27,13 @@ from greenloop.carbon import (
 )
 from greenloop.classify import _loss_and_grad, predict, train_on_records
 from greenloop.cli import main
-from greenloop.pipeline import BIN_HORIZON, compare_runs, feedback_update, run_full
+from greenloop.pipeline import (
+    BIN_HORIZON,
+    compare_runs,
+    feedback_update,
+    partition_districts,
+    run_full,
+)
 from greenloop.routing import (
     BinNode,
     CollectionGraph,
@@ -174,6 +181,39 @@ def test_criterion_02_rl_oracle():
         f"{invariant_hits}/{instances} argmax-invariant under reward scaling "
         f"in {elapsed:.1f}s",
     )
+
+
+def test_held_karp_finds_the_exhaustive_optimum():
+    """optimal_route's least cost is brute_force_route's on criterion 02's
+    graphs, complete and with every third edge dropped."""
+    for k in range(50):
+        rng = np.random.default_rng(1000 + k)
+        g = random_complete_graph(rng, int(rng.integers(3, 7)))
+        kept = {e: at for i, (e, at) in enumerate(sorted(g.edges.items())) if i % 3}
+        for graph in (g, CollectionGraph(nodes=g.nodes, edges=kept)):
+            route, cost = optimal_route(graph)
+            best_route, best = brute_force_route(graph)
+            assert cost == best
+            if math.isinf(best):
+                assert route == best_route
+            else:
+                assert sorted(route[1:-1]) == sorted(graph.bin_ids())
+                assert route_emissions(graph, route) == cost
+
+
+def test_learned_routes_against_the_optimum(waste_runs):
+    """Each district route the framework run learned costs at least its
+    Held-Karp optimum; on the fixture the learned routes cost 1.32 times it."""
+    _, _, (rf, artifacts) = waste_runs
+    districts = partition_districts(load_fixture("waste_framework.json").collection_graph)
+    learned = [route_emissions(d, r) for d, r in zip(districts, artifacts.district_routes)]
+    optima = [optimal_route(d)[1] for d in districts]
+    assert all(cost >= best for cost, best in zip(learned, optima))
+    assert learned == pytest.approx([32.0, 32.0, 31.2, 30.4, 31.2])
+    assert optima == pytest.approx([23.2, 24.0, 23.2, 23.2, 24.8])
+    assert sum(learned) == pytest.approx(156.8)
+    assert sum(learned) == pytest.approx(rf.transport_emissions_kg)
+    assert sum(optima) == pytest.approx(118.4)
 
 
 def test_criterion_03_lca_exactness():

@@ -255,6 +255,16 @@ class TestRun:
         assert read_json(run_dir / "manifest.json")["seed"] == 2**64 - 1
         assert main(["validate", "--scenario", str(run_dir / "scenario.json")]) == 0
 
+    def test_negative_zero_fill_std_runs(self, tmp_path, capsys):
+        doc = json.loads((cli._FIXTURES / "waste_framework.json").read_text("utf-8"))
+        small_waste(doc)
+        doc["waste_stream"]["fill_increment_std"] = -0.0
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), "utf-8")
+        assert main(["validate", "--scenario", str(path)]) == 0
+        assert main(["run", "--scenario", str(path), "--mode", "framework",
+                     "--out", str(tmp_path / "out")]) == 0
+
 
 class TestCompare:
     def test_battery_compare_files(self, tmp_path, capsys):
@@ -465,6 +475,51 @@ class TestChart:
              "--kind", "recovery", "--out", str(out)]
         )
         assert code == 11
+
+
+# Numbers no reader takes: NaN, both infinities and an int past the float range.
+NON_FINITE = [
+    pytest.param(math.nan, id="NaN"),
+    pytest.param(math.inf, id="Infinity"),
+    pytest.param(-math.inf, id="-Infinity"),
+    pytest.param(10**400, id="int-beyond-float"),
+]
+
+
+class TestNonFiniteNumbers:
+    """Manifest metrics and expectation values follow the scenario's number rule."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("metric", ["co2_kg", "cobalt"])
+    @pytest.mark.parametrize("command", [
+        pytest.param(["compare"], id="compare"),
+        pytest.param(["chart", "--kind", "comparison"], id="chart-comparison"),
+        pytest.param(["chart", "--kind", "recovery"], id="chart-recovery"),
+    ])
+    def test_metric_exit_3(self, tmp_path, capsys, command, metric, value):
+        metrics = {**METRICS, "recovery": {"cobalt": 0.5}}
+        bad = {**metrics, "recovery": {"cobalt": value}} if metric == "cobalt" else {
+            **metrics, metric: value
+        }
+        b = manifest_file(tmp_path / "baseline.json", bad)
+        f = manifest_file(tmp_path / "framework.json", {**metrics, "mode": "framework"})
+        out = tmp_path / "out"
+        code = main([*command, "--baseline", str(b), "--framework", str(f), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: manifest metrics unreadable: {b}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_expectation_exit_3(self, tmp_path, capsys, value):
+        b = manifest_file(tmp_path / "baseline.json", METRICS)
+        f = manifest_file(tmp_path / "framework.json", FRAMEWORK_METRICS)
+        path = tmp_path / "expectations.json"
+        path.write_text(json.dumps({"co2_kg": {"form": "relative", "value": value}}), "utf-8")
+        code = main(["compare", "--baseline", str(b), "--framework", str(f),
+                     "--out", str(tmp_path / "cmp"), "--expectations", str(path)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: expectations {path}: ")
+        assert not (tmp_path / "cmp").exists()
 
 
 class TestTable3:

@@ -133,7 +133,7 @@ class TestRunModes:
         assert r.waste_reduction_fraction == 0.0
         # the pipeline's own metering still runs
         assert r.pipeline_energy.total_kwh > 0.0
-        assert tuple(u.stage_name for u, _ in r.pipeline_energy.stages) == STAGE_ORDER
+        assert tuple(stage for stage, _, _ in r.pipeline_energy.stages) == STAGE_ORDER
 
     def test_seed_override_recorded(self):
         s = dataclasses.replace(mini_battery_scenario(), rng_seed=99)
@@ -432,23 +432,23 @@ class TestStageUsageOverride:
     def test_configured_costs_win(self):
         model = EnergyModel(
             alpha=2.0, beta=0.0,
-            stage_costs={"metrics": StageUsage("metrics", compute_seconds=3.0)},
+            stage_costs={"metrics": StageUsage(compute_seconds=3.0)},
         )
         r = run_full(ScenarioSpec(energy_model=model), "baseline")[0]
-        by_stage = {u.stage_name: kwh for u, kwh in r.pipeline_energy.stages}
+        by_stage = {stage: kwh for stage, _, kwh in r.pipeline_energy.stages}
         assert by_stage["metrics"] == pytest.approx(6.0)
 
     def test_unconfigured_stage_takes_per_unit_default(self):
         # ALLOC declares 2 processes: the optimize workload is 2 units
         model = EnergyModel(
             alpha=2.0, beta=0.5,
-            stage_costs={"metrics": StageUsage("metrics", compute_seconds=3.0)},
+            stage_costs={"metrics": StageUsage(compute_seconds=3.0)},
         )
         r = run_full(ScenarioSpec(**ALLOC, energy_model=model), "baseline")[0]
-        usage = {u.stage_name: u for u, _ in r.pipeline_energy.stages}
+        usage = {stage: u for stage, u, _ in r.pipeline_energy.stages}
         seconds, mb = UNIT_COSTS["optimize"]
-        assert usage["optimize"] == StageUsage("optimize", seconds * 2, mb * 2)
-        assert usage["metrics"] == StageUsage("metrics", 3.0, 0.0)
+        assert usage["optimize"] == StageUsage(seconds * 2, mb * 2)
+        assert usage["metrics"] == StageUsage(3.0, 0.0)
 
 
 class TestPlannedWorkload:
@@ -458,7 +458,7 @@ class TestPlannedWorkload:
         planned = planned_workload(s, mode)
         assert planned["preprocess"] == 5 * BIN_HORIZON and planned["optimize"] == 2
         seconds = {
-            u.stage_name: u.compute_seconds for u, _ in run_full(s, mode)[0].pipeline_energy.stages
+            stage: u.compute_seconds for stage, u, _ in run_full(s, mode)[0].pipeline_energy.stages
         }
         for stage in ("preprocess", "optimize", "route", "metrics"):
             assert seconds[stage] == UNIT_COSTS[stage][0] * planned[stage]
@@ -473,7 +473,7 @@ class TestPlannedWorkload:
         assert planned["carbon"] == len(trace.activity_ledger.entries) == 2
         # the run meters what it counted, not the plan
         seconds = {
-            u.stage_name: u.compute_seconds for u, _ in run_full(s, mode)[0].pipeline_energy.stages
+            stage: u.compute_seconds for stage, u, _ in run_full(s, mode)[0].pipeline_energy.stages
         }
         assert seconds["simulate"] == UNIT_COSTS["simulate"][0] * 60
         assert seconds["carbon"] == UNIT_COSTS["carbon"][0] * 2

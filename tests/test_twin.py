@@ -287,6 +287,16 @@ class TestSimulateBins:
             assert ev.fill_level >= prev - 1e-12
             by_bin[ev.bin_id] = ev.fill_level
 
+    def test_negative_zero_fill_std_draws_as_zero(self):
+        # numpy's Generator.normal refuses a scale of -0.0, which the config admits
+        stream, negative = (
+            simulate_bins(graph_scenario(waste_stream=dataclasses.replace(
+                DEFAULT_WASTE_STREAM, fill_increment_std=std,
+            )), horizon=20)
+            for std in (0.0, -0.0)
+        )
+        assert negative == stream
+
     def test_category_proportions_match_mix(self):
         stream = simulate_bins(graph_scenario(n_bins=10, seed=3), horizon=1000)
         counts = {}

@@ -6,10 +6,16 @@ cut to a 4-node graph. Each of their values, containers included, is
 replaced in turn by each of SWAPS. Every STRIDE-th swap goes through
 `validate`, and for the alloc and battery documents through `run` too,
 which refuses what `validate` would list before any stage runs.
+
+The same documents are also mutated without a type swap: each key is
+dropped in turn, and each number is set to each of EDGE_NUMBERS. Every
+such mutation goes through `validate`, and each one it passes through
+`run --mode framework`, which may fail only with an error family's code.
 """
 
 import copy
 import json
+import math
 
 import pytest
 
@@ -17,6 +23,10 @@ from greenloop import cli
 from greenloop.cli import main
 
 SWAPS = (None, 3, "x", [], {}, True, [1])
+# Numbers of the right JSON type that a reader or a stage may still refuse.
+EDGE_NUMBERS = (math.nan, math.inf, -math.inf, -1.0, -0.0, 1e308, 10**400)
+FAMILY_CODES = {code for _, code in cli._FAMILY_CODES}
+DROP = object()  # the mutation that deletes a key
 # Coprime with len(SWAPS), so the sample holds every kind of swap.
 STRIDE = 2
 
@@ -48,19 +58,44 @@ def _paths(doc, prefix=()):
             yield from _paths(doc[key], prefix + (key,))
 
 
+def _mutated_files(doc, mutations, tmp_path):
+    """(mutation, scenario file) for each (path, value) of mutations: doc with
+    the value at path replaced, or the key at path dropped when value is DROP."""
+    scenario = tmp_path / "mutated.json"
+    for path, value in mutations:
+        mutated = copy.deepcopy(doc)
+        target = mutated
+        for key in path[:-1]:
+            target = target[key]
+        if value is DROP:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        scenario.write_text(json.dumps(mutated), "utf-8")
+        yield (path, value), scenario
+
+
 def _swapped_files(family, tmp_path):
     """(swap, scenario file) for every STRIDE-th swap of the family's document."""
     doc = _document(family)
     swaps = [(path, value) for path in _paths(doc) for value in SWAPS][::STRIDE]
-    scenario = tmp_path / "swapped.json"
-    for path, value in swaps:
-        swapped = copy.deepcopy(doc)
-        target = swapped
+    return _mutated_files(doc, swaps, tmp_path)
+
+
+def _edge_files(family, tmp_path):
+    """(mutation, scenario file) for every dropped key and every edge number."""
+    doc = _document(family)
+    mutations = []
+    for path in _paths(doc):
+        parent = doc
         for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
-        scenario.write_text(json.dumps(swapped), "utf-8")
-        yield (path, value), scenario
+            parent = parent[key]
+        value = parent[path[-1]]
+        if isinstance(parent, dict):
+            mutations.append((path, DROP))
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            mutations += [(path, number) for number in EDGE_NUMBERS]
+    return _mutated_files(doc, mutations, tmp_path)
 
 
 @pytest.mark.parametrize("family", ["alloc", "battery", "waste"])
@@ -84,4 +119,26 @@ def test_run_exits_0_or_4(tmp_path, capsys, family):
         err = capsys.readouterr().err
         if code not in (0, 4) or (code == 4 and out.exists()):
             bad.append((swap, code, err))
+    assert bad == []
+
+
+# The exit code is the one a user gets, where numpy's RuntimeWarning is
+# printed, not raised: at 1e308 the simplex's ratios, the bin readings and
+# the classifier's feature statistics overflow on the way to an
+# oracle-correct allocation or a ClassifierError.
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+@pytest.mark.parametrize("family", ["alloc", "battery", "waste"])
+def test_dropped_keys_and_edge_numbers_never_exit_1(tmp_path, capsys, family):
+    bad = []
+    for i, (mutation, scenario) in enumerate(_edge_files(family, tmp_path)):
+        code = main(["validate", "--scenario", str(scenario)])
+        if code == 0:
+            code = main(["run", "--scenario", str(scenario), "--mode", "framework",
+                         "--out", str(tmp_path / f"out{i}")])
+            allowed = FAMILY_CODES | {0}
+        else:
+            allowed = {4}
+        err = capsys.readouterr().err
+        if code not in allowed:
+            bad.append((mutation, code, err))
     assert bad == []
