@@ -48,7 +48,7 @@ import numpy as np
 
 from .carbon import ActivityLedger
 from .classify import FEATURES, WASTE_CATEGORIES
-from .errors import NoGraph, StepBudgetExceeded
+from .errors import NoGraph, StepBudgetExceeded, TwinError
 
 if TYPE_CHECKING:
     from .scenario import ScenarioSpec
@@ -397,7 +397,14 @@ def simulate_bins(s: "ScenarioSpec", horizon: int) -> BinEventStream:
             drawn.append((t, b.id, fills[b.id], bisect_right(cdf, rng.random())))
             z.append(rng.standard_normal(len(FEATURES)))
     labels = [k for *_, k in drawn]
-    readings = (means[labels] + stds * np.reshape(z, (-1, len(FEATURES)))).tolist()
+    # A feature mean or std near the float limit can overflow a reading;
+    # name the feature rather than hand on an infinite record.
+    with np.errstate(over="ignore", invalid="ignore"):
+        readings = means[labels] + stds * np.reshape(z, (-1, len(FEATURES)))
+    bad = np.flatnonzero(~np.isfinite(readings).all(axis=0))
+    if bad.size:
+        raise TwinError(f"sensor readings of feature {FEATURES[bad[0]]!r} overflow")
+    readings = readings.tolist()
 
     events = [
         BinEvent(

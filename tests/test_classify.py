@@ -2,7 +2,10 @@
 and bit-identity with the sample-major reference trainer in
 reference_classify."""
 
+import dataclasses
+import json
 import logging
+from importlib import resources
 from unittest import mock
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_classify as reference
-from greenloop import classify
+from greenloop import classify, pipeline
 from greenloop.classify import (
     FEATURES,
     NormStats,
@@ -35,6 +38,8 @@ from greenloop.errors import (
     SingleClassData,
     ZeroVariance,
 )
+from greenloop.scenario import parse_scenario
+from greenloop.twin import simulate_bins
 
 
 def raw_record(**overrides):
@@ -488,3 +493,35 @@ class TestReferenceTrainer:
         assert got[0] == want[0]
         assert got[1].tobytes() == want[1].tobytes()
         assert got[2].tobytes() == want[2].tobytes()
+
+    # The drawn problems above hold at most 1,500 delta entries, below
+    # numpy's 8,192-element iterator buffer. The waste fixture's run trains
+    # on 3,500 records and its feedback round on 8,500, four classes each.
+    @pytest.mark.parametrize("n", [3500, 8500])
+    def test_loss_and_grad_matches_reference_at_fixture_scale(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, len(FEATURES)))
+        y_idx = rng.integers(0, 4, size=n)
+        weights = rng.normal(size=(4, len(FEATURES)))
+        biases = rng.normal(size=4)
+        got = _loss_and_grad(weights, biases, x, y_idx)
+        want = reference._loss_and_grad(weights, biases, x, y_idx)
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+
+    def test_feedback_round_retrain_matches_reference(self):
+        # the records pipeline._retrain trains on: the prior training split
+        # plus a fresh batch drawn at the next seed
+        text = (resources.files("greenloop") / "fixtures" / "waste_framework.json").read_text()
+        s = parse_scenario(json.loads(text))
+        train, _ = pipeline._split_records(simulate_bins(s, pipeline.BIN_HORIZON).events)
+        fresh = dataclasses.replace(s, rng_seed=s.rng_seed + 1)
+        combined = train + pipeline._labeled(simulate_bins(fresh, pipeline.BIN_HORIZON).events)
+        assert len(combined) == 8500
+        got = traced(classify, "_class_major_step", train_on_records, combined, s.rng_seed)
+        want = traced(
+            reference, "_loss_and_grad", reference.train_on_records, combined, s.rng_seed
+        )
+        assert got == want
+        assert len(got[1]) == 8 * classify.EPOCHS

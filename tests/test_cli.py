@@ -860,6 +860,37 @@ class TestValidateCalibrate:
         assert "must be finite" in captured.out + captured.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "path, code, message",
+        [
+            # the mean of the 8,500 training weights overflows
+            pytest.param(("feature_means", "glass", "weight_kg"), 9,
+                         "feature 'weight_kg' has a non-finite mean (inf)", id="means"),
+            # a draw beyond one standard deviation overflows its reading
+            pytest.param(("feature_stds", "weight_kg"), 8,
+                         "sensor readings of feature 'weight_kg' overflow", id="stds"),
+        ],
+    )
+    def test_overflowing_waste_stream_names_the_feature(
+        self, tmp_path, capsys, path, code, message
+    ):
+        # finite, so validate passes it; the suite's "error" warning filter
+        # makes any RuntimeWarning on the way exit 1
+        doc = json.loads((cli._FIXTURES / "waste_framework.json").read_text("utf-8"))
+        target = doc["waste_stream"]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = 1e308
+        scenario = tmp_path / "overflow.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", "--scenario", str(scenario)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scenario), "--mode", "framework",
+                     "--out", str(out)]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize(
         "fixture, path, value",
