@@ -399,7 +399,7 @@ def simulate_bins(s: "ScenarioSpec", horizon: int) -> BinEventStream:
     labels = [k for *_, k in drawn]
     # A feature mean or std near the float limit can overflow a reading;
     # name the feature rather than hand on an infinite record.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         readings = means[labels] + stds * np.reshape(z, (-1, len(FEATURES)))
     bad = np.flatnonzero(~np.isfinite(readings).all(axis=0))
     if bad.size:

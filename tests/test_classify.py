@@ -30,6 +30,7 @@ from greenloop.classify import (
     _loss_and_grad,
 )
 from greenloop.errors import (
+    ClassifierError,
     DimensionMismatch,
     GreenloopError,
     EmptyDataset,
@@ -223,6 +224,18 @@ class TestTraining:
         with constants(learning_rate=float("inf")), np.errstate(invalid="ignore"):
             with pytest.raises(NonFiniteLoss):
                 train_on_records(as_records(data), 0)
+
+    @pytest.mark.parametrize("value, statistic", [
+        (float("inf"), "mean (inf)"),
+        (-1e308, "mean (-inf)"),
+        (1e200, "standard deviation (inf)"),  # finite mean, squares overflow
+    ])
+    def test_non_finite_statistic_names_the_feature(self, value, statistic):
+        records = two_labels([raw_record(opacity=float(i)) for i in range(4)])
+        records[1][0]["opacity"] = records[2][0]["opacity"] = value
+        with pytest.raises(ClassifierError) as caught:
+            train_on_records(records, 0)
+        assert str(caught.value) == f"feature 'opacity' has a non-finite {statistic}"
 
     def test_rising_loss_logs_warning(self, caplog):
         rng = np.random.default_rng(1)

@@ -863,7 +863,7 @@ class TestValidateCalibrate:
     @pytest.mark.parametrize(
         "path, code, message",
         [
-            # the mean of the 8,500 training weights overflows
+            # the mean of the run's 3,500 training weights overflows
             pytest.param(("feature_means", "glass", "weight_kg"), 9,
                          "feature 'weight_kg' has a non-finite mean (inf)", id="means"),
             # a draw beyond one standard deviation overflows its reading
