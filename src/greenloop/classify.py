@@ -266,18 +266,41 @@ def predict_record(model: SoftmaxModel, raw: Mapping[str, float]) -> tuple[str, 
     return predict(model, featurize(raw, model.norm_stats))
 
 
+def _predict_records(
+    model: SoftmaxModel, raws: Sequence[Mapping[str, float]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """predict_record over every record at once: the class index and the
+    probabilities of each, one row per record.
+
+    Every bit is predict's. The z-scores are featurize's arithmetic on the
+    whole feature matrix, and matmul of W with a stack of (features, 1)
+    columns runs one BLAS gemv per record, the kernel predict's W @ x
+    calls. A single Z @ W.T would be a gemm, which rounds the logits
+    differently (1,389 of the 1,500 rows of the waste fixture's evaluation
+    split, by up to 1.8e-15), and the accuracy goes into metrics.json,
+    where a near-tie would then move a pinned digest.
+    """
+    if model.weights.shape[1] != len(FEATURES):
+        raise DimensionMismatch(
+            f"feature vector {(len(FEATURES),)} vs model input {(model.weights.shape[1],)}"
+        )
+    stats = model.norm_stats
+    z = (_feature_matrix(raws) - np.array(stats.means)) / np.array(stats.stds)
+    logits = np.matmul(model.weights, z[:, :, None])[:, :, 0] + model.biases
+    logits -= logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    return np.argmax(probs, axis=1), probs
+
+
 def evaluate_accuracy_records(
     model: SoftmaxModel, records: Sequence[tuple[Mapping[str, float], str]]
 ) -> float:
     if not records:
         raise EmptyDataset("no evaluation records")
-    # One record at a time on purpose: a batched Z @ W.T rounds logits
-    # differently from predict's W @ x (1,389 of the 1,500 rows of the waste
-    # fixture's evaluation split, by up to 1.8e-15), and the accuracy goes
-    # into metrics.json, where a near-tie would then move a pinned digest.
-    correct = sum(
-        1 for raw, label in records if predict_record(model, raw)[0] == label
-    )
+    predicted, _ = _predict_records(model, [raw for raw, _ in records])
+    labels = model.class_labels
+    correct = sum(1 for i, (_, label) in zip(predicted.tolist(), records) if labels[i] == label)
     return correct / len(records)
 
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, permutations
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -368,6 +369,9 @@ def brute_force_route(g: CollectionGraph) -> tuple[tuple[str, ...], float]:
     return best_route, best_cost
 
 
+_current, _visited, _action = map(itemgetter, range(3))
+
+
 def qtable_to_dict(q: QTable, version: int = 1) -> dict:
     """{"version": version, "entries": Records over the table's sorted keys}.
 
@@ -378,8 +382,12 @@ def qtable_to_dict(q: QTable, version: int = 1) -> dict:
     values = q.values
 
     def columns(keys):
-        current, visited, action = zip(*keys)
-        return action, current, list(map(values.__getitem__, keys)), visited
+        # itemgetter maps, not zip(*keys): zip allocates an iterator per
+        # key, which sets off the cyclic collector over the whole heap
+        return (
+            list(map(_action, keys)), list(map(_current, keys)),
+            list(map(values.__getitem__, keys)), list(map(_visited, keys)),
+        )
 
     entries = Records(("action", "current", "value", "visited"), sorted(values), columns)
     return {"version": version, "entries": entries}

@@ -32,7 +32,10 @@ load_scenario runs it and raises ValidationError when any come back.
 
 compile_to_lp turns the scenario into the allocation program: one
 variable per process in declaration order, one row per resource limit,
-plus an emission cap row when targets carry co2_cap_kg.
+plus an emission cap row when targets carry co2_cap_kg. An integer
+process's limits are stated in integers, rounded down as far as no
+integer level is lost, so branch-and-bound starts from a tighter
+relaxation.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .energy import STAGE_ORDER, EnergyModel, StageUsage, energy_of
 from .errors import CompileError, Diagnostic, ParseError, ValidationError
 from .routing import BinNode, CollectionGraph, EdgeAttrs
 from .serialize import read_json_checked, write_json
-from .solver import LinearProgram
+from .solver import INT_TOL, LinearProgram
 from .twin import ELEMENTS, FacilityModel, Station, WasteStreamConfig, step_budget_problem
 
 MATERIAL_CATEGORIES = ("battery-cell", "plastic", "metal", "organic", "glass", "other")
@@ -632,6 +635,9 @@ def validate_scenario(s: ScenarioSpec) -> list[Diagnostic]:
 def integer_upper_bounds(s: ScenarioSpec) -> dict[str, float]:
     """Each integer process's largest level its limit rows and any CO2 cap allow.
 
+    A finite bound is the tightest row's ratio rounded down to an integer,
+    within the solver's INT_TOL so that no level branch-and-bound accepts
+    as integral is cut off: 0.3 / 0.1 = 2.9999999999999996 still allows 3.
     math.inf marks a process that no row consumes, which leaves
     branch-and-bound no finite range to search.
     """
@@ -644,8 +650,27 @@ def integer_upper_bounds(s: ScenarioSpec) -> dict[str, float]:
         rows = [(lim.consumption.get(p.id, 0.0), lim.availability) for lim in s.limits]
         if cap is not None:
             rows.append((factor_e.get(p.emission_factor_id, 0.0), cap))
-        bounds[p.id] = min((rhs / c for c, rhs in rows if c > 0), default=math.inf)
+        bound = min((rhs / c for c, rhs in rows if c > 0), default=math.inf)
+        bounds[p.id] = float(math.floor(bound + INT_TOL)) if math.isfinite(bound) else bound
     return bounds
+
+
+def _integral_row(
+    coeffs: tuple[float, ...], rhs: float, integer_mask: tuple[bool, ...]
+) -> tuple[tuple[float, ...], float]:
+    """The row coeffs . x <= rhs, stated in integers where it can be.
+
+    When every nonzero coefficient is integral and on an integer process,
+    the row is divided by their gcd and its right-hand side rounded down
+    within INT_TOL (2 sum(x) <= 21 becomes sum(x) <= 10): the integer
+    points it admits are the same, its relaxation is tighter. Any other
+    row is returned as it is.
+    """
+    used = [(c, is_int) for c, is_int in zip(coeffs, integer_mask) if c != 0.0]
+    if not used or not all(is_int and float(c).is_integer() for c, is_int in used):
+        return coeffs, rhs
+    g = math.gcd(*(int(c) for c, _ in used))
+    return tuple(c / g for c in coeffs), float(math.floor(rhs / g + INT_TOL))
 
 
 def _unbounded_integer(pid: str) -> str:
@@ -656,10 +681,17 @@ def _unbounded_integer(pid: str) -> str:
 
 
 def compile_to_lp(s: ScenarioSpec) -> LinearProgram:
-    """One allocation variable per process, one row per resource limit."""
+    """One allocation variable per process, one row per resource limit.
+
+    Each integer process's limits come in integers: its upper bound is
+    integer_upper_bounds', and a row over integer processes with integral
+    coefficients is put through _integral_row. Every integer point of the
+    scenario is kept; only the relaxation shrinks.
+    """
     pids = [p.id for p in s.processes]
     index = {pid: j for j, pid in enumerate(pids)}
     n = len(pids)
+    integer_mask = tuple(pid in s.integrality for pid in pids)
 
     rows = []
     for lim in s.limits:
@@ -670,7 +702,7 @@ def compile_to_lp(s: ScenarioSpec) -> LinearProgram:
                     f"limit {lim.resource_id!r} references unknown process {pid!r}"
                 )
             coeffs[index[pid]] = coeff
-        rows.append((tuple(coeffs), lim.availability))
+        rows.append(_integral_row(tuple(coeffs), lim.availability, integer_mask))
 
     if "co2_cap_kg" in s.targets:
         by_id = {ef.id: ef for ef in s.emission_factors}
@@ -683,7 +715,7 @@ def compile_to_lp(s: ScenarioSpec) -> LinearProgram:
                     f"{p.emission_factor_id!r}"
                 )
             coeffs.append(ef.e)
-        rows.append((tuple(coeffs), s.targets["co2_cap_kg"]))
+        rows.append(_integral_row(tuple(coeffs), s.targets["co2_cap_kg"], integer_mask))
 
     bounds = integer_upper_bounds(s)
     for pid, bound in bounds.items():
@@ -695,7 +727,7 @@ def compile_to_lp(s: ScenarioSpec) -> LinearProgram:
         rows=tuple(rows),
         lower_bounds=(0.0,) * n,
         upper_bounds=tuple(bounds.get(pid, math.inf) for pid in pids),
-        integer_mask=tuple(pid in s.integrality for pid in pids),
+        integer_mask=integer_mask,
         variable_names=tuple(pids),
     )
 

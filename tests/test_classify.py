@@ -28,6 +28,7 @@ from greenloop.classify import (
     rule_classify,
     train_on_records,
     _loss_and_grad,
+    _predict_records,
 )
 from greenloop.errors import (
     ClassifierError,
@@ -324,6 +325,37 @@ class TestEvaluate:
         )
         with pytest.raises(EmptyDataset):
             evaluate_accuracy_records(m, [])
+
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1), classes=st.integers(2, 5),
+        scale=st.integers(-3, 3), fortran=st.booleans(), n=st.integers(1, 300),
+    )
+    def test_batch_has_the_bits_of_predict_record(self, seed, classes, scale, fortran, n):
+        rng = np.random.default_rng(seed)
+        weights = rng.standard_normal((classes, len(FEATURES))) * 10.0**scale
+        model = SoftmaxModel(
+            weights=np.asfortranarray(weights) if fortran else weights,
+            biases=rng.standard_normal(classes) * 10.0**scale,
+            class_labels=tuple("abcde"[:classes]),
+            norm_stats=NormStats(means=tuple(rng.standard_normal(len(FEATURES))),
+                                 stds=tuple(rng.uniform(0.1, 3.0, len(FEATURES)))),
+        )
+        raws = [dict(zip(FEATURES, row)) for row in (3.0 * rng.standard_normal((n, 6))).tolist()]
+        predicted, probs = _predict_records(model, raws)
+        expected = [predict_record(model, raw) for raw in raws]
+        assert [model.class_labels[i] for i in predicted] == [lb for lb, _ in expected]
+        assert [p.tobytes() for p in probs] == [p.tobytes() for _, p in expected]
+        records = [(raw, lb) for raw, lb in zip(raws, rng.choice(list("abcde"), n).tolist())]
+        correct = sum(predict_record(model, raw)[0] == lb for raw, lb in records)
+        assert evaluate_accuracy_records(model, records) == correct / n
+
+    def test_batch_rejects_a_model_of_another_width(self):
+        m = SoftmaxModel(weights=np.zeros((2, 3)), biases=np.zeros(2),
+                         class_labels=("a", "b"), norm_stats=identity_stats())
+        with pytest.raises(DimensionMismatch):
+            evaluate_accuracy_records(m, [(raw_record(), "a")])
 
 
 class TestRuleBaseline:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from greenloop import cli, errors, pipeline
+from greenloop import cli, errors, pipeline, solver
 from greenloop.cli import main
 from greenloop.serialize import read_json
 
@@ -222,6 +222,34 @@ class TestRun:
         assert problem in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_integer_knapsack_with_a_fractional_limit_solves_at_the_root(
+        self, tmp_path, monkeypatch
+    ):
+        # 21 integer processes under 2 sum(x) <= 21: with the limit as
+        # written every relaxation ties at 10.5 and branch-and-bound runs
+        # into its node budget (some 10 s at the full MAX_NODES)
+        pids = [f"p{j:02d}" for j in range(21)]
+        doc = {
+            "rng_seed": 7,
+            "processes": [{"id": pid, "unit_cost": -1.0, "energy_per_unit": 1.0,
+                           "emission_factor_id": f"ef{pid}"} for pid in pids],
+            "emission_factors": [{"id": f"ef{pid}", "process_id": pid, "e": 0.5,
+                                  "stage": "processing"} for pid in pids],
+            "limits": [{"resource_id": "r", "availability": 21.0,
+                        "consumption": dict.fromkeys(pids, 2.0)}],
+            "integrality": pids,
+        }
+        scenario = tmp_path / "knapsack.json"
+        scenario.write_text(json.dumps(doc), "utf-8")
+        monkeypatch.setattr(solver, "MAX_NODES", 100)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scenario), "--mode", "framework",
+                     "--out", str(out)]) == 0
+        (run_dir,) = out.iterdir()
+        levels = read_json(run_dir / "allocation.json")["levels"]
+        assert sorted(levels) == pids
+        assert sum(levels.values()) == 10.0
 
     def test_bad_mode_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:

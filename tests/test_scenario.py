@@ -7,7 +7,7 @@ import math
 from importlib import resources
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_solver import enumerate_integer_optimum
 
@@ -31,6 +31,7 @@ from greenloop.scenario import (
     _Record,
     _string,
     compile_to_lp,
+    integer_upper_bounds,
     load_scenario,
     parse_scenario,
     save_scenario,
@@ -38,7 +39,7 @@ from greenloop.scenario import (
     validate_scenario,
 )
 from greenloop.serialize import canonical_dumps
-from greenloop.solver import SolveStatus, solve_milp
+from greenloop.solver import LinearProgram, SolveStatus, check_solution, solve_milp
 from greenloop.carbon import EmissionFactor
 
 
@@ -345,8 +346,9 @@ class TestCompile:
         doc = alloc_doc()
         doc["targets"] = {"co2_cap_kg": 2.0}
         lp = compile_to_lp(parse_scenario(doc))
-        # pA: labor 10/2, machine 6/1, cap 2/0.5; pB: cap 2/1.5; pC: cap 2/1
-        assert lp.upper_bounds == (4.0, 2.0 / 1.5, 2.0)
+        # pA: labor 10/2, machine 6/1, cap 2/0.5; pB: cap 2/1.5, rounded
+        # down; pC: cap 2/1
+        assert lp.upper_bounds == (4.0, 1.0, 2.0)
 
     def test_row_count_matches_limits(self):
         lp = compile_to_lp(parse_scenario(alloc_doc()))
@@ -392,6 +394,137 @@ class TestCompile:
         assert solution.status is SolveStatus.OPTIMAL
         best_obj, best_point = enumerate_integer_optimum(lp)
         assert solution.objective_value == pytest.approx(best_obj, abs=1e-6)
+
+
+def knapsack_doc(costs, limits, integer, cap=None):
+    """Processes p0, p1, ... with the given unit costs, each with a factor
+    of e = 1; limits holds (availability, {process index: consumption});
+    integer holds the indices of the integer processes."""
+    pids = [f"p{j}" for j in range(len(costs))]
+    doc = minimal_doc(
+        processes=[{"id": pid, "unit_cost": c, "energy_per_unit": 1.0,
+                    "emission_factor_id": f"e{pid}"} for pid, c in zip(pids, costs)],
+        emission_factors=[{"id": f"e{pid}", "process_id": pid, "e": 1.0,
+                           "stage": "processing"} for pid in pids],
+        limits=[{"resource_id": f"r{i}", "availability": rhs,
+                 "consumption": {pids[j]: c for j, c in row.items()}}
+                for i, (rhs, row) in enumerate(limits)],
+        integrality=[pids[j] for j in integer],
+    )
+    if cap is not None:
+        doc["targets"] = {"co2_cap_kg": cap}
+    return doc
+
+
+class TestIntegralLimits:
+    """compile_to_lp states an integer process's limits in integers."""
+
+    def test_bounds_round_down_within_the_integrality_tolerance(self):
+        doc = knapsack_doc([-1.0] * 6, [
+            (21.0, {0: 2.0}), (0.3, {1: 0.1}), (10.0, {2: 2.0}), (0.7, {3: 1.0}),
+            (1.0, {5: 1.0}),
+        ], integer=range(5))
+        bounds = integer_upper_bounds(parse_scenario(doc))
+        # 0.3 / 0.1 is 2.9999999999999996, a level the solver takes as 3
+        assert bounds == {"p0": 10.0, "p1": 3.0, "p2": 5.0, "p3": 0.0, "p4": math.inf}
+        # the unbounded p4 keeps its diagnostic and its compile error
+        s = parse_scenario(doc)
+        message = "integer process 'p4' has no limit row bounding it"
+        assert [(d.path, d.message.split(";")[0]) for d in validate_scenario(s)] == [
+            ("integrality", message)
+        ]
+        with pytest.raises(CompileError, match=message):
+            compile_to_lp(s)
+
+    def test_integral_rows_over_integer_processes_are_divided_by_their_gcd(self):
+        lp = compile_to_lp(parse_scenario(knapsack_doc([-1.0] * 4, [
+            (21.0, {0: 2.0, 1: 2.0, 2: 2.0}),  # 2 sum(x) <= 21 -> sum(x) <= 10
+            (15.0, {0: 4.0, 2: 6.0}),           # -> 2 x0 + 3 x2 <= 7
+            (21.0, {0: 2.0, 3: 2.0}),           # p3 is continuous
+            (21.0, {0: 2.0, 1: 2.5}),           # one non-integral coefficient
+            (10.5, {0: 2.0, 1: 3.0, 2: 1.0}),   # gcd 1, rhs rounded down
+            (10.0, {0: 2.0, 1: 3.0, 2: 1.0}),   # gcd 1, integral rhs
+        ], integer=range(3), cap=7.5)))
+        assert lp.rows == (
+            ((1.0, 1.0, 1.0, 0.0), 10.0),
+            ((2.0, 0.0, 3.0, 0.0), 7.0),
+            ((2.0, 0.0, 0.0, 2.0), 21.0),
+            ((2.0, 2.5, 0.0, 0.0), 21.0),
+            ((2.0, 3.0, 1.0, 0.0), 10.0),
+            ((2.0, 3.0, 1.0, 0.0), 10.0),
+            ((1.0, 1.0, 1.0, 1.0), 7.5),  # the cap row touches p3
+        )
+
+
+def untightened_lp(doc) -> LinearProgram:
+    """The allocation program of doc with its limits as written: each row
+    as the document gives it, each integer process bounded by its
+    tightest row's ratio, not rounded."""
+    pids = [p["id"] for p in doc["processes"]]
+    rows = [
+        (tuple(lim["consumption"].get(pid, 0.0) for pid in pids), lim["availability"])
+        for lim in doc["limits"]
+    ]
+    if "targets" in doc:
+        e = {f["process_id"]: f["e"] for f in doc["emission_factors"]}
+        rows.append((tuple(e[pid] for pid in pids), doc["targets"]["co2_cap_kg"]))
+    upper = tuple(
+        min((rhs / row[j] for row, rhs in rows if row[j] > 0), default=math.inf)
+        if pid in doc["integrality"] else math.inf
+        for j, pid in enumerate(pids)
+    )
+    return LinearProgram(
+        objective=tuple(p["unit_cost"] for p in doc["processes"]),
+        rows=tuple(rows),
+        lower_bounds=(0.0,) * len(pids),
+        upper_bounds=upper,
+        integer_mask=tuple(pid in doc["integrality"] for pid in pids),
+        variable_names=tuple(pids),
+    )
+
+
+@st.composite
+def alloc_documents(draw):
+    """Allocation scenarios shaped like perfbench's alloc-milp ones, small
+    enough to solve untightened: 2-7 processes, most of them integer, 1-4
+    limits whose coefficients are either all 3-decimal or all integral,
+    availability 10-60% of a limit's full consumption (3 decimals), and
+    sometimes an emission cap. Every integer process has a row."""
+    n = draw(st.integers(2, 7))
+    integer = [j for j in range(n) if draw(st.integers(0, 3))]
+    m = draw(st.integers(1, 4))
+    milli = st.integers(500, 5000).map(lambda k: k / 1000)
+    whole = st.integers(1, 6).map(float)
+    limits = []
+    for _ in range(m):
+        coeff = whole if draw(st.booleans()) else milli
+        row = {j: draw(coeff) for j in range(n) if draw(st.booleans())}
+        limits.append(row)
+    for j in integer:
+        if not any(j in row for row in limits):
+            limits[draw(st.integers(0, m - 1))][j] = draw(whole)
+    share = st.integers(100, 600).map(lambda k: k / 1000)
+    limits = [(round(sum(row.values()) * draw(share), 3), row) for row in limits]
+    costs = [-k / 1000 for k in draw(st.lists(st.integers(1000, 10000), min_size=n, max_size=n))]
+    cap = draw(st.none() | st.integers(1, 30).map(float))
+    doc = knapsack_doc(costs, limits, integer, cap)
+    if cap is not None:
+        for f in doc["emission_factors"]:
+            f["e"] = draw(whole | milli)
+    return doc
+
+
+@settings(deadline=None, max_examples=150)
+@given(doc=alloc_documents())
+def test_integral_limits_keep_the_optimum(doc):
+    tight = solve_milp(compile_to_lp(parse_scenario(doc)))
+    loose_lp = untightened_lp(doc)
+    loose = solve_milp(loose_lp)
+    assert tight.status is loose.status
+    if tight.status is SolveStatus.OPTIMAL:
+        tol = 1e-9 * max(1.0, abs(loose.objective_value))
+        assert abs(tight.objective_value - loose.objective_value) <= tol
+        assert check_solution(loose_lp, tight) == []
 
 
 class TestRoundTrip:
