@@ -280,11 +280,14 @@ def _predict_records(
     split, by up to 1.8e-15), and the accuracy goes into metrics.json,
     where a near-tie would then move a pinned digest.
     """
-    if model.weights.shape[1] != len(FEATURES):
-        raise DimensionMismatch(
-            f"feature vector {(len(FEATURES),)} vs model input {(model.weights.shape[1],)}"
-        )
     stats = model.norm_stats
+    # checked here: numpy would broadcast a one-entry stats vector over
+    # every feature, where featurize stops at the missing entry
+    if model.weights.shape[1] != len(FEATURES) or len(stats.means) != len(FEATURES):
+        raise DimensionMismatch(
+            f"{len(FEATURES)} features vs model input {model.weights.shape[1]} "
+            f"and {len(stats.means)} norm stats"
+        )
     z = (_feature_matrix(raws) - np.array(stats.means)) / np.array(stats.stds)
     logits = np.matmul(model.weights, z[:, :, None])[:, :, 0] + model.biases
     logits -= logits.max(axis=1, keepdims=True)

@@ -666,10 +666,13 @@ def _integral_row(
     points it admits are the same, its relaxation is tighter. Any other
     row is returned as it is.
     """
-    used = [(c, is_int) for c, is_int in zip(coeffs, integer_mask) if c != 0.0]
-    if not used or not all(is_int and float(c).is_integer() for c, is_int in used):
+    if not all(
+        c == 0.0 or is_int and float(c).is_integer() for c, is_int in zip(coeffs, integer_mask)
+    ):
         return coeffs, rhs
-    g = math.gcd(*(int(c) for c, _ in used))
+    g = math.gcd(*(int(c) for c in coeffs))
+    if g == 0:  # no nonzero coefficient
+        return coeffs, rhs
     return tuple(c / g for c in coeffs), float(math.floor(rhs / g + INT_TOL))
 
 
@@ -683,10 +686,9 @@ def _unbounded_integer(pid: str) -> str:
 def compile_to_lp(s: ScenarioSpec) -> LinearProgram:
     """One allocation variable per process, one row per resource limit.
 
-    Each integer process's limits come in integers: its upper bound is
-    integer_upper_bounds', and a row over integer processes with integral
-    coefficients is put through _integral_row. Every integer point of the
-    scenario is kept; only the relaxation shrinks.
+    Each integer process's limits come in integers: its upper bound from
+    integer_upper_bounds, each row through _integral_row. Every integer
+    point of the scenario is kept; only the relaxation shrinks.
     """
     pids = [p.id for p in s.processes]
     index = {pid: j for j, pid in enumerate(pids)}

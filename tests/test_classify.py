@@ -326,7 +326,6 @@ class TestEvaluate:
         with pytest.raises(EmptyDataset):
             evaluate_accuracy_records(m, [])
 
-
     @settings(deadline=None, max_examples=60)
     @given(
         seed=st.integers(0, 2**32 - 1), classes=st.integers(2, 5),
@@ -342,7 +341,7 @@ class TestEvaluate:
             norm_stats=NormStats(means=tuple(rng.standard_normal(len(FEATURES))),
                                  stds=tuple(rng.uniform(0.1, 3.0, len(FEATURES)))),
         )
-        raws = [dict(zip(FEATURES, row)) for row in (3.0 * rng.standard_normal((n, 6))).tolist()]
+        raws = [dict(zip(FEATURES, row)) for row in (3.0 * rng.standard_normal((n, len(FEATURES)))).tolist()]
         predicted, probs = _predict_records(model, raws)
         expected = [predict_record(model, raw) for raw in raws]
         assert [model.class_labels[i] for i in predicted] == [lb for lb, _ in expected]
@@ -351,10 +350,11 @@ class TestEvaluate:
         correct = sum(predict_record(model, raw)[0] == lb for raw, lb in records)
         assert evaluate_accuracy_records(model, records) == correct / n
 
-    def test_batch_rejects_a_model_of_another_width(self):
-        m = SoftmaxModel(weights=np.zeros((2, 3)), biases=np.zeros(2),
-                         class_labels=("a", "b"), norm_stats=identity_stats())
-        with pytest.raises(DimensionMismatch):
+    @pytest.mark.parametrize("width, stats", [(3, 6), (6, 1), (6, 7)])
+    def test_batch_rejects_a_model_of_another_width(self, width, stats):
+        m = SoftmaxModel(weights=np.zeros((2, width)), biases=np.zeros(2),
+                         class_labels=("a", "b"), norm_stats=identity_stats(stats))
+        with pytest.raises(DimensionMismatch, match="6 features vs model input"):
             evaluate_accuracy_records(m, [(raw_record(), "a")])
 
 

@@ -424,11 +424,12 @@ class TestIntegralLimits:
             (21.0, {0: 2.0}), (0.3, {1: 0.1}), (10.0, {2: 2.0}), (0.7, {3: 1.0}),
             (1.0, {5: 1.0}),
         ], integer=range(5))
-        bounds = integer_upper_bounds(parse_scenario(doc))
-        # 0.3 / 0.1 is 2.9999999999999996, a level the solver takes as 3
-        assert bounds == {"p0": 10.0, "p1": 3.0, "p2": 5.0, "p3": 0.0, "p4": math.inf}
-        # the unbounded p4 keeps its diagnostic and its compile error
         s = parse_scenario(doc)
+        # 0.3 / 0.1 is 2.9999999999999996, a level the solver takes as 3
+        assert integer_upper_bounds(s) == {
+            "p0": 10.0, "p1": 3.0, "p2": 5.0, "p3": 0.0, "p4": math.inf
+        }
+        # the unbounded p4 keeps its diagnostic and its compile error
         message = "integer process 'p4' has no limit row bounding it"
         assert [(d.path, d.message.split(";")[0]) for d in validate_scenario(s)] == [
             ("integrality", message)
