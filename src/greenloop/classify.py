@@ -11,15 +11,19 @@ LEARNING_RATE (0.1), with no weight penalty. Training is deterministic for
 a given seed, the only setting a caller passes. The loss is checked to be
 nonincreasing across epochs; a violation logs a warning naming the epoch,
 since it almost always means the learning rate is too hot.
+
+Training and evaluation take the readings as a matrix, one row per record
+in FEATURES order, beside a list of plain str labels: the columns the bin
+simulator draws, with no per-record dict in between. featurize, predict
+and predict_record are the per-record API, and the oracle whose bits the
+batch keeps.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,12 +48,8 @@ FEATURES = (
     "volume_l",
 )
 
-WASTE_CATEGORIES = ("glass", "metal", "organic", "plastic")
-
 LEARNING_RATE = 0.1
 EPOCHS = 500
-
-_feature_row = itemgetter(*FEATURES)
 
 
 @dataclass(frozen=True)
@@ -81,22 +81,15 @@ class SoftmaxModel:
             raise ValueError("model parameters must be finite")
 
 
-def _feature_matrix(records: Sequence[Mapping[str, float]]) -> np.ndarray:
-    """Raw sensor features, one row per record in FEATURES order."""
-    n = len(records)
-    try:
-        flat = np.fromiter(
-            map(float, chain.from_iterable(map(_feature_row, records))),
-            dtype=float,
-            count=n * len(FEATURES),
+def _rows(features, labels: Sequence[str]) -> np.ndarray:
+    """features as a C-contiguous float matrix of one FEATURES row per label."""
+    mat = np.ascontiguousarray(features, dtype=float)
+    if mat.ndim != 2 or mat.shape[1] != len(FEATURES) or len(mat) != len(labels):
+        raise DimensionMismatch(
+            f"feature matrix {mat.shape} vs {len(labels)} labels of "
+            f"{len(FEATURES)} features"
         )
-    except Exception:
-        # The bulk read fetches a record's values before converting any of
-        # them, so it can fail on a later value than the per-value reads
-        # would. Redo them to raise exactly their error: MissingFeature for
-        # the first missing token, TypeError for None.
-        return np.array([[_feature(r, f) for f in FEATURES] for r in records], dtype=float)
-    return flat.reshape(n, len(FEATURES))
+    return mat
 
 
 def _norm_stats(mat: np.ndarray) -> NormStats:
@@ -229,22 +222,23 @@ def _descend(
 
 
 def train_on_records(
-    records: Sequence[tuple[Mapping[str, float], str]],
-    rng_seed: int,
+    features: np.ndarray, labels: Sequence[str], rng_seed: int
 ) -> SoftmaxModel:
-    """Fit norm stats on raw records, z-score them, train, bind the stats.
+    """Fit norm stats on the raw readings, z-score them, train, bind the stats.
 
-    The z-scores are featurize's arithmetic on the whole feature matrix.
+    features holds one row of readings per record in FEATURES order, and
+    labels each record's category. The z-scores are featurize's arithmetic
+    on the whole matrix.
     """
-    if not records:
+    mat = _rows(features, labels)
+    if not len(mat):
         raise EmptyDataset("no training records")
-    mat = _feature_matrix([raw for raw, _ in records])
     stats = _norm_stats(mat)
-    labels, y_idx = _class_index([label for _, label in records])
+    classes, y_idx = _class_index(labels)
     x = (mat - np.array(stats.means)) / np.array(stats.stds)
-    weights, biases = _descend(x, y_idx, len(labels), rng_seed)
+    weights, biases = _descend(x, y_idx, len(classes), rng_seed)
     return SoftmaxModel(
-        weights=weights, biases=biases, class_labels=labels, norm_stats=stats
+        weights=weights, biases=biases, class_labels=classes, norm_stats=stats
     )
 
 
@@ -266,11 +260,9 @@ def predict_record(model: SoftmaxModel, raw: Mapping[str, float]) -> tuple[str, 
     return predict(model, featurize(raw, model.norm_stats))
 
 
-def _predict_records(
-    model: SoftmaxModel, raws: Sequence[Mapping[str, float]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """predict_record over every record at once: the class index and the
-    probabilities of each, one row per record.
+def _predict_records(model: SoftmaxModel, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """predict_record over every row of a checked feature matrix at once:
+    the class index and the probabilities of each, one row per record.
 
     Every bit is predict's. The z-scores are featurize's arithmetic on the
     whole feature matrix, and matmul of W with a stack of (features, 1)
@@ -288,7 +280,7 @@ def _predict_records(
             f"{len(FEATURES)} features vs model input {model.weights.shape[1]} "
             f"and {len(stats.means)} norm stats"
         )
-    z = (_feature_matrix(raws) - np.array(stats.means)) / np.array(stats.stds)
+    z = (mat - np.array(stats.means)) / np.array(stats.stds)
     logits = np.matmul(model.weights, z[:, :, None])[:, :, 0] + model.biases
     logits -= logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)
@@ -297,14 +289,16 @@ def _predict_records(
 
 
 def evaluate_accuracy_records(
-    model: SoftmaxModel, records: Sequence[tuple[Mapping[str, float], str]]
+    model: SoftmaxModel, features: np.ndarray, labels: Sequence[str]
 ) -> float:
-    if not records:
+    """The share of rows of features whose predicted category is their label."""
+    mat = _rows(features, labels)
+    if not len(mat):
         raise EmptyDataset("no evaluation records")
-    predicted, _ = _predict_records(model, [raw for raw, _ in records])
-    labels = model.class_labels
-    correct = sum(1 for i, (_, label) in zip(predicted.tolist(), records) if labels[i] == label)
-    return correct / len(records)
+    predicted, _ = _predict_records(model, mat)
+    names = model.class_labels
+    correct = sum(1 for i, label in zip(predicted.tolist(), labels) if names[i] == label)
+    return correct / len(mat)
 
 
 # Weight bands for the rule baseline, in kg. Items lighter than the first

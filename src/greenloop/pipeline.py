@@ -25,11 +25,15 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .carbon import ActivityLedger, carbon_footprint
 from .classify import (
+    FEATURES,
+    RULE_FALLBACK,
+    RULE_WEIGHT_BANDS,
     SoftmaxModel,
     evaluate_accuracy_records,
-    rule_classify,
     train_on_records,
 )
 from .energy import EnergyLedger, EnergyModel, meter
@@ -53,6 +57,7 @@ from .solver import SolveStatus, SolverError, solve_milp
 from .twin import (
     END_KG,
     MAX_FACILITY_STEPS,
+    BinEventStream,
     SimulationTrace,
     recovery_rates,
     simulate_bins,
@@ -108,16 +113,17 @@ class ImprovementReport:
     annotations: tuple[str, ...]
 
 
-def _labeled(events) -> list[tuple[Mapping[str, float], str]]:
-    """(sensor record, true label) pairs in event order."""
-    return [(ev.sensor_record, ev.true_label) for ev in events]
+def _examples(stream: BinEventStream, rows) -> tuple[np.ndarray, list[str]]:
+    """The readings and true labels of the stream's events at rows, in event order."""
+    names = stream.categories
+    return stream.readings[rows], [names[k] for k in stream.events["label"][rows].tolist()]
 
 
-def _split_records(events):
-    cut = int(TRAIN_SPLIT * BIN_HORIZON)
-    train = _labeled(ev for ev in events if ev.time_step < cut)
-    evaluation = _labeled(ev for ev in events if ev.time_step >= cut)
-    return train, evaluation
+def _split(stream: BinEventStream):
+    """The examples of the first TRAIN_SPLIT of BIN_HORIZON's time steps,
+    for training, and those of the rest, for evaluation."""
+    train = stream.events["time_step"] < int(TRAIN_SPLIT * BIN_HORIZON)
+    return _examples(stream, train), _examples(stream, ~train)
 
 
 def _declaration_fill(s: ScenarioSpec) -> dict[str, float]:
@@ -256,16 +262,20 @@ def _preprocess(s: ScenarioSpec, framework: bool) -> tuple[SoftmaxModel | None, 
     """preprocess: generate the sensor stream, split it, fit the classifier.
 
     Returns the classifier (None in baseline mode, which applies the
-    weight rule) and its held-out accuracy. The bin events and records
-    are dropped on return, so they do not stay alive through the later
-    stages.
+    weight rule of classify.rule_classify to the weight column) and its
+    held-out accuracy. The stream's columns are dropped on return, so they
+    do not stay alive through the later stages.
     """
-    train_recs, eval_recs = _split_records(simulate_bins(s, BIN_HORIZON).events)
+    (train_x, train_y), (eval_x, eval_y) = _split(simulate_bins(s, BIN_HORIZON))
     if framework:
-        classifier = train_on_records(train_recs, s.rng_seed)
-        return classifier, evaluate_accuracy_records(classifier, eval_recs)
-    hits = sum(1 for rec, label in eval_recs if rule_classify(rec) == label)
-    return None, hits / len(eval_recs) if eval_recs else None
+        classifier = train_on_records(train_x, train_y, s.rng_seed)
+        return classifier, evaluate_accuracy_records(classifier, eval_x, eval_y)
+    # a weight sorts into the first band whose bound is above it
+    bounds, names = zip(*RULE_WEIGHT_BANDS)
+    band = np.searchsorted(bounds, eval_x[:, FEATURES.index("weight_kg")], side="right")
+    names += (RULE_FALLBACK,)
+    hits = sum(1 for k, label in zip(band.tolist(), eval_y) if names[k] == label)
+    return None, hits / len(eval_y) if eval_y else None
 
 
 def run_full(s: ScenarioSpec, mode: str) -> tuple[RunResult, RunArtifacts]:
@@ -465,16 +475,18 @@ def _retrain(
 ) -> tuple[SoftmaxModel, tuple[str, ...]]:
     """Refit the classifier on the prior training split plus a fresh batch.
 
-    Returns the retrained model and, if its held-out accuracy on the
-    original evaluation split fell below the prior model's, a diagnostic.
-    As in _preprocess, the bin events and records are dropped on return.
+    The training rows of the prior stream and every row of the fresh one
+    are stacked into one matrix. Returns the retrained model and, if its
+    held-out accuracy on the original evaluation split fell below the
+    prior model's, a diagnostic. As in _preprocess, the streams' columns
+    are dropped on return.
     """
-    train_recs, eval_recs = _split_records(simulate_bins(s, BIN_HORIZON).events)
-    fresh = dataclasses.replace(s, rng_seed=fseed)
-    combined = train_recs + _labeled(simulate_bins(fresh, BIN_HORIZON).events)
-    retrained = train_on_records(combined, s.rng_seed)
-    before = evaluate_accuracy_records(classifier, eval_recs)
-    after = evaluate_accuracy_records(retrained, eval_recs)
+    (train_x, train_y), (eval_x, eval_y) = _split(simulate_bins(s, BIN_HORIZON))
+    fresh = simulate_bins(dataclasses.replace(s, rng_seed=fseed), BIN_HORIZON)
+    fresh_x, fresh_y = _examples(fresh, slice(None))
+    retrained = train_on_records(np.concatenate((train_x, fresh_x)), train_y + fresh_y, s.rng_seed)
+    before = evaluate_accuracy_records(classifier, eval_x, eval_y)
+    after = evaluate_accuracy_records(retrained, eval_x, eval_y)
     if after < before:
         return retrained, (
             f"held-out classification accuracy regressed from {before:.4f} to {after:.4f}",

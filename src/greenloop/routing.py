@@ -43,7 +43,7 @@ seed vary, through RLConfig.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, permutations
+from itertools import chain
 from operator import itemgetter
 from typing import Iterator, Mapping
 
@@ -349,24 +349,6 @@ def route_emissions(g: CollectionGraph, route: tuple[str, ...] | list[str]) -> f
     for a, b in zip(route, route[1:]):
         total += leg_emissions(g, a, b)
     return total
-
-
-def brute_force_route(g: CollectionGraph) -> tuple[tuple[str, ...], float]:
-    """Exhaustive-permutation oracle: the cheapest complete loop."""
-    bins = g.bin_ids()
-    depot = g.depot
-    best_route = (depot, depot)
-    best_cost = 0.0 if not bins else float("inf")
-    for perm in permutations(bins):
-        route = (depot, *perm, depot)
-        try:
-            cost = route_emissions(g, route)
-        except MissingEdge:
-            continue
-        if cost < best_cost:
-            best_cost = cost
-            best_route = route
-    return best_route, best_cost
 
 
 _current, _visited, _action = map(itemgetter, range(3))

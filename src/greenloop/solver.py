@@ -439,8 +439,19 @@ def solve_lp(lp: LinearProgram) -> MilpSolution:
 
     Status OPTIMAL guarantees primal feasibility within FEAS_TOL and no
     improving reduced cost. Identical inputs give bit-identical outputs.
+    A ratio or pivot may overflow on the way to a finite answer, so numpy
+    warns of nothing here; an answer that is not finite raises SolverError.
     """
-    return _solve(_standard_form(lp), lp.lower_bounds, lp.upper_bounds)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sol = _solve(_standard_form(lp), lp.lower_bounds, lp.upper_bounds)
+    return _finite(sol)
+
+
+def _finite(sol: MilpSolution) -> MilpSolution:
+    """sol, unless its objective or one of its values is inf or NaN."""
+    if sol.values and not all(map(math.isfinite, (sol.objective_value, *sol.values))):
+        raise SolverError(f"solve ended {sol.status.name} with a non-finite objective or value")
+    return sol
 
 
 def _fractional_index(values: Sequence[float], mask: Sequence[bool]) -> int:
@@ -471,7 +482,8 @@ def solve_milp(lp: LinearProgram) -> MilpSolution:
     tableau keeps an artificial variable basic, or when holding it would
     take the held tableaus past WARM_START_BYTES. A warm node's relaxation
     has the optimum a cold one would find; where its optima tie, it may
-    return another vertex, and the search may branch elsewhere.
+    return another vertex, and the search may branch elsewhere. Overflow
+    and a non-finite answer are met as in solve_lp.
     """
     for j, is_int in enumerate(lp.integer_mask):
         if is_int and not math.isfinite(lp.upper_bounds[j]):
@@ -482,7 +494,13 @@ def solve_milp(lp: LinearProgram) -> MilpSolution:
     if not any(lp.integer_mask):
         sol = solve_lp(lp)
         return replace(sol, nodes_explored=1 if sol.status is SolveStatus.OPTIMAL else 0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sol = _branch_and_bound(lp)
+    return _finite(sol)
 
+
+def _branch_and_bound(lp: LinearProgram) -> MilpSolution:
+    """solve_milp's search, on an LP with an integer variable."""
     form = _standard_form(lp)
     n = lp.num_vars
     width = form.slack_tab.shape[1]  # n + m + 1: no artificial columns
@@ -536,7 +554,7 @@ def solve_milp(lp: LinearProgram) -> MilpSolution:
             )
         if relax.status is not SolveStatus.OPTIMAL:
             continue
-        if relax.objective_value >= best_obj - 1e-9:
+        if _finite(relax).objective_value >= best_obj - 1e-9:
             continue
 
         values = relax.values

@@ -30,7 +30,9 @@ use sum().
 The bin side generates labeled sensor events: per time step each bin's
 fill level rises by a seeded increment and one deposit event is emitted,
 with the true category drawn from the configured mix and the six sensor
-readings drawn around that category's means.
+readings drawn around that category's means. The events come back as
+columns, a BinEventStream, whose readings matrix the classifier takes as
+it is.
 
 Both simulators derive child seeds from the scenario seed, so they are
 independently reproducible within one scenario.
@@ -47,7 +49,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .carbon import ActivityLedger
-from .classify import FEATURES, WASTE_CATEGORIES
+from .classify import FEATURES
 from .errors import NoGraph, StepBudgetExceeded, TwinError
 
 if TYPE_CHECKING:
@@ -123,18 +125,18 @@ class SimulationTrace:
         return sum(ev.energy_kwh for ev in self.steps)
 
 
-@dataclass(frozen=True)
-class BinEvent:
-    time_step: int
-    bin_id: str
-    fill_level: float
-    sensor_record: Mapping[str, float]
-    true_label: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinEventStream:
-    events: tuple[BinEvent, ...]
+    """A run's sensor events as columns, one row per event in draw order.
+
+    events has the fields time_step, bin (an index into the graph's sorted
+    bin ids), fill_level and label (an index into categories); readings
+    holds each event's six readings in FEATURES order. Equality is identity.
+    """
+
+    events: np.ndarray
+    readings: np.ndarray
+    categories: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -358,15 +360,15 @@ def check_mass_conservation(trace: SimulationTrace) -> list[str]:
 
 
 def simulate_bins(s: "ScenarioSpec", horizon: int) -> BinEventStream:
-    """Generate labeled deposit events for every bin over the horizon."""
+    """Labeled deposit events, time step by time step over the bins in id order."""
     if s.collection_graph is None:
         raise NoGraph("scenario has no collection_graph")
     cfg = s.waste_stream or DEFAULT_WASTE_STREAM
     rng = np.random.default_rng([s.rng_seed, 2])
 
-    bins = [n for n in s.collection_graph.nodes if not n.is_depot]
-    bins.sort(key=lambda n: n.id)
-    fills = {b.id: b.fill_level for b in bins}
+    # each bin's fill level, in id order: an event's bin is its index here
+    nodes = sorted(s.collection_graph.nodes, key=attrgetter("id"))
+    fills = [n.fill_level for n in nodes if not n.is_depot]
 
     categories = sorted(cfg.category_mix)
     probs = np.array([cfg.category_mix[c] for c in categories])
@@ -388,35 +390,25 @@ def simulate_bins(s: "ScenarioSpec", horizon: int) -> BinEventStream:
     # scalar draws would, in FEATURES order. The readings means + stds * z
     # are then one array expression for all events, value by value the
     # same IEEE operations.
-    drawn: list[tuple[int, str, float, int]] = []
+    drawn: list[tuple[int, int, float, int]] = []
     z = []
     for t in range(horizon):
-        for b in bins:
+        for i in range(len(fills)):
             inc = max(0.0, float(rng.normal(cfg.fill_increment_mean, fill_std)))
-            fills[b.id] = min(1.0, fills[b.id] + inc)
-            drawn.append((t, b.id, fills[b.id], bisect_right(cdf, rng.random())))
+            fills[i] = min(1.0, fills[i] + inc)
+            drawn.append((t, i, fills[i], bisect_right(cdf, rng.random())))
             z.append(rng.standard_normal(len(FEATURES)))
-    labels = [k for *_, k in drawn]
+    events = np.array(drawn, dtype=[
+        ("time_step", np.int64), ("bin", np.int64), ("fill_level", float), ("label", np.int64),
+    ])
     # A feature mean or std near the float limit can overflow a reading;
     # name the feature rather than hand on an infinite record.
     with np.errstate(over="ignore"):
-        readings = means[labels] + stds * np.reshape(z, (-1, len(FEATURES)))
+        readings = means[events["label"]] + stds * np.reshape(z, (-1, len(FEATURES)))
     bad = np.flatnonzero(~np.isfinite(readings).all(axis=0))
     if bad.size:
         raise TwinError(f"sensor readings of feature {FEATURES[bad[0]]!r} overflow")
-    readings = readings.tolist()
-
-    events = [
-        BinEvent(
-            time_step=t,
-            bin_id=bin_id,
-            fill_level=fill,
-            sensor_record=dict(zip(FEATURES, row)),
-            true_label=categories[k],
-        )
-        for (t, bin_id, fill, k), row in zip(drawn, readings)
-    ]
-    return BinEventStream(events=tuple(events))
+    return BinEventStream(events=events, readings=readings, categories=tuple(categories))
 
 
 def calibrate_facility(

@@ -8,8 +8,9 @@ update order are unchanged; only the table is a bare dict, and
 discount and exploration bounds are read from greenloop.routing's constants
 at each call, so a test that patches them changes both trainers alike.
 
-``optimal_route`` is a Held-Karp dynamic program over the same legs as
-routing.brute_force_route, fast enough for a district of the fixtures.
+``brute_force_route`` is the exhaustive-permutation oracle, for graphs of
+a few bins. ``optimal_route`` is a Held-Karp dynamic program over the same
+legs, fast enough for a district of the fixtures.
 
 ``entry_dicts`` is the route-table document as greenloop.routing built it
 before qtable_to_dict's entries became column-backed Records: a list of
@@ -19,16 +20,18 @@ one dict per entry, the oracle that the written bytes are compared with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
 from greenloop import routing
-from greenloop.errors import DisconnectedGraph, StateSpaceTooLarge
+from greenloop.errors import DisconnectedGraph, MissingEdge, StateSpaceTooLarge
 from greenloop.routing import (
     MAX_TABULAR_BINS,
     CollectionGraph,
     RLConfig,
     leg_emissions,
+    route_emissions,
 )
 
 
@@ -185,6 +188,24 @@ def entry_dicts(q, version: int = 1) -> dict:
         for (current, visited, action), v in zip(keys, map(values.__getitem__, keys))
     ]
     return {"version": version, "entries": entries}
+
+
+def brute_force_route(g: CollectionGraph) -> tuple[tuple[str, ...], float]:
+    """Exhaustive-permutation oracle: the cheapest complete loop."""
+    bins = g.bin_ids()
+    depot = g.depot
+    best_route = (depot, depot)
+    best_cost = 0.0 if not bins else float("inf")
+    for perm in permutations(bins):
+        route = (depot, *perm, depot)
+        try:
+            cost = route_emissions(g, route)
+        except MissingEdge:
+            continue
+        if cost < best_cost:
+            best_cost = cost
+            best_route = route
+    return best_route, best_cost
 
 
 def optimal_route(g: CollectionGraph) -> tuple[tuple[str, ...], float]:

@@ -8,7 +8,9 @@ call: three `uniform` calls per battery cell. They are kept as the oracles
 the faster simulators are compared against: numpy's RNG policy (NEP 19)
 makes no promise about how `Generator.choice` turns its draws into an
 index, nor that a sized draw yields what the scalar calls would. The
-bodies are unchanged apart from their imports.
+bodies are unchanged apart from their imports; the bin generator keeps
+the per-event record, BinEvent, and the tuple of them it returned, where
+greenloop.twin now returns the events as columns.
 
 greenloop.twin pools the cells as whole columns and writes each per-cell
 sum as explicit left-to-right adds from 0.0. The `sum()` calls in
@@ -19,6 +21,9 @@ twin in the last bits.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Mapping
+
 import numpy as np
 
 from greenloop.carbon import ActivityLedger
@@ -28,13 +33,25 @@ from greenloop.twin import (
     DEFAULT_WASTE_STREAM,
     ELEMENTS,
     JITTER_AMPLITUDE,
-    BinEvent,
-    BinEventStream,
     FacilityModel,
     SimulationTrace,
     TraceStep,
     step_budget_problem,
 )
+
+
+@dataclass(frozen=True)
+class BinEvent:
+    time_step: int
+    bin_id: str
+    fill_level: float
+    sensor_record: Mapping[str, float]
+    true_label: str
+
+
+@dataclass(frozen=True)
+class BinEventStream:
+    events: tuple[BinEvent, ...]
 
 
 def simulate_bins(s, horizon: int) -> BinEventStream:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
-from reference_routing import optimal_route
+from reference_routing import brute_force_route, optimal_route
 from reference_solver import enumerate_integer_optimum
 
 from greenloop.carbon import (
@@ -25,7 +25,7 @@ from greenloop.carbon import (
     EmissionFactor,
     carbon_footprint,
 )
-from greenloop.classify import _loss_and_grad, predict, train_on_records
+from greenloop.classify import FEATURES, _loss_and_grad, predict, train_on_records
 from greenloop.cli import main
 from greenloop.pipeline import (
     BIN_HORIZON,
@@ -39,7 +39,6 @@ from greenloop.routing import (
     CollectionGraph,
     EdgeAttrs,
     RLConfig,
-    brute_force_route,
     greedy_route,
     qtable_to_dict,
     route_emissions,
@@ -308,7 +307,8 @@ def test_criterion_04_classifier_gradients():
          ("glass", "metal", "organic", "plastic")[int(rng.integers(0, 4))])
         for _ in range(80)
     ]
-    model = train_on_records(records, 0)
+    features = np.array([[raw[f] for f in FEATURES] for raw, _ in records])
+    model = train_on_records(features, [label for _, label in records], 0)
     worst_sum = 0.0
     for _ in range(200):
         _, probs = predict(model, rng.normal(0.0, 2.0, size=model.weights.shape[1]))
@@ -482,13 +482,12 @@ def waste_feedback(waste_runs):
 def test_criterion_10_feedback_round(waste_runs, waste_feedback):
     s, _, (_, artifacts) = waste_runs
     updated, diagnostics = waste_feedback
-    events = simulate_bins(s, BIN_HORIZON).events
-    cut = int(0.7 * BIN_HORIZON)
-    eval_recs = [
-        (ev.sensor_record, ev.true_label) for ev in events if ev.time_step >= cut
-    ]
-    before = evaluate_accuracy_records(artifacts.classifier, eval_recs)
-    after = evaluate_accuracy_records(updated.classifier, eval_recs)
+    stream = simulate_bins(s, BIN_HORIZON)
+    held_out = stream.events["time_step"] >= int(0.7 * BIN_HORIZON)
+    eval_x = stream.readings[held_out]
+    eval_y = [stream.categories[k] for k in stream.events["label"][held_out].tolist()]
+    before = evaluate_accuracy_records(artifacts.classifier, eval_x, eval_y)
+    after = evaluate_accuracy_records(updated.classifier, eval_x, eval_y)
     check(
         10,
         after >= before and updated.version == artifacts.version + 1 and not diagnostics,

@@ -50,22 +50,18 @@ def raw_record(**overrides):
     return base
 
 
-def without(record, *tokens):
-    return {f: v for f, v in record.items() if f not in tokens}
-
-
 def identity_stats(n=len(FEATURES)):
     return NormStats(means=(0.0,) * n, stds=(1.0,) * n)
 
 
-def as_records(data):
-    """(vector, label) pairs as raw records, which identity stats map back."""
-    return [(dict(zip(FEATURES, vec)), label) for vec, label in data]
+def columns(data):
+    """(vector, label) pairs as a feature matrix and its labels."""
+    return np.array([vec for vec, _ in data], dtype=float), [label for _, label in data]
 
 
-def two_labels(records):
-    """Raw records labeled a, b, a, ... so that training reaches the stats."""
-    return [(raw, "ab"[i % 2]) for i, raw in enumerate(records)]
+def two_labels(n):
+    """Labels a, b, a, ... so that training reaches the stats."""
+    return ["ab"[i % 2] for i in range(n)]
 
 
 def constants(learning_rate=classify.LEARNING_RATE, epochs=classify.EPOCHS):
@@ -98,35 +94,34 @@ class TestFeaturize:
         with pytest.raises(MissingFeature, match="opacity"):
             featurize(raw, identity_stats())
 
-    @pytest.mark.parametrize("records, error, match", [
-        # None raises; it never reads as NaN
-        ([raw_record(), raw_record(moisture=None)], TypeError, "NoneType"),
-        # the per-value reads meet the None before the missing token
-        ([raw_record(), without(raw_record(weight_kg=None), "opacity")],
-         TypeError, "NoneType"),
-        ([without(raw_record(), "moisture", "rigidity"), raw_record()],
-         MissingFeature, "'moisture'"),
-        ([without(raw_record(), "volume_l"), raw_record(weight_kg=None)],
-         MissingFeature, "'volume_l'"),
+    @pytest.mark.parametrize("shape, n_labels", [
+        pytest.param((4, 5), 4, id="narrow"),
+        pytest.param((4, 7), 4, id="wide"),
+        pytest.param((6,), 6, id="flat"),
+        pytest.param((1, 4, 6), 1, id="stacked"),
+        pytest.param((4, 6), 3, id="few-labels"),
+        pytest.param((4, 6), 5, id="many-labels"),
     ])
-    def test_feature_matrix_raises_the_per_value_error(self, records, error, match):
-        with pytest.raises(error, match=match):
-            train_on_records(two_labels(records), 0)
+    def test_feature_matrix_raises_the_per_value_error(self, shape, n_labels):
+        """Training and evaluation take one row of len(FEATURES) readings
+        per label, and refuse any other shape before reading a value."""
+        features = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        labels = two_labels(n_labels)
+        with pytest.raises(DimensionMismatch, match="feature matrix"):
+            train_on_records(features, labels, 0)
+        model = SoftmaxModel(np.zeros((2, 6)), np.zeros(2), ("a", "b"), identity_stats())
+        with pytest.raises(DimensionMismatch, match="feature matrix"):
+            evaluate_accuracy_records(model, features, labels)
 
     def test_zero_variance_rejected_at_stats_construction(self):
-        records = [raw_record(), raw_record()]
         with pytest.raises(ZeroVariance):
-            train_on_records(two_labels(records), 0)
+            train_on_records(np.ones((2, len(FEATURES))), two_labels(2), 0)
 
     def test_training_binds_norm_stats(self):
-        records = [raw_record(weight_kg=0.0), raw_record(weight_kg=2.0)]
-        records[0]["moisture"] = 0.0
-        records[1]["moisture"] = 4.0
-        for i, r in enumerate(records):
-            for f in FEATURES:
-                if f not in ("weight_kg", "moisture"):
-                    r[f] = float(i * 2)
-        stats = train_on_records(two_labels(records), 0).norm_stats
+        features = np.zeros((2, len(FEATURES)))
+        features[1] = 2.0
+        features[1, FEATURES.index("moisture")] = 4.0
+        stats = train_on_records(features, two_labels(2), 0).norm_stats
         assert stats.means[FEATURES.index("weight_kg")] == pytest.approx(1.0)
         assert stats.stds[FEATURES.index("moisture")] == pytest.approx(2.0)
 
@@ -184,36 +179,36 @@ class TestTraining:
             x = rng.normal(size=6) * 0.1
             x[0] = 1.0 if i % 2 == 0 else -1.0
             data.append((x, "pos" if i % 2 == 0 else "neg"))
-        return as_records(data)
+        return columns(data)
 
     def test_separable_data_reaches_full_accuracy(self):
-        records = self.separable_records()
-        model = train_on_records(records, 0)
-        assert evaluate_accuracy_records(model, records) == 1.0
+        x, labels = self.separable_records()
+        model = train_on_records(x, labels, 0)
+        assert evaluate_accuracy_records(model, x, labels) == 1.0
 
     def test_duplicated_data_trains_identical_model(self):
         # mean-loss convention: doubling the batch changes only summation order
-        records = self.separable_records(20)
-        m1 = train_on_records(records, 3)
-        m2 = train_on_records(records + records, 3)
+        x, labels = self.separable_records(20)
+        m1 = train_on_records(x, labels, 3)
+        m2 = train_on_records(np.concatenate((x, x)), labels + labels, 3)
         assert np.allclose(m1.weights, m2.weights, rtol=1e-12, atol=1e-12)
         assert np.allclose(m1.biases, m2.biases, rtol=1e-12, atol=1e-12)
 
     def test_same_seed_bit_identical(self):
-        records = self.separable_records(30)
-        m1 = train_on_records(records, 9)
-        m2 = train_on_records(records, 9)
+        x, labels = self.separable_records(30)
+        m1 = train_on_records(x, labels, 9)
+        m2 = train_on_records(x, labels, 9)
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.biases, m2.biases)
 
     def test_single_class_rejected(self):
-        records = [(raw, "only") for raw, _ in self.separable_records(5)]
+        x, _ = self.separable_records(5)
         with pytest.raises(SingleClassData):
-            train_on_records(records, 0)
+            train_on_records(x, ["only"] * len(x), 0)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyDataset):
-            train_on_records([], 0)
+            train_on_records(np.empty((0, len(FEATURES))), [], 0)
 
     def test_divergence_raises(self):
         # The cross-entropy gradient is bounded, so only a rate that
@@ -224,7 +219,7 @@ class TestTraining:
         data = [(rng.normal(size=6) * 50, "a" if i % 2 else "b") for i in range(20)]
         with constants(learning_rate=float("inf")), np.errstate(invalid="ignore"):
             with pytest.raises(NonFiniteLoss):
-                train_on_records(as_records(data), 0)
+                train_on_records(*columns(data), 0)
 
     @pytest.mark.parametrize("value, statistic", [
         (float("inf"), "mean (inf)"),
@@ -232,10 +227,10 @@ class TestTraining:
         (1e200, "standard deviation (inf)"),  # finite mean, squares overflow
     ])
     def test_non_finite_statistic_names_the_feature(self, value, statistic):
-        records = two_labels([raw_record(opacity=float(i)) for i in range(4)])
-        records[1][0]["opacity"] = records[2][0]["opacity"] = value
+        features = np.ones((4, len(FEATURES)))
+        features[:, FEATURES.index("opacity")] = [0.0, value, value, 3.0]
         with pytest.raises(ClassifierError) as caught:
-            train_on_records(records, 0)
+            train_on_records(features, two_labels(4), 0)
         assert str(caught.value) == f"feature 'opacity' has a non-finite {statistic}"
 
     def test_rising_loss_logs_warning(self, caplog):
@@ -244,16 +239,16 @@ class TestTraining:
         with caplog.at_level(logging.WARNING, logger="greenloop.classify"):
             try:
                 with constants(learning_rate=500.0, epochs=60):
-                    train_on_records(as_records(data), 0)
+                    train_on_records(*columns(data), 0)
             except NonFiniteLoss:
                 pass
         assert any("loss rose" in r.message for r in caplog.records)
 
     def test_loss_nonincreasing_at_small_rate(self, caplog):
-        records = self.separable_records(30)
+        x, labels = self.separable_records(30)
         with caplog.at_level(logging.WARNING, logger="greenloop.classify"):
             with constants(learning_rate=0.01, epochs=300):
-                train_on_records(records, 0)
+                train_on_records(x, labels, 0)
         assert not [r for r in caplog.records if "loss rose" in r.message]
 
 
@@ -305,7 +300,7 @@ class TestEvaluate:
             norm_stats=identity_stats(),
         )
         data = [(np.zeros(6), "always")] * 8
-        assert evaluate_accuracy_records(m, as_records(data)) == 1.0
+        assert evaluate_accuracy_records(m, *columns(data)) == 1.0
 
     def test_three_of_four_correct(self):
         m = SoftmaxModel(
@@ -316,7 +311,7 @@ class TestEvaluate:
         )
         ex = lambda v: np.array([v] + [0.0] * 5)
         data = [(ex(1.0), "hi"), (ex(2.0), "hi"), (ex(-1.0), "lo"), (ex(3.0), "lo")]
-        assert evaluate_accuracy_records(m, as_records(data)) == 0.75
+        assert evaluate_accuracy_records(m, *columns(data)) == 0.75
 
     def test_empty_rejected(self):
         m = SoftmaxModel(
@@ -324,7 +319,7 @@ class TestEvaluate:
             class_labels=("a", "b"), norm_stats=identity_stats(),
         )
         with pytest.raises(EmptyDataset):
-            evaluate_accuracy_records(m, [])
+            evaluate_accuracy_records(m, np.empty((0, len(FEATURES))), [])
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -341,21 +336,22 @@ class TestEvaluate:
             norm_stats=NormStats(means=tuple(rng.standard_normal(len(FEATURES))),
                                  stds=tuple(rng.uniform(0.1, 3.0, len(FEATURES)))),
         )
-        raws = [dict(zip(FEATURES, row)) for row in (3.0 * rng.standard_normal((n, len(FEATURES)))).tolist()]
-        predicted, probs = _predict_records(model, raws)
+        x = 3.0 * rng.standard_normal((n, len(FEATURES)))
+        raws = [dict(zip(FEATURES, row)) for row in x.tolist()]
+        predicted, probs = _predict_records(model, x)
         expected = [predict_record(model, raw) for raw in raws]
         assert [model.class_labels[i] for i in predicted] == [lb for lb, _ in expected]
         assert [p.tobytes() for p in probs] == [p.tobytes() for _, p in expected]
-        records = [(raw, lb) for raw, lb in zip(raws, rng.choice(list("abcde"), n).tolist())]
-        correct = sum(predict_record(model, raw)[0] == lb for raw, lb in records)
-        assert evaluate_accuracy_records(model, records) == correct / n
+        labels = rng.choice(list("abcde"), n).tolist()
+        correct = sum(predict_record(model, raw)[0] == lb for raw, lb in zip(raws, labels))
+        assert evaluate_accuracy_records(model, x, labels) == correct / n
 
     @pytest.mark.parametrize("width, stats", [(3, 6), (6, 1), (6, 7)])
     def test_batch_rejects_a_model_of_another_width(self, width, stats):
         m = SoftmaxModel(weights=np.zeros((2, width)), biases=np.zeros(2),
                          class_labels=("a", "b"), norm_stats=identity_stats(stats))
         with pytest.raises(DimensionMismatch, match="6 features vs model input"):
-            evaluate_accuracy_records(m, [(raw_record(), "a")])
+            evaluate_accuracy_records(m, np.ones((1, len(FEATURES))), ["a"])
 
 
 class TestRuleBaseline:
@@ -396,20 +392,20 @@ class TestProperties:
             label = ("aa", "bb", "cc")[i % 3]
             x[0] += {"aa": -2.0, "bb": 0.0, "cc": 2.0}[label]
             data.append((x, label))
-        records = as_records(data)
+        x, labels = columns(data)
         monkeypatch.setattr(classify, "EPOCHS", 200)
-        base = train_on_records(records, 5)
+        base = train_on_records(x, labels, 5)
 
         rename = {"aa": "zz", "bb": "aa", "cc": "mm"}  # sorted: aa, mm, zz
-        renamed = [(raw, rename[lb]) for raw, lb in records]
+        renamed = [rename[lb] for lb in labels]
         seeded = classify.initial_weights
         # sorted renamed labels (aa, mm, zz) correspond to original (bb, cc, aa)
         monkeypatch.setattr(
             classify, "initial_weights", lambda *a: seeded(*a)[[1, 2, 0], :]
         )
-        permuted = train_on_records(renamed, 5)
+        permuted = train_on_records(x, renamed, 5)
 
-        for raw, _ in records[:10]:
+        for raw in [dict(zip(FEATURES, row)) for row in x[:10].tolist()]:
             lb_base, p_base = predict_record(base, raw)
             lb_perm, p_perm = predict_record(permuted, raw)
             assert lb_perm == rename[lb_base]
@@ -422,7 +418,7 @@ class TestPersistence:
         rng = np.random.default_rng(2)
         data = [(rng.normal(size=6), "a" if i % 2 else "b") for i in range(30)]
         with constants(epochs=50):
-            model = train_on_records(as_records(data), 0)
+            model = train_on_records(*columns(data), 0)
         doc = model_to_dict(model)
         assert doc["version"] == 1
         back = model_from_dict(doc)
@@ -519,7 +515,7 @@ class TestReferenceTrainer:
         x, labels, descent, seed = problem
         records = [(dict(zip(FEATURES, row.tolist())), lb) for row, lb in zip(x, labels)]
         with constants(**descent):
-            got = traced(classify, "_class_major_step", train_on_records, records, seed)
+            got = traced(classify, "_class_major_step", train_on_records, x, labels, seed)
             want = traced(
                 reference, "_loss_and_grad", reference.train_on_records, records, seed
             )
@@ -556,17 +552,21 @@ class TestReferenceTrainer:
         assert got[2].tobytes() == want[2].tobytes()
 
     def test_feedback_round_retrain_matches_reference(self):
-        # the records pipeline._retrain trains on: the prior training split
+        # the rows pipeline._retrain trains on: the prior training split
         # plus a fresh batch drawn at the next seed
         text = (resources.files("greenloop") / "fixtures" / "waste_framework.json").read_text()
         s = parse_scenario(json.loads(text))
-        train, _ = pipeline._split_records(simulate_bins(s, pipeline.BIN_HORIZON).events)
+        (train_x, train_y), _ = pipeline._split(simulate_bins(s, pipeline.BIN_HORIZON))
         fresh = dataclasses.replace(s, rng_seed=s.rng_seed + 1)
-        combined = train + pipeline._labeled(simulate_bins(fresh, pipeline.BIN_HORIZON).events)
-        assert len(combined) == 8500
-        got = traced(classify, "_class_major_step", train_on_records, combined, s.rng_seed)
+        fresh_x, fresh_y = pipeline._examples(
+            simulate_bins(fresh, pipeline.BIN_HORIZON), slice(None)
+        )
+        x, labels = np.concatenate((train_x, fresh_x)), train_y + fresh_y
+        assert len(labels) == 8500
+        got = traced(classify, "_class_major_step", train_on_records, x, labels, s.rng_seed)
+        records = [(dict(zip(FEATURES, row)), lb) for row, lb in zip(x.tolist(), labels)]
         want = traced(
-            reference, "_loss_and_grad", reference.train_on_records, combined, s.rng_seed
+            reference, "_loss_and_grad", reference.train_on_records, records, s.rng_seed
         )
         assert got == want
         assert len(got[1]) == 8 * classify.EPOCHS

@@ -7,6 +7,7 @@ import math
 import weakref
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,12 @@ from greenloop.errors import (
     SolverError,
 )
 from greenloop import pipeline
-from greenloop.classify import evaluate_accuracy_records
+from greenloop.classify import (
+    FEATURES,
+    RULE_WEIGHT_BANDS,
+    evaluate_accuracy_records,
+    rule_classify,
+)
 from greenloop.pipeline import (
     BIN_HORIZON,
     DISTRICT_MAX_BINS,
@@ -43,7 +49,13 @@ from greenloop.scenario import (
 )
 from greenloop.serialize import canonical_dumps
 from greenloop.report import run_result_to_dict
-from greenloop.twin import FacilityModel, Station, simulate_bins, simulate_recycling
+from greenloop.twin import (
+    BinEventStream,
+    FacilityModel,
+    Station,
+    simulate_bins,
+    simulate_recycling,
+)
 
 
 def load_fixture(name):
@@ -139,6 +151,35 @@ class TestRunModes:
         s = dataclasses.replace(mini_battery_scenario(), rng_seed=99)
         r = run_full(s, "baseline")[0]
         assert r.seed == 99
+
+    def test_baseline_sorts_the_weight_column_as_rule_classify(self, monkeypatch):
+        """The baseline's accuracy is rule_classify's, record by record, on
+        the evaluation time steps, weights on and beside each band bound
+        included."""
+        bounds = [bound for bound, _ in RULE_WEIGHT_BANDS]
+        weights = [-0.0, 0.0, 3.0] + [
+            w for b in bounds for w in (np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf))
+        ]
+        categories = ("glass", "metal", "organic", "plastic")
+        cut = int(pipeline.TRAIN_SPLIT * BIN_HORIZON)
+        rows = [(t, i, 0.5, (i + t) % 4) for t in (cut - 1, cut) for i in range(len(weights))]
+        readings = np.ones((len(rows), len(FEATURES)))
+        readings[:, FEATURES.index("weight_kg")] = weights * 2
+        stream = BinEventStream(
+            events=np.array(rows, dtype=[("time_step", np.int64), ("bin", np.int64),
+                                         ("fill_level", float), ("label", np.int64)]),
+            readings=readings,
+            categories=categories,
+        )
+        monkeypatch.setattr(pipeline, "simulate_bins", lambda s, horizon: stream)
+        held_out = [
+            (dict(zip(FEATURES, row)), categories[k])
+            for (t, _, _, k), row in zip(rows, readings.tolist()) if t >= cut
+        ]
+        hits = sum(rule_classify(raw) == label for raw, label in held_out)
+        assert 0 < hits < len(held_out)
+        r = run_full(city_scenario(), "baseline")[0]
+        assert r.classification_accuracy == hits / len(held_out)
 
 
 class TestBatteryStages:
@@ -358,15 +399,12 @@ class TestFeedback:
         _, artifacts = run_full(s, "framework")
         updated, diagnostics = feedback_update(s, artifacts)
         assert updated.version == 2
-        events = simulate_bins(s, BIN_HORIZON).events
-        cut = int(0.7 * BIN_HORIZON)
-        eval_recs = [
-            (ev.sensor_record, ev.true_label)
-            for ev in events
-            if ev.time_step >= cut
-        ]
-        before = evaluate_accuracy_records(artifacts.classifier, eval_recs)
-        after = evaluate_accuracy_records(updated.classifier, eval_recs)
+        stream = simulate_bins(s, BIN_HORIZON)
+        held_out = stream.events["time_step"] >= int(0.7 * BIN_HORIZON)
+        eval_x = stream.readings[held_out]
+        eval_y = [stream.categories[k] for k in stream.events["label"][held_out].tolist()]
+        before = evaluate_accuracy_records(artifacts.classifier, eval_x, eval_y)
+        after = evaluate_accuracy_records(updated.classifier, eval_x, eval_y)
         if diagnostics:
             assert "regressed" in diagnostics[0]
             assert after < before
@@ -375,35 +413,36 @@ class TestFeedback:
 
     @pytest.mark.parametrize("entry", ["feedback_update", "run_full"])
     def test_sensor_stream_is_freed_before_route_learning(self, entry, monkeypatch):
-        """No sensor record the classifier saw is alive once routes learn."""
-
-        class Record(dict):
-            """A sensor record a weak reference can watch."""
-
+        """No sensor column the classifier saw is alive once routes learn:
+        not the streams' arrays, nor the matrices training and evaluation
+        were handed."""
         watched = []
-        real_simulate = pipeline.simulate_bins
 
-        def simulate(s, horizon):
-            stream = real_simulate(s, horizon)
-            events = []
-            for ev in stream.events:
-                rec = Record(ev.sensor_record)
-                watched.append(weakref.ref(rec))
-                events.append(dataclasses.replace(ev, sensor_record=rec))
-            return dataclasses.replace(stream, events=tuple(events))
+        def watch(real, arrays):
+            def call(*args):
+                result = real(*args)
+                watched.extend(weakref.ref(a) for a in arrays(args, result))
+                return result
+
+            return call
 
         def checked(real):
             def learn(*args, **kwargs):
                 gc.collect()
                 alive = sum(ref() is not None for ref in watched)
-                assert watched and alive == 0, f"{alive} of {len(watched)} records alive"
+                assert watched and alive == 0, f"{alive} of {len(watched)} arrays alive"
                 return real(*args, **kwargs)
 
             return learn
 
         s = city_scenario()
         _, artifacts = run_full(s, "framework")
-        monkeypatch.setattr(pipeline, "simulate_bins", simulate)
+        for name, arrays in (
+            ("simulate_bins", lambda args, stream: (stream.events, stream.readings)),
+            ("train_on_records", lambda args, _: args[:1]),
+            ("evaluate_accuracy_records", lambda args, _: args[1:2]),
+        ):
+            monkeypatch.setattr(pipeline, name, watch(getattr(pipeline, name), arrays))
         if entry == "feedback_update":
             monkeypatch.setattr(pipeline, "_train_districts", checked(pipeline._train_districts))
             updated, _ = feedback_update(s, artifacts)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_routing as reference
+from reference_routing import brute_force_route
 from greenloop import routing
 from greenloop.errors import DisconnectedGraph, MissingEdge, StateSpaceTooLarge
 from greenloop.pipeline import partition_districts
@@ -22,7 +23,6 @@ from greenloop.routing import (
     QTable,
     RLConfig,
     _Draws,
-    brute_force_route,
     greedy_route,
     qtable_from_dict,
     qtable_to_dict,
@@ -227,7 +227,7 @@ class TestTraining:
             for perm in itertools.permutations(FOUR_BIN.bin_ids())
         )
         assert got == pytest.approx(best)
-        # the library oracle agrees with the inline enumeration
+        # the reference oracle agrees with the inline enumeration
         _, lib_best = brute_force_route(FOUR_BIN)
         assert lib_best == pytest.approx(best)
 

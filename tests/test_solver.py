@@ -52,6 +52,11 @@ class TestSolveLp:
         sol = solve_lp(lp([-1.0]))
         assert sol.status is SolveStatus.UNBOUNDED
 
+    def test_non_finite_objective_raises(self):
+        # each cost is finite; the objective at the optimum overflows
+        with pytest.raises(SolverError, match="OPTIMAL with a non-finite objective"):
+            solve_lp(lp([1e308, 1e308], lower=[1.0, 1.0]))
+
     def test_unbounded_with_rows(self):
         sol = solve_lp(lp([-1.0, 0.0], rows=[([0.0, 1.0], 5.0)]))
         assert sol.status is SolveStatus.UNBOUNDED
@@ -110,6 +115,13 @@ class TestSolveLp:
 
 
 class TestSolveMilp:
+    def test_non_finite_relaxation_raises(self):
+        # not pruned as if no point were feasible
+        instance = lp([1e308, 1e308], rows=[([1.0, 1.0], 4.0)], lower=[1.0, 1.0],
+                      upper=[2.0, 2.0], integer=[True, True])
+        with pytest.raises(SolverError, match="non-finite objective"):
+            solve_milp(instance)
+
     def test_knapsack_enumerated(self):
         # obj(0,0)=0, obj(1,0)=-3, obj(0,1)=-4, (1,1) infeasible.
         instance = lp(

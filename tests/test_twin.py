@@ -256,36 +256,44 @@ class TestConservationProperty:
         assert check_mass_conservation(trace) == []
 
 
+def same_stream(a, b):
+    return (a.events.tobytes(), a.readings.tobytes(), a.categories) == (
+        b.events.tobytes(), b.readings.tobytes(), b.categories
+    )
+
+
 class TestSimulateBins:
     def test_no_graph_raises(self):
         with pytest.raises(NoGraph):
             simulate_bins(battery_scenario(1), horizon=5)
 
     def test_zero_horizon_empty(self):
-        assert simulate_bins(graph_scenario(), horizon=0).events == ()
+        stream = simulate_bins(graph_scenario(), horizon=0)
+        assert len(stream.events) == 0
+        assert stream.readings.shape == (0, len(FEATURES))
 
     def test_event_schema_and_order(self):
         stream = simulate_bins(graph_scenario(n_bins=3), horizon=4)
-        assert len(stream.events) == 12
-        times = [ev.time_step for ev in stream.events]
-        assert times == sorted(times)
-        for ev in stream.events:
-            assert 0.0 <= ev.fill_level <= 1.0
-            assert ev.true_label in DEFAULT_WASTE_STREAM.category_mix
-            assert set(ev.sensor_record) == set(FEATURES)
+        ev = stream.events
+        assert len(ev) == 12
+        assert ev.dtype.names == ("time_step", "bin", "fill_level", "label")
+        assert stream.readings.shape == (12, len(FEATURES))
+        assert stream.readings.flags.c_contiguous
+        assert ev["time_step"].tolist() == [t for t in range(4) for _ in range(3)]
+        assert ev["bin"].tolist() == [0, 1, 2] * 4
+        assert ((0.0 <= ev["fill_level"]) & (ev["fill_level"] <= 1.0)).all()
+        assert stream.categories == tuple(sorted(DEFAULT_WASTE_STREAM.category_mix))
+        assert set(ev["label"].tolist()) <= set(range(len(stream.categories)))
 
     def test_same_seed_identical_stream(self):
         a = simulate_bins(graph_scenario(seed=9), horizon=20)
         b = simulate_bins(graph_scenario(seed=9), horizon=20)
-        assert a == b
+        assert same_stream(a, b)
 
     def test_fill_levels_monotone_per_bin(self):
-        stream = simulate_bins(graph_scenario(n_bins=2), horizon=30)
-        by_bin = {}
-        for ev in stream.events:
-            prev = by_bin.get(ev.bin_id, 0.0)
-            assert ev.fill_level >= prev - 1e-12
-            by_bin[ev.bin_id] = ev.fill_level
+        ev = simulate_bins(graph_scenario(n_bins=2), horizon=30).events
+        for b in range(2):
+            assert (np.diff(ev["fill_level"][ev["bin"] == b]) >= -1e-12).all()
 
     def test_negative_zero_fill_std_draws_as_zero(self):
         # numpy's Generator.normal refuses a scale of -0.0, which the config admits
@@ -295,16 +303,14 @@ class TestSimulateBins:
             )), horizon=20)
             for std in (0.0, -0.0)
         )
-        assert negative == stream
+        assert same_stream(negative, stream)
 
     def test_category_proportions_match_mix(self):
         stream = simulate_bins(graph_scenario(n_bins=10, seed=3), horizon=1000)
-        counts = {}
-        for ev in stream.events:
-            counts[ev.true_label] = counts.get(ev.true_label, 0) + 1
+        counts = np.bincount(stream.events["label"], minlength=len(stream.categories))
         total = len(stream.events)
-        for cat, p in DEFAULT_WASTE_STREAM.category_mix.items():
-            assert counts.get(cat, 0) / total == pytest.approx(p, abs=0.02)
+        for cat, n in zip(stream.categories, counts.tolist()):
+            assert n / total == pytest.approx(DEFAULT_WASTE_STREAM.category_mix[cat], abs=0.02)
 
 
 CATEGORY_NAMES = ("glass", "metal", "organic", "paper", "plastic", "textile")
@@ -329,7 +335,8 @@ def waste_streams(draw):
 
 
 class TestReferenceSimulator:
-    """simulate_bins draws what the eight-call reference generator draws."""
+    """simulate_bins draws what the eight-call reference generator draws,
+    row for row."""
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -340,9 +347,18 @@ class TestReferenceSimulator:
     )
     def test_events_match_reference(self, seed, horizon, n_bins, stream):
         s = graph_scenario(n_bins=n_bins, seed=seed, waste_stream=stream)
-        got = simulate_bins(s, horizon).events
-        want = reference.simulate_bins(s, horizon).events
-        assert [repr(ev) for ev in got] == [repr(ev) for ev in want]
+        got = simulate_bins(s, horizon)
+        bin_ids = s.collection_graph.bin_ids()
+        rows = [
+            (t, bin_ids[b], repr(fill), [repr(v) for v in readings], got.categories[k])
+            for (t, b, fill, k), readings in zip(got.events.tolist(), got.readings.tolist())
+        ]
+        want = [
+            (ev.time_step, ev.bin_id, repr(ev.fill_level),
+             [repr(ev.sensor_record[f]) for f in FEATURES], ev.true_label)
+            for ev in reference.simulate_bins(s, horizon).events
+        ]
+        assert rows == want
 
 
 @st.composite

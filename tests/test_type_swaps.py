@@ -17,10 +17,13 @@ import copy
 import json
 import math
 
+import numpy as np
 import pytest
 
+from reference_solver import enumerate_integer_optimum
 from greenloop import cli
 from greenloop.cli import main
+from greenloop.scenario import compile_to_lp, load_scenario
 
 SWAPS = (None, 3, "x", [], {}, True, [1])
 # Numbers of the right JSON type that a reader or a stage may still refuse.
@@ -122,16 +125,9 @@ def test_run_exits_0_or_4(tmp_path, capsys, family):
     assert bad == []
 
 
-# The battery and waste sweeps run under the suite's "error" filter, so a
-# RuntimeWarning there exits 1. The alloc sweep takes the exit code a user
-# gets, where numpy's RuntimeWarning is printed, not raised: at 1e308 the
-# simplex's ratios and pivots overflow on the way to an oracle-correct
-# allocation.
-@pytest.mark.parametrize("family", [
-    pytest.param("alloc", marks=pytest.mark.filterwarnings("default::RuntimeWarning")),
-    "battery",
-    "waste",
-])
+# Every sweep runs under the suite's "error" filter, so a RuntimeWarning
+# that leaves a stage exits 1.
+@pytest.mark.parametrize("family", ["alloc", "battery", "waste"])
 def test_dropped_keys_and_edge_numbers_never_exit_1(tmp_path, capsys, family):
     bad = []
     for i, (mutation, scenario) in enumerate(_edge_files(family, tmp_path)):
@@ -146,3 +142,27 @@ def test_dropped_keys_and_edge_numbers_never_exit_1(tmp_path, capsys, family):
         if code not in allowed:
             bad.append((mutation, code, err))
     assert bad == []
+
+
+# At 1e308 the simplex's ratios and pivots overflow on the way to an
+# allocation, which must then be the enumerated optimum; an answer that
+# overflowed is refused with the solver's exit code.
+@pytest.mark.parametrize("path", [
+    pytest.param(("processes", 1, "unit_cost"), id="unit_cost"),
+    pytest.param(("limits", 1, "consumption", "pB"), id="consumption"),
+])
+def test_huge_allocation_numbers_solve_to_the_optimum_or_exit_5(tmp_path, capsys, path):
+    ((_, scenario),) = _mutated_files(_document("alloc"), [(path, 1e308)], tmp_path)
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(scenario), "--mode", "framework",
+                 "--out", str(out)])
+    capsys.readouterr()
+    assert code in (0, 5)
+    if code == 5:
+        return
+    (allocation,) = out.glob("*/allocation.json")
+    levels = json.loads(allocation.read_text("utf-8"))["levels"]
+    lp = compile_to_lp(load_scenario(scenario))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, optimum = enumerate_integer_optimum(lp)
+    assert tuple(levels[name] for name in lp.variable_names) == optimum
