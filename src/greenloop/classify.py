@@ -4,7 +4,8 @@ Two classifiers live here. The softmax regression model is the learned
 sorter: z-scored sensor features, full-batch gradient descent on mean
 cross-entropy, max-subtraction softmax at prediction time. The rule
 baseline sorts on the weight reading alone with fixed thresholds, standing
-in for manual sorting at a conveyor.
+in for manual sorting at a conveyor; rule_classify_weights applies it to
+a weight column and rule_classify to one record.
 
 The descent settings are fixed: EPOCHS (500) full-batch steps at
 LEARNING_RATE (0.1), with no weight penalty. Training is deterministic for
@@ -308,13 +309,21 @@ RULE_WEIGHT_BANDS = ((0.55, "plastic"), (0.95, "metal"), (1.35, "glass"))
 RULE_FALLBACK = "organic"
 
 
+def rule_classify_weights(weights) -> list[str]:
+    """The rule baseline's category of each weight, in order.
+
+    A weight sorts into the first band whose bound is above it; a weight
+    above every bound, or NaN, sorts as RULE_FALLBACK.
+    """
+    bounds, names = zip(*RULE_WEIGHT_BANDS)
+    names += (RULE_FALLBACK,)
+    band = np.searchsorted(bounds, weights, side="right")
+    return [names[k] for k in band.tolist()]
+
+
 def rule_classify(raw: Mapping[str, float]) -> str:
     """Fixed weight-threshold sorter used as the no-learning baseline."""
-    w = _feature(raw, "weight_kg")
-    for bound, label in RULE_WEIGHT_BANDS:
-        if w < bound:
-            return label
-    return RULE_FALLBACK
+    return rule_classify_weights([_feature(raw, "weight_kg")])[0]
 
 
 def model_to_dict(model: SoftmaxModel, version: int = 1) -> dict:

@@ -7,7 +7,10 @@ collection routes per district; baseline mode substitutes the weight-rule
 classifier, declaration-order allocation, and the naive lowest-id route.
 A failing stage raises its own error family, which names the stage:
 ClassifierError is preprocess, TwinError simulate, SolverError or
-CompileError optimize, RoutingError route, and CarbonError carbon.
+CompileError optimize, RoutingError route, and CarbonError carbon. The
+oracles run as guards: an allocation that fails solver.check_solution is
+a SolverError, and a facility trace that fails
+twin.check_mass_conservation a TwinError, each naming its first problem.
 Stage energy is metered from each stage's workload (energy.meter), never
 from wall-clock time, so results are identical across machines.
 
@@ -30,10 +33,9 @@ import numpy as np
 from .carbon import ActivityLedger, carbon_footprint
 from .classify import (
     FEATURES,
-    RULE_FALLBACK,
-    RULE_WEIGHT_BANDS,
     SoftmaxModel,
     evaluate_accuracy_records,
+    rule_classify_weights,
     train_on_records,
 )
 from .energy import EnergyLedger, EnergyModel, meter
@@ -42,6 +44,7 @@ from .errors import (
     MissingArtifacts,
     ModeMismatch,
     ModeUnsupported,
+    TwinError,
     ValidationError,
 )
 from .routing import (
@@ -53,12 +56,13 @@ from .routing import (
     train_routing,
 )
 from .scenario import CELLS_WITHOUT_FACILITY, ScenarioSpec, compile_to_lp
-from .solver import SolveStatus, SolverError, solve_milp
+from .solver import SolveStatus, SolverError, check_solution, solve_milp
 from .twin import (
     END_KG,
     MAX_FACILITY_STEPS,
     BinEventStream,
     SimulationTrace,
+    check_mass_conservation,
     recovery_rates,
     simulate_bins,
     simulate_recycling,
@@ -261,8 +265,8 @@ def workload_diagnostics(s: ScenarioSpec) -> list[Diagnostic]:
 def _preprocess(s: ScenarioSpec, framework: bool) -> tuple[SoftmaxModel | None, float | None]:
     """preprocess: generate the sensor stream, split it, fit the classifier.
 
-    Returns the classifier (None in baseline mode, which applies the
-    weight rule of classify.rule_classify to the weight column) and its
+    Returns the classifier (None in baseline mode, which sorts the weight
+    column with classify.rule_classify_weights) and its
     held-out accuracy. The stream's columns are dropped on return, so they
     do not stay alive through the later stages.
     """
@@ -270,11 +274,8 @@ def _preprocess(s: ScenarioSpec, framework: bool) -> tuple[SoftmaxModel | None, 
     if framework:
         classifier = train_on_records(train_x, train_y, s.rng_seed)
         return classifier, evaluate_accuracy_records(classifier, eval_x, eval_y)
-    # a weight sorts into the first band whose bound is above it
-    bounds, names = zip(*RULE_WEIGHT_BANDS)
-    band = np.searchsorted(bounds, eval_x[:, FEATURES.index("weight_kg")], side="right")
-    names += (RULE_FALLBACK,)
-    hits = sum(1 for k, label in zip(band.tolist(), eval_y) if names[k] == label)
+    predicted = rule_classify_weights(eval_x[:, FEATURES.index("weight_kg")])
+    hits = sum(1 for p, label in zip(predicted, eval_y) if p == label)
     return None, hits / len(eval_y) if eval_y else None
 
 
@@ -302,6 +303,9 @@ def run_full(s: ScenarioSpec, mode: str) -> tuple[RunResult, RunArtifacts]:
     trace: SimulationTrace | None = None
     if has_cells and s.facility is not None:
         trace = simulate_recycling(s, s.facility)
+        problems = check_mass_conservation(trace)
+        if problems:
+            raise TwinError(f"facility trace does not conserve mass: {problems[0]}")
     workload["simulate"] = float(len(trace.steps)) if trace else 0.0
 
     # optimize: allocate process levels
@@ -312,6 +316,9 @@ def run_full(s: ScenarioSpec, mode: str) -> tuple[RunResult, RunArtifacts]:
             sol = solve_milp(lp)
             if sol.status is not SolveStatus.OPTIMAL:
                 raise SolverError(f"allocation solve ended {sol.status.name}")
+            violations = check_solution(lp, sol)
+            if violations:
+                raise SolverError(f"allocation solution is infeasible: {violations[0]}")
             allocation = dict(zip(lp.variable_names, sol.values))
         else:
             allocation = _declaration_fill(s)

@@ -17,15 +17,22 @@ test against `Generator.random` and `Generator.integers` guards the
 replay on whichever numpy is installed.
 
 The table is a plain dict keyed by (current, visited, action) tuples,
-which hash in C. Training computes every leg's emissions and each node's
-reachable bins once per graph, so the episode loop does no edge lookups.
-It keeps each (node, visited) state it reaches as one row: the state's
-open action keys in bin order and a list of their current values, read
-from the table when the row is built on the state's first visit. An
+which hash in C; it is the one stored form, the cheap one to read and
+write. Training works on rows instead and publishes the table once, at
+the end. It computes every leg's emissions and each node's reachable bins
+once per graph, so the episode loop does no edge lookups. Each (node,
+visited) state it reaches is a row under rows[node][visited]: the state's
+open moves (bin, visited bit, leg emissions) in bin order, a list of their
+current values, read from the starting table when the row is built on the
+state's first visit, and a flag per move that its first update sets. An
 exploit step is `index(max)` over the row's values and a bootstrap is the
-`max` of the successor's row, so a step does one row lookup and no
-per-action table lookups; each update writes the row slot and the table
-entry together.
+`max` of the successor's row, so a step does one str-keyed and one
+int-keyed lookup and builds no key tuple; an update writes its row slot
+only. Publishing copies the starting table and stores each flagged slot,
+nodes in sorted order, masks ascending and moves in bin order, so a cold
+table's keys arrive already sorted. The flag, not the value, marks a
+taken move: an untaken one reads 0.0, and so can a taken one on a
+zero-length leg.
 
 qtable_to_dict's entries are a serialize.Records, which write_json writes
 from the table's columns without building an entry dict; qtable_from_dict
@@ -168,24 +175,28 @@ def _legs(g: CollectionGraph) -> dict[tuple[str, str], float]:
     return legs
 
 
+_Move = tuple[str, int, float]
+
+
 def _adjacency(
     g: CollectionGraph, bins: tuple[str, ...], legs: Mapping[tuple[str, str], float]
-) -> dict[str, tuple[tuple[str, int], ...]]:
-    """Per node, the (bin, visited bit) pairs it has a leg to, in bin order."""
+) -> dict[str, tuple[_Move, ...]]:
+    """Per node, the (bin, visited bit, leg emissions) of each leg it has to
+    a bin, in bin order."""
     bits = [(b, 1 << i) for i, b in enumerate(bins)]
     return {
-        node: tuple((b, bit) for b, bit in bits if (node, b) in legs)
+        node: tuple((b, bit, legs[(node, b)]) for b, bit in bits if (node, b) in legs)
         for node in (g.depot, *bins)
     }
 
 
 def _check_reachable(
-    depot: str, bins: tuple[str, ...], adjacency: Mapping[str, tuple[tuple[str, int], ...]]
+    depot: str, bins: tuple[str, ...], adjacency: Mapping[str, tuple[_Move, ...]]
 ) -> None:
     frontier = [depot]
     seen = {depot}
     while frontier:
-        for other, _ in adjacency[frontier.pop()]:
+        for other, _, _ in adjacency[frontier.pop()]:
             if other not in seen:
                 seen.add(other)
                 frontier.append(other)
@@ -253,20 +264,21 @@ def train_routing(
     adjacency = _adjacency(g, bins, legs)
     _check_reachable(depot, bins, adjacency)
 
-    bit = {b: 1 << i for i, b in enumerate(bins)}
     full = (1 << len(bins)) - 1
+    # the forced return leg of each bin that has one
+    home = {b: legs[(b, depot)] for b in bins if (b, depot) in legs}
     draws = _Draws(cfg.rng_seed)
     random, integers = draws.random, draws.integers
-    values: dict[tuple[str, int, str], float] = (
-        dict(initial.values) if initial is not None else {}
-    )
-    get = values.get
+    stored = initial.values if initial is not None else {}
+    get = stored.get
     lr, discount = LEARNING_RATE, DISCOUNT
     epsilon_start, epsilon_end = EPSILON_START, EPSILON_END
-    # (node, visited) -> the state's row: its open action keys, which are
-    # the keys stored in `values`, and their values. Every update writes the
-    # row slot and `values` together, so the two never disagree.
-    rows: dict[tuple[str, int], tuple[list[tuple[str, int, str]], list[float]]] = {}
+    # node -> visited -> the state's row: its open moves in bin order, their
+    # current values and a flag per move that its first update sets. Updates
+    # write only the row; the table is published from the rows at the end.
+    rows: dict[str, dict[int, tuple[list[_Move], list[float], bytearray]]] = {
+        node: {} for node in adjacency
+    }
 
     for episode in range(cfg.episodes):
         if cfg.episodes > 1:
@@ -278,43 +290,52 @@ def train_routing(
         current, visited = depot, 0
         trajectory = []
         while visited != full:
-            row = rows.get((current, visited))
+            state_rows = rows[current]
+            row = state_rows.get(visited)
             if row is None:
-                keys = [
-                    (current, visited, b)
-                    for b, mask in adjacency[current]
-                    if not visited & mask
-                ]
-                row = rows[(current, visited)] = (keys, [get(k, 0.0) for k in keys])
-            keys, vals = row
-            if not keys:
+                opens = [m for m in adjacency[current] if not visited & m[1]]
+                if stored:
+                    vals = [get((current, visited, m[0]), 0.0) for m in opens]
+                else:
+                    vals = [0.0] * len(opens)
+                row = state_rows[visited] = (opens, vals, bytearray(len(opens)))
+            opens, vals, written = row
+            if not opens:
                 raise DisconnectedGraph(f"no unvisited bin reachable from {current!r}")
             if random() < epsilon:
-                i = integers(len(keys))
+                i = integers(len(opens))
             else:
                 # index(max) keeps the first maximum, as a `>` scan would.
                 i = vals.index(max(vals))
-            key = keys[i]
-            action = key[2]
-            reward = -legs[(current, action)]
-            visited |= bit[action]
+            action, mask, leg = opens[i]
+            reward = -leg
+            visited |= mask
             if visited == full:
                 # Forced return leg: charge it on the closing action.
-                if (action, depot) not in legs:
+                if action not in home:
                     raise MissingEdge(f"no edge between {action!r} and {depot!r}")
-                reward -= legs[(action, depot)]
-            trajectory.append((vals, i, key, reward))
+                reward -= home[action]
+            trajectory.append((vals, i, written, reward))
             current = action
         # Apply the updates newest-first so the forced return leg reaches
         # the early decisions within a single episode. Each step bootstraps
         # from its successor's row just after that row's update; the last
         # step ends the tour, whose all-visited state has value 0.
         best_next = 0.0
-        for vals, i, key, r in reversed(trajectory):
+        for vals, i, written, r in reversed(trajectory):
             old = vals[i]
-            vals[i] = values[key] = old + lr * (r + discount * best_next - old)
+            vals[i] = old + lr * (r + discount * best_next - old)
+            written[i] = 1
             best_next = max(vals)
 
+    # Publish each updated slot once, nodes in sorted order, masks ascending
+    # and moves in bin order: a cold table's keys arrive in sorted order.
+    values = dict(stored)
+    for node in sorted(rows):
+        for visited, (opens, vals, written) in sorted(rows[node].items()):
+            for m, v, w in zip(opens, vals, written):
+                if w:
+                    values[(node, visited, m[0])] = v
     return QTable(values=values)
 
 
@@ -327,7 +348,7 @@ def greedy_route(q: QTable, g: CollectionGraph) -> tuple[str, ...]:
     route = [depot]
     current, visited = depot, 0
     while visited != full:
-        candidates = [(b, mask) for b, mask in adjacency[current] if not visited & mask]
+        candidates = [(b, mask) for b, mask, _ in adjacency[current] if not visited & mask]
         if not candidates:
             raise DisconnectedGraph(f"no unvisited bin reachable from {current!r}")
         action, action_mask = candidates[0]

@@ -625,16 +625,19 @@ def check_solution(lp: LinearProgram, sol: MilpSolution) -> list[Violation]:
         residual = float(np.dot(np.array(coeffs), x) - rhs)
         if residual > FEAS_TOL * max(1.0, abs(rhs)):
             out.append(Violation("row", i, residual))
-    for j in range(lp.num_vars):
-        if not math.isfinite(x[j]):
-            out.append(Violation("nonfinite", j, float(x[j])))
+    # the values as Python floats: the same numbers, without a numpy scalar
+    # per comparison (run_full audits every allocation it solves)
+    per_var = zip(x.tolist(), lp.lower_bounds, lp.upper_bounds, lp.integer_mask)
+    for j, (v, lo, hi, integer) in enumerate(per_var):
+        if not math.isfinite(v):
+            out.append(Violation("nonfinite", j, v))
             continue
-        if x[j] < lp.lower_bounds[j] - FEAS_TOL:
-            out.append(Violation("lower", j, float(lp.lower_bounds[j] - x[j])))
-        if x[j] > lp.upper_bounds[j] + FEAS_TOL:
-            out.append(Violation("upper", j, float(x[j] - lp.upper_bounds[j])))
-        if lp.integer_mask[j]:
-            frac = abs(x[j] - round(x[j]))
+        if v < lo - FEAS_TOL:
+            out.append(Violation("lower", j, float(lo - v)))
+        if v > hi + FEAS_TOL:
+            out.append(Violation("upper", j, float(v - hi)))
+        if integer:
+            frac = abs(v - round(v))
             if frac > INT_TOL:
                 out.append(Violation("integrality", j, float(frac)))
     return out

@@ -25,7 +25,10 @@ from greenloop.classify import (
     model_to_dict,
     predict,
     predict_record,
+    RULE_FALLBACK,
+    RULE_WEIGHT_BANDS,
     rule_classify,
+    rule_classify_weights,
     train_on_records,
     _loss_and_grad,
     _predict_records,
@@ -365,6 +368,21 @@ class TestRuleBaseline:
         a = raw_record(weight_kg=0.7, moisture=0.9, opacity=0.1)
         b = raw_record(weight_kg=0.7, moisture=0.1, opacity=0.9)
         assert rule_classify(a) == rule_classify(b)
+
+    def test_weight_column_sorts_as_a_first_band_above_scan(self):
+        def scan(w):
+            for bound, label in RULE_WEIGHT_BANDS:
+                if w < bound:
+                    return label
+            return RULE_FALLBACK
+
+        weights = [-np.inf, -0.0, 0.0, 3.0, np.inf, np.nan] + [
+            w for b, _ in RULE_WEIGHT_BANDS
+            for w in (np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf))
+        ]
+        want = [scan(w) for w in weights]
+        assert rule_classify_weights(np.array(weights)) == want
+        assert [rule_classify(raw_record(weight_kg=w)) for w in weights] == want
 
 
 class TestProperties:

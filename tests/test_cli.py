@@ -1,5 +1,6 @@
 """CLI tests: subcommands, exit codes, persistence, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from greenloop import cli, errors, pipeline, solver
+from greenloop import cli, errors, pipeline, solver, twin
 from greenloop.cli import main
 from greenloop.serialize import read_json
 
@@ -220,6 +221,38 @@ class TestRun:
                      "--out", str(out)]) == code
         err = capsys.readouterr().err
         assert problem in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_infeasible_allocation_exit_5(self, tmp_path, capsys, monkeypatch):
+        # a solve that calls a point below its first variable's bound optimal
+        def wrong(lp):
+            sol = solver.solve_milp(lp)
+            return dataclasses.replace(sol, values=(-1.0, *sol.values[1:]))
+
+        monkeypatch.setattr(pipeline, "solve_milp", wrong)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", "alloc_small.json", "--mode", "framework",
+                     "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert "allocation solution is infeasible: lower[0] violated by 1\n" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_facility_trace_that_loses_mass_exit_8(self, tmp_path, capsys, monkeypatch):
+        # a facility run that books one kilogram of cobalt less than it recovered
+        def leaking(s, facility):
+            trace = twin.simulate_recycling(s, facility)
+            recovered = dict(trace.recovered_totals)
+            recovered["cobalt"] -= 1.0
+            return dataclasses.replace(trace, recovered_totals=recovered)
+
+        monkeypatch.setattr(pipeline, "simulate_recycling", leaking)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", "battery_baseline.json", "--mode", "baseline",
+                     "--out", str(out)]) == 8
+        err = capsys.readouterr().err
+        assert "facility trace does not conserve mass: cobalt: input " in err
         assert err.count("\n") == 1
         assert not out.exists()
 

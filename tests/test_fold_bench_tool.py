@@ -90,3 +90,54 @@ def test_refuses_mixed_commits_and_unpaired_sides(tool, tmp_path):
                   tool.read_records(change, "alloc-milp"), METRICS)
     with pytest.raises(SystemExit, match="no seed"):
         tool.fold(tool.read_records(parent, "alloc-milp"), {}, METRICS)
+
+
+def test_verdicts_report_wins_delta_spread_and_bound(tool, tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    pairs = [(0.030, 0.040), (0.028, 0.041), (0.029, 0.039), (0.031, 0.042)]
+    for seed, (p90_parent, p90_change) in enumerate(pairs, 1):
+        write_record(parent, seed, "aaa", p90_parent, 100.0)
+        write_record(change, seed, "bbb", p90_change, 100.0 + seed)
+    metrics = [dict(m, bound=0.25) for m in METRICS]
+    entry = tool.fold(tool.read_records(parent, "alloc-milp"),
+                      tool.read_records(change, "alloc-milp"), metrics)
+    assert tool.verdicts(entry, metrics) == [
+        "op_s_p90_norm: won 0/4, median 0.0295 -> 0.0405 (+0.011 s, +37.3%), "
+        "parent spread 0.0015, within bound 25%: NO",
+        "ops_per_s_norm: won 4/4, median 100 -> 102.5 (+2.5 1/s, +2.5%), "
+        "parent spread 0, within bound 25%: yes",
+    ]
+
+
+@pytest.mark.parametrize("parent_value, change_value, within", [
+    (0.0, 0.0, "yes"), (0.0, 1.0, "NO"), (100.0, 105.0, "yes"), (100.0, 106.0, "NO"),
+])
+def test_verdict_bound_is_relative_to_the_parent(tool, parent_value, change_value, within):
+    metric = {"name": "bytes_written_per_op", "unit": "bytes", "better": "lower",
+              "bound": 0.05}
+    side = lambda v: {"q1": v, "median": v, "q3": v}
+    entry = {"metrics": {"bytes_written_per_op": {
+        "unit": "bytes", "parent": side(parent_value), "change": side(change_value),
+        "pairs_won": 0, "pairs": 1}}}
+    (line,) = tool.verdicts(entry, [metric])
+    assert line.endswith(f"within bound 5%: {within}")
+
+
+def test_main_prints_a_verdict_per_end_to_end_metric(tool, tmp_path, capsys):
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "BENCH.json"
+    write_record(parent, 1, "aaa", 0.03, 90.0)
+    write_record(change, 1, "bbb", 0.02, 120.0)
+    before = (ROOT / "BENCHMARK.json").read_bytes()
+    assert tool.main(["--workload", "alloc-milp", "--parent", str(parent),
+                      "--change", str(change), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "BENCH.json: 1 pairs, aaa -> bbb"
+    assert [line.split(":")[0].strip() for line in lines[1:]] == [m["name"] for m in END_TO_END]
+    assert lines[1 + [m["name"] for m in END_TO_END].index("op_s_p90_norm")].strip() == (
+        "op_s_p90_norm: won 1/1, median 0.03 -> 0.02 (-0.01 s, -33.3%), "
+        "parent spread 0, within bound 25%: yes"
+    )
+    assert (ROOT / "BENCHMARK.json").read_bytes() == before
+    (entry,) = json.loads(out.read_text(encoding="utf-8"))
+    assert set(entry["metrics"]["op_s_p90_norm"]) == {
+        "unit", "better", "parent", "change", "pairs_won", "pairs"}

@@ -275,6 +275,15 @@ class TestCheckSolution:
         assert len(violations) == 1
         assert violations[0].kind == "integrality"
 
+    def test_bound_violations_in_variable_order(self):
+        instance = lp([0.0, 0.0, 0.0], upper=[1.0, 1.0, 1.0], integer=[True, True, False])
+        fake = MilpSolution(SolveStatus.OPTIMAL, (-0.25, 1.75, 1.5), 0.0)
+        assert [str(v) for v in check_solution(instance, fake)] == [
+            "lower[0] violated by 0.25", "integrality[0] violated by 0.25",
+            "upper[1] violated by 0.75", "integrality[1] violated by 0.25",
+            "upper[2] violated by 0.5",
+        ]
+
     def test_optimal_output_passes(self):
         instance = lp(
             [-3.0, -4.0],

@@ -12,12 +12,19 @@ each side, and for each end-to-end metric in BENCHMARK.json each side's
 median and quartiles and the pairs the change won (ties count for
 neither). An entry for the same two commits is replaced, so a re-fold after
 more pairs does not duplicate it.
+
+It then prints one line per end-to-end metric: the pairs won out of n, the
+change's median less the parent's (absolute and relative), the parent's
+quartile spread (q3 - q1), and whether the change is worse than the parent
+by no more than the metric's relative ``bound`` in BENCHMARK.json. These
+verdicts are printed only; the entry holds the figures they come from.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -81,6 +88,30 @@ def fold(parent: dict[int, dict], change: dict[int, dict], metrics: list[dict]) 
     return entry
 
 
+def verdicts(entry: dict, metrics: list[dict]) -> list[str]:
+    """One line per metric of the entry: pairs won, median delta, the
+    parent's quartile spread, and whether the change stays within bound."""
+    lines = []
+    for metric in metrics:
+        name = metric["name"]
+        m = entry["metrics"][name]
+        parent, change = m["parent"]["median"], m["change"]["median"]
+        delta = change - parent
+        if parent:
+            relative = delta / abs(parent)
+        else:
+            relative = 0.0 if delta == 0 else math.copysign(math.inf, delta)
+        worse = relative if metric["better"] == "lower" else -relative
+        within = "yes" if worse <= metric["bound"] else "NO"
+        lines.append(
+            f"{name}: won {m['pairs_won']}/{m['pairs']}, median {parent:.6g} -> "
+            f"{change:.6g} ({delta:+.6g} {m['unit']}, {relative:+.1%}), parent "
+            f"spread {m['parent']['q3'] - m['parent']['q1']:.6g}, within bound "
+            f"{metric['bound']:.0%}: {within}"
+        )
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -104,6 +135,8 @@ def main(argv: list[str] | None = None) -> int:
     out.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     print(f"{out.name}: {len(entry['seeds'])} pairs, {entry['parent_commit'][:7]} -> "
           f"{entry['change_commit'][:7]}")
+    for line in verdicts(entry, benchmark["end_to_end"]):
+        print(f"  {line}")
     return 0
 
 
