@@ -309,7 +309,7 @@ RULE_WEIGHT_BANDS = ((0.55, "plastic"), (0.95, "metal"), (1.35, "glass"))
 RULE_FALLBACK = "organic"
 
 
-def rule_classify_weights(weights) -> list[str]:
+def rule_classify_weights(weights: Sequence[float] | np.ndarray) -> list[str]:
     """The rule baseline's category of each weight, in order.
 
     A weight sorts into the first band whose bound is above it; a weight
