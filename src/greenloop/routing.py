@@ -8,13 +8,18 @@ complete collection loops. Exploration is epsilon-greedy with a linear
 anneal; all randomness comes from one seeded generator, so training is
 deterministic.
 
-That generator is numpy's PCG64 `Generator` stream, replayed in Python
-(`_Draws`) from raw 64-bit outputs drawn in bulk: the episode loop makes
-one scalar draw per step, and a `Generator` method call costs far more
-than the arithmetic that turns a raw output into the same value. NEP 19
-promises no stream stability across numpy versions, so a differential
-test against `Generator.random` and `Generator.integers` guards the
-replay on whichever numpy is installed.
+That generator is numpy's PCG64 `Generator` stream, replayed inside the
+episode loop from raw 64-bit outputs drawn in bulk (`_raw_words`): the
+loop makes one or two scalar draws per step, and a `Generator` method call,
+or any Python call, costs far more than the arithmetic that turns a raw
+output into the same value. The coin `random() < epsilon` is one integer
+compare of the raw word against a threshold computed once per episode
+(`_explore_below`). The pick `integers(k)` is Lemire's multiply-shift
+(Lemire 2019) on 32-bit halves, written out in the loop: the low half of a
+fresh word, then its high half, with numpy's rejection. NEP 19 promises no
+stream stability across numpy versions, so the tests pin the loop's draws
+to a Python replay of `Generator.random` and `Generator.integers`, and that
+replay to numpy, on whichever numpy is installed.
 
 The table is a plain dict keyed by (current, visited, action) tuples,
 which hash in C; it is the one stored form, the cheap one to read and
@@ -49,10 +54,11 @@ seed vary, through RLConfig.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
-from typing import Iterator, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -65,7 +71,6 @@ DISCOUNT = 0.95
 EPSILON_START = 1.0
 EPSILON_END = 0.05
 _RAW_CHUNK = 4096
-_TWO_TO_MINUS_53 = 1.0 / 9007199254740992.0
 
 
 @dataclass(frozen=True)
@@ -205,45 +210,20 @@ def _check_reachable(
         raise DisconnectedGraph(f"bins unreachable from depot: {missing}")
 
 
-class _Draws:
-    """numpy's Generator.random() and .integers(k) replayed from raw draws.
+def _raw_words(seed: int) -> Callable[[], int]:
+    """The raw 64-bit outputs of np.random.default_rng(seed)'s PCG64, one
+    per call, drawn from the generator in chunks."""
+    bits = np.random.default_rng(seed).bit_generator
+    return chain.from_iterable(
+        iter(lambda: bits.random_raw(_RAW_CHUNK).tolist(), None)
+    ).__next__
 
-    The values equal those of np.random.default_rng(seed) making the same
-    calls, for 1 <= k <= 2**32, computed from the raw 64-bit outputs of its
-    PCG64. random() is the top 53 bits of one output. integers(k) is Lemire's
-    multiply-shift on a 32-bit value: the low half of a fresh output, whose
-    high half is kept for the next 32-bit draw (64-bit draws leave it in
-    place), with rejection below (2**32 - k) % k. integers(1) draws nothing.
-    """
 
-    def __init__(self, seed: int):
-        bits = np.random.default_rng(seed).bit_generator
-        self._next64 = chain.from_iterable(
-            iter(lambda: bits.random_raw(_RAW_CHUNK).tolist(), None)
-        ).__next__
-        self._half: int | None = None
-
-    def random(self) -> float:
-        return (self._next64() >> 11) * _TWO_TO_MINUS_53
-
-    def _next32(self) -> int:
-        half = self._half
-        if half is None:
-            u = self._next64()
-            self._half = u >> 32
-            return u & 0xFFFFFFFF
-        self._half = None
-        return half
-
-    def integers(self, k: int) -> int:
-        if k == 1:
-            return 0
-        m = self._next32() * k
-        if m & 0xFFFFFFFF < k:
-            threshold = (0x100000000 - k) % k
-            while m & 0xFFFFFFFF < threshold:
-                m = self._next32() * k
-        return m >> 32
+def _explore_below(epsilon: float) -> int:
+    """The raw words u with u < this are those whose Generator.random(), the
+    top 53 bits of u times 2**-53, is below epsilon: scaling by 2**53 is
+    exact, and an integer is below x exactly when it is below ceil(x)."""
+    return math.ceil(epsilon * 9007199254740992.0) << 11
 
 
 def train_routing(
@@ -267,8 +247,11 @@ def train_routing(
     full = (1 << len(bins)) - 1
     # the forced return leg of each bin that has one
     home = {b: legs[(b, depot)] for b in bins if (b, depot) in legs}
-    draws = _Draws(cfg.rng_seed)
-    random, integers = draws.random, draws.integers
+    # numpy's Generator replayed from raw words: the coin is random() <
+    # epsilon, and a pick is integers(len(opens)), whose 32-bit draws take
+    # the low half of a fresh word and then its high half, kept in `half`
+    next64 = _raw_words(cfg.rng_seed)
+    half = None
     stored = initial.values if initial is not None else {}
     get = stored.get
     lr, discount = LEARNING_RATE, DISCOUNT
@@ -285,7 +268,7 @@ def train_routing(
             frac = episode / (cfg.episodes - 1)
         else:
             frac = 0.0
-        epsilon = epsilon_start + (epsilon_end - epsilon_start) * frac
+        explore = _explore_below(epsilon_start + (epsilon_end - epsilon_start) * frac)
 
         current, visited = depot, 0
         trajectory = []
@@ -294,16 +277,32 @@ def train_routing(
             row = state_rows.get(visited)
             if row is None:
                 opens = [m for m in adjacency[current] if not visited & m[1]]
+                if not opens:
+                    raise DisconnectedGraph(f"no unvisited bin reachable from {current!r}")
                 if stored:
                     vals = [get((current, visited, m[0]), 0.0) for m in opens]
                 else:
                     vals = [0.0] * len(opens)
                 row = state_rows[visited] = (opens, vals, bytearray(len(opens)))
             opens, vals, written = row
-            if not opens:
-                raise DisconnectedGraph(f"no unvisited bin reachable from {current!r}")
-            if random() < epsilon:
-                i = integers(len(opens))
+            if next64() < explore:
+                k = len(opens)
+                i = 0
+                if k > 1:
+                    # Lemire's multiply-shift: redraw while the low word of
+                    # half * k is below (2**32 - k) % k, which is below k
+                    while True:
+                        if half is None:
+                            u = next64()
+                            half = u >> 32
+                            m = (u & 0xFFFFFFFF) * k
+                        else:
+                            m = half * k
+                            half = None
+                        low = m & 0xFFFFFFFF
+                        if low >= k or low >= (0x100000000 - k) % k:
+                            break
+                    i = m >> 32
             else:
                 # index(max) keeps the first maximum, as a `>` scan would.
                 i = vals.index(max(vals))

@@ -537,8 +537,14 @@ def validate_scenario(s: ScenarioSpec) -> list[Diagnostic]:
                 message=f"process {p.id!r} references unknown emission factor {p.emission_factor_id!r}",
             ))
 
+    limit_ids = set()
     for i, lim in enumerate(s.limits):
         path = f"limits[{i}]"
+        if lim.resource_id in limit_ids:
+            out.append(Diagnostic(
+                path=f"{path}.resource_id", message=f"duplicate limit id {lim.resource_id!r}"
+            ))
+        limit_ids.add(lim.resource_id)
         if lim.availability < 0:
             out.append(Diagnostic(
                 path=f"{path}.availability",

@@ -12,6 +12,11 @@ at each call, so a test that patches them changes both trainers alike.
 a few bins. ``optimal_route`` is a Held-Karp dynamic program over the same
 legs, fast enough for a district of the fixtures.
 
+``_Draws`` is numpy's Generator replayed in Python from the raw words of
+greenloop.routing._raw_words, as greenloop.routing drew its coins and picks
+before the replay moved into the training loop; the reference trainer can
+draw from it instead of a Generator, over words a test supplies.
+
 ``entry_dicts`` is the route-table document as greenloop.routing built it
 before qtable_to_dict's entries became column-backed Records: a list of
 one dict per entry, the oracle that the written bytes are compared with.
@@ -34,6 +39,8 @@ from greenloop.routing import (
     route_emissions,
 )
 
+_TWO_TO_MINUS_53 = 1.0 / 9007199254740992.0
+
 
 @dataclass(frozen=True)
 class RouteState:
@@ -49,6 +56,44 @@ def to_tuple_keys(values: dict) -> dict:
 
 def from_tuple_keys(values: dict) -> dict:
     return {(RouteState(c, vis), a): v for (c, vis, a), v in values.items()}
+
+
+class _Draws:
+    """numpy's Generator.random() and .integers(k) replayed from raw draws.
+
+    The values equal those of np.random.default_rng(seed) making the same
+    calls, for 1 <= k <= 2**32, computed from the raw 64-bit outputs of its
+    PCG64. random() is the top 53 bits of one output. integers(k) is Lemire's
+    multiply-shift on a 32-bit value: the low half of a fresh output, whose
+    high half is kept for the next 32-bit draw (64-bit draws leave it in
+    place), with rejection below (2**32 - k) % k. integers(1) draws nothing.
+    """
+
+    def __init__(self, seed: int):
+        self._next64 = routing._raw_words(seed)
+        self._half: int | None = None
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * _TWO_TO_MINUS_53
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is None:
+            u = self._next64()
+            self._half = u >> 32
+            return u & 0xFFFFFFFF
+        self._half = None
+        return half
+
+    def integers(self, k: int) -> int:
+        if k == 1:
+            return 0
+        m = self._next32() * k
+        if m & 0xFFFFFFFF < k:
+            threshold = (0x100000000 - k) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * k
+        return m >> 32
 
 
 def _q_update_inplace(
@@ -81,7 +126,12 @@ def _check_reachable(g: CollectionGraph, bins: tuple[str, ...]) -> None:
         raise DisconnectedGraph(f"bins unreachable from depot: {missing}")
 
 
-def train_routing(g: CollectionGraph, cfg: RLConfig, initial: dict | None = None) -> dict:
+def train_routing(
+    g: CollectionGraph, cfg: RLConfig, initial: dict | None = None,
+    generator=np.random.default_rng,
+) -> dict:
+    """Train from generator(cfg.rng_seed), numpy's Generator by default or
+    _Draws, which has the same random() and integers(k)."""
     bins = g.bin_ids()
     if len(bins) > MAX_TABULAR_BINS:
         raise StateSpaceTooLarge(
@@ -93,7 +143,7 @@ def train_routing(g: CollectionGraph, cfg: RLConfig, initial: dict | None = None
 
     bit = {b: 1 << i for i, b in enumerate(bins)}
     full = (1 << len(bins)) - 1
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = generator(cfg.rng_seed)
     values: dict = dict(initial) if initial is not None else {}
     depot = g.depot
 

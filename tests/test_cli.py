@@ -1159,6 +1159,9 @@ class TestValidateCalibrate:
              lambda doc: doc["processes"].append(dict(doc["processes"][0])),
              "processes[3].id: duplicate process id 'pA'"),
             ("alloc_small.json",
+             lambda doc: doc["limits"].append(dict(doc["limits"][0])),
+             "limits[2].resource_id: duplicate limit id 'labor'"),
+            ("alloc_small.json",
              lambda doc: doc["processes"][1].update(energy_per_unit=-2.0),
              "processes[1].energy_per_unit: energy_per_unit must be >= 0, got -2.0"),
             ("alloc_small.json",
@@ -1173,7 +1176,7 @@ class TestValidateCalibrate:
              "duplicate edge (b00, b01) (at collection_graph.edges["),
         ],
         ids=["unknown-element", "duplicate-factor", "duplicate-process",
-             "negative-energy", "negative-availability", "negative-consumption",
+             "duplicate-limit", "negative-energy", "negative-availability", "negative-consumption",
              "duplicate-edge"],
     )
     def test_validate_reports_path(self, tmp_path, capsys, fixture, edit, problem):
@@ -1184,6 +1187,21 @@ class TestValidateCalibrate:
         assert main(["validate", "--scenario", str(scenario)]) == 4
         captured = capsys.readouterr()
         assert problem in captured.out + captured.err
+
+    @pytest.mark.parametrize("mode", ["baseline", "framework"])
+    def test_repeated_limit_id_refused_by_run(self, tmp_path, capsys, mode):
+        # The declaration fill keys its budgets by limit id, so two limits
+        # with one id shared a budget and filled pB to a level of -4.0.
+        doc = json.loads((cli._FIXTURES / "alloc_small.json").read_text("utf-8"))
+        doc["limits"].append(dict(doc["limits"][0]))
+        scenario = tmp_path / "edited.json"
+        scenario.write_text(json.dumps(doc), "utf-8")
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", str(scenario), "--mode", mode, "--out", str(out)]
+        assert main(argv) == 4
+        assert ("duplicate limit id 'labor' (at limits[2].resource_id)"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @staticmethod
     def cells_without_facility(doc):

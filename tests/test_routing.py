@@ -1,6 +1,7 @@
 """Routing trainer tests, anchored by an exhaustive-permutation oracle and
 by the RouteState-keyed reference trainer in reference_routing."""
 
+import gc
 import itertools
 import json
 from importlib import resources
@@ -8,11 +9,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_routing as reference
-from reference_routing import brute_force_route
+from reference_routing import _Draws, brute_force_route
 from greenloop import routing
 from greenloop.errors import DisconnectedGraph, MissingEdge, StateSpaceTooLarge
 from greenloop.pipeline import partition_districts
@@ -22,7 +23,6 @@ from greenloop.routing import (
     EdgeAttrs,
     QTable,
     RLConfig,
-    _Draws,
     greedy_route,
     qtable_from_dict,
     qtable_to_dict,
@@ -380,6 +380,15 @@ def sparse_graphs(draw):
     return CollectionGraph(nodes=nodes, edges=edges)
 
 
+def fixture_district():
+    """The first district of the waste framework fixture."""
+    doc = json.loads(
+        (resources.files("greenloop") / "fixtures" / "waste_framework.json")
+        .read_text("utf-8")
+    )
+    return partition_districts(parse_scenario(doc).collection_graph)[0]
+
+
 def outcome(fn, *args):
     """The result, or the routing error raised, as a comparable value."""
     try:
@@ -418,6 +427,73 @@ class TestDrawsReplay:
         got = [(draws.random(), draws.integers(5), draws.integers(7)) for _ in range(5000)]
         want = [(rng.random(), int(rng.integers(5)), int(rng.integers(7))) for _ in range(5000)]
         assert got == want
+
+
+class TestInlinedReplay:
+    """train_routing draws its coins and picks from raw words, in the loop,
+    as reference_routing._Draws draws them."""
+
+    @settings(deadline=None, max_examples=500)
+    @given(epsilon=st.floats(0.0, 1.0), word=st.integers(0, 2**64 - 1))
+    @example(epsilon=0.0, word=0)
+    @example(epsilon=5e-324, word=0)
+    @example(epsilon=2.0**-1022, word=2**11)
+    @example(epsilon=routing.EPSILON_END, word=0)
+    @example(epsilon=1.0 - 2.0**-53, word=2**64 - 1)
+    @example(epsilon=1.0, word=2**64 - 1)
+    def test_coin_is_one_compare_on_the_raw_word(self, epsilon, word):
+        threshold = routing._explore_below(epsilon)
+        for u in (threshold - 1, threshold, word):
+            if 0 <= u < 2**64:
+                assert (u < threshold) == ((u >> 11) * reference._TWO_TO_MINUS_53 < epsilon)
+
+    def test_rejected_picks_match_the_oracle(self):
+        # A zero 32-bit half is rejected for k in (3, 5, 6), and the half
+        # 715827883 for k == 6: its low word times 6 is 2, below
+        # (2**32 - 6) % 6 == 4. Draws from a Generator reject about once
+        # in 1e9, so only crafted words reach the redraw.
+        rejected = 715827883
+        assert (rejected * 6) & 0xFFFFFFFF < (2**32 - 6) % 6
+        words = [0, rejected | rejected << 32, rejected << 32,
+                 *np.random.default_rng(7).bit_generator.random_raw(29).tolist()]
+
+        class CountingDraws(_Draws):
+            picks = halves = 0
+
+            def _next32(self):
+                CountingDraws.halves += 1
+                return super()._next32()
+
+            def integers(self, k):
+                CountingDraws.picks += k > 1
+                return super().integers(k)
+
+        g = random_complete_graph(np.random.default_rng(5), 6)
+        cfg = RLConfig(episodes=60, rng_seed=0)
+        with mock.patch.object(
+            routing, "_raw_words", lambda seed: itertools.cycle(words).__next__
+        ):
+            got = train_routing(g, cfg)
+            want = reference.train_routing(g, cfg, generator=CountingDraws)
+        assert CountingDraws.halves > CountingDraws.picks > 0
+        assert repr(sorted(got.values.items())) == repr(
+            sorted(reference.to_tuple_keys(want).items())
+        )
+
+
+def test_training_leaves_no_reference_cycle():
+    # A trainer whose rows reach themselves (a move carrying its successor
+    # row, say) leaves them to the cyclic collector after it returns.
+    g = fixture_district()
+    gc.collect()
+    gc.disable()
+    try:
+        q = train_routing(g, RLConfig(episodes=200, rng_seed=741))
+        greedy_route(q, g)
+        del q
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestReferenceEquivalence:
@@ -477,11 +553,7 @@ class TestReferenceEquivalence:
     def test_matches_reference_on_fixture_district(self):
         # Fixture scale: a 10-bin district trained cold, then warm from
         # its own table, as run_full and feedback_update train it.
-        doc = json.loads(
-            (resources.files("greenloop") / "fixtures" / "waste_framework.json")
-            .read_text("utf-8")
-        )
-        g = partition_districts(parse_scenario(doc).collection_graph)[0]
+        g = fixture_district()
         assert len(g.bin_ids()) == 10
         cold = RLConfig(episodes=300, rng_seed=741)
         warm = RLConfig(episodes=100, rng_seed=841)

@@ -11,6 +11,9 @@ The same documents are also mutated without a type swap: each key is
 dropped in turn, and each number is set to each of EDGE_NUMBERS. Every
 such mutation goes through `validate`, and each one it passes through
 `run --mode framework`, which may fail only with an error family's code.
+Each list of records (limits, stations, graph nodes, ...) also gets its
+last record repeated, which `validate` and `run` both refuse as a
+duplicate.
 """
 
 import copy
@@ -141,6 +144,40 @@ def test_dropped_keys_and_edge_numbers_never_exit_1(tmp_path, capsys, family):
         err = capsys.readouterr().err
         if code not in allowed:
             bad.append((mutation, code, err))
+    assert bad == []
+
+
+def _record_lists(doc, prefix=()):
+    """The key path of every list of records (dicts) in doc."""
+    for path in _paths(doc, prefix):
+        parent = doc
+        for key in path:
+            parent = parent[key]
+        if isinstance(parent, list) and parent and isinstance(parent[0], dict):
+            yield path
+
+
+@pytest.mark.parametrize("family", ["alloc", "battery", "waste"])
+def test_repeated_records_exit_4_as_duplicates(tmp_path, capsys, family):
+    doc = _document(family)
+    mutations = []
+    for path in _record_lists(doc):
+        records = doc
+        for key in path:
+            records = records[key]
+        mutations.append((path, records + [records[-1]]))
+    assert mutations
+    bad = []
+    for i, (mutation, scenario) in enumerate(_mutated_files(doc, mutations, tmp_path)):
+        out = tmp_path / f"out{i}"
+        codes = (
+            main(["validate", "--scenario", str(scenario)]),
+            main(["run", "--scenario", str(scenario), "--mode", "framework",
+                  "--out", str(out)]),
+        )
+        captured = capsys.readouterr()
+        if codes != (4, 4) or out.exists() or "duplicate" not in captured.out + captured.err:
+            bad.append((mutation[0], codes, captured.err))
     assert bad == []
 
 
