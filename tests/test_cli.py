@@ -1188,16 +1188,15 @@ class TestValidateCalibrate:
         captured = capsys.readouterr()
         assert problem in captured.out + captured.err
 
-    @pytest.mark.parametrize("mode", ["baseline", "framework"])
-    def test_repeated_limit_id_refused_by_run(self, tmp_path, capsys, mode):
-        # The declaration fill keys its budgets by limit id, so two limits
-        # with one id shared a budget and filled pB to a level of -4.0.
+    def test_repeated_limit_id_refused_by_run(self, tmp_path, capsys):
+        # The baseline's declaration fill keys its budgets by limit id, so
+        # two limits with one id shared a budget and filled pB to -4.0.
         doc = json.loads((cli._FIXTURES / "alloc_small.json").read_text("utf-8"))
         doc["limits"].append(dict(doc["limits"][0]))
         scenario = tmp_path / "edited.json"
         scenario.write_text(json.dumps(doc), "utf-8")
         out = tmp_path / "out"
-        argv = ["run", "--scenario", str(scenario), "--mode", mode, "--out", str(out)]
+        argv = ["run", "--scenario", str(scenario), "--mode", "baseline", "--out", str(out)]
         assert main(argv) == 4
         assert ("duplicate limit id 'labor' (at limits[2].resource_id)"
                 in capsys.readouterr().err)

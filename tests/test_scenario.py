@@ -224,15 +224,6 @@ class TestValidation:
         )
         assert any("duplicate" in d.message for d in validate_scenario(s))
 
-    def test_repeated_limit_id_flagged(self):
-        def limit(rid):
-            return ResourceLimit(rid, 1.0, {})
-
-        s = ScenarioSpec(limits=(limit("a"), limit("b"), limit("a")), rng_seed=1)
-        assert [(d.path, d.message) for d in validate_scenario(s)] == [
-            ("limits[2].resource_id", "duplicate limit id 'a'"),
-        ]
-
     def test_negative_target(self):
         s = ScenarioSpec(targets={"co2_cap_kg": -5.0}, rng_seed=1)
         assert any("target" in d.message for d in validate_scenario(s))
