@@ -59,7 +59,7 @@ from .scenario import (
     finite_float,
     is_rng_seed,
     load_scenario,
-    parse_scenario,
+    parse_scenario,  # unused here; perfbench/tracing.py wraps greenloop.cli.parse_scenario
     read_scenario,
     save_scenario,
     scenario_to_dict,
@@ -326,7 +326,7 @@ def _run_scenario(doc: dict, run_dir: Path) -> ScenarioSpec | None:
     """The scenario a run's artifacts name, or None if they name none."""
     rel = doc.get("artifacts", {}).get("scenario")
     if rel and (run_dir / rel).is_file():
-        return parse_scenario(read_json_checked(run_dir / rel, ParseError, "scenario"))
+        return read_scenario(run_dir / rel)
     return None
 
 

@@ -595,6 +595,13 @@ def validate_scenario(s: ScenarioSpec) -> list[Diagnostic]:
     if s.facility is None and has_cells:
         out.append(Diagnostic(path="facility", message=CELLS_WITHOUT_FACILITY))
     elif s.facility is not None:
+        station_ids = set()
+        for i, st in enumerate(s.facility.stations):
+            if st.id in station_ids:
+                out.append(Diagnostic(
+                    path=f"facility.stations[{i}].id", message=f"duplicate station id {st.id!r}"
+                ))
+            station_ids.add(st.id)
         cell_kg = sum(m.mass_kg for m in s.materials if m.category == "battery-cell")
         problem = step_budget_problem(cell_kg, s.facility.throughput_kg_per_step)
         if problem:

@@ -25,7 +25,8 @@ its column in cell-id order from 0.0. On floats that is what the builtin
 sum() does before Python 3.12; from 3.12 on sum() is compensated, so the
 pooled totals, unlike a sum() over the cells, do not depend on the
 interpreter. The station loop's sums over the four element flows still
-use sum().
+use sum(). The energy is a running total from 0.0, added in step order
+without compensation, as the pooled totals are.
 
 The bin side generates labeled sensor events: per time step each bin's
 fill level rises by a seeded increment and one deposit event is emitted,
@@ -58,9 +59,9 @@ if TYPE_CHECKING:
 ELEMENTS = ("cobalt", "lithium", "nickel", "other")
 NAMED_ELEMENTS = ELEMENTS[:-1]  # the elements jitter moves mass into and out of
 JITTER_AMPLITUDE = 0.05
-# Most throughput-sized chunks one facility run may take. Every step keeps a
-# TraceStep per station, so the budget bounds time and memory alike; the
-# bundled battery fixtures take 30.
+# Most throughput-sized chunks one facility run may take. The budget bounds
+# the run's time; the trace grows by one station id reference per station
+# step. The bundled battery fixtures take 30.
 MAX_FACILITY_STEPS = 100_000
 # A facility run ends once no more than this many kg are left to process.
 END_KG = 1e-12
@@ -95,34 +96,31 @@ class FacilityModel:
     def __post_init__(self):
         if self.throughput_kg_per_step <= 0:
             raise ValueError("throughput_kg_per_step must be > 0")
-        ids = [st.id for st in self.stations]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate station ids")
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    step: int
-    station_id: str
-    input_kg: float
-    recovered: Mapping[str, float]
-    lost_kg: float
-    energy_kwh: float
 
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    steps: tuple[TraceStep, ...]
+    """What one facility run leaves for the stages after it.
+
+    steps holds the station id of each station step, in run order: a
+    chunk takes one step per station it reaches. energy_kwh is the kWh of
+    all steps, added in step order from 0.0. recovered_totals,
+    lost_totals and residual_by_element hold each element's recovered,
+    lost and unprocessed kg, and input_totals the jittered kg that went
+    in. activity_ledger holds the kg each station processed.
+    """
+
+    steps: tuple[str, ...]
+    energy_kwh: float
     recovered_totals: Mapping[str, float]
-    residual_kg: float
     activity_ledger: ActivityLedger
     input_totals: Mapping[str, float]
     lost_totals: Mapping[str, float]
     residual_by_element: Mapping[str, float]
 
     @property
-    def energy_kwh(self) -> float:
-        return sum(ev.energy_kwh for ev in self.steps)
+    def residual_kg(self) -> float:
+        return sum(self.residual_by_element.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,14 +274,14 @@ def simulate_recycling(s: "ScenarioSpec", f: FacilityModel) -> SimulationTrace:
     if problem:
         raise StepBudgetExceeded(problem)
 
-    steps: list[TraceStep] = []
+    steps: list[str] = []
+    energy_kwh = 0.0
     recovered_totals = {el: 0.0 for el in ELEMENTS}
     lost_totals = {el: 0.0 for el in ELEMENTS}
     residual = {el: 0.0 for el in ELEMENTS}
     processed_kg = {st.id: 0.0 for st in f.stations}
 
     remaining = total_kg
-    step_index = 0
     while remaining > END_KG:
         chunk_kg = min(f.throughput_kg_per_step, remaining)
         share = chunk_kg / total_kg
@@ -292,41 +290,27 @@ def simulate_recycling(s: "ScenarioSpec", f: FacilityModel) -> SimulationTrace:
             input_kg = sum(flow.values())
             if input_kg <= 0:
                 break
-            recovered = {}
-            lost_kg = 0.0
             next_flow = {}
             for el, mass in flow.items():
                 eff = st.recovery_efficiency.get(el, 0.0)
                 rec = mass * eff
                 lost = mass * st.loss_fraction
-                recovered[el] = rec
-                lost_kg += lost
                 lost_totals[el] += lost
                 recovered_totals[el] += rec
                 next_flow[el] = mass - rec - lost
-            energy = input_kg * st.energy_kwh_per_kg
+            energy_kwh += input_kg * st.energy_kwh_per_kg
             processed_kg[st.id] += input_kg
-            steps.append(
-                TraceStep(
-                    step=step_index,
-                    station_id=st.id,
-                    input_kg=input_kg,
-                    recovered=recovered,
-                    lost_kg=lost_kg,
-                    energy_kwh=energy,
-                )
-            )
+            steps.append(st.id)
             flow = next_flow
         for el, mass in flow.items():
             residual[el] += mass
         remaining -= chunk_kg
-        step_index += 1
 
     ledger = ActivityLedger(entries={sid: kg for sid, kg in processed_kg.items()})
     return SimulationTrace(
         steps=tuple(steps),
+        energy_kwh=energy_kwh,
         recovered_totals=recovered_totals,
-        residual_kg=sum(residual.values()),
         activity_ledger=ledger,
         input_totals=totals,
         lost_totals=lost_totals,

@@ -10,13 +10,17 @@ makes no promise about how `Generator.choice` turns its draws into an
 index, nor that a sized draw yields what the scalar calls would. The
 bodies are unchanged apart from their imports; the bin generator keeps
 the per-event record, BinEvent, and the tuple of them it returned, where
-greenloop.twin now returns the events as columns.
+greenloop.twin now returns the events as columns. The facility run keeps
+its per-step record, TraceStep, and builds each step's record as it did;
+it hands back a trace of greenloop.twin's shape: each step's station id,
+and the steps' energy summed in step order from 0.0.
 
 greenloop.twin pools the cells as whole columns and writes each per-cell
-sum as explicit left-to-right adds from 0.0. The `sum()` calls in
-`_element_masses` equal those adds only before Python 3.12, whose `sum()`
-of floats is compensated; from 3.12 on this oracle may differ from the
-twin in the last bits.
+sum, and the energy over the steps, as explicit left-to-right adds from
+0.0. The `sum()` calls in `_element_masses` and over the steps' energy
+equal those adds only before Python 3.12, whose `sum()` of floats is
+compensated; from 3.12 on this oracle may differ from the twin in the
+last bits.
 """
 
 from __future__ import annotations
@@ -35,9 +39,18 @@ from greenloop.twin import (
     JITTER_AMPLITUDE,
     FacilityModel,
     SimulationTrace,
-    TraceStep,
     step_budget_problem,
 )
+
+
+@dataclass(frozen=True)
+class TraceStep:
+    step: int
+    station_id: str
+    input_kg: float
+    recovered: Mapping[str, float]
+    lost_kg: float
+    energy_kwh: float
 
 
 @dataclass(frozen=True)
@@ -183,9 +196,9 @@ def simulate_recycling(s: "ScenarioSpec", f: FacilityModel) -> SimulationTrace:
 
     ledger = ActivityLedger(entries={sid: kg for sid, kg in processed_kg.items()})
     return SimulationTrace(
-        steps=tuple(steps),
+        steps=tuple(e.station_id for e in steps),
+        energy_kwh=sum((e.energy_kwh for e in steps), 0.0),
         recovered_totals=recovered_totals,
-        residual_kg=sum(residual.values()),
         activity_ledger=ledger,
         input_totals=totals,
         lost_totals=lost_totals,

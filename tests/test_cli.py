@@ -120,6 +120,21 @@ class TestRun:
         assert d1 == d2
         assert (d2 / "metrics.json").read_bytes() == first
 
+    def test_weightless_cells_write_a_float_energy(self, tmp_path):
+        # cells of 0 kg take no facility step; the energy is still written as 0.0
+        doc = json.loads((cli._FIXTURES / "battery_framework.json").read_text("utf-8"))
+        for material in doc["materials"]:
+            if material["category"] == "battery-cell":
+                material["mass_kg"] = 0.0
+        scenario = tmp_path / "weightless.json"
+        scenario.write_text(json.dumps(doc), "utf-8")
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", str(scenario), "--mode", "baseline", "--out", str(out)]
+        assert main(argv) == 0
+        (metrics,) = out.glob("*/metrics.json")
+        energy = read_json(metrics)["process_energy_kwh"]
+        assert type(energy) is float and energy == 0.0
+
     @pytest.mark.parametrize("fixture, mode", [
         ("battery_framework.json", "framework"), ("waste_baseline.json", "baseline"),
     ])
@@ -1174,10 +1189,14 @@ class TestValidateCalibrate:
              lambda doc: doc["collection_graph"]["edges"].append(
                  dict(doc["collection_graph"]["edges"][0])),
              "duplicate edge (b00, b01) (at collection_graph.edges["),
+            ("battery_framework.json",
+             lambda doc: doc["facility"]["stations"].append(
+                 dict(doc["facility"]["stations"][0])),
+             "facility.stations[2].id: duplicate station id 'disassembly'"),
         ],
         ids=["unknown-element", "duplicate-factor", "duplicate-process",
              "duplicate-limit", "negative-energy", "negative-availability", "negative-consumption",
-             "duplicate-edge"],
+             "duplicate-edge", "duplicate-station"],
     )
     def test_validate_reports_path(self, tmp_path, capsys, fixture, edit, problem):
         doc = json.loads((cli._FIXTURES / fixture).read_text("utf-8"))

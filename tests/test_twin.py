@@ -2,6 +2,7 @@
 equality with the reference facility run and bin generator in reference_twin."""
 
 import dataclasses
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -165,7 +166,7 @@ class TestSimulateRecycling:
         f = one_station_facility(throughput=40.0)
         trace = simulate_recycling(battery_scenario(10), f)  # 150 kg -> 4 chunks
         assert len(trace.steps) == 4
-        assert {ev.station_id for ev in trace.steps} == {"recover"}
+        assert set(trace.steps) == {"recover"}
 
     def test_multi_station_forwarding(self):
         f = FacilityModel(
@@ -184,6 +185,22 @@ class TestSimulateRecycling:
         assert trace.activity_ledger.entries["recover"] == pytest.approx(150.0)
         assert trace.energy_kwh == pytest.approx(150.0 * 1.5)
 
+    def test_trace_holds_no_per_step_record(self):
+        # 300 kg in 5,000 chunks through one station. A record per step
+        # held about 500 bytes a step; the station id is one reference.
+        f = one_station_facility(throughput=300.0 / 5000)
+        s = battery_scenario(20)
+        simulate_recycling(s, f)  # numpy's one-time allocations stay out of the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = simulate_recycling(s, f)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace.steps) == 5000
+        assert held < 64 * len(trace.steps)
+
     def test_same_seed_identical_trace(self):
         f = one_station_facility()
         a = simulate_recycling(battery_scenario(8, seed=5), f)
@@ -195,7 +212,7 @@ class TestSimulateRecycling:
         a = simulate_recycling(battery_scenario(8, seed=1), f)
         b = simulate_recycling(battery_scenario(8, seed=2), f)
         assert len(a.steps) == len(b.steps)
-        assert [ev.station_id for ev in a.steps] == [ev.station_id for ev in b.steps]
+        assert a.steps == b.steps
         assert a != b
 
     def test_zero_input_element_absent_from_rates(self):
