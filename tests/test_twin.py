@@ -186,8 +186,8 @@ class TestSimulateRecycling:
         assert trace.energy_kwh == pytest.approx(150.0 * 1.5)
 
     def test_trace_holds_no_per_step_record(self):
-        # 300 kg in 5,000 chunks through one station. A record per step
-        # held about 500 bytes a step; the station id is one reference.
+        # 300 kg in 5,000 chunks through one station. A step costs the trace
+        # one reference; a record of the step's flows would take hundreds of bytes.
         f = one_station_facility(throughput=300.0 / 5000)
         s = battery_scenario(20)
         simulate_recycling(s, f)  # numpy's one-time allocations stay out of the count
