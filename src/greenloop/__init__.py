@@ -23,8 +23,6 @@ from .classify import (
     evaluate_accuracy_records,
     model_from_dict,
     model_to_dict,
-    predict_record,
-    rule_classify,
     train_on_records,
 )
 from .energy import (
@@ -160,7 +158,6 @@ __all__ = [
     "model_to_dict",
     "parse_scenario",
     "partition_districts",
-    "predict_record",
     "qtable_from_dict",
     "qtable_to_dict",
     "read_json",
@@ -168,7 +165,6 @@ __all__ = [
     "render_grouped_bars",
     "render_table3",
     "route_emissions",
-    "rule_classify",
     "run_full",
     "run_result_from_dict",
     "run_result_to_dict",

@@ -5,7 +5,7 @@ sorter: z-scored sensor features, full-batch gradient descent on mean
 cross-entropy, max-subtraction softmax at prediction time. The rule
 baseline sorts on the weight reading alone with fixed thresholds, standing
 in for manual sorting at a conveyor; rule_classify_weights applies it to
-a weight column and rule_classify to one record.
+a weight column.
 
 The descent settings are fixed: EPOCHS (500) full-batch steps at
 LEARNING_RATE (0.1), with no weight penalty. Training is deterministic for
@@ -15,9 +15,9 @@ since it almost always means the learning rate is too hot.
 
 Training and evaluation take the readings as a matrix, one row per record
 in FEATURES order, beside a list of plain str labels: the columns the bin
-simulator draws, with no per-record dict in between. featurize, predict
-and predict_record are the per-record API, and the oracle whose bits the
-batch keeps.
+simulator draws, with no per-record dict in between. The per-record
+featurize, predict, predict_record and rule_classify live in
+tests/reference_classify.py, as the oracle whose bits the batch keeps.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .errors import (
     ClassifierError,
     DimensionMismatch,
     EmptyDataset,
-    MissingFeature,
     NonFiniteLoss,
     SingleClassData,
     ZeroVariance,
@@ -106,21 +105,6 @@ def _norm_stats(mat: np.ndarray) -> NormStats:
                 f"feature {FEATURES[bad[0]]!r} has a non-finite {what} ({values[bad[0]]})"
             )
     return NormStats(means=tuple(float(m) for m in means), stds=tuple(float(s) for s in stds))
-
-
-def _feature(raw: Mapping[str, float], token: str) -> float:
-    try:
-        return float(raw[token])
-    except KeyError:
-        raise MissingFeature(f"sensor record lacks feature {token!r}") from None
-
-
-def featurize(raw: Mapping[str, float], stats: NormStats) -> np.ndarray:
-    """z-score the raw record in FEATURES order."""
-    out = np.empty(len(FEATURES))
-    for i, token in enumerate(FEATURES):
-        out[i] = (_feature(raw, token) - stats.means[i]) / stats.stds[i]
-    return out
 
 
 def initial_weights(rng_seed: int, n_classes: int, n_features: int) -> np.ndarray:
@@ -228,8 +212,8 @@ def train_on_records(
     """Fit norm stats on the raw readings, z-score them, train, bind the stats.
 
     features holds one row of readings per record in FEATURES order, and
-    labels each record's category. The z-scores are featurize's arithmetic
-    on the whole matrix.
+    labels each record's category. The z-scores are the reference
+    featurize's arithmetic on the whole matrix.
     """
     mat = _rows(features, labels)
     if not len(mat):
@@ -243,39 +227,22 @@ def train_on_records(
     )
 
 
-def predict(model: SoftmaxModel, x: np.ndarray) -> tuple[str, np.ndarray]:
-    """Label and softmax probabilities; ties resolve to the lowest index."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.weights.shape[1],):
-        raise DimensionMismatch(
-            f"feature vector {x.shape} vs model input {(model.weights.shape[1],)}"
-        )
-    logits = model.weights @ x + model.biases
-    logits = logits - logits.max()
-    exp = np.exp(logits)
-    probs = exp / exp.sum()
-    return model.class_labels[int(np.argmax(probs))], probs
-
-
-def predict_record(model: SoftmaxModel, raw: Mapping[str, float]) -> tuple[str, np.ndarray]:
-    return predict(model, featurize(raw, model.norm_stats))
-
-
 def _predict_records(model: SoftmaxModel, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """predict_record over every row of a checked feature matrix at once:
-    the class index and the probabilities of each, one row per record.
+    """The class index and the softmax probabilities of each row of a
+    checked feature matrix; ties resolve to the lowest index.
 
-    Every bit is predict's. The z-scores are featurize's arithmetic on the
-    whole feature matrix, and matmul of W with a stack of (features, 1)
-    columns runs one BLAS gemv per record, the kernel predict's W @ x
-    calls. A single Z @ W.T would be a gemm, which rounds the logits
-    differently (1,389 of the 1,500 rows of the waste fixture's evaluation
-    split, by up to 1.8e-15), and the accuracy goes into metrics.json,
-    where a near-tie would then move a pinned digest.
+    Every bit is that of predict_record, the per-record oracle in
+    tests/reference_classify.py. The z-scores are its featurize's
+    arithmetic on the whole matrix, and matmul of W with a stack of
+    (features, 1) columns runs one BLAS gemv per record, the kernel its
+    predict's W @ x calls. A single Z @ W.T would be a gemm, which rounds
+    the logits differently (1,389 of the 1,500 rows of the waste fixture's
+    evaluation split, by up to 1.8e-15), and the accuracy goes into
+    metrics.json, where a near-tie would then move a pinned digest.
     """
     stats = model.norm_stats
     # checked here: numpy would broadcast a one-entry stats vector over
-    # every feature, where featurize stops at the missing entry
+    # every feature, where a per-record z-score stops at the missing entry
     if model.weights.shape[1] != len(FEATURES) or len(stats.means) != len(FEATURES):
         raise DimensionMismatch(
             f"{len(FEATURES)} features vs model input {model.weights.shape[1]} "
@@ -319,11 +286,6 @@ def rule_classify_weights(weights: Sequence[float] | np.ndarray) -> list[str]:
     names += (RULE_FALLBACK,)
     band = np.searchsorted(bounds, weights, side="right")
     return [names[k] for k in band.tolist()]
-
-
-def rule_classify(raw: Mapping[str, float]) -> str:
-    """Fixed weight-threshold sorter used as the no-learning baseline."""
-    return rule_classify_weights([_feature(raw, "weight_kg")])[0]
 
 
 def model_to_dict(model: SoftmaxModel, version: int = 1) -> dict:

@@ -602,6 +602,12 @@ def validate_scenario(s: ScenarioSpec) -> list[Diagnostic]:
                     path=f"facility.stations[{i}].id", message=f"duplicate station id {st.id!r}"
                 ))
             station_ids.add(st.id)
+            for el in st.recovery_efficiency:
+                if el not in _ELEMENT_SET:
+                    out.append(Diagnostic(
+                        path=f"facility.stations[{i}].recovery_efficiency[{el!r}]",
+                        message=f"unknown element {el!r}; expected one of {ELEMENTS}",
+                    ))
         cell_kg = sum(m.mass_kg for m in s.materials if m.category == "battery-cell")
         problem = step_budget_problem(cell_kg, s.facility.throughput_kg_per_step)
         if problem:

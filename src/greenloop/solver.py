@@ -15,13 +15,12 @@ carry finite bounds so branch-and-bound terminates.
 solve_milp builds the bound-independent part of the standard form once
 per call: the rows, one unit row per variable with a finite upper bound,
 the slack block and the objective. The form also holds a read-only
-template, the starting tableau of a node whose slack basis is feasible
-with a zero right-hand side. A cold node copies it, writes its
-right-hand side and goes straight to phase 2: with only slacks basic,
-pricing out subtracts nothing, so the template's last row is exactly the
-phase-2 row a from-scratch build would make. A cold node with a negative
-shifted right-hand side builds a tableau with artificial columns and runs
-phase 1 first. Nothing outlives the call.
+template of the constraint rows, [A | I | 0]. A cold node copies the
+template into a tableau with one artificial column per row whose shifted
+right-hand side is negative, and runs phase 1, then phase 2. A node whose
+slack basis is feasible gets no artificial column: phase 1 then takes no
+pivot, and pricing out the slack basis subtracts nothing. Nothing
+outlives the call.
 
 Only the root, and children that cannot be warm-started, are cold. A
 child starts from a copy of its parent's optimal tableau. Its branch
@@ -221,15 +220,16 @@ class _StandardForm:
     Rows are the LP's own rows, then one unit row per boxed variable (finite
     upper bound), each with a slack column. Branching changes bounds only,
     never which variables are boxed, so one form serves every node.
-    slack_tab is the starting tableau of a node whose slack basis is
-    feasible, less its right-hand side: it is read-only, and a node pivots
-    a copy.
+    slack_tab holds the constraint rows of a node's starting tableau over
+    the slack basis, less their right-hand side: it is read-only, and a
+    node copies it into its own tableau. Its width is that of a tableau
+    with no artificial column.
     """
 
     rows: tuple[np.ndarray, ...]  # the LP's rows, one array each for np.dot
     rhs: tuple[float, ...]
     boxed: np.ndarray  # indices of the variables with a finite upper bound
-    slack_tab: np.ndarray  # (m + 1, n + m + 1): [A | I | 0] rows, then [c | 0 | 0]
+    slack_tab: np.ndarray  # (m, n + m + 1): [A | I | 0]
     c: np.ndarray
 
 
@@ -242,12 +242,11 @@ def _standard_form(lp: LinearProgram) -> _StandardForm:
     k = len(rows)
     m = k + boxed.shape[0]
     c = np.array(lp.objective, dtype=float)
-    slack_tab = np.zeros((m + 1, n + m + 1))
+    slack_tab = np.zeros((m, n + m + 1))
     for i, a in enumerate(rows):
         slack_tab[i, :n] = a
     slack_tab[np.arange(k, m), boxed] = 1.0
-    slack_tab[:m, n : n + m] = np.eye(m)
-    slack_tab[m, :n] = c
+    slack_tab[:, n : n + m] = np.eye(m)
     slack_tab.flags.writeable = False
     return _StandardForm(
         rows=rows,
@@ -265,7 +264,7 @@ def _cold_start(
     the pivots phase 1 took; or phase 1's verdict. The form has a row."""
     c = form.c
     n = c.shape[0]
-    m = form.slack_tab.shape[0] - 1
+    m = form.slack_tab.shape[0]
 
     # Shift x = y + lb so y >= 0; a boxed variable's row bounds y by ub - lb.
     # Each row keeps its own np.dot: a matrix product may sum in another order.
@@ -275,21 +274,14 @@ def _cold_start(
     boxed = form.boxed
     b_vec[k:] = np.array(upper, dtype=float)[boxed] - lo[boxed]
 
-    art_rows = np.flatnonzero(b_vec < 0)
-    n_art = art_rows.shape[0]
-    if not n_art:
-        # The slack basis is feasible: the template already holds phase 2's
-        # row, since no original variable is basic to price out.
-        tab = form.slack_tab.copy()
-        tab[:m, -1] = np.abs(b_vec)
-        return _Tableau(tab, list(range(n, n + m)), n + m), 0
-
     # Flip rows with negative rhs (their zeros become -0.0, as the slack
     # block's do) and give each an artificial column, basic in its row.
+    art_rows = np.flatnonzero(b_vec < 0)
+    n_art = art_rows.shape[0]
     total = n + m + n_art
     tab = np.zeros((m + 1, total + 1))
     body = tab[:m]
-    body[:, : n + m] = form.slack_tab[:m, :-1]
+    body[:, : n + m] = form.slack_tab[:, :-1]
     body[art_rows, : n + m] *= -1.0
     body[art_rows, n + m + np.arange(n_art)] = 1.0
     body[:, -1] = np.abs(b_vec)
@@ -360,7 +352,7 @@ def _solve(
     """Solve the form's LP over the box lower <= x <= upper from scratch."""
     c = form.c
     lo = np.array(lower, dtype=float)
-    if form.slack_tab.shape[0] == 1:
+    if not form.slack_tab.shape[0]:
         # No constraints at all: each y_j sits at 0 unless pushing it up helps.
         if np.any(c < -FEAS_TOL):
             return MilpSolution(SolveStatus.UNBOUNDED, (), math.nan)

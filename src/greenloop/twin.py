@@ -166,6 +166,8 @@ class WasteStreamConfig:
             if cat not in self.feature_means:
                 raise ValueError(f"feature_means missing category {cat!r}")
         for cat, means in self.feature_means.items():
+            if cat not in self.category_mix:
+                raise ValueError(f"feature_means names category {cat!r}, not in category_mix")
             missing = [f for f in FEATURES if f not in means]
             if missing:
                 raise ValueError(f"feature_means[{cat}] missing {missing}")
@@ -174,6 +176,14 @@ class WasteStreamConfig:
                 raise ValueError(f"feature_stds missing {f!r}")
             if self.feature_stds[f] <= 0:
                 raise ValueError(f"feature_stds[{f}] must be > 0")
+        named = {f"feature_means[{cat}]": means for cat, means in self.feature_means.items()}
+        named["feature_stds"] = self.feature_stds
+        for name, values in named.items():
+            unknown = [f for f in values if f not in FEATURES]
+            if unknown:
+                raise ValueError(
+                    f"{name} names unknown feature {unknown[0]!r}; expected one of {FEATURES}"
+                )
         if self.fill_increment_mean < 0 or self.fill_increment_std < 0:
             raise ValueError("fill increment parameters must be >= 0")
 

@@ -11,6 +11,12 @@ the epoch count are read from greenloop.classify's constants at each call,
 so a test that patches them changes both trainers alike. `fit_norm_stats`
 is the library's former stats fit, which reads one value at a time, kept
 here for this trainer.
+
+The per-record API the library shipped beside its batch is kept here
+verbatim as the batch's oracle: `featurize` z-scores one record, `predict`
+and `predict_record` give one feature vector's or one record's label and
+probabilities, whose bits `classify._predict_records` keeps for each row,
+and `rule_classify` sorts one record by `classify.rule_classify_weights`.
 """
 
 from __future__ import annotations
@@ -25,18 +31,56 @@ from greenloop.classify import (
     FEATURES,
     NormStats,
     SoftmaxModel,
-    _feature,
-    featurize,
     initial_weights,
+    rule_classify_weights,
 )
 from greenloop.errors import (
     DimensionMismatch,
     EmptyDataset,
+    MissingFeature,
     NonFiniteLoss,
     SingleClassData,
 )
 
 log = logging.getLogger(__name__)
+
+
+def _feature(raw: Mapping[str, float], token: str) -> float:
+    try:
+        return float(raw[token])
+    except KeyError:
+        raise MissingFeature(f"sensor record lacks feature {token!r}") from None
+
+
+def featurize(raw: Mapping[str, float], stats: NormStats) -> np.ndarray:
+    """z-score the raw record in FEATURES order."""
+    out = np.empty(len(FEATURES))
+    for i, token in enumerate(FEATURES):
+        out[i] = (_feature(raw, token) - stats.means[i]) / stats.stds[i]
+    return out
+
+
+def predict(model: SoftmaxModel, x: np.ndarray) -> tuple[str, np.ndarray]:
+    """Label and softmax probabilities; ties resolve to the lowest index."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.weights.shape[1],):
+        raise DimensionMismatch(
+            f"feature vector {x.shape} vs model input {(model.weights.shape[1],)}"
+        )
+    logits = model.weights @ x + model.biases
+    logits = logits - logits.max()
+    exp = np.exp(logits)
+    probs = exp / exp.sum()
+    return model.class_labels[int(np.argmax(probs))], probs
+
+
+def predict_record(model: SoftmaxModel, raw: Mapping[str, float]) -> tuple[str, np.ndarray]:
+    return predict(model, featurize(raw, model.norm_stats))
+
+
+def rule_classify(raw: Mapping[str, float]) -> str:
+    """Fixed weight-threshold sorter used as the no-learning baseline."""
+    return rule_classify_weights([_feature(raw, "weight_kg")])[0]
 
 
 def _loss_and_grad(

@@ -14,20 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_classify as reference
+from reference_classify import featurize, predict, predict_record, rule_classify
 from greenloop import classify, pipeline
 from greenloop.classify import (
     FEATURES,
     NormStats,
     SoftmaxModel,
     evaluate_accuracy_records,
-    featurize,
     model_from_dict,
     model_to_dict,
-    predict,
-    predict_record,
     RULE_FALLBACK,
     RULE_WEIGHT_BANDS,
-    rule_classify,
     rule_classify_weights,
     train_on_records,
     _loss_and_grad,
@@ -143,6 +140,9 @@ class TestPredict:
         label, probs = predict(m, np.zeros(6))
         assert label == "a"
         assert np.allclose(probs, 0.25)
+        predicted, batch = _predict_records(m, np.zeros((3, 6)))
+        assert predicted.tolist() == [0, 0, 0]
+        assert np.allclose(batch, 0.25)
 
     def test_logit_shift_invariance(self):
         m1 = self.make_model([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.5], ("a", "b"))
@@ -166,6 +166,14 @@ class TestPredict:
         assert label == "a"
         assert np.isfinite(probs).all()
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        m6 = self.make_model([[1000.0] + [0.0] * 5, [-1000.0] + [0.0] * 5],
+                             [0.0, 0.0], ("a", "b"))
+        x = np.zeros((2, 6))
+        x[:, 0] = (5.0, -5.0)
+        predicted, batch = _predict_records(m6, x)
+        assert predicted.tolist() == [0, 1]
+        assert np.isfinite(batch).all()
+        assert batch.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_dimension_mismatch(self):
         m = self.make_model([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0], ("a", "b"))
@@ -401,6 +409,15 @@ class TestProperties:
         _, probs = predict(m, rng.normal(size=n_features) * 5)
         assert (probs >= 0).all()
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        m6 = SoftmaxModel(
+            weights=rng.normal(size=(n_classes, len(FEATURES))) * 10,
+            biases=rng.normal(size=n_classes) * 10,
+            class_labels=m.class_labels,
+            norm_stats=identity_stats(),
+        )
+        _, batch = _predict_records(m6, rng.normal(size=(8, len(FEATURES))) * 5)
+        assert (batch >= 0).all()
+        assert batch.sum(axis=1) == pytest.approx([1.0] * 8, abs=1e-12)
 
     def test_label_permutation_equivariance(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -423,12 +440,12 @@ class TestProperties:
         )
         permuted = train_on_records(x, renamed, 5)
 
-        for raw in [dict(zip(FEATURES, row)) for row in x[:10].tolist()]:
-            lb_base, p_base = predict_record(base, raw)
-            lb_perm, p_perm = predict_record(permuted, raw)
-            assert lb_perm == rename[lb_base]
-            order = [permuted.class_labels.index(rename[lb]) for lb in base.class_labels]
-            assert np.allclose(p_base, p_perm[order], atol=1e-10)
+        i_base, p_base = _predict_records(base, x[:10])
+        i_perm, p_perm = _predict_records(permuted, x[:10])
+        for i, j in zip(i_base.tolist(), i_perm.tolist()):
+            assert permuted.class_labels[j] == rename[base.class_labels[i]]
+        order = [permuted.class_labels.index(rename[lb]) for lb in base.class_labels]
+        assert np.allclose(p_base, p_perm[:, order], atol=1e-10)
 
 
 class TestPersistence:
@@ -443,8 +460,8 @@ class TestPersistence:
         assert np.allclose(back.weights, model.weights)
         assert back.class_labels == model.class_labels
         assert back.norm_stats == model.norm_stats
-        raw = dict(zip(FEATURES, rng.normal(size=6)))
-        assert predict_record(back, raw)[0] == predict_record(model, raw)[0]
+        x = rng.normal(size=(1, 6))
+        assert _predict_records(back, x)[0].tolist() == _predict_records(model, x)[0].tolist()
 
 
 class _Messages(logging.Handler):

@@ -61,7 +61,9 @@ def unreachable_bin(doc):
 
 def one_category(doc):
     small_waste(doc)
-    doc["waste_stream"]["category_mix"] = {"plastic": 1.0}
+    stream = doc["waste_stream"]
+    stream["category_mix"] = {"plastic": 1.0}
+    stream["feature_means"] = {"plastic": stream["feature_means"]["plastic"]}
 
 
 def no_limits(doc):
@@ -1148,6 +1150,18 @@ class TestValidateCalibrate:
         assert problem in captured.out + captured.err
         assert not out.exists()
 
+    def test_calibrate_refuses_an_unknown_station_element(self, tmp_path, capsys):
+        path = self.battery_framework(
+            tmp_path,
+            lambda doc: doc["facility"]["stations"][1]["recovery_efficiency"].update(
+                unobtainium=0.5),
+        )
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--scenario", path, "--out", str(out)]) == 4
+        assert ("unknown element 'unobtainium'; expected one of "
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_calibrate_needs_a_station(self, tmp_path, capsys):
         path = self.battery_framework(
             tmp_path, lambda doc: doc["facility"].update(stations=[])
@@ -1193,10 +1207,15 @@ class TestValidateCalibrate:
              lambda doc: doc["facility"]["stations"].append(
                  dict(doc["facility"]["stations"][0])),
              "facility.stations[2].id: duplicate station id 'disassembly'"),
+            ("battery_framework.json",
+             lambda doc: doc["facility"]["stations"][1]["recovery_efficiency"].update(
+                 unobtainium=0.5),
+             "facility.stations[1].recovery_efficiency['unobtainium']: "
+             "unknown element 'unobtainium'"),
         ],
         ids=["unknown-element", "duplicate-factor", "duplicate-process",
              "duplicate-limit", "negative-energy", "negative-availability", "negative-consumption",
-             "duplicate-edge", "duplicate-station"],
+             "duplicate-edge", "duplicate-station", "unknown-station-element"],
     )
     def test_validate_reports_path(self, tmp_path, capsys, fixture, edit, problem):
         doc = json.loads((cli._FIXTURES / fixture).read_text("utf-8"))

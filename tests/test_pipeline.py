@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_classify import rule_classify
 from greenloop.carbon import EmissionFactor
 from greenloop.energy import STAGE_ORDER, UNIT_COSTS, EnergyModel, StageUsage
 from greenloop.errors import (
@@ -25,7 +26,6 @@ from greenloop.classify import (
     FEATURES,
     RULE_WEIGHT_BANDS,
     evaluate_accuracy_records,
-    rule_classify,
 )
 from greenloop.pipeline import (
     BIN_HORIZON,

@@ -519,8 +519,9 @@ class TestLimits:
         assert not out.exists()
 
 
-# The root's slack basis is feasible, so it starts from the form's template.
-# The up-branch y >= 4 shifts the first row's bound to -7.5: that node runs
+# The root's slack basis is feasible, so its tableau has the template's
+# width, with no artificial column, and phase 1 takes no pivot. The
+# up-branch y >= 4 shifts the first row's bound to -7.5: that node runs
 # phase 1 and then phase 2 in a wider tableau.
 TEMPLATE_THEN_PHASE1 = lp(
     [-2.0, -2.0],
@@ -559,7 +560,7 @@ class TestSlackTemplate:
         monkeypatch.setattr(solver, "_simplex", recording_simplex)
         sol = solve_milp(TEMPLATE_THEN_PHASE1)
         width = solver._standard_form(TEMPLATE_THEN_PHASE1).slack_tab.shape[1]
-        # the root runs phase 2 at once on the template's width; a wider
+        # the root runs both phases on the template's width; a wider
         # tableau (artificial columns) later reaches phase 2 as well
         assert starts[0] == (width, width - 1)
         assert any(w > width and e == width - 1 for w, e in starts)

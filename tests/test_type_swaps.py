@@ -13,7 +13,9 @@ such mutation goes through `validate`, and each one it passes through
 `run --mode framework`, which may fail only with an error family's code.
 Each list of records (limits, stations, graph nodes, ...) also gets its
 last record repeated, which `validate` and `run` both refuse as a
-duplicate.
+duplicate. Each map whose names come from a fixed set (elements, stages,
+process ids, sensor features, the waste categories) gets one name from
+outside it, which both refuse naming it.
 """
 
 import copy
@@ -178,6 +180,57 @@ def test_repeated_records_exit_4_as_duplicates(tmp_path, capsys, family):
         captured = capsys.readouterr()
         if codes != (4, 4) or out.exists() or "duplicate" not in captured.out + captured.err:
             bad.append((mutation[0], codes, captured.err))
+    assert bad == []
+
+
+# The last key of each map whose names come from a fixed set, with a name
+# outside that set and a value the map would take under a known name.
+UNKNOWN_NAMES = {
+    "composition": ("unobtainium", 0.0),
+    "recovery_efficiency": ("unobtainium", 0.0),
+    "targets": ("unobtainium", 0.5),
+    "stage_costs": ("sorting", {}),
+    "consumption": ("p_unknown", 1.0),
+    "feature_stds": ("weight_kgs", 1.0),
+}
+
+
+def _unknown_names(doc):
+    """(path, value, name) for each map of doc whose names come from a fixed
+    set: the map with one name from outside the set added, and that name.
+    integrality, a list of process ids, gets one more id."""
+    for path in _paths(doc):
+        value = doc
+        for key in path:
+            value = value[key]
+        if path[-1] == "feature_means":
+            yield path, {**value, "glas": next(iter(value.values()))}, "glas"
+        elif path[-2:-1] == ("feature_means",):
+            yield path, {**value, "weight_kgs": 1.0}, "weight_kgs"
+        elif path[-1] == "integrality":
+            yield path, value + ["p_unknown"], "p_unknown"
+        elif path[-1] in UNKNOWN_NAMES:
+            name, entry = UNKNOWN_NAMES[path[-1]]
+            yield path, {**value, name: entry}, name
+
+
+@pytest.mark.parametrize("family", ["alloc", "battery", "waste"])
+def test_unknown_names_exit_4_and_name_them(tmp_path, capsys, family):
+    doc = _document(family)
+    mutations = list(_unknown_names(doc))
+    assert mutations
+    files = _mutated_files(doc, [(path, value) for path, value, _ in mutations], tmp_path)
+    bad = []
+    for i, ((_, _, name), (_, scenario)) in enumerate(zip(mutations, files)):
+        out = tmp_path / f"out{i}"
+        codes = (
+            main(["validate", "--scenario", str(scenario)]),
+            main(["run", "--scenario", str(scenario), "--mode", "framework",
+                  "--out", str(out)]),
+        )
+        captured = capsys.readouterr()
+        if codes != (4, 4) or out.exists() or repr(name) not in captured.out + captured.err:
+            bad.append((mutations[i][0], codes, captured.out + captured.err))
     assert bad == []
 
 
